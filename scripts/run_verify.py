@@ -23,7 +23,7 @@ def main() -> int:
         start = time.perf_counter()
         results = run_suite(session, "all")
         elapsed = time.perf_counter() - start
-        bad = [r for r in results if r.status == "fail"]
+        bad = [r for r in results if not r.ok]
         skipped = [r for r in results if r.status == "skip"]
         failures += len(bad)
         print(
@@ -31,7 +31,7 @@ def main() -> int:
             f"{len(bad)} failed, {len(skipped)} skipped, {elapsed:6.1f}s"
         )
         for r in bad:
-            print(f"    FAIL {r.name}: {r.detail}")
+            print(f"    {r.status.upper()} {r.name}: {r.detail}")
     return 1 if failures else 0
 
 

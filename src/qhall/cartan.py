@@ -83,7 +83,13 @@ class CartanDatum:
         return len(self.quiver.vertices)
 
     def index(self, vertex: int) -> int:
-        return self.quiver.vertices.index(vertex)
+        try:
+            return self.quiver.vertices.index(vertex)
+        except ValueError:
+            raise ValueError(
+                f"unknown vertex {vertex}; the vertices are "
+                + ", ".join(map(str, self.quiver.vertices))
+            ) from None
 
     def a(self, i: int, j: int) -> int:
         return self.cartan[self.index(i)][self.index(j)]
@@ -214,10 +220,6 @@ def neg_vec(a: tuple) -> tuple:
 
 def height(a: tuple) -> int:
     return sum(a)
-
-
-def dominated_by(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def dims_upto(bound: tuple):

@@ -4,7 +4,7 @@ Subcommands mirror the library: f (quotient algebra), u (quantum
 group), ti (symmetries), braid, hall (finite-field oracle), double,
 and verify.  Global flags pick the quiver, the field size, the
 enumeration budget, and JSON output.  Exit code 0 means every
-requested check passed.
+requested check passed; bad input exits 2 with one line on stderr.
 """
 
 from __future__ import annotations
@@ -29,8 +29,21 @@ from .verify import Session, run_suite
 SCHEMA = "qhall/1"
 
 
-def _parse_dims(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(","))
+def _parse_dims(text: str, rank: int) -> tuple:
+    try:
+        dims = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"dimension vector {text!r} is not a comma-separated list of integers"
+        ) from None
+    if len(dims) != rank:
+        raise ValueError(
+            f"dimension vector {text!r} has {len(dims)} entries but the quiver "
+            f"has {rank} vertices"
+        )
+    if min(dims) < 0:
+        raise ValueError(f"dimension vector {text!r} has a negative entry")
+    return dims
 
 
 def _session(args) -> Session:
@@ -108,7 +121,7 @@ def cmd_f(args) -> int:
     s = _session(args)
     d = s.datum
     if args.f_cmd == "dim":
-        nu = _parse_dims(args.nu)
+        nu = _parse_dims(args.nu, d.rank)
         dim = fa.weight_basis(d, nu).dim
         words = fa.weight_basis(d, nu).basis_words
         _emit(
@@ -129,7 +142,7 @@ def cmd_f(args) -> int:
         elif isinstance(val, FreeElement):
             val = fa.normal_form(val)
         else:
-            raise SystemExit("f nf expects a theta expression")
+            raise ValueError("f nf expects a theta expression")
         _emit(args, _element_json(val), format_element(val))
         return 0
     if args.f_cmd == "decompose":
@@ -137,7 +150,7 @@ def cmd_f(args) -> int:
         if isinstance(val, FreeElement):
             val = fa.normal_form(val)
         if not isinstance(val, fa.FElement):
-            raise SystemExit("f decompose expects a theta expression")
+            raise ValueError("f decompose expects a theta expression")
         pieces = fa.i_decompose(args.vertex, val)
         payload = {
             "schema": SCHEMA,
@@ -163,7 +176,7 @@ def _as_u(d: CartanDatum, val) -> UElement:
         return ua.embed_plus(val)
     if isinstance(val, UElement):
         return val
-    raise SystemExit("expected a quantum-group expression")
+    raise ValueError("expected a quantum-group expression")
 
 
 def cmd_u(args) -> int:
@@ -249,8 +262,9 @@ def cmd_braid(args) -> int:
 def cmd_hall(args) -> int:
     s = _session(args)
     quiver = load_quiver(args.quiver)
+    rank = len(quiver.vertices)
     if args.hall_cmd == "classes":
-        dims = _parse_dims(args.dims)
+        dims = _parse_dims(args.dims, rank)
         classes = hall.iso_classes(quiver, args.field_q, dims, s.budget)
         payload = {
             "schema": SCHEMA,
@@ -269,21 +283,24 @@ def cmd_hall(args) -> int:
         return 0
     if args.hall_cmd == "number":
         q = args.field_q
-        dm, im = args.M.split(":")
-        dn, iname = args.N.split(":")
-        dl, il = args.L.split(":")
-        dims_m, dims_n, dims_l = map(_parse_dims, (dm, dn, dl))
-        reps_m = hall.iso_classes(quiver, q, dims_m, s.budget)
-        reps_n = hall.iso_classes(quiver, q, dims_n, s.budget)
-        reps_l = hall.iso_classes(quiver, q, dims_l, s.budget)
-        M = hall.QuiverRep(quiver, q, dims_m, reps_m[int(im)][0])
-        N = hall.QuiverRep(quiver, q, dims_n, reps_n[int(iname)][0])
-        L = hall.QuiverRep(quiver, q, dims_l, reps_l[int(il)][0])
-        g = hall.hall_number(M, N, L)
+
+        def rep_of(spec: str) -> hall.QuiverRep:
+            dims_text, _, index = spec.partition(":")
+            dims = _parse_dims(dims_text, rank)
+            classes = hall.iso_classes(quiver, q, dims, s.budget)
+            k = int(index)
+            if not 0 <= k < len(classes):
+                raise ValueError(
+                    f"class index {k} in {spec!r} is out of range: "
+                    f"{dims_text} has {len(classes)} classes over F_{q}"
+                )
+            return hall.QuiverRep(quiver, q, dims, classes[k][0])
+
+        g = hall.hall_number(rep_of(args.M), rep_of(args.N), rep_of(args.L))
         _emit(args, {"schema": SCHEMA, "hall_number": g}, str(g))
         return 0
     if args.hall_cmd == "strata":
-        dims = _parse_dims(args.dims)
+        dims = _parse_dims(args.dims, rank)
         counts = hall.stratum_counts(quiver, dims, args.field_q, args.vertex, s.budget)
         _emit(
             args,
@@ -293,9 +310,8 @@ def cmd_hall(args) -> int:
         return 0
     if args.hall_cmd == "compare":
         datum = load_datum(quiver)
-        report = hall.specialize_compare(
-            datum, _parse_dims(args.dimA), _parse_dims(args.dimB), args.field_q, s.budget
-        )
+        dims_a, dims_b = (_parse_dims(x, rank) for x in (args.dimA, args.dimB))
+        report = hall.specialize_compare(datum, dims_a, dims_b, args.field_q, s.budget)
         ok = all(r["match"] for r in report)
         payload = {
             "schema": SCHEMA,
@@ -325,7 +341,7 @@ def cmd_double(args) -> int:
         a = parse_expr(d, args.left)
         b = parse_expr(d, args.right)
         if not isinstance(a, dbl.DoubleElement) or not isinstance(b, dbl.DoubleElement):
-            raise SystemExit("double mul expects p(...)/m(...)/k(...) expressions")
+            raise ValueError("double mul expects p(...)/m(...)/k(...) expressions")
         val = dbl.double_mul(a, b)
         _emit(args, _element_json(val), format_element(val))
         return 0
@@ -459,7 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as e:  # bad input, including ParseError
+        print(f"qhall: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

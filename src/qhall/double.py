@@ -24,22 +24,13 @@ from functools import lru_cache
 from .cartan import CartanDatum, add_vec, neg_vec, sub_vec
 from .falgebra import FElement, _normal_form_word
 from .freealg import Word, coproduct_word, _form_words
+from .lincomb import LinComb, merge
 from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, v_pow
 from .ualgebra import UElement
 
 # the calibrated pairing constant -1/(v - v^-1); calibrate_pairing
 # re-derives it and a test freezes the agreement
 PAIRING_CONSTANT = (v_pow(-1) - v_pow(1)).inverse()
-
-
-def _merge(dst: dict, key, coeff):
-    if not coeff:
-        return
-    s = dst.get(key, ZERO) + coeff
-    if s:
-        dst[key] = s
-    else:
-        dst.pop(key, None)
 
 
 @lru_cache(maxsize=None)
@@ -50,22 +41,20 @@ def reduced_splits(datum: CartanDatum, word: Word) -> tuple:
     for (w1, w2), c in coproduct_word(datum, word):
         for b1, c1 in _normal_form_word(datum, w1):
             for b2, c2 in _normal_form_word(datum, w2):
-                _merge(out, (b1, b2), c * c1 * c2)
+                merge(out, (b1, b2), c * c1 * c2)
     return tuple(sorted(out.items()))
 
 
-class HalfElement:
+class HalfElement(LinComb):
     """Element of one torus-extended half; terms map (coweight, word)
     to coefficients and stand for k_mu times the word's class."""
 
-    __slots__ = ("datum", "sign", "terms")
+    __slots__ = SPACE = ("datum", "sign")
 
     def __init__(self, datum: CartanDatum, sign: str, terms: dict | None = None):
         if sign not in ("plus", "minus"):
             raise ValueError("sign must be 'plus' or 'minus'")
-        self.datum = datum
-        self.sign = sign
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+        super().__init__(datum, sign, terms)
 
     @staticmethod
     def unit(datum: CartanDatum, sign: str) -> "HalfElement":
@@ -83,31 +72,6 @@ class HalfElement:
     @staticmethod
     def generator(datum: CartanDatum, sign: str, vertex: int) -> "HalfElement":
         return HalfElement.of_f(datum, sign, FElement.generator(datum, vertex))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HalfElement)
-            and (self.datum, self.sign) == (other.datum, other.sign)
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        if self.sign != other.sign:
-            raise ValueError("cannot add halves of opposite sign")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _merge(out, k, c)
-        return HalfElement(self.datum, self.sign, out)
-
-    def scale(self, c: RatFunc) -> "HalfElement":
-        if not c:
-            return HalfElement(self.datum, self.sign)
-        return HalfElement(
-            self.datum, self.sign, {k: c * x for k, x in self.terms.items()}
-        )
 
     def __mul__(self, other):
         return half_mul(self.sign, self, other)
@@ -133,35 +97,12 @@ def half_mul(sign: str, a: HalfElement, b: HalfElement) -> HalfElement:
             mu = add_vec(m1, m2)
             coeff = c1 * c2 * move
             for bw, cw in _normal_form_word(d, w1 + w2):
-                _merge(out, (mu, bw), coeff * cw)
+                merge(out, (mu, bw), coeff * cw)
     return HalfElement(d, sign, out)
 
 
-class HalfTensor:
-    __slots__ = ("datum", "sign", "terms")
-
-    def __init__(self, datum, sign, terms=None):
-        self.datum = datum
-        self.sign = sign
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HalfTensor)
-            and (self.datum, self.sign) == (other.datum, other.sign)
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _merge(out, k, c)
-        return HalfTensor(self.datum, self.sign, out)
-
-    def scale(self, c):
-        return HalfTensor(
-            self.datum, self.sign, {k: c * x for k, x in self.terms.items()}
-        )
+class HalfTensor(LinComb):
+    __slots__ = SPACE = ("datum", "sign")
 
 
 def half_delta(sign: str, a: HalfElement) -> HalfTensor:
@@ -185,7 +126,7 @@ def half_delta(sign: str, a: HalfElement) -> HalfTensor:
             else:
                 move = v_pow(-d.sym_form(nu1, nu2))
                 key = ((mu, w2), (sub_vec(mu, mu2), w1))
-            _merge(out, key, c * cc * move)
+            merge(out, key, c * cc * move)
     return HalfTensor(d, sign, out)
 
 
@@ -276,15 +217,11 @@ def pairing_phi(
 # the double
 
 
-class DoubleElement:
+class DoubleElement(LinComb):
     """Element of the quotient double in triangular form: terms map
     (minus word, coweight, plus word) to coefficients."""
 
-    __slots__ = ("datum", "terms")
-
-    def __init__(self, datum: CartanDatum, terms: dict | None = None):
-        self.datum = datum
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+    __slots__ = SPACE = ("datum",)
 
     @staticmethod
     def unit(datum: CartanDatum) -> "DoubleElement":
@@ -303,30 +240,6 @@ class DoubleElement:
     def minus_of(datum: CartanDatum, x: FElement) -> "DoubleElement":
         zero = datum.zero_vec()
         return DoubleElement(datum, {(w, zero, ()): c for w, c in x.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DoubleElement)
-            and self.datum == other.datum
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _merge(out, k, c)
-        return DoubleElement(self.datum, out)
-
-    def __sub__(self, other):
-        return self + other.scale(MINUS_ONE)
-
-    def scale(self, c: RatFunc) -> "DoubleElement":
-        if not c:
-            return DoubleElement(self.datum)
-        return DoubleElement(self.datum, {k: c * x for k, x in self.terms.items()})
 
     def __mul__(self, other):
         return double_mul(self, other)
@@ -352,7 +265,7 @@ def _torus_left(mu: tuple, x: DoubleElement) -> DoubleElement:
     out: dict = {}
     for (mw, kappa, pw), c in x.terms.items():
         move = v_pow(-d.alpha_weight(d.weight_of_word(mw), mu))
-        _merge(out, (mw, add_vec(mu, kappa), pw), c * move)
+        merge(out, (mw, add_vec(mu, kappa), pw), c * move)
     return DoubleElement(d, out)
 
 
@@ -377,7 +290,7 @@ def _cross(datum: CartanDatum, pword: Word, mword: Word, c_gen: RatFunc) -> Doub
                 val = _form_words(datum, x1, y2, c_gen)
                 if val:
                     key = (y1, neg_vec(datum.coweight_of_dim(wt_y2)), x2)
-                    _merge(out, key, cx * cy * val)
+                    merge(out, key, cx * cy * val)
             if wt_x2 == wt_y1 and any(wt_x2):
                 val = _form_words(datum, x2, y1, c_gen)
                 if val:
@@ -388,7 +301,7 @@ def _cross(datum: CartanDatum, pword: Word, mword: Word, c_gen: RatFunc) -> Doub
                         -cx * cy * val * v_pow(-datum.sym_form(wt_x1, wt_x2))
                     )
                     for k, c in moved.terms.items():
-                        _merge(out, k, c)
+                        merge(out, k, c)
     return DoubleElement(datum, out)
 
 
@@ -418,7 +331,7 @@ def double_mul(
                 )
                 for bm, cm in mtotal:
                     for bp, cp in ptotal:
-                        _merge(out, (bm, mu, bp), coeff * cm * cp)
+                        merge(out, (bm, mu, bp), coeff * cm * cp)
     return DoubleElement(d, out)
 
 

@@ -21,12 +21,12 @@ from .freealg import (
     FreeElement,
     Word,
     coproduct_word,
-    lusztig_form,
     _form_words,
     DEFAULT_FORM_CONSTANT,
     words_of_weight,
 )
-from .ratfunc import ONE, RatFunc, ZERO, qfact
+from .lincomb import LinComb, merge
+from .ratfunc import ONE, ZERO, qfact
 
 
 @dataclass(frozen=True)
@@ -106,18 +106,14 @@ def dim_f(datum: CartanDatum, nu: tuple) -> int:
     return weight_basis(datum, nu).dim
 
 
-class FElement:
+class FElement(LinComb):
     """Element of the quotient algebra in canonical coordinates.
 
     Terms are supported on selected basis words only, so equality of
     coordinates is equality in the quotient.
     """
 
-    __slots__ = ("datum", "terms")
-
-    def __init__(self, datum: CartanDatum, terms: dict | None = None):
-        self.datum = datum
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
+    __slots__ = SPACE = ("datum",)
 
     @staticmethod
     def unit(datum: CartanDatum) -> "FElement":
@@ -129,57 +125,11 @@ class FElement:
             raise ValueError(f"unknown vertex {vertex}")
         return FElement(datum, {(vertex,): ONE})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FElement)
-            and self.datum == other.datum
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.datum, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return FElement(self.datum, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-ONE)
-
-    def scale(self, c: RatFunc) -> "FElement":
-        if not c:
-            return FElement(self.datum)
-        return FElement(self.datum, {w: c * x for w, x in self.terms.items()})
-
     def __mul__(self, other):
         return f_mul(self, other)
 
-    def free(self) -> FreeElement:
-        """The canonical representative in the free algebra."""
-        return FreeElement(self.datum, dict(self.terms))
-
     def weights(self):
         return {self.datum.weight_of_word(w) for w in self.terms}
-
-    def weight_component(self, nu: tuple) -> "FElement":
-        d = self.datum
-        return FElement(
-            d, {w: c for w, c in self.terms.items() if d.weight_of_word(w) == nu}
-        )
-
-    def coords(self, nu: tuple) -> list:
-        """Coordinate vector on the basis words of the given weight."""
-        wb = weight_basis(self.datum, nu)
-        return [self.terms.get(w, ZERO) for w in wb.basis_words]
 
     def __str__(self):
         from .exprs import format_free
@@ -215,11 +165,7 @@ def normal_form(x: FreeElement | FElement) -> FElement:
     out: dict = {}
     for w, c in x.terms.items():
         for bw, coeff in _normal_form_word(x.datum, w):
-            s = out.get(bw, ZERO) + c * coeff
-            if s:
-                out[bw] = s
-            else:
-                out.pop(bw, None)
+            merge(out, bw, c * coeff)
     return FElement(x.datum, out)
 
 
@@ -230,11 +176,7 @@ def f_mul(x: FElement, y: FElement) -> FElement:
     for w1, c1 in x.terms.items():
         for w2, c2 in y.terms.items():
             for bw, coeff in _normal_form_word(x.datum, w1 + w2):
-                s = out.get(bw, ZERO) + c1 * c2 * coeff
-                if s:
-                    out[bw] = s
-                else:
-                    out.pop(bw, None)
+                merge(out, bw, c1 * c2 * coeff)
     return FElement(x.datum, out)
 
 
@@ -258,7 +200,7 @@ def serre_element(datum: CartanDatum, i: int, j: int) -> FreeElement:
         coeff = (qfact(k) * qfact(n - k)).inverse()
         if k % 2:
             coeff = -coeff
-        terms[w] = terms.get(w, ZERO) + coeff
+        merge(terms, w, coeff)
     return FreeElement(datum, terms)
 
 
@@ -279,11 +221,7 @@ def i_r_component(vertex: int, side: str, x: FElement) -> FElement:
             else:
                 continue
             for bw, nf in _normal_form_word(d, keep):
-                s = out.get(bw, ZERO) + c * coeff * nf
-                if s:
-                    out[bw] = s
-                else:
-                    out.pop(bw, None)
+                merge(out, bw, c * coeff * nf)
     return FElement(d, out)
 
 
@@ -392,6 +330,3 @@ def dim_decomposition_check(datum: CartanDatum, vertex: int, nu: tuple) -> bool:
 def in_kernel(vertex: int, side: str, x: FElement) -> bool:
     return i_r_component(vertex, side, x).is_zero()
 
-
-def form_f(x: FElement, y: FElement, c_gen: RatFunc = DEFAULT_FORM_CONSTANT) -> RatFunc:
-    return lusztig_form(x.free(), y.free(), c_gen)

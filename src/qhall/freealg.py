@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cartan import CartanDatum, add_vec
+from .cartan import CartanDatum
+from .lincomb import LinComb, merge
 from .ratfunc import ONE, RatFunc, ZERO, v_pow
 
 Word = tuple[int, ...]
@@ -21,28 +22,10 @@ Word = tuple[int, ...]
 DEFAULT_FORM_CONSTANT = (ONE - v_pow(-2)).inverse()
 
 
-def _merged(dst: dict, key, coeff: RatFunc):
-    if not coeff:
-        return
-    prev = dst.get(key)
-    if prev is None:
-        dst[key] = coeff
-    else:
-        s = prev + coeff
-        if s:
-            dst[key] = s
-        else:
-            del dst[key]
-
-
-class FreeElement:
+class FreeElement(LinComb):
     """Linear combination of words; weights may mix across terms."""
 
-    __slots__ = ("datum", "terms")
-
-    def __init__(self, datum: CartanDatum, terms: dict | None = None):
-        self.datum = datum
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
+    __slots__ = SPACE = ("datum",)
 
     @staticmethod
     def generator(datum: CartanDatum, vertex: int) -> "FreeElement":
@@ -58,47 +41,8 @@ class FreeElement:
     def word(datum: CartanDatum, word: Word, coeff: RatFunc = ONE) -> "FreeElement":
         return FreeElement(datum, {tuple(word): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeElement)
-            and self.datum == other.datum
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.datum, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _merged(out, w, c)
-        return FreeElement(self.datum, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-ONE)
-
-    def scale(self, c: RatFunc) -> "FreeElement":
-        if not c:
-            return FreeElement(self.datum)
-        return FreeElement(self.datum, {w: c * x for w, x in self.terms.items()})
-
     def __mul__(self, other: "FreeElement") -> "FreeElement":
         return free_mul(self, other)
-
-    def weights(self):
-        return {self.datum.weight_of_word(w) for w in self.terms}
-
-    def weight_component(self, nu: tuple) -> "FreeElement":
-        d = self.datum
-        return FreeElement(
-            d, {w: c for w, c in self.terms.items() if d.weight_of_word(w) == nu}
-        )
-
-    def is_homogeneous(self) -> bool:
-        return len(self.weights()) <= 1
 
     def sorted_terms(self):
         return sorted(
@@ -114,39 +58,14 @@ class FreeElement:
         return f"FreeElement({self})"
 
 
-class TensorElement:
+class TensorElement(LinComb):
     """Linear combination of word pairs in the twisted tensor square."""
 
-    __slots__ = ("datum", "terms")
-
-    def __init__(self, datum: CartanDatum, terms: dict | None = None):
-        self.datum = datum
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+    __slots__ = SPACE = ("datum",)
 
     @staticmethod
     def unit(datum: CartanDatum) -> "TensorElement":
         return TensorElement(datum, {((), ()): ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.datum == other.datum
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _merged(out, k, c)
-        return TensorElement(self.datum, out)
-
-    def scale(self, c: RatFunc) -> "TensorElement":
-        if not c:
-            return TensorElement(self.datum)
-        return TensorElement(self.datum, {k: c * x for k, x in self.terms.items()})
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         return twisted_tensor_mul(self, other)
@@ -158,7 +77,7 @@ def free_mul(x: FreeElement, y: FreeElement) -> FreeElement:
     out: dict = {}
     for w1, c1 in x.terms.items():
         for w2, c2 in y.terms.items():
-            _merged(out, w1 + w2, c1 * c2)
+            merge(out, w1 + w2, c1 * c2)
     return FreeElement(x.datum, out)
 
 
@@ -172,7 +91,7 @@ def twisted_tensor_mul(t1: TensorElement, t2: TensorElement) -> TensorElement:
         wy1 = d.weight_of_word(y1)
         for (x2, y2), c2 in t2.terms.items():
             twist = d.sym_form(wy1, d.weight_of_word(x2))
-            _merged(out, (x1 + x2, y1 + y2), c1 * c2 * v_pow(twist))
+            merge(out, (x1 + x2, y1 + y2), c1 * c2 * v_pow(twist))
     return TensorElement(d, out)
 
 
@@ -195,16 +114,8 @@ def coproduct_r(x: FreeElement) -> TensorElement:
     out: dict = {}
     for w, c in x.terms.items():
         for key, coeff in coproduct_word(x.datum, w):
-            _merged(out, key, c * coeff)
+            merge(out, key, c * coeff)
     return TensorElement(x.datum, out)
-
-
-def coproduct_components(datum: CartanDatum, word: Word):
-    """Terms of the coproduct grouped by the weight of the second slot."""
-    by_weight: dict = {}
-    for (w1, w2), c in coproduct_word(datum, word):
-        by_weight.setdefault(datum.weight_of_word(w2), []).append((w1, w2, c))
-    return by_weight
 
 
 @lru_cache(maxsize=None)
@@ -269,9 +180,3 @@ def words_of_weight(datum: CartanDatum, nu: tuple) -> tuple[Word, ...]:
     rec(counts, [])
     return tuple(out)
 
-
-def weight_sum(datum: CartanDatum, words) -> tuple:
-    total = datum.zero_vec()
-    for w in words:
-        total = add_vec(total, datum.weight_of_word(w))
-    return total

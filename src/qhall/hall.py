@@ -18,6 +18,7 @@ from math import isqrt
 from .cartan import CartanDatum, Quiver, is_sink, is_source, load_datum
 from .falgebra import normal_form
 from .freealg import FreeElement, words_of_weight
+from .lincomb import LinComb
 from .ratfunc import ONE as RF_ONE
 
 DEFAULT_BUDGET = 10_000_000
@@ -322,9 +323,6 @@ class QuiverRep:
     q: int
     dims: tuple
     mats: tuple  # one matrix per arrow, shape dims[t] x dims[s]
-
-    def point(self) -> tuple:
-        return self.mats
 
 
 def _arrow_shapes(quiver: Quiver, dims: tuple):
@@ -637,16 +635,11 @@ def hall_number(M: QuiverRep, N: QuiverRep, L: QuiverRep) -> int:
 # the twisted composition product
 
 
-class HallElement:
+class HallElement(LinComb):
     """Linear combination of iso-classes with exact rational coefficients.
     Keys are (dims, canonical point)."""
 
-    __slots__ = ("quiver", "q", "terms")
-
-    def __init__(self, quiver: Quiver, q: int, terms: dict | None = None):
-        self.quiver = quiver
-        self.q = q
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+    __slots__ = SPACE = ("quiver", "q")
 
     @staticmethod
     def unit(quiver: Quiver, q: int) -> "HallElement":
@@ -667,32 +660,6 @@ class HallElement:
         shapes = _arrow_shapes(quiver, dims)
         point = tuple(zero_mat(r, c) for r, c in shapes)
         return HallElement.of_class(quiver, q, dims, point)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HallElement)
-            and (self.quiver, self.q) == (other.quiver, other.q)
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return HallElement(self.quiver, self.q, out)
-
-    def scale(self, c) -> "HallElement":
-        c = Fraction(c)
-        if not c:
-            return HallElement(self.quiver, self.q)
-        return HallElement(self.quiver, self.q, {k: c * x for k, x in self.terms.items()})
 
     def __repr__(self):
         return f"HallElement({self.terms})"

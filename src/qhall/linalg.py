@@ -6,7 +6,7 @@ echelon forms, kernels and solutions are deterministic.
 
 from __future__ import annotations
 
-from .ratfunc import ONE, RatFunc, ZERO
+from .ratfunc import ONE, ZERO
 
 
 def rref(rows: list) -> tuple[list, list[int]]:
@@ -64,16 +64,6 @@ def solve(rows: list, rhs: list):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return x
-
-
-def invert(rows: list) -> list:
-    """Inverse of a square matrix; raises on singular input."""
-    n = len(rows)
-    aug = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(rows)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular over Q(v)")
-    return [row[n:] for row in red]
 
 
 def mat_vec(rows: list, vec: list) -> list:

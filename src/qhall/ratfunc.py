@@ -173,16 +173,6 @@ def _dense_trim(d):
     return d
 
 
-def _dense_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _dense_trim(out)
-
-
 def _dense_scale(a, n):
     return [n * x for x in a]
 

@@ -26,7 +26,6 @@ from .cartan import CartanDatum, neg_vec, scale_vec, sub_vec
 from .falgebra import (
     FElement,
     i_decompose,
-    in_kernel,
     normal_form,
     sub_if_basis,
     theta_divided,
@@ -37,7 +36,6 @@ from . import linalg
 from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, v_pow
 from .ualgebra import (
     UElement,
-    counit,
     embed_minus,
     embed_plus,
     plus_part,
@@ -164,26 +162,18 @@ def _ensure_certified(datum: CartanDatum, vertex: int):
         _cert_guard.discard(key)
 
 
-@lru_cache(maxsize=None)
-def _restricted_word(datum: CartanDatum, vertex: int, word: Word) -> FElement:
-    img = ti_apply(vertex, embed_plus(FElement(datum, {word: ONE})))
-    return plus_part(img)
-
-
 def ti_restricted(vertex: int, x: FElement) -> FElement:
     """The symmetry restricted to the left kernel subalgebra; the image
     must land in the positive part, which doubles as the membership
     check."""
-    out = FElement(x.datum)
     img = ti_apply(vertex, embed_plus(x))
     try:
-        out = plus_part(img)
+        return plus_part(img)
     except ValueError:
         raise ValueError(
             "image leaves the positive part; the input is not in the "
             "left kernel subalgebra"
         ) from None
-    return out
 
 
 def ti_restricted_inverse(vertex: int, x: FElement) -> FElement:

@@ -16,29 +16,16 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cartan import CartanDatum, add_vec, neg_vec
-from .falgebra import FElement, _normal_form_word, normal_form
+from .falgebra import FElement, _normal_form_word
 from .freealg import Word
+from .lincomb import LinComb, merge
 from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, v_pow
 
 UKey = tuple[Word, tuple, Word]
 
 
-def _merge(dst: dict, key, coeff: RatFunc):
-    if not coeff:
-        return
-    s = dst.get(key, ZERO) + coeff
-    if s:
-        dst[key] = s
-    else:
-        dst.pop(key, None)
-
-
-class UElement:
-    __slots__ = ("datum", "terms")
-
-    def __init__(self, datum: CartanDatum, terms: dict | None = None):
-        self.datum = datum
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+class UElement(LinComb):
+    __slots__ = SPACE = ("datum",)
 
     @staticmethod
     def unit(datum: CartanDatum) -> "UElement":
@@ -59,33 +46,6 @@ class UElement:
     @staticmethod
     def K(datum: CartanDatum, mu: tuple) -> "UElement":
         return UElement(datum, {((), tuple(mu), ()): ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UElement)
-            and self.datum == other.datum
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.datum, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _merge(out, k, c)
-        return UElement(self.datum, out)
-
-    def __sub__(self, other):
-        return self + other.scale(MINUS_ONE)
-
-    def scale(self, c: RatFunc) -> "UElement":
-        if not c:
-            return UElement(self.datum)
-        return UElement(self.datum, {k: c * x for k, x in self.terms.items()})
 
     def __mul__(self, other: "UElement") -> "UElement":
         return u_mul(self, other)
@@ -170,7 +130,7 @@ def _append_coweight(x: UElement, mu: tuple) -> UElement:
     out: dict = {}
     for (fw, kappa, ew), c in x.terms.items():
         shift = v_pow(-d.alpha_weight(d.weight_of_word(ew), mu))
-        _merge(out, (fw, add_vec(kappa, mu), ew), c * shift)
+        merge(out, (fw, add_vec(kappa, mu), ew), c * shift)
     return UElement(d, out)
 
 
@@ -202,7 +162,7 @@ def u_mul(x: UElement, y: UElement) -> UElement:
                 )
                 for bf, cf in ftotal:
                     for be, ce in etotal:
-                        _merge(out, (bf, mu, be), coeff * cf * ce)
+                        merge(out, (bf, mu, be), coeff * cf * ce)
     return UElement(d, out)
 
 
@@ -226,33 +186,13 @@ def counit(x: UElement) -> RatFunc:
 # comultiplication and antipode
 
 
-class UTensor:
-    __slots__ = ("datum", "terms")
-
-    def __init__(self, datum: CartanDatum, terms: dict | None = None):
-        self.datum = datum
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+class UTensor(LinComb):
+    __slots__ = SPACE = ("datum",)
 
     @staticmethod
     def unit(datum: CartanDatum) -> "UTensor":
         one = ((), datum.zero_vec(), ())
         return UTensor(datum, {(one, one): ONE})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UTensor)
-            and self.datum == other.datum
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _merge(out, k, c)
-        return UTensor(self.datum, out)
-
-    def scale(self, c: RatFunc) -> "UTensor":
-        return UTensor(self.datum, {k: c * x for k, x in self.terms.items()})
 
     def __mul__(self, other: "UTensor") -> "UTensor":
         d = self.datum
@@ -263,7 +203,7 @@ class UTensor:
                 right = u_mul(UElement(d, {b1: ONE}), UElement(d, {b2: ONE}))
                 for ka, ca in left.terms.items():
                     for kb, cb in right.terms.items():
-                        _merge(out, (ka, kb), c1 * c2 * ca * cb)
+                        merge(out, (ka, kb), c1 * c2 * ca * cb)
         return UTensor(d, out)
 
 
@@ -341,11 +281,11 @@ def _tensor3_from(t: UTensor, which: str) -> dict:
         if which == "left":
             inner = _delta_key(d, a)
             for (a1, a2), ci in inner.terms.items():
-                _merge(out, (a1, a2, b), c * ci)
+                merge(out, (a1, a2, b), c * ci)
         else:
             inner = _delta_key(d, b)
             for (b1, b2), ci in inner.terms.items():
-                _merge(out, (a, b1, b2), c * ci)
+                merge(out, (a, b1, b2), c * ci)
     return out
 
 

@@ -1,16 +1,17 @@
 """Named verification suites over a session datum.
 
-Each check returns pass/fail/skip; a suite is a deterministic list of
-checks.  The acceptance test module drives the same registry at the
-documented bounds, and the CLI exposes it through the verify
-subcommand with exit code 0 exactly when nothing fails.
+Each check returns pass/fail/skip, and a check that raises is reported
+as an error; a suite is a deterministic list of checks.  The acceptance
+test module drives the same registry at the documented bounds, and the
+CLI exposes it through the verify subcommand with exit code 0 exactly
+when nothing fails or errs.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import double as dbl
@@ -32,6 +33,7 @@ from .cartan import (
     sub_vec,
 )
 from .freealg import FreeElement, lusztig_form, words_of_weight
+from .lincomb import merge
 from .ratfunc import MINUS_ONE, ONE, ZERO, v_pow
 
 
@@ -57,13 +59,13 @@ class Session:
 @dataclass
 class CheckResult:
     name: str
-    status: str  # pass | fail | skip
+    status: str  # pass | fail | skip | error
     millis: int = 0
     detail: str = ""
 
     @property
     def ok(self) -> bool:
-        return self.status != "fail"
+        return self.status not in ("fail", "error")
 
 
 def _run(name: str, fn) -> CheckResult:
@@ -73,6 +75,14 @@ def _run(name: str, fn) -> CheckResult:
     except hall.BudgetExceeded as e:
         return CheckResult(
             name, "skip", int((time.perf_counter() - start) * 1000), str(e)
+        )
+    except Exception as e:
+        # one broken check must not take the rest of the suite down
+        return CheckResult(
+            name,
+            "error",
+            int((time.perf_counter() - start) * 1000),
+            f"{type(e).__name__}: {e}",
         )
     millis = int((time.perf_counter() - start) * 1000)
     if outcome is True or outcome is None:
@@ -193,12 +203,10 @@ def _kostant_count(roots: list, nu: tuple) -> int:
             return 0
         r = roots[k]
         total = 0
-        use = 0
         cur = rem
         while all(x >= 0 for x in cur):
             total += rec(k + 1, cur)
             cur = sub_vec(cur, r)
-            use += 1
         return total
 
     return rec(0, nu)
@@ -906,12 +914,7 @@ def _check_double_delta_match(s: Session):
                 right = _half_to_u(d, sign, dbl.HalfElement(d, sign, {(m2, w2): ONE}))
                 for ka, ca in left.terms.items():
                     for kb, cb in right.terms.items():
-                        key = (ka, kb)
-                        val = got.get(key, ZERO) + c * ca * cb
-                        if val:
-                            got[key] = val
-                        else:
-                            got.pop(key, None)
+                        merge(got, (ka, kb), c * ca * cb)
             if got != u_side.terms:
                 return False
     return True
@@ -947,20 +950,10 @@ def _check_double_coassoc(s: Session):
             for (k1, k2), c in dx.terms.items():
                 inner = dbl.half_delta(sign, dbl.HalfElement(d, sign, {k1: ONE}))
                 for (a, b), ci in inner.terms.items():
-                    key = (a, b, k2)
-                    val = left.get(key, ZERO) + c * ci
-                    if val:
-                        left[key] = val
-                    else:
-                        left.pop(key, None)
+                    merge(left, (a, b, k2), c * ci)
                 inner = dbl.half_delta(sign, dbl.HalfElement(d, sign, {k2: ONE}))
                 for (a, b), ci in inner.terms.items():
-                    key = (k1, a, b)
-                    val = right.get(key, ZERO) + c * ci
-                    if val:
-                        right[key] = val
-                    else:
-                        right.pop(key, None)
+                    merge(right, (k1, a, b), c * ci)
             if left != right:
                 return False
     return True

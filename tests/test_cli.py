@@ -173,3 +173,31 @@ def test_cli_single_vertex_datum(capsys):
         "braid",
     )
     assert code == 0
+
+
+def _bad_input(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qhall: ")
+    return lines[0]
+
+
+def test_cli_rejects_dimension_vector_of_wrong_length(capsys):
+    assert "3 entries" in _bad_input(capsys, "f", "dim", "1,2,3")
+    assert "3 entries" in _bad_input(capsys, "hall", "classes", "1->2", "1,1,1", "2")
+
+
+def test_cli_rejects_unknown_vertex(capsys):
+    assert "unknown vertex 7" in _bad_input(capsys, "ti", "apply", "7", "E1")
+
+
+def test_cli_reports_parse_errors(capsys):
+    assert "position 4" in _bad_input(capsys, "f", "nf", "th1*")
+    assert "theta expression" in _bad_input(capsys, "f", "nf", "E1")
+
+
+def test_cli_rejects_hall_class_index_out_of_range(capsys):
+    line = _bad_input(capsys, "hall", "number", "1->2", "2", "1,1:9", "1,0:0", "0,1:0")
+    assert "out of range" in line
