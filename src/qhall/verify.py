@@ -73,17 +73,10 @@ def _run(name: str, fn) -> CheckResult:
     try:
         outcome = fn()
     except hall.BudgetExceeded as e:
-        return CheckResult(
-            name, "skip", int((time.perf_counter() - start) * 1000), str(e)
-        )
+        outcome = ("skip", str(e))
     except Exception as e:
         # one broken check must not take the rest of the suite down
-        return CheckResult(
-            name,
-            "error",
-            int((time.perf_counter() - start) * 1000),
-            f"{type(e).__name__}: {e}",
-        )
+        outcome = ("error", f"{type(e).__name__}: {e}")
     millis = int((time.perf_counter() - start) * 1000)
     if outcome is True or outcome is None:
         return CheckResult(name, "pass", millis)
