@@ -247,15 +247,7 @@ def sub_if_basis(
         [cols[c][r] for c in range(len(cols))] for r in range(target_wb.dim)
     ]
     kernel = linalg.nullspace(rows, len(wb.basis_words))
-    out = []
-    for vec in kernel:
-        out.append(
-            FElement(
-                datum,
-                {w: c for w, c in zip(wb.basis_words, vec) if c},
-            )
-        )
-    return tuple(out)
+    return tuple(FElement(datum, dict(zip(wb.basis_words, vec))) for vec in kernel)
 
 
 @lru_cache(maxsize=None)
