@@ -242,5 +242,43 @@ def dims_of_height(rank: int, total: int):
             yield (first,) + rest
 
 
+def positive_roots(datum: CartanDatum, cap: int = 200):
+    """Closure of the simple roots under reflections, sorted; None when
+    the system fails to close (non-finite type)."""
+    roots = {datum.unit_vec(i) for i in datum.vertices}
+    while True:
+        new = set()
+        for r in roots:
+            for i in datum.vertices:
+                ref = datum.reflect_dim(i, r)
+                if all(x >= 0 for x in ref) and any(ref) and ref not in roots:
+                    new.add(ref)
+        if not new:
+            return sorted(roots)
+        roots |= new
+        if len(roots) > cap:
+            return None
+
+
+def kostant_count(roots: list, nu: tuple) -> int:
+    """Number of ways to write nu as a sum of the given roots, with
+    repetition and without regard to order."""
+
+    def rec(k: int, rem: tuple) -> int:
+        if not any(rem):
+            return 1
+        if k == len(roots):
+            return 0
+        r = roots[k]
+        total = 0
+        cur = rem
+        while all(x >= 0 for x in cur):
+            total += rec(k + 1, cur)
+            cur = sub_vec(cur, r)
+        return total
+
+    return rec(0, nu)
+
+
 A2 = load_datum(quiver_from_shorthand("1->2"))
 A3 = load_datum(quiver_from_shorthand("1->2,2->3"))

@@ -2,10 +2,11 @@
 algebra, used to cross-check the symbolic structure constants.
 
 Points of the representation variety are tuples of matrices (one per
-arrow, entries 0..q-1), iso-classes are enumerated as orbits under the
-product of general linear groups, and the canonical representative of a
-class is the lexicographically least point of the orbit.  Exhaustive
-loops check a configurable budget and fail fast.
+arrow, entries 0..q-1), and the canonical representative of an iso-class
+is the lexicographically least point of its orbit under the product of
+general linear groups.  On Dynkin quivers classes are told apart by the
+dimensions of Hom from the indecomposables; on other quivers by orbit
+search.  Exhaustive loops check a configurable budget and fail fast.
 """
 
 from __future__ import annotations
@@ -13,9 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 from math import isqrt
 
-from .cartan import CartanDatum, Quiver, is_sink, is_source, load_datum
+from .cartan import (
+    CartanDatum,
+    Quiver,
+    is_sink,
+    is_source,
+    kostant_count,
+    load_datum,
+    positive_roots,
+)
 from .falgebra import normal_form
 from .freealg import FreeElement, words_of_weight
 from .lincomb import LinComb
@@ -263,8 +273,26 @@ def mat_rref(F: Fq, a):
     return m, pivots
 
 
-def mat_rank(F: Fq, a):
-    return len(mat_rref(F, a)[1])
+def mat_rank(F: Fq, a) -> int:
+    """Rank by forward elimination (no back substitution)."""
+    rows = [list(r) for r in a if any(r)]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        pivot = rows[rank]
+        inv = F.inv(pivot[c])
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                f = F.mul(f, inv)
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], pivot)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 def mat_inv(F: Fq, a):
@@ -337,33 +365,22 @@ def e_v_dimension(quiver: Quiver, dims: tuple) -> int:
 
 
 def all_points(quiver: Quiver, q: int, dims: tuple, budget: int = DEFAULT_BUDGET):
-    """Every point of the representation space, lexicographic order."""
+    """Every point of the representation space, in the order of `<` on
+    points: arrows in order, each matrix row-major."""
     shapes = _arrow_shapes(quiver, dims)
     total_entries = sum(r * c for r, c in shapes)
     needed = q ** total_entries
     if needed > budget:
         raise BudgetExceeded(needed, budget)
-
-    def rec(k):
-        if k == len(shapes):
-            yield ()
-            return
-        rows, cols = shapes[k]
-        n = rows * cols
-        for rest in rec(k + 1):
-            for code in range(q ** n):
-                entries = []
-                c = code
-                for _ in range(n):
-                    entries.append(c % q)
-                    c //= q
-                mat = tuple(
-                    tuple(entries[r * cols + cc] for cc in range(cols))
-                    for r in range(rows)
-                )
-                yield (mat,) + rest
-
-    yield from rec(0)
+    for flat in product(range(q), repeat=total_entries):
+        mats = []
+        pos = 0
+        for rows, cols in shapes:
+            mats.append(
+                tuple(flat[pos + r * cols : pos + (r + 1) * cols] for r in range(rows))
+            )
+            pos += rows * cols
+        yield tuple(mats)
 
 
 def _gl_generators(F: Fq, n: int):
@@ -409,7 +426,25 @@ def _act(F: Fq, quiver: Quiver, dims: tuple, gen, point):
     return tuple(mats)
 
 
-def orbit_of(quiver: Quiver, q: int, dims: tuple, point: tuple) -> set:
+# ---------------------------------------------------------------------------
+# iso-classes
+#
+# Dynkin data (the reflection closure of the simple roots is finite) are
+# classified by invariants.  By Gabriel's theorem the indecomposables are
+# bricks X_beta, one per positive root beta, and by Auslander's theorem
+# M and N are isomorphic exactly when dim Hom(X_beta, M) = dim Hom(X_beta, N)
+# for every beta.  The class key of a point is (dims, those Hom dimensions).
+# Other data, such as the Kronecker quiver, are classified by orbit search,
+# and their class key is (dims, least point of the orbit).
+
+
+def orbit_of(
+    quiver: Quiver, q: int, dims: tuple, point: tuple, budget: int = DEFAULT_BUDGET
+) -> set:
+    """The GL-orbit of a point, by breadth-first search over generators."""
+    needed = q ** e_v_dimension(quiver, dims)
+    if needed > budget:
+        raise BudgetExceeded(needed, budget)
     F = field(q)
     gens = _group_generators(quiver, q, dims)
     seen = {point}
@@ -426,39 +461,197 @@ def orbit_of(quiver: Quiver, q: int, dims: tuple, point: tuple) -> set:
     return seen
 
 
-_canon_cache: dict = {}
+@lru_cache(maxsize=4096)
+def orbit_canonical_point(
+    quiver: Quiver, q: int, dims: tuple, point: tuple, budget: int = DEFAULT_BUDGET
+) -> tuple:
+    """The least point of the orbit, found by orbit search."""
+    return min(orbit_of(quiver, q, dims, point, budget))
 
 
-def canonical_point(quiver: Quiver, q: int, dims: tuple, point: tuple) -> tuple:
-    key = (quiver, q, dims, point)
-    hit = _canon_cache.get(key)
-    if hit is not None:
-        return hit
-    orb = orbit_of(quiver, q, dims, point)
-    rep = min(orb)
-    for p in orb:
-        _canon_cache[(quiver, q, dims, p)] = rep
-    return rep
-
-
-@lru_cache(maxsize=None)
-def iso_classes(
+def orbit_classes(
     quiver: Quiver, q: int, dims: tuple, budget: int = DEFAULT_BUDGET
 ) -> tuple:
-    """G-orbit decomposition of the representation space: a sorted tuple
-    of (canonical representative, orbit size)."""
+    """Iso-classes by orbit search over every point: a sorted tuple of
+    (least point of the orbit, orbit size)."""
     seen: set = set()
     out = []
     for p in all_points(quiver, q, dims, budget):
         if p in seen:
             continue
-        orb = orbit_of(quiver, q, dims, p)
-        rep = min(orb)
-        for x in orb:
-            _canon_cache[(quiver, q, dims, x)] = rep
+        orb = orbit_of(quiver, q, dims, p, budget)
         seen.update(orb)
-        out.append((rep, len(orb)))
+        out.append((min(orb), len(orb)))
     return tuple(sorted(out))
+
+
+def hom_dim(x: QuiverRep, m: QuiverRep) -> int:
+    """dim Hom(X, M): the unknowns f_i : X_i -> M_i minus the rank of the
+    system M_a f_s = f_t X_a, one block of equations per arrow s -> t."""
+    F = field(m.q)
+    idx = {v: i for i, v in enumerate(m.quiver.vertices)}
+    offsets = []
+    nvars = 0
+    for dm, dx in zip(m.dims, x.dims):
+        offsets.append(nvars)
+        nvars += dm * dx
+    rows = []
+    for (s, t), ma, xa in zip(m.quiver.arrows, m.mats, x.mats):
+        si, ti = idx[s], idx[t]
+        os_, ot = offsets[si], offsets[ti]
+        dxs, dxt = x.dims[si], x.dims[ti]
+        for r, mrow in enumerate(ma):
+            for c in range(dxs):
+                row = [0] * nvars
+                for j, a in enumerate(mrow):
+                    row[os_ + j * dxs + c] = a
+                for j in range(dxt):
+                    row[ot + r * dxt + j] = F.neg(xa[j][c])
+                rows.append(row)
+    return nvars - mat_rank(F, rows)
+
+
+@dataclass(frozen=True)
+class _Bricks:
+    """The indecomposables of Dynkin data over F_q: per positive root, the
+    lex-least point of E_beta whose endomorphisms are the scalars, and the
+    inverse of H[k][l] = dim Hom(X_k, X_l)."""
+
+    roots: tuple
+    reps: tuple  # QuiverRep per root
+    h_inverse: tuple  # integer rows: H is unitriangular in a directed order
+
+    def key(self, x: QuiverRep) -> tuple:
+        return x.dims, tuple(hom_dim(b, x) for b in self.reps)
+
+    def multiplicities(self, h: tuple) -> tuple:
+        """m with h = H m: how often each X_k occurs in a class."""
+        m = tuple(sum(a * b for a, b in zip(row, h)) for row in self.h_inverse)
+        if any(x < 0 for x in m):
+            raise RuntimeError(f"Hom dimensions {h} match no direct sum of bricks")
+        return m
+
+    def orbit_size(self, q: int, dims: tuple, h: tuple) -> int:
+        """|G| / |Aut M| with |Aut M| = q^(dim End M - sum m_k^2) prod
+        |GL_{m_k}(F_q)|, since End M / rad = prod M_{m_k}(F_q)."""
+        m = self.multiplicities(h)
+        dim_end = sum(a * b for a, b in zip(m, h))
+        aut = q ** (dim_end - sum(k * k for k in m))
+        for k in m:
+            aut *= gl_order(q, k)
+        return group_order(q, dims) // aut
+
+    def direct_sum(self, quiver: Quiver, q: int, dims: tuple, h: tuple) -> tuple:
+        """A point of the class with Hom dimensions h: the block-diagonal
+        sum of the bricks, each repeated by its multiplicity."""
+        idx = {v: i for i, v in enumerate(quiver.vertices)}
+        summands = [
+            b for b, k in zip(self.reps, self.multiplicities(h)) for _ in range(k)
+        ]
+        mats = []
+        for a, (s, t) in enumerate(quiver.arrows):
+            si, ti = idx[s], idx[t]
+            block = [[0] * dims[si] for _ in range(dims[ti])]
+            r0 = c0 = 0
+            for b in summands:
+                for r, row in enumerate(b.mats[a]):
+                    block[r0 + r][c0 : c0 + len(row)] = row
+                r0 += b.dims[ti]
+                c0 += b.dims[si]
+            mats.append(tuple(tuple(row) for row in block))
+        return tuple(mats)
+
+
+def _brick(quiver: Quiver, q: int, root: tuple) -> QuiverRep:
+    for p in all_points(quiver, q, root):
+        x = QuiverRep(quiver, q, root, p)
+        if hom_dim(x, x) == 1:
+            return x
+    raise RuntimeError(f"no brick of dimension {root}")
+
+
+@lru_cache(maxsize=32)
+def _bricks(quiver: Quiver, q: int) -> _Bricks | None:
+    """The bricks of Dynkin data; None when the root closure does not
+    finish, and the orbit route classifies."""
+    roots = positive_roots(load_datum(quiver))
+    if roots is None:
+        return None
+    reps = tuple(_brick(quiver, q, root) for root in roots)
+    hom = [[Fraction(hom_dim(a, b)) for b in reps] for a in reps]
+    inverse = _fraction_inverse(hom)
+    if any(x.denominator != 1 for row in inverse for x in row):
+        raise RuntimeError("the Hom matrix of the bricks is not unimodular")
+    return _Bricks(tuple(roots), reps, tuple(tuple(map(int, row)) for row in inverse))
+
+
+def _fraction_inverse(rows: list) -> tuple:
+    n = len(rows)
+    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for c in range(n):
+        pr = next(i for i in range(c, n) if aug[i][c])
+        aug[c], aug[pr] = aug[pr], aug[c]
+        pivot = aug[c][c]
+        aug[c] = [x / pivot for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def class_key(x: QuiverRep) -> tuple:
+    """A complete isomorphism invariant: (dims, Hom dimensions from the
+    bricks) on Dynkin data, (dims, least orbit point) otherwise."""
+    bricks = _bricks(x.quiver, x.q)
+    if bricks is None:
+        return x.dims, orbit_canonical_point(x.quiver, x.q, x.dims, x.mats)
+    return bricks.key(x)
+
+
+@lru_cache(maxsize=256)
+def _class_table(quiver: Quiver, q: int, dims: tuple, budget: int) -> dict:
+    """Class key -> (least point of the class, orbit size), in the order
+    of the points."""
+    bricks = _bricks(quiver, q)
+    if bricks is None:
+        return {
+            (dims, rep): (rep, size)
+            for rep, size in orbit_classes(quiver, q, dims, budget)
+        }
+    # walking in the order of `<`, the first point with a key is the least
+    # point of its class; Gabriel's theorem says how many classes to expect
+    want = kostant_count(bricks.roots, dims)
+    table = {}
+    for p in all_points(quiver, q, dims, budget):
+        key = bricks.key(QuiverRep(quiver, q, dims, p))
+        if key not in table:
+            table[key] = (p, bricks.orbit_size(q, dims, key[1]))
+            if len(table) == want:
+                return table
+    raise RuntimeError(
+        f"found {len(table)} iso-classes of dimension {dims} where the "
+        f"Kostant partition count is {want}"
+    )
+
+
+def iso_classes(
+    quiver: Quiver, q: int, dims: tuple, budget: int = DEFAULT_BUDGET
+) -> tuple:
+    """G-orbit decomposition of the representation space: a sorted tuple
+    of (canonical representative, orbit size), the representative being
+    the least point of the orbit."""
+    return tuple(_class_table(quiver, q, dims, budget).values())
+
+
+def canonical_point(
+    quiver: Quiver, q: int, dims: tuple, point: tuple, budget: int = DEFAULT_BUDGET
+) -> tuple:
+    """The least point of the orbit of a point."""
+    if _bricks(quiver, q) is None:
+        return orbit_canonical_point(quiver, q, dims, point, budget)
+    key = class_key(QuiverRep(quiver, q, dims, point))
+    return _class_table(quiver, q, dims, budget)[key][0]
 
 
 def gl_order(q: int, n: int) -> int:
@@ -486,8 +679,6 @@ def _subspaces(F: Fq, n: int, k: int):
         return
     if k > n:
         return
-    from itertools import combinations
-
     for pivots in combinations(range(n), k):
         free_positions = [
             (r, c)
@@ -507,9 +698,25 @@ def _subspaces(F: Fq, n: int, k: int):
             yield tuple(tuple(r) for r in rows)
 
 
-def graded_subreps(M: QuiverRep, sub_dims: tuple):
+def subspace_count(q: int, n: int, k: int) -> int:
+    """Number of k-dimensional subspaces of F_q^n (a Gaussian binomial)."""
+    if not 0 <= k <= n:
+        return 0
+    num = den = 1
+    for j in range(k):
+        num *= q ** (n - j) - 1
+        den *= q ** (j + 1) - 1
+    return num // den
+
+
+def graded_subreps(M: QuiverRep, sub_dims: tuple, budget: int = DEFAULT_BUDGET):
     """All arrow-stable graded subspaces of the given dimension vector,
     as tuples of basis-row matrices per vertex."""
+    needed = 1
+    for n, k in zip(M.dims, sub_dims):
+        needed *= subspace_count(M.q, n, k)
+    if needed > budget:
+        raise BudgetExceeded(needed, budget)
     F = field(M.q)
     quiver = M.quiver
     idx = {v: i for i, v in enumerate(quiver.vertices)}
@@ -618,15 +825,20 @@ def hall_number(M: QuiverRep, N: QuiverRep, L: QuiverRep) -> int:
         a + b for a, b in zip(N.dims, L.dims)
     ) != M.dims:
         raise ValueError("dimension vectors of quotient and sub must add up")
-    quiver, q = M.quiver, M.q
-    canon_L = canonical_point(quiver, q, L.dims, L.mats)
-    canon_N = canonical_point(quiver, q, N.dims, N.mats)
+    return _hall_number(M.quiver, M.q, class_key(M), class_key(N), class_key(L))
+
+
+@lru_cache(maxsize=1 << 14)
+def _hall_number(quiver: Quiver, q: int, key_m: tuple, key_n: tuple, key_l: tuple) -> int:
+    """The Hall number as a function of the three class keys."""
+    bricks = _bricks(quiver, q)
+    dims = key_m[0]
+    point = key_m[1] if bricks is None else bricks.direct_sum(quiver, q, dims, key_m[1])
+    M = QuiverRep(quiver, q, dims, point)
     count = 0
-    for sub_basis in graded_subreps(M, L.dims):
+    for sub_basis in graded_subreps(M, key_l[0]):
         sub, quo = sub_quotient_reps(M, sub_basis)
-        if canonical_point(quiver, q, sub.dims, sub.mats) != canon_L:
-            continue
-        if canonical_point(quiver, q, quo.dims, quo.mats) == canon_N:
+        if class_key(sub) == key_l and class_key(quo) == key_n:
             count += 1
     return count
 
@@ -682,15 +894,14 @@ def hall_product(
     datum = load_datum(quiver)
     out = HallElement(quiver, q)
     for (dims_a, pa), ca in a.terms.items():
-        A = QuiverRep(quiver, q, dims_a, pa)
+        key_a = class_key(QuiverRep(quiver, q, dims_a, pa))
         for (dims_b, pb), cb in b.terms.items():
-            B = QuiverRep(quiver, q, dims_b, pb)
+            key_b = class_key(QuiverRep(quiver, q, dims_b, pb))
             dims_m = tuple(x + y for x, y in zip(dims_a, dims_b))
             twist = Fraction(v_num) ** datum.euler_form(dims_a, dims_b)
             terms: dict = {}
-            for rep, _size in iso_classes(quiver, q, dims_m, budget):
-                M = QuiverRep(quiver, q, dims_m, rep)
-                g = hall_number(M, A, B)
+            for key_m, (rep, _size) in _class_table(quiver, q, dims_m, budget).items():
+                g = _hall_number(quiver, q, key_m, key_a, key_b)
                 if g:
                     terms[(dims_m, rep)] = ca * cb * twist * g
             out = out + HallElement(quiver, q, terms)

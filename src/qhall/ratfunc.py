@@ -332,6 +332,12 @@ class RatFunc:
         return self._hash
 
     def __add__(self, other):
+        # values are immutable and canonical, so a zero side returns the
+        # other operand as it is (this also covers __sub__)
+        if self.num.is_zero():
+            return other
+        if other.num.is_zero():
+            return self
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(

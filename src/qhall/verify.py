@@ -27,10 +27,11 @@ from .cartan import (
     height,
     is_sink,
     is_source,
+    kostant_count,
     load_datum,
+    positive_roots,
     sigma_E,
     sigma_i,
-    sub_vec,
 )
 from .freealg import FreeElement, lusztig_form, words_of_weight
 from .lincomb import merge
@@ -170,48 +171,13 @@ def _check_f_form_symmetric(s: Session):
     return True
 
 
-def _positive_roots(datum: CartanDatum, cap: int = 200):
-    """Closure of the simple roots under reflections; None when the
-    system fails to close (non-finite type)."""
-    roots = {datum.unit_vec(i) for i in datum.vertices}
-    while True:
-        new = set()
-        for r in roots:
-            for i in datum.vertices:
-                ref = datum.reflect_dim(i, r)
-                if all(x >= 0 for x in ref) and any(ref) and ref not in roots:
-                    new.add(ref)
-        if not new:
-            return sorted(roots)
-        roots |= new
-        if len(roots) > cap:
-            return None
-
-
-def _kostant_count(roots: list, nu: tuple) -> int:
-    def rec(k: int, rem: tuple) -> int:
-        if not any(rem):
-            return 1
-        if k == len(roots):
-            return 0
-        r = roots[k]
-        total = 0
-        cur = rem
-        while all(x >= 0 for x in cur):
-            total += rec(k + 1, cur)
-            cur = sub_vec(cur, r)
-        return total
-
-    return rec(0, nu)
-
-
 def _check_f_dims_kostant(s: Session):
     d = s.datum
-    roots = _positive_roots(d)
+    roots = positive_roots(d)
     if roots is None:
         return ("skip", "root system is not finite; no partition oracle")
     for nu in _weights_upto(d, s.weight_bound):
-        if fa.weight_basis(d, nu).dim != _kostant_count(roots, nu):
+        if fa.weight_basis(d, nu).dim != kostant_count(roots, nu):
             return False
     return True
 
@@ -711,7 +677,9 @@ def _check_hall_bgp(s: Session):
                     y = hall.bgp_reflect(i, hall.QuiverRep(quiver, q, dims, rep))
                     if y.dims != target or hall.stratum_index(y, i) != 0:
                         return False
-                    images.add(hall.canonical_point(y.quiver, q, y.dims, y.mats))
+                    images.add(
+                        hall.canonical_point(y.quiver, q, y.dims, y.mats, s.budget)
+                    )
                 if len(images) != len(zero_classes):
                     return False
                 other = [

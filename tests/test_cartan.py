@@ -9,8 +9,10 @@ from qhall.cartan import (
     dims_upto,
     is_sink,
     is_source,
+    kostant_count,
     load_datum,
     load_quiver,
+    positive_roots,
     quiver_from_shorthand,
     sigma_E,
     sigma_i,
@@ -120,3 +122,14 @@ def test_alpha_on_coroots_is_cartan():
         for i in d.vertices:
             for j in d.vertices:
                 assert d.alpha_eval(i, d.unit_vec(j)) == d.a(j, i) == d.a(i, j)
+
+
+def test_positive_roots_and_kostant_counts():
+    roots = positive_roots(A3)
+    assert len(roots) == 6 and (1, 1, 1) in roots and (1, 0, 1) not in roots
+    d4 = load_datum(quiver_from_shorthand("1->2,3->2,4->2"))
+    assert len(positive_roots(d4)) == 12 and (1, 2, 1, 1) in positive_roots(d4)
+    assert positive_roots(load_datum(quiver_from_shorthand("1->2,1->2"))) is None
+    assert kostant_count(roots, (0, 0, 0)) == 1
+    assert kostant_count(roots, (1, 1, 1)) == 4
+    assert kostant_count(positive_roots(A2), (2, 2)) == 3

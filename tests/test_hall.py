@@ -1,25 +1,34 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from qhall import hall
 from qhall.cartan import A2, A3, dims_upto, load_datum, quiver_from_shorthand
 from qhall.hall import (
     BudgetExceeded,
     HallElement,
     QuiverRep,
+    all_points,
     bgp_reflect,
     canonical_point,
     e_v_dimension,
     field,
     gl_order,
+    graded_subreps,
     group_order,
     hall_number,
     hall_product,
     hall_word,
+    hom_dim,
     iso_classes,
+    orbit_classes,
+    orbit_of,
     specialize_compare,
     stratum_counts,
     stratum_index,
+    sub_quotient_reps,
+    subspace_count,
 )
 
 Q = A2.quiver
@@ -210,3 +219,113 @@ def test_orientation_independence_of_composition_constants():
         for datum in (A2, rev):
             report = specialize_compare(datum, nu_a, nu_b, 4)
             assert all(r["match"] for r in report)
+
+
+# ---------------------------------------------------------------------------
+# the invariant route against the orbit route
+
+
+def _orbit_canon(quiver, q, dims):
+    """Every point of E_dims mapped to the least point of its orbit."""
+    canon = {}
+    for p in all_points(quiver, q, dims):
+        if p not in canon:
+            orb = orbit_of(quiver, q, dims, p)
+            canon.update(dict.fromkeys(orb, min(orb)))
+    return canon
+
+
+def _assert_routes_agree(quiver, q, bound, hall_bound, max_points=4096):
+    """Classes and canonical points on every dims up to bound, and Hall
+    numbers on every dims up to hall_bound, with at most max_points
+    points."""
+    canon = {}
+    for dims in dims_upto(bound):
+        if q ** e_v_dimension(quiver, dims) > max_points:
+            continue
+        canon[dims] = _orbit_canon(quiver, q, dims)
+        sizes = Counter(canon[dims].values())
+        assert iso_classes(quiver, q, dims) == tuple(sorted(sizes.items()))
+        for p, least in canon[dims].items():
+            assert canonical_point(quiver, q, dims, p) == least
+    for dims, points in canon.items():
+        if any(d > b for d, b in zip(dims, hall_bound)):
+            continue
+        for M in {QuiverRep(quiver, q, dims, least) for least in points.values()}:
+            for sub_dims in dims_upto(dims):
+                quo_dims = tuple(a - b for a, b in zip(dims, sub_dims))
+                tally = Counter()
+                for basis in graded_subreps(M, sub_dims):
+                    sub, quo = sub_quotient_reps(M, basis)
+                    tally[canon[sub_dims][sub.mats], canon[quo_dims][quo.mats]] += 1
+                for L, _s in iso_classes(quiver, q, sub_dims):
+                    for N, _s in iso_classes(quiver, q, quo_dims):
+                        got = hall_number(
+                            M,
+                            QuiverRep(quiver, q, quo_dims, N),
+                            QuiverRep(quiver, q, sub_dims, L),
+                        )
+                        assert got == tally[L, N], (quiver, q, dims, M, N, L)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize(
+    "spec, bound, hall_bound",
+    [
+        ("1->2", (2, 2), (2, 2)),
+        ("2->1", (2, 2), (2, 2)),
+        ("1->2,2->3", (2, 2, 1), (2, 2, 1)),
+        # the orientation hall-bgp-bijection reflects A3 into: it enumerates
+        # classes there up to (2, 2, 2) and Hall numbers up to (1, 1, 1)
+        ("1->2,3->2", (2, 2, 2), (1, 1, 1)),
+    ],
+)
+def test_invariant_route_matches_orbit_route(spec, bound, hall_bound, q):
+    _assert_routes_agree(quiver_from_shorthand(spec), q, bound, hall_bound)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_invariant_route_matches_orbit_route_d4(q):
+    dims = (1, 1, 1, 1)
+    _assert_routes_agree(quiver_from_shorthand("1->2,3->2,4->2"), q, dims, dims)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_kronecker_takes_the_orbit_route(q):
+    kronecker = quiver_from_shorthand("1->2,1->2")
+    classes = iso_classes(kronecker, q, (1, 1))
+    # the zero map and one class per point of the projective line
+    assert len(classes) == q + 2
+    assert classes == orbit_classes(kronecker, q, (1, 1))
+    assert sum(size for _r, size in classes) == q ** 2
+
+
+def test_hom_dimensions():
+    assert hom_dim(P2, P2) == 1
+    assert hom_dim(S2, P2) == 1
+    assert hom_dim(P2, S2) == 0
+    assert hom_dim(P2, S1) == 1
+    assert hom_dim(Z2, Z2) == 2
+
+
+def test_iso_classes_raise_below_the_kostant_count(monkeypatch):
+    monkeypatch.setattr(hall, "kostant_count", lambda roots, nu: 3)
+    hall._class_table.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="Kostant"):
+            iso_classes(Q, 2, (1, 1))
+    finally:
+        hall._class_table.cache_clear()
+
+
+def test_orbit_search_budget():
+    with pytest.raises(BudgetExceeded):
+        orbit_of(Q, 4, (2, 2), ((((0, 0), (0, 0))),), budget=10)
+
+
+def test_graded_subreps_budget():
+    M = rep((3, 0), ((),))
+    assert subspace_count(2, 3, 1) == 7
+    assert len(list(graded_subreps(M, (1, 0), budget=7))) == 7
+    with pytest.raises(BudgetExceeded):
+        next(graded_subreps(M, (1, 0), budget=6))

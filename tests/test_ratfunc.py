@@ -115,6 +115,17 @@ def test_field_axioms(a, b, c):
     assert a * ONE == a
 
 
+@settings(max_examples=150, deadline=None)
+@given(ratfuncs)
+def test_zero_operand_sums(a):
+    for total, expected in (
+        (ZERO + a, a), (a + ZERO, a), (a - ZERO, a), (ZERO - a, -a)
+    ):
+        assert total == expected and hash(total) == hash(expected)
+        assert str(total) == str(expected)
+    assert str(ZERO + parse_ratfunc("(v^2 + 1)/(v - v^-1)")) == "(v^3 + v)/(v^2 - 1)"
+
+
 @settings(max_examples=200, deadline=None)
 @given(ratfuncs)
 def test_inverses(a):
