@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import isqrt
+from types import MappingProxyType
+from typing import Mapping
 
 from .cartan import (
     CartanDatum,
@@ -524,6 +526,12 @@ class _Bricks:
     def key(self, x: QuiverRep) -> tuple:
         return x.dims, tuple(hom_dim(b, x) for b in self.reps)
 
+    def has_key(self, x: QuiverRep, key: tuple) -> bool:
+        """key(x) == key, stopping at the first Hom dimension that differs."""
+        return x.dims == key[0] and all(
+            hom_dim(b, x) == h for b, h in zip(self.reps, key[1])
+        )
+
     def multiplicities(self, h: tuple) -> tuple:
         """m with h = H m: how often each X_k occurs in a class."""
         m = tuple(sum(a * b for a, b in zip(row, h)) for row in self.h_inverse)
@@ -587,7 +595,9 @@ def _bricks(quiver: Quiver, q: int) -> _Bricks | None:
 
 def _fraction_inverse(rows: list) -> tuple:
     n = len(rows)
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    aug = [
+        row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)
+    ]
     for c in range(n):
         pr = next(i for i in range(c, n) if aug[i][c])
         aug[c], aug[pr] = aug[pr], aug[c]
@@ -610,15 +620,13 @@ def class_key(x: QuiverRep) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _class_table(quiver: Quiver, q: int, dims: tuple, budget: int) -> dict:
+def _class_table(quiver: Quiver, q: int, dims: tuple, budget: int) -> Mapping:
     """Class key -> (least point of the class, orbit size), in the order
-    of the points."""
+    of the points; read-only, since every caller shares it."""
     bricks = _bricks(quiver, q)
     if bricks is None:
-        return {
-            (dims, rep): (rep, size)
-            for rep, size in orbit_classes(quiver, q, dims, budget)
-        }
+        classes = orbit_classes(quiver, q, dims, budget)
+        return MappingProxyType({(dims, rep): (rep, size) for rep, size in classes})
     # walking in the order of `<`, the first point with a key is the least
     # point of its class; Gabriel's theorem says how many classes to expect
     want = kostant_count(bricks.roots, dims)
@@ -628,7 +636,7 @@ def _class_table(quiver: Quiver, q: int, dims: tuple, budget: int) -> dict:
         if key not in table:
             table[key] = (p, bricks.orbit_size(q, dims, key[1]))
             if len(table) == want:
-                return table
+                return MappingProxyType(table)
     raise RuntimeError(
         f"found {len(table)} iso-classes of dimension {dims} where the "
         f"Kostant partition count is {want}"
@@ -829,16 +837,23 @@ def hall_number(M: QuiverRep, N: QuiverRep, L: QuiverRep) -> int:
 
 
 @lru_cache(maxsize=1 << 14)
-def _hall_number(quiver: Quiver, q: int, key_m: tuple, key_n: tuple, key_l: tuple) -> int:
-    """The Hall number as a function of the three class keys."""
+def _hall_number(
+    quiver: Quiver, q: int, key_m: tuple, key_n: tuple, key_l: tuple
+) -> int:
+    """The Hall number as a function of the three class keys, counted on
+    one point of the class of M: on Dynkin data the direct sum of bricks."""
     bricks = _bricks(quiver, q)
-    dims = key_m[0]
-    point = key_m[1] if bricks is None else bricks.direct_sum(quiver, q, dims, key_m[1])
+    dims, inv = key_m
+    point = inv if bricks is None else bricks.direct_sum(quiver, q, dims, inv)
+
+    def has_key(x: QuiverRep, key: tuple) -> bool:
+        return class_key(x) == key if bricks is None else bricks.has_key(x, key)
+
     M = QuiverRep(quiver, q, dims, point)
     count = 0
     for sub_basis in graded_subreps(M, key_l[0]):
         sub, quo = sub_quotient_reps(M, sub_basis)
-        if class_key(sub) == key_l and class_key(quo) == key_n:
+        if has_key(sub, key_l) and has_key(quo, key_n):
             count += 1
     return count
 
@@ -871,10 +886,18 @@ class HallElement(LinComb):
         dims = tuple(1 if v == vertex else 0 for v in quiver.vertices)
         shapes = _arrow_shapes(quiver, dims)
         point = tuple(zero_mat(r, c) for r, c in shapes)
-        return HallElement.of_class(quiver, q, dims, point)
+        # without loops the space of a simple is one point: its own class
+        return HallElement(quiver, q, {(dims, point): Fraction(1)})
 
     def __repr__(self):
         return f"HallElement({self.terms})"
+
+
+@lru_cache(maxsize=4096)
+def _term_key(quiver: Quiver, q: int, dims: tuple, point: tuple) -> tuple:
+    """Class key of a term of a HallElement; the terms are canonical
+    points, so few distinct ones recur across products."""
+    return class_key(QuiverRep(quiver, q, dims, point))
 
 
 def hall_product(
@@ -894,9 +917,9 @@ def hall_product(
     datum = load_datum(quiver)
     out = HallElement(quiver, q)
     for (dims_a, pa), ca in a.terms.items():
-        key_a = class_key(QuiverRep(quiver, q, dims_a, pa))
+        key_a = _term_key(quiver, q, dims_a, pa)
         for (dims_b, pb), cb in b.terms.items():
-            key_b = class_key(QuiverRep(quiver, q, dims_b, pb))
+            key_b = _term_key(quiver, q, dims_b, pb)
             dims_m = tuple(x + y for x, y in zip(dims_a, dims_b))
             twist = Fraction(v_num) ** datum.euler_form(dims_a, dims_b)
             terms: dict = {}
