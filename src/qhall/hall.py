@@ -17,7 +17,6 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import isqrt
 from types import MappingProxyType
-from typing import Mapping
 
 from .cartan import (
     CartanDatum,
@@ -513,15 +512,20 @@ def hom_dim(x: QuiverRep, m: QuiverRep) -> int:
     return nvars - mat_rank(F, rows)
 
 
-@dataclass(frozen=True)
 class _Bricks:
     """The indecomposables of Dynkin data over F_q: per positive root, the
     lex-least point of E_beta whose endomorphisms are the scalars, and the
     inverse of H[k][l] = dim Hom(X_k, X_l)."""
 
-    roots: tuple
-    reps: tuple  # QuiverRep per root
-    h_inverse: tuple  # integer rows: H is unitriangular in a directed order
+    def __init__(self, roots: list, reps: tuple):
+        self.roots = roots
+        self.reps = reps
+        hom = [[Fraction(hom_dim(a, b)) for b in reps] for a in reps]
+        inverse = _fraction_inverse(hom)
+        # H is unitriangular in a directed order, so the inverse is integral
+        if any(x.denominator != 1 for row in inverse for x in row):
+            raise RuntimeError("the Hom matrix of the bricks is not unimodular")
+        self.h_inverse = tuple(tuple(map(int, row)) for row in inverse)
 
     def key(self, x: QuiverRep) -> tuple:
         return x.dims, tuple(hom_dim(b, x) for b in self.reps)
@@ -585,12 +589,7 @@ def _bricks(quiver: Quiver, q: int) -> _Bricks | None:
     roots = positive_roots(load_datum(quiver))
     if roots is None:
         return None
-    reps = tuple(_brick(quiver, q, root) for root in roots)
-    hom = [[Fraction(hom_dim(a, b)) for b in reps] for a in reps]
-    inverse = _fraction_inverse(hom)
-    if any(x.denominator != 1 for row in inverse for x in row):
-        raise RuntimeError("the Hom matrix of the bricks is not unimodular")
-    return _Bricks(tuple(roots), reps, tuple(tuple(map(int, row)) for row in inverse))
+    return _Bricks(roots, tuple(_brick(quiver, q, root) for root in roots))
 
 
 def _fraction_inverse(rows: list) -> tuple:
@@ -620,7 +619,9 @@ def class_key(x: QuiverRep) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _class_table(quiver: Quiver, q: int, dims: tuple, budget: int) -> Mapping:
+def _class_table(
+    quiver: Quiver, q: int, dims: tuple, budget: int
+) -> MappingProxyType:
     """Class key -> (least point of the class, orbit size), in the order
     of the points; read-only, since every caller shares it."""
     bricks = _bricks(quiver, q)
