@@ -877,12 +877,6 @@ class HallElement(LinComb):
         return HallElement(quiver, q, {(dims, point): Fraction(1)})
 
     @staticmethod
-    def of_class(quiver: Quiver, q: int, dims: tuple, point: tuple) -> "HallElement":
-        return HallElement(
-            quiver, q, {(dims, canonical_point(quiver, q, dims, point)): Fraction(1)}
-        )
-
-    @staticmethod
     def simple(quiver: Quiver, q: int, vertex: int) -> "HallElement":
         dims = tuple(1 if v == vertex else 0 for v in quiver.vertices)
         shapes = _arrow_shapes(quiver, dims)
