@@ -321,7 +321,7 @@ def test_iso_classes_raise_below_the_kostant_count(monkeypatch):
 
 def test_orbit_search_budget():
     with pytest.raises(BudgetExceeded):
-        orbit_of(Q, 4, (2, 2), ((((0, 0), (0, 0))),), budget=10)
+        orbit_of(Q, 4, (2, 2), (((0, 0), (0, 0)),), budget=10)
 
 
 def test_graded_subreps_budget():
