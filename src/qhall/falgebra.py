@@ -1,32 +1,30 @@
 """The quotient of the free theta algebra by the radical of the form.
 
-A weight space f_nu is presented by its Gram matrix: words of weight nu
-are pairwise paired, a lexicographically-greedy independent subset of
-rows is selected, and coordinates of any element are obtained by solving
-against the invertible selected Gram block.  The quantum Serre relations
-hold automatically because Serre elements lie in the radical.
-
-Weight bases are memoized per (datum, weight); the cached objects are
-immutable.
+A weight space f_nu is presented by its Gram matrix: a lexicographically
+greedy independent subset of words is selected against the bordered
+inverse of the selected Gram block, and the same pass records every other
+word's coordinates, its normal form.  The quantum Serre relations hold
+because Serre elements lie in the radical.  Pairings are taken at
+generator normalization 1, where they are iterated twisted derivations
+with nonnegative integer coefficients; a normalization c scales f_nu by
+c^|nu| and changes no basis or coordinate.  Weight bases are memoized per
+(datum, weight); the cached objects are immutable.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from . import linalg
 from .cartan import CartanDatum, scale_vec, sub_vec
-from .freealg import (
-    FreeElement,
-    Word,
-    coproduct_word,
-    _form_words,
-    DEFAULT_FORM_CONSTANT,
-    words_of_weight,
-)
+from .freealg import FreeElement, Word, words_of_weight
 from .lincomb import LinComb, merge
-from .ratfunc import ONE, ZERO, qfact
+from .ratfunc import (
+    ONE, ONE_POLY, ZERO, ZERO_POLY, IntPoly, RatFunc, common_denominator, qfact, v_pow
+)
 
 
 @dataclass(frozen=True)
@@ -34,8 +32,9 @@ class WeightBasis:
     weight: tuple
     words: tuple[Word, ...]          # all words of this weight, lex order
     selected: tuple[int, ...]        # indices of the greedy basis words
-    gram: tuple                      # form values on selected x selected
-    gram_inv: tuple
+    gram: tuple                      # normalization-1 form on selected x selected
+    gram_inv: tuple                  # its inverse
+    forms: tuple                     # normal form of each word, as in words
 
     @property
     def basis_words(self) -> tuple[Word, ...]:
@@ -46,6 +45,45 @@ class WeightBasis:
         return len(self.selected)
 
 
+def _derive_word(datum: CartanDatum, vertex: int, word: Word, side: str) -> list:
+    """Twisted derivation of a word: (word without letter k, exponent of v)
+    for each k with word[k] == vertex; the exponent pairs alpha_vertex with
+    the weight of word[:k] (side="left", i_r) or word[k+1:] (r_i)."""
+    a = dict(zip(datum.vertices, datum.cartan[datum.index(vertex)]))
+    order = range(len(word)) if side == "left" else range(len(word) - 1, -1, -1)
+    out, e = [], 0
+    for k in order:
+        if word[k] == vertex:
+            out.append((word[:k] + word[k + 1:], e))
+        e += a[word[k]]
+    return out
+
+
+def _form_at_one(datum: CartanDatum):
+    """Pairing (w, u) at normalization 1: the sum of v^e (w', u[1:]) over
+    (w', e) in i_r w, i = u[0].  Rows of shorter words are memoized in the
+    returned closure only, so they are dropped with it."""
+    rows: dict = {}
+
+    def entry(derived: list, tail: Word) -> IntPoly:
+        acc: dict = {}
+        for sub, e in derived:
+            if sub not in rows:
+                by_letter = {i: _derive_word(datum, i, sub, "left") for i in set(sub)}
+                rows[sub] = {
+                    u: entry(by_letter[u[0]], u[1:]) if u else ONE_POLY
+                    for u in words_of_weight(datum, datum.weight_of_word(sub))
+                }
+            for x, c in rows[sub][tail].coeffs.items():
+                acc[x + e] = acc.get(x + e, 0) + c
+        return IntPoly(acc)
+
+    def pair(w: Word, u: Word) -> IntPoly:
+        return entry(_derive_word(datum, u[0], w, "left"), u[1:]) if u else ONE_POLY
+
+    return pair
+
+
 @lru_cache(maxsize=None)
 def weight_basis(datum: CartanDatum, nu: tuple) -> WeightBasis:
     """Greedy basis selection in lexicographic word order.
@@ -53,52 +91,39 @@ def weight_basis(datum: CartanDatum, nu: tuple) -> WeightBasis:
     A word is kept exactly when its component orthogonal to the span of
     the kept words pairs nontrivially with itself; the form is definite
     for large v, so this is the same subset the row rank of the full
-    Gram matrix selects, at a fraction of the pairings.
+    Gram matrix selects, at a fraction of the pairings.  A word not kept
+    lies in that span in f; its coordinates there are its normal form.
     """
     words = words_of_weight(datum, nu)
+    pair = _form_at_one(datum)
     selected: list[int] = []
-    gram: list[list] = []
     gram_inv: list[list] = []
+    forms: list[tuple] = []
+    inv_rows: list = []  # gram_inv row by row over one denominator
     for k, w in enumerate(words):
-        cross = [
-            _form_words(datum, words[i], w, DEFAULT_FORM_CONSTANT)
-            for i in selected
-        ]
-        coeffs = linalg.mat_vec(gram_inv, cross) if selected else []
-        residual = _form_words(datum, w, w, DEFAULT_FORM_CONSTANT)
-        for c, g in zip(coeffs, cross):
-            if c and g:
-                residual = residual - c * g
+        polys = [pair(w, words[i]) for i in selected]
+        coeffs = [RatFunc(sum(map(mul, n, polys), ZERO_POLY), d) for d, n in inv_rows]
+        den, nums = common_denominator(coeffs)
+        residual_num = pair(w, w) * den - sum(map(mul, nums, polys), ZERO_POLY)
+        residual = RatFunc(residual_num, den)
         if not residual:
+            forms.append(tuple((words[i], c) for i, c in zip(selected, coeffs) if c))
             continue
         # border the Gram block and its inverse by the new word
-        if selected:
-            inv_scale = residual.inverse()
-            corner = [c * inv_scale for c in coeffs]
-            n = len(selected)
-            new_inv = [
-                [
-                    gram_inv[i][j] + coeffs[i] * corner[j]
-                    for j in range(n)
-                ]
-                + [-corner[i]]
-                for i in range(n)
-            ]
-            new_inv.append([-corner[j] for j in range(n)] + [inv_scale])
-            gram_inv = new_inv
-            for row, g in zip(gram, cross):
-                row.append(g)
-            gram.append(cross + [_form_words(datum, w, w, DEFAULT_FORM_CONSTANT)])
-        else:
-            gram = [[residual]]
-            gram_inv = [[residual.inverse()]]
+        inv_scale = residual.inverse()
+        corner = [c * inv_scale for c in coeffs]
+        gram_inv = [
+            [g + ci * cj for g, cj in zip(row, corner)] + [-cs]
+            for row, ci, cs in zip(gram_inv, coeffs, corner)
+        ]
+        gram_inv.append([-c for c in corner] + [inv_scale])
+        inv_rows = [common_denominator(r) for r in gram_inv]
         selected.append(k)
+        forms.append(((w, ONE),))
+    basis = [words[i] for i in selected]
+    gram = tuple(tuple(RatFunc(pair(a, b)) for b in basis) for a in basis)
     return WeightBasis(
-        nu,
-        words,
-        tuple(selected),
-        tuple(tuple(r) for r in gram),
-        tuple(tuple(r) for r in gram_inv),
+        nu, words, tuple(selected), gram, tuple(map(tuple, gram_inv)), tuple(forms)
     )
 
 
@@ -143,18 +168,8 @@ class FElement(LinComb):
 @lru_cache(maxsize=None)
 def _normal_form_word(datum: CartanDatum, word: Word) -> tuple:
     """Coordinates of a word on the selected basis of its weight."""
-    nu = datum.weight_of_word(word)
-    wb = weight_basis(datum, nu)
-    if word in wb.basis_words:
-        return ((word, ONE),)
-    rhs = [
-        _form_words(datum, bw, word, DEFAULT_FORM_CONSTANT)
-        for bw in wb.basis_words
-    ]
-    coords = linalg.mat_vec(wb.gram_inv, rhs)
-    return tuple(
-        (bw, c) for bw, c in zip(wb.basis_words, coords) if c
-    )
+    wb = weight_basis(datum, datum.weight_of_word(word))
+    return wb.forms[bisect_left(wb.words, word)]
 
 
 def normal_form(x: FreeElement | FElement) -> FElement:
@@ -206,23 +221,15 @@ def serre_element(datum: CartanDatum, i: int, j: int) -> FreeElement:
 
 def i_r_component(vertex: int, side: str, x: FElement) -> FElement:
     """Tensor-slot extraction from the coproduct: coefficient of
-    th_vertex x (.) for side="left", of (.) x th_vertex for side="right"."""
+    th_vertex x (.) for side="left", of (.) x th_vertex for side="right",
+    read off the twisted derivation on each word."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    d = x.datum
-    single = (vertex,)
     out: dict = {}
     for w, c in x.terms.items():
-        for (w1, w2), coeff in coproduct_word(d, w):
-            if side == "left" and w1 == single:
-                keep = w2
-            elif side == "right" and w2 == single:
-                keep = w1
-            else:
-                continue
-            for bw, nf in _normal_form_word(d, keep):
-                merge(out, bw, c * coeff * nf)
-    return FElement(d, out)
+        for sub, e in _derive_word(x.datum, vertex, w, side):
+            merge(out, sub, c * v_pow(e) if e else c)
+    return normal_form(FreeElement(x.datum, out))
 
 
 @lru_cache(maxsize=None)
@@ -234,18 +241,14 @@ def sub_if_basis(
     wb = weight_basis(datum, nu)
     idx = datum.index(vertex)
     if nu[idx] == 0:
-        return tuple(
-            FElement(datum, {w: ONE}) for w in wb.basis_words
-        )
+        return tuple(FElement(datum, {w: ONE}) for w in wb.basis_words)
     target = sub_vec(nu, datum.unit_vec(vertex))
     target_wb = weight_basis(datum, target)
-    cols = []
-    for w in wb.basis_words:
-        comp = i_r_component(vertex, side, FElement(datum, {w: ONE}))
-        cols.append([comp.terms.get(bw, ZERO) for bw in target_wb.basis_words])
-    rows = [
-        [cols[c][r] for c in range(len(cols))] for r in range(target_wb.dim)
+    comps = [
+        i_r_component(vertex, side, FElement(datum, {w: ONE}))
+        for w in wb.basis_words
     ]
+    rows = [[c.terms.get(bw, ZERO) for c in comps] for bw in target_wb.basis_words]
     kernel = linalg.nullspace(rows, len(wb.basis_words))
     return tuple(FElement(datum, dict(zip(wb.basis_words, vec))) for vec in kernel)
 
@@ -262,13 +265,11 @@ def _decompose_word(datum: CartanDatum, vertex: int, word: Word, side: str) -> t
     for t in range(nu[idx] + 1):
         level = sub_vec(nu, scale_vec(t, datum.unit_vec(vertex)))
         power = theta_divided(datum, vertex, t)
-        for k, ker in enumerate(sub_if_basis(datum, vertex, level, side)):
+        for ker in sub_if_basis(datum, vertex, level, side):
             prod = f_mul(power, ker) if side == "left" else f_mul(ker, power)
             columns.append([prod.terms.get(w, ZERO) for w in wb.basis_words])
-            labels.append((t, k))
-    rows = [
-        [columns[c][r] for c in range(len(columns))] for r in range(wb.dim)
-    ]
+            labels.append((t, ker))
+    rows = [list(r) for r in zip(*columns)]
     rhs = [ONE if w == word else ZERO for w in wb.basis_words]
     sol = linalg.solve(rows, rhs)
     if sol is None or len(columns) != wb.dim:
@@ -276,13 +277,9 @@ def _decompose_word(datum: CartanDatum, vertex: int, word: Word, side: str) -> t
             "divided-power decomposition failed; the direct-sum invariant is broken"
         )
     pieces: dict = {}
-    for (t, k), c in zip(labels, sol):
-        if not c:
-            continue
-        level = sub_vec(nu, scale_vec(t, datum.unit_vec(vertex)))
-        ker = sub_if_basis(datum, vertex, level, side)[k]
-        piece = pieces.get(t, FElement(datum))
-        pieces[t] = piece + ker.scale(c)
+    for (t, ker), c in zip(labels, sol):
+        if c:
+            pieces[t] = pieces.get(t, FElement(datum)) + ker.scale(c)
     return tuple(sorted((t, p) for t, p in pieces.items() if not p.is_zero()))
 
 
@@ -298,14 +295,12 @@ def i_decompose_right(vertex: int, x: FElement) -> list:
 
 
 def _i_decompose_side(vertex: int, x: FElement, side: str) -> list:
-    weights = x.weights()
-    if len(weights) > 1:
+    if len(x.weights()) > 1:
         raise ValueError("decomposition needs a homogeneous element")
     pieces: dict = {}
     for w, c in x.terms.items():
         for t, piece in _decompose_word(x.datum, vertex, w, side):
-            acc = pieces.get(t, FElement(x.datum))
-            pieces[t] = acc + piece.scale(c)
+            pieces[t] = pieces.get(t, FElement(x.datum)) + piece.scale(c)
     return sorted((t, p) for t, p in pieces.items() if not p.is_zero())
 
 

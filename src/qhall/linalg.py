@@ -66,17 +66,6 @@ def solve(rows: list, rhs: list):
     return x
 
 
-def mat_vec(rows: list, vec: list) -> list:
-    out = []
-    for r in rows:
-        s = ZERO
-        for a, b in zip(r, vec):
-            if a and b:
-                s = s + a * b
-        out.append(s)
-    return out
-
-
 def row_space_rref(rows: list) -> list:
     """Canonical basis of the row space (nonzero rows of the rref)."""
     red, pivots = rref(rows)

@@ -419,6 +419,21 @@ def _mul_cached(a: RatFunc, b: RatFunc) -> RatFunc:
     return r
 
 
+def common_denominator(values) -> tuple[IntPoly, list[IntPoly]]:
+    """One denominator for a list of Q(v) values, with the numerators
+    over it: values[k] == RatFunc(nums[k], den)."""
+    den = ONE_POLY
+    for x in values:
+        if x.den != den:
+            g = _dense_gcd(_to_dense(den), _to_dense(x.den))
+            den = den * _from_dense(_dense_exact_div(_to_dense(x.den), g))
+    dense = _to_dense(den)
+    return den, [
+        x.num * _from_dense(_dense_exact_div(dense, _to_dense(x.den)))
+        for x in values
+    ]
+
+
 ZERO = RatFunc(ZERO_POLY)
 ONE = RatFunc(ONE_POLY)
 V = RatFunc(V_POLY)

@@ -5,6 +5,7 @@ import pytest
 from qhall.cartan import A2, A3, dims_of_height
 from qhall.falgebra import (
     FElement,
+    _form_at_one,
     dim_decomposition_check,
     dim_f,
     f_mul,
@@ -18,8 +19,15 @@ from qhall.falgebra import (
     theta_divided,
     weight_basis,
 )
-from qhall.freealg import FreeElement
-from qhall.ratfunc import ONE, parse_ratfunc, qfact, v_pow
+from qhall.freealg import (
+    DEFAULT_FORM_CONSTANT,
+    FreeElement,
+    _form_words,
+    coproduct_word,
+    words_of_weight,
+)
+from qhall.linalg import rref, solve
+from qhall.ratfunc import ONE, RatFunc, parse_ratfunc, qfact, v_pow
 
 
 def free_word(d, *letters):
@@ -168,3 +176,81 @@ def test_dim_decomposition_examples():
     assert len(sub_if_basis(A2, 1, (2, 1), "left")) == 0
     assert dim_decomposition_check(A2, 1, (2, 1))
     assert dim_decomposition_check(A2, 1, (0, 0))
+
+
+def _weights(d, max_height, min_height=0):
+    for total in range(min_height, max_height + 1):
+        yield from dims_of_height(d.rank, total)
+
+
+@pytest.mark.parametrize("d, max_height", [(A2, 6), (A3, 4)], ids=["A2", "A3"])
+def test_derivation_pairing_matches_coproduct_form(d, max_height):
+    # at normalization c every pairing on f_nu carries c^|nu|
+    c = DEFAULT_FORM_CONSTANT
+    pair = _form_at_one(d)
+    for nu in _weights(d, max_height):
+        scale = c ** sum(nu)
+        words = words_of_weight(d, nu)
+        for w1 in words:
+            for w2 in words:
+                entry = pair(w1, w2)
+                assert all(x > 0 for x in entry.coeffs.values())
+                assert RatFunc(entry) * scale == _form_words(d, w1, w2, c)
+
+
+def _reference_basis(d, nu):
+    """Greedy row rank of the full Gram matrix at the default
+    normalization, and normal forms by solving against its selected
+    block."""
+    c = DEFAULT_FORM_CONSTANT
+    words = words_of_weight(d, nu)
+    gram = [[_form_words(d, a, b, c) for b in words] for a in words]
+    selected: list = []
+    for k in range(len(words)):
+        rows = [gram[i] for i in selected + [k]]
+        if len(rref(rows)[1]) == len(rows):
+            selected.append(k)
+    block = [[gram[i][j] for j in selected] for i in selected]
+    forms = []
+    for k in range(len(words)):
+        coords = solve(block, [gram[i][k] for i in selected])
+        forms.append(
+            tuple((words[i], x) for i, x in zip(selected, coords) if x)
+        )
+    return tuple(words[i] for i in selected), tuple(forms)
+
+
+@pytest.mark.parametrize("d, max_height", [(A2, 7), (A3, 5)], ids=["A2", "A3"])
+def test_weight_basis_matches_gram_rank_reference(d, max_height):
+    for nu in _weights(d, max_height):
+        wb = weight_basis(d, nu)
+        basis_words, forms = _reference_basis(d, nu)
+        assert wb.basis_words == basis_words
+        assert wb.forms == forms
+        for w, form in zip(wb.words, forms):
+            assert normal_form(FreeElement.word(d, w)).terms == dict(form)
+
+
+def _coproduct_slot(d, vertex, side, word):
+    """Coefficient of th_vertex x (.) or (.) x th_vertex in the coproduct
+    of a word, reduced to f."""
+    out = {}
+    for (w1, w2), coeff in coproduct_word(d, word):
+        if side == "left" and w1 == (vertex,):
+            out[w2] = coeff
+        elif side == "right" and w2 == (vertex,):
+            out[w1] = coeff
+    return normal_form(FreeElement(d, out))
+
+
+@pytest.mark.parametrize("d, max_height", [(A2, 6), (A3, 4)], ids=["A2", "A3"])
+def test_i_r_component_matches_coproduct_extraction(d, max_height):
+    cases = 0
+    for nu in _weights(d, max_height, min_height=1):
+        for w in words_of_weight(d, nu):
+            for i in d.vertices:
+                for side in ("left", "right"):
+                    got = i_r_component(i, side, FElement(d, {w: ONE}))
+                    assert got == _coproduct_slot(d, i, side, w)
+                    cases += 1
+    assert cases == {A2: 504, A3: 720}[d]
