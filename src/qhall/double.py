@@ -169,13 +169,14 @@ def _antipode_word(datum: CartanDatum, sign: str, word: Word) -> HalfElement:
 def half_antipode(sign: str, a: HalfElement) -> HalfElement:
     """Antihomomorphism with k_mu |-> k_-mu on the torus."""
     d = a.datum
-    out = HalfElement(d, sign)
+    out: dict = {}
     for (mu, word), c in a.terms.items():
         img = half_mul(
             sign, _antipode_word(d, sign, word), HalfElement.torus(d, sign, neg_vec(mu))
         )
-        out = out + img.scale(c)
-    return out
+        for key, ci in img.terms.items():
+            merge(out, key, c * ci)
+    return HalfElement(d, sign, out)
 
 
 def half_counit(a: HalfElement) -> RatFunc:

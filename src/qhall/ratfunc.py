@@ -359,6 +359,19 @@ class RatFunc:
             r = object.__new__(RatFunc)
             r.num, r.den, r._hash = self.num * other.num, ONE_POLY, None
             return r
+        # a unit monomial +-v^k shifts and signs the other numerator and
+        # leaves the canonical form intact (unit polynomials are built
+        # fresh in several places, so compare coefficients, not identity)
+        for a, m in ((self, other), (other, self)):
+            if m.den.coeffs == {0: 1} and len(m.num.coeffs) == 1:
+                ((k, s),) = m.num.coeffs.items()
+                if s == 1 or s == -1:
+                    r = object.__new__(RatFunc)
+                    r.num = IntPoly._raw(
+                        {e + k: s * c for e, c in a.num.coeffs.items()}
+                    )
+                    r.den, r._hash = a.den, None
+                    return r
         return _mul_cached(self, other)
 
     def __truediv__(self, other):

@@ -11,18 +11,31 @@ multiplicatively.  The inverse table is the mirror image and is not
 trusted: it is certified against T_i o T_i^-1 = id on every generator
 the first time a (datum, i) pair is used, and a failure raises.
 
+On a triangular term the extension is
+
+    T_i(F_a K_mu E_b) = T_i(F_a) K_lam T_i(E_b)
+                      = v^alpha_delta(lam) T_i(F_a) T_i(E_b) K_lam
+
+with lam = s_i mu and delta the U-degree (E-weight minus F-weight) of
+T_i(E_b), since K_lam Y = v^alpha_delta(lam) Y K_lam for homogeneous Y
+of degree delta; right multiplication by K_lam shifts each term's
+coweight and scales it by a v-power read from its E-word.  The coweight
+is thus not part of the cached work: the word-pair image T_i(F_a) T_i(E_b)
+is kept in a bounded cache and twisted per term.
+
 t_tilde_apply is the decomposition-based route: each triangular slot is
 split through the divided-power decomposition, the kernel pieces are
 moved by the restricted symmetry, and the minus side is rescaled by the
 transport factor (-v)^-(nu,i) that makes the reassembly agree with
-ti_apply exactly.
+ti_apply exactly.  It multiplies by K_lam between the two slots with
+u_mul, so comparing it with ti_apply also checks the twist.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .cartan import CartanDatum, neg_vec, scale_vec, sub_vec
+from .cartan import CartanDatum, add_vec, neg_vec, scale_vec, sub_vec
 from .falgebra import (
     FElement,
     i_decompose,
@@ -33,12 +46,14 @@ from .falgebra import (
 )
 from .freealg import FreeElement, Word
 from . import linalg
+from .lincomb import merge
 from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, v_pow
 from .ualgebra import (
     UElement,
     embed_minus,
     embed_plus,
     plus_part,
+    u_degree,
     u_mul,
     u_product,
 )
@@ -124,15 +139,39 @@ def _word_image(
     return u_mul(head, _word_image(datum, vertex, kind, word[1:], inverse))
 
 
+@lru_cache(maxsize=4096)
+def _pair_image(
+    datum: CartanDatum, vertex: int, fw: Word, ew: Word, inverse: bool
+) -> tuple:
+    """T(F_fw) T(E_ew) as (key, coefficient, twist weight) triples.
+
+    The twist weight of a term with E-word e is delta - wt(e), where delta
+    is the U-degree of T(E_ew), so that moving K_lam from between the two
+    images to the right of a term multiplies it by
+    v^alpha_weight(twist weight, lam)."""
+    e_img = _word_image(datum, vertex, "E", ew, inverse)
+    delta = u_degree(datum, next(iter(e_img.terms)))
+    prod = u_mul(_word_image(datum, vertex, "F", fw, inverse), e_img)
+    return tuple(
+        (key, c, sub_vec(delta, datum.weight_of_word(key[2])))
+        for key, c in prod.terms.items()
+    )
+
+
 def _apply_table(vertex: int, x: UElement, inverse: bool) -> UElement:
+    """T(F_a K_mu E_b) = v^alpha_delta(lam) T(F_a) T(E_b) K_lam with
+    lam = s_i mu: one cached pair image per term, twisted by lam."""
     d = x.datum
-    out = UElement(d)
+    out: dict = {}
     for (fw, mu, ew), c in x.terms.items():
-        img = _word_image(d, vertex, "F", fw, inverse)
-        img = u_mul(img, UElement.K(d, d.reflect_coweight(vertex, mu)))
-        img = u_mul(img, _word_image(d, vertex, "E", ew, inverse))
-        out = out + img.scale(c)
-    return out
+        lam = d.reflect_coweight(vertex, mu)
+        for (f, kappa, e), pc, twist in _pair_image(d, vertex, fw, ew, inverse):
+            merge(
+                out,
+                (f, add_vec(kappa, lam), e),
+                c * pc * v_pow(d.alpha_weight(twist, lam)),
+            )
+    return UElement(d, out)
 
 
 def ti_apply(vertex: int, x: UElement) -> UElement:
@@ -245,7 +284,7 @@ def _t_tilde_word(
     E-word (sign="plus")."""
     x = FElement(datum, {word: ONE})
     nu = datum.weight_of_word(word)
-    out = UElement(datum)
+    out: dict = {}
     for r, piece in i_decompose(vertex, x):
         moved = ti_restricted(vertex, piece)
         level = sub_vec(nu, scale_vec(r, datum.unit_vec(vertex)))
@@ -253,21 +292,24 @@ def _t_tilde_word(
             part = embed_minus(moved).scale(minus_transport(datum, vertex, level))
         else:
             part = embed_plus(moved)
-        out = out + u_mul(_divided_image(datum, vertex, sign, r), part)
-    return out
+        img = u_mul(_divided_image(datum, vertex, sign, r), part)
+        for key, c in img.terms.items():
+            merge(out, key, c)
+    return UElement(datum, out)
 
 
 def t_tilde_apply(vertex: int, x: UElement) -> UElement:
     """Symmetry computed through the direct-sum decomposition of each
     triangular slot; agrees exactly with ti_apply."""
     d = x.datum
-    out = UElement(d)
+    out: dict = {}
     for (fw, mu, ew), c in x.terms.items():
         img = _t_tilde_word(d, vertex, "minus", fw)
         img = u_mul(img, UElement.K(d, d.reflect_coweight(vertex, mu)))
         img = u_mul(img, _t_tilde_word(d, vertex, "plus", ew))
-        out = out + img.scale(c)
-    return out
+        for key, ic in img.terms.items():
+            merge(out, key, c * ic)
+    return UElement(d, out)
 
 
 def calibrate_twist(datum: CartanDatum, vertex: int, samples: list) -> list:

@@ -236,10 +236,11 @@ def _delta_key(datum: CartanDatum, key: UKey) -> UTensor:
 def delta(x: UElement) -> UTensor:
     """Comultiplication E |-> E x 1 + K x E, F |-> F x K^-1 + 1 x F,
     K |-> K x K, extended multiplicatively."""
-    out = UTensor(x.datum)
+    out: dict = {}
     for key, c in x.terms.items():
-        out = out + _delta_key(x.datum, key).scale(c)
-    return out
+        for k, ck in _delta_key(x.datum, key).terms.items():
+            merge(out, k, c * ck)
+    return UTensor(x.datum, out)
 
 
 @lru_cache(maxsize=None)
@@ -268,10 +269,11 @@ def antipode(x: UElement) -> UElement:
     The F-generator image is the one forced by the Hopf axioms for the
     comultiplication above.
     """
-    out = UElement(x.datum)
+    out: dict = {}
     for key, c in x.terms.items():
-        out = out + _antipode_key(x.datum, key).scale(c)
-    return out
+        for k, ck in _antipode_key(x.datum, key).terms.items():
+            merge(out, k, c * ck)
+    return UElement(x.datum, out)
 
 
 def _tensor3_from(t: UTensor, which: str) -> dict:

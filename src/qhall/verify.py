@@ -845,7 +845,7 @@ def _check_double_iso(s: Session):
 
 
 def _half_to_u(datum: CartanDatum, sign: str, x: dbl.HalfElement) -> ua.UElement:
-    out = ua.UElement(datum)
+    out: dict = {}
     for (mu, word), c in x.terms.items():
         k = ua.UElement.K(datum, mu)
         w = (
@@ -853,8 +853,9 @@ def _half_to_u(datum: CartanDatum, sign: str, x: dbl.HalfElement) -> ua.UElement
             if sign == "plus"
             else ua.embed_minus(fa.FElement(datum, {word: ONE}))
         )
-        out = out + ua.u_mul(k, w).scale(c)
-    return out
+        for key, ck in ua.u_mul(k, w).terms.items():
+            merge(out, key, c * ck)
+    return ua.UElement(datum, out)
 
 
 def _check_double_delta_match(s: Session):

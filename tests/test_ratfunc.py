@@ -17,6 +17,7 @@ from qhall.ratfunc import (
     qfact,
     qint,
     v_pow,
+    _mul_cached,
 )
 
 
@@ -101,6 +102,11 @@ polys = st.dictionaries(
 ).map(IntPoly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 ratfuncs = st.builds(RatFunc, polys, nonzero_polys)
+# constant denominators such as 1/2 keep a non-unit denominator through
+# the unit-monomial product
+const_den_ratfuncs = st.builds(
+    RatFunc, polys, st.integers(-6, 6).filter(bool).map(IntPoly.const)
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -152,3 +158,18 @@ def test_laurent_rendering():
     assert str(ZERO) == "0"
     assert str(v_pow(2) * RatFunc.const(3) - ONE) == "3v^2 - 1"
     assert str((ONE - v_pow(-2)).inverse()) == "v^2/(v^2 - 1)"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(ratfuncs, const_den_ratfuncs))
+def test_unit_monomial_products(a):
+    _mul_cached.cache_clear()
+    for k in range(-3, 4):
+        for s in (1, -1):
+            m = RatFunc(IntPoly({k: s}))
+            want = RatFunc(a.num * m.num, a.den * m.den)
+            for got in (a * m, m * a):
+                assert got == want and hash(got) == hash(want)
+                assert str(got) == str(want)
+    # the shift never reaches the general product's cache
+    assert _mul_cached.cache_info().currsize == 0

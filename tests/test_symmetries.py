@@ -1,10 +1,17 @@
+import itertools
+import random
+from pathlib import Path
+
 import pytest
 
+from qhall import symmetries
 from qhall.cartan import A2, A3
-from qhall.falgebra import FElement, normal_form, sub_if_basis
+from qhall.falgebra import FElement, normal_form, sub_if_basis, weight_basis
 from qhall.freealg import FreeElement
 from qhall.ratfunc import MINUS_ONE, ONE, v_pow
 from qhall.symmetries import (
+    _pair_image,
+    _word_image,
     braid_verify,
     calibrate_twist,
     if_membership_crosscheck,
@@ -151,3 +158,58 @@ def test_inverse_restricted_lands_in_plus():
     from qhall.falgebra import in_kernel
 
     assert in_kernel(1, "left", y)
+
+
+def _basis_words(d, height):
+    out = []
+    for nu in itertools.product(range(height + 1), repeat=d.rank):
+        if sum(nu) <= height:
+            out.extend(weight_basis(d, nu).basis_words)
+    return out
+
+
+def _untwisted_reference(d, i, key, inverse):
+    """T(F_a) K_(s_i mu) T(E_b) by two plain products, without the twist."""
+    fw, mu, ew = key
+    k = UElement.K(d, d.reflect_coweight(i, mu))
+    left = u_mul(_word_image(d, i, "F", fw, inverse), k)
+    return u_mul(left, _word_image(d, i, "E", ew, inverse))
+
+
+def _check_twisted_route(d, i, key):
+    x = UElement(d, {key: ONE})
+    assert ti_apply(i, x) == _untwisted_reference(d, i, key, False), key
+    assert ti_inverse_apply(i, x) == _untwisted_reference(d, i, key, True), key
+
+
+def test_twisted_route_a2_exhaustive():
+    words = _basis_words(A2, 2)
+    coweights = list(itertools.product(range(-2, 3), repeat=2))
+    for i in A2.vertices:
+        for fw in words:
+            for ew in words:
+                for mu in coweights:
+                    _check_twisted_route(A2, i, (fw, mu, ew))
+
+
+def test_twisted_route_a3_sample():
+    rng = random.Random(7)
+    words = _basis_words(A3, 3)
+    for _ in range(120):
+        mu = tuple(rng.randint(-2, 2) for _ in range(3))
+        key = (rng.choice(words), mu, rng.choice(words))
+        _check_twisted_route(A3, rng.choice(A3.vertices), key)
+
+
+def test_pair_cache_bounded_and_transparent():
+    assert _pair_image.cache_parameters()["maxsize"] is not None
+    src = Path(symmetries.__file__).read_text()
+    assert src.count("maxsize=None") == 5
+    x = UElement(A3, {((2, 1), (1, -1, 0), (3, 2)): ONE}) + UElement(
+        A3, {((1,), (0, 2, -1), (2,)): v_pow(-1) + v_pow(2)}
+    )
+    before = [(i, ti_apply(i, x), ti_inverse_apply(i, x)) for i in A3.vertices]
+    _pair_image.cache_clear()
+    for i, t, tinv in before:
+        assert ti_apply(i, x) == t
+        assert ti_inverse_apply(i, x) == tinv
