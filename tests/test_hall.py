@@ -1,10 +1,21 @@
 from collections import Counter
 from fractions import Fraction
+from functools import cache
+from itertools import product
 
 import pytest
 
 from qhall import hall
-from qhall.cartan import A2, A3, dims_upto, load_datum, quiver_from_shorthand
+from qhall.cartan import (
+    A2,
+    A3,
+    dims_upto,
+    is_sink,
+    is_source,
+    load_datum,
+    quiver_from_shorthand,
+    sigma_i,
+)
 from qhall.hall import (
     BudgetExceeded,
     HallElement,
@@ -167,8 +178,6 @@ def test_bgp_reflect_examples():
 
 
 def test_bgp_bijection_on_stratum_zero():
-    from qhall.cartan import sigma_i
-
     for q in (2, 3):
         for dims in dims_upto((2, 2)):
             zero_classes = [
@@ -194,6 +203,116 @@ def test_bgp_bijection_on_stratum_zero():
                 if stratum_index(QuiverRep(rev, q, target, r), 2) == 0
             ]
             assert len(other) == len(images)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize(
+    "spec, bound",
+    [
+        ("1->2", (2, 2)),
+        ("2->1", (2, 2)),
+        ("1->2,2->3", (2, 2, 2)),
+        ("2->1,2->3", (2, 2, 2)),
+        ("1->2,3->2", (2, 2, 2)),
+        ("1->2,1->3,1->4", (1, 2, 1, 1)),
+    ],
+)
+def test_bgp_source_round_trip(spec, bound, q):
+    """At a source, the reflection of every stratum-0 class lands on the
+    open stratum of sigma_i Q, and reflecting back at the sink returns it."""
+    quiver = quiver_from_shorthand(spec)
+    datum = load_datum(quiver)
+    cases = 0
+    for i in (v for v in quiver.vertices if is_source(v, quiver)):
+        for dims in dims_upto(bound):
+            for r, _s in iso_classes(quiver, q, dims):
+                x = QuiverRep(quiver, q, dims, r)
+                if stratum_index(x, i) != 0:
+                    continue
+                y = bgp_reflect(i, x)
+                assert y.quiver == sigma_i(i, quiver)
+                assert y.dims == datum.reflect_dim(i, dims)
+                assert stratum_index(y, i) == 0
+                z = bgp_reflect(i, y)
+                assert (z.quiver, z.dims) == (quiver, dims)
+                assert canonical_point(quiver, q, dims, z.mats) == r, (i, x, y, z)
+                cases += 1
+    assert cases
+
+
+# the quivers and bounds the strata and subrepresentation tests walk
+SMALL_QUIVERS = [
+    ("1->2", (2, 2)),
+    ("2->1", (2, 2)),
+    ("1->2,2->3", (1, 2, 1)),
+    ("1->2,3->2", (1, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("spec, bound", SMALL_QUIVERS)
+def test_stratum_counts_match_pointwise_tally(spec, bound, q):
+    quiver = quiver_from_shorthand(spec)
+    for vertex in quiver.vertices:
+        if not (is_sink(vertex, quiver) or is_source(vertex, quiver)):
+            continue
+        ni = quiver.vertices.index(vertex)
+        for dims in dims_upto(bound):
+            tally = [0] * (dims[ni] + 1)
+            for p in all_points(quiver, q, dims):
+                tally[stratum_index(QuiverRep(quiver, q, dims, p), vertex)] += 1
+            assert stratum_counts(quiver, dims, q, vertex) == tally, (vertex, dims)
+
+
+def _span(q, n, gens):
+    """Every F_q-combination of the given vectors of F_q^n (q prime)."""
+    return frozenset(
+        tuple(sum(c * g[j] for c, g in zip(cs, gens)) % q for j in range(n))
+        for cs in product(range(q), repeat=len(gens))
+    )
+
+
+@cache
+def _spans(q, n, k):
+    """The k-dimensional subspaces of F_q^n, found by spanning every
+    k-tuple of vectors."""
+    vectors = list(product(range(q), repeat=n))
+    return {
+        span
+        for gens in product(vectors, repeat=k)
+        if len(span := _span(q, n, gens)) == q ** k
+    }
+
+
+def _image(q, mat, vec):
+    return tuple(sum(a * b for a, b in zip(row, vec)) % q for row in mat)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("spec, bound", SMALL_QUIVERS)
+def test_graded_subreps_match_stable_spans(spec, bound, q):
+    quiver = quiver_from_shorthand(spec)
+    idx = {v: k for k, v in enumerate(quiver.vertices)}
+    for dims in dims_upto(bound):
+        for r, _s in iso_classes(quiver, q, dims):
+            M = QuiverRep(quiver, q, dims, r)
+            for sub_dims in dims_upto(dims):
+                choices = [_spans(q, n, k) for n, k in zip(dims, sub_dims)]
+                stable = {
+                    us
+                    for us in product(*choices)
+                    if all(
+                        _image(q, m, u) in us[idx[t]]
+                        for (s, t), m in zip(quiver.arrows, r)
+                        for u in us[idx[s]]
+                    )
+                }
+                got = [
+                    tuple(_span(q, n, basis) for n, basis in zip(dims, b))
+                    for b in graded_subreps(M, sub_dims)
+                ]
+                assert len(got) == len(stable), (M, sub_dims)
+                assert set(got) == stable, (M, sub_dims)
 
 
 def test_specialize_compare():
