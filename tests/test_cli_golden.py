@@ -34,6 +34,7 @@ COMMANDS = [
     "hall classes 1->2 1,1 2",
     "hall number 1->2 2 1,1:1 1,0:0 0,1:0",
     "hall strata 1->2 1,1 3 2",
+    "hall strata 1->2 2,1 3 1",
     "hall compare 1->2 1,1 1,1 --q 4",
     "double mul p(th1) m(th1)",
     "double calibrate",
@@ -50,6 +51,7 @@ COMMANDS = [
     "hall classes 1->2,2->3 1,1,1 2",
     "hall number 1->2,2->3 2 1,1,0:1 1,0,0:0 0,1,0:0",
     "hall strata 1->2,2->3 1,1,1 2 3",
+    "hall strata 1->2,2->3 1,2,1 2 1",
     "hall compare 1->2,2->3 1,1,0 0,1,1 --q 4",
     f"{A3} double mul p(th1*th2) m(th2)",
     f"{A3} double calibrate",
