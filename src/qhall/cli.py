@@ -51,7 +51,7 @@ def _session(args) -> Session:
     budget = args.budget
     if budget is None:
         budget = int(os.environ.get("QHALL_BUDGET", hall.DEFAULT_BUDGET))
-    return Session(datum=load_datum(quiver), q=args.q, budget=budget)
+    return Session(datum=load_datum(quiver), budget=budget)
 
 
 def _emit(args, payload: dict, text: str):
@@ -386,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         "finite-field Hall oracle",
     )
     p.add_argument("--datum", default="1->2", help="quiver: shorthand, JSON, or file")
-    p.add_argument("--q", type=int, default=4, help="field size for Hall checks")
     p.add_argument("--budget", type=int, default=None, help="enumeration budget")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     subs = p.add_subparsers(dest="cmd", required=True)

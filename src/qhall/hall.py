@@ -320,28 +320,6 @@ def kernel_basis(F: Fq, a, ncols):
     return out
 
 
-def solve_columns(F: Fq, basis_cols, target_cols):
-    """Express target columns in terms of basis columns; both are lists of
-    column vectors.  Returns the coefficient matrix or None."""
-    if not target_cols:
-        return ()
-    nrows = len(basis_cols[0]) if basis_cols else len(target_cols[0])
-    out_cols = []
-    for t in target_cols:
-        aug = [
-            [bc[r] for bc in basis_cols] + [t[r]] for r in range(nrows)
-        ]
-        red, pivots = mat_rref(F, aug)
-        n = len(basis_cols)
-        if n in pivots:
-            return None
-        x = [0] * n
-        for r, pc in enumerate(pivots):
-            x[pc] = red[r][n]
-        out_cols.append(x)
-    return tuple(tuple(out_cols[c][r] for c in range(len(out_cols))) for r in range(len(basis_cols)))
-
-
 # ---------------------------------------------------------------------------
 # representations
 
@@ -734,18 +712,12 @@ def graded_subreps(M: QuiverRep, sub_dims: tuple, budget: int = DEFAULT_BUDGET):
     ]
 
     def stable(choice):
+        # the images of the source rows must not raise the rank of the
+        # (independent) target rows
         for (s, t), m in zip(quiver.arrows, M.mats):
-            si, ti = idx[s], idx[t]
-            ubasis = choice[si]
-            tbasis = choice[ti]
-            target_cols = [
-                tuple(
-                    _apply_mat(F, m, row)[r] for r in range(M.dims[ti])
-                )
-                for row in ubasis
-            ]
-            basis_cols = [tuple(row) for row in tbasis]
-            if target_cols and solve_columns(F, basis_cols, target_cols) is None:
+            images = [_apply_mat(F, m, row) for row in choice[idx[s]]]
+            target = choice[idx[t]]
+            if images and mat_rank(F, [*target, *images]) > len(target):
                 return False
         return True
 
@@ -773,31 +745,22 @@ def _apply_mat(F: Fq, m, vec):
     return tuple(out)
 
 
-def _complete_basis(F: Fq, rows, n):
-    """Extend independent rows to a basis of F^n with unit vectors."""
-    chosen = [list(r) for r in rows]
-    for c in range(n):
-        cand = [0] * n
-        cand[c] = 1
-        test = chosen + [cand]
-        if mat_rank(F, tuple(tuple(r) for r in test)) == len(test):
-            chosen.append(cand)
-        if len(chosen) == n:
-            break
-    return tuple(tuple(r) for r in chosen)
-
-
 def sub_quotient_reps(M: QuiverRep, sub_basis: tuple):
     """Induced representations on a stable graded subspace and on the
-    quotient by it."""
+    quotient by it.  Each vertex's basis rows must be in reduced row
+    echelon form, as `graded_subreps` yields them: the unit vectors off
+    their pivot columns then complete them to a basis, and span the
+    quotient."""
     F = field(M.q)
     quiver = M.quiver
     idx = {v: i for i, v in enumerate(quiver.vertices)}
     sub_dims = tuple(len(b) for b in sub_basis)
     quo_dims = tuple(n - k for n, k in zip(M.dims, sub_dims))
     full = []
-    for i, b in enumerate(sub_basis):
-        full.append(_complete_basis(F, b, M.dims[i]))
+    for n, b in zip(M.dims, sub_basis):
+        pivots = {next(c for c, x in enumerate(row) if x) for row in b}
+        units = [tuple(int(c == k) for c in range(n)) for k in range(n) if k not in pivots]
+        full.append((*b, *units))
     # change of basis: coordinates of x in the completed basis
     inv = [
         mat_inv(F, tuple(zip(*full[i]))) if M.dims[i] else ()
@@ -976,101 +939,72 @@ def stratum_counts(
         raise ValueError(f"vertex {vertex} is neither a sink nor a source")
     ni = dims[quiver.vertices.index(vertex)]
     counts = [0] * (ni + 1)
-    for p in all_points(quiver, q, dims, budget):
-        counts[stratum_index(QuiverRep(quiver, q, dims, p), vertex)] += 1
+    # the stratum index is constant on an iso-class
+    for rep, size in iso_classes(quiver, q, dims, budget):
+        counts[stratum_index(QuiverRep(quiver, q, dims, rep), vertex)] += size
     return counts
 
 
+def _dual(x: QuiverRep) -> QuiverRep:
+    """The dual representation: every arrow reversed in place and every
+    matrix transposed, its shape read from the dimension vector."""
+    quiver = x.quiver.reversed_arrows(frozenset(range(len(x.quiver.arrows))))
+    mats = tuple(
+        tuple(tuple(m[c][r] for c in range(cols)) for r in range(rows))
+        for m, (rows, cols) in zip(x.mats, _arrow_shapes(quiver, x.dims))
+    )
+    return QuiverRep(quiver, x.q, x.dims, mats)
+
+
 def bgp_reflect(vertex: int, x: QuiverRep) -> QuiverRep:
-    """Reflection functor at a stratum-0 sink (or its inverse at a
-    kernel-stratum-0 source); errors off the open stratum."""
+    """Reflection functor at a stratum-0 sink; at a kernel-stratum-0
+    source its inverse, the sink functor conjugated by duality
+    (Bernstein-Gelfand-Ponomarev).  Errors off the open stratum."""
     from .cartan import sigma_i
 
-    F = field(x.q)
     quiver = x.quiver
-    idx = {v: i for i, v in enumerate(quiver.vertices)}
-    vi = idx[vertex]
     if stratum_index(x, vertex) != 0:
         raise ValueError(
             "reflection functor is only an equivalence on the open stratum"
         )
+    if not is_sink(vertex, quiver):
+        return _dual(bgp_reflect(vertex, _dual(x)))
+    F = field(x.q)
+    idx = {v: i for i, v in enumerate(quiver.vertices)}
+    vi = idx[vertex]
     new_quiver = sigma_i(vertex, quiver)
     new_dims = load_datum(quiver).reflect_dim(vertex, x.dims)
-    if is_sink(vertex, quiver):
-        incoming = [
-            (k, s) for k, (s, t) in enumerate(quiver.arrows) if t == vertex
-        ]
-        ni = x.dims[vi]
-        widths = [x.dims[idx[s]] for _k, s in incoming]
-        total = sum(widths)
-        rows = []
-        for r in range(ni):
-            row = []
-            for (k, _s), w in zip(incoming, widths):
-                row.extend(x.mats[k][r] if ni else [0] * w)
-            rows.append(tuple(row))
-        kern = kernel_basis(F, tuple(rows), total) if total else []
-        dprime = len(kern)
-        assert dprime == new_dims[vi]
-        new_mats = []
-        for k, (s, t) in enumerate(quiver.arrows):
-            if t != vertex:
-                new_mats.append(x.mats[k])
-                continue
-            pos = 0
-            for (kk, ss), w in zip(incoming, widths):
-                if kk == k:
-                    break
-                pos += w
-            w = x.dims[idx[s]]
-            block = tuple(
-                tuple(vec[pos + r] for vec in kern) for r in range(w)
-            )
-            new_mats.append(block)
-        return QuiverRep(new_quiver, x.q, new_dims, tuple(new_mats))
-    if is_source(vertex, quiver):
-        outgoing = [
-            (k, t) for k, (s, t) in enumerate(quiver.arrows) if s == vertex
-        ]
-        ni = x.dims[vi]
-        heights = [x.dims[idx[t]] for _k, t in outgoing]
-        total = sum(heights)
-        stacked = []
-        for (k, _t), h in zip(outgoing, heights):
-            for r in range(h):
-                stacked.append(tuple(x.mats[k][r]))
-        # columns of the stacked map span the image; complete to a basis
-        img_cols = [
-            tuple(stacked[r][c] for r in range(total)) for c in range(ni)
-        ]
-        full = _complete_basis(F, [list(c) for c in img_cols], total)
-        inv = mat_inv(F, tuple(zip(*full))) if total else ()
-        dprime = total - ni
-        assert dprime == new_dims[vi]
-        new_mats = []
-        for k, (s, t) in enumerate(quiver.arrows):
-            if s != vertex:
-                new_mats.append(x.mats[k])
-                continue
-            pos = 0
-            for (kk, tt), h in zip(outgoing, heights):
-                if kk == k:
-                    break
-                pos += h
-            h = x.dims[idx[t]]
-            # projection to the cokernel coordinates of the inclusion of V_t
-            block = []
-            for r in range(dprime):
-                row = []
-                for c in range(h):
-                    unit = [0] * total
-                    unit[pos + c] = 1
-                    coords = _apply_mat(F, inv, tuple(unit))
-                    row.append(coords[ni + r])
-                block.append(tuple(row))
-            new_mats.append(tuple(block))
-        return QuiverRep(new_quiver, x.q, new_dims, tuple(new_mats))
-    raise ValueError(f"vertex {vertex} is neither a sink nor a source")
+    incoming = [
+        (k, s) for k, (s, t) in enumerate(quiver.arrows) if t == vertex
+    ]
+    ni = x.dims[vi]
+    widths = [x.dims[idx[s]] for _k, s in incoming]
+    total = sum(widths)
+    rows = []
+    for r in range(ni):
+        row = []
+        for (k, _s), w in zip(incoming, widths):
+            row.extend(x.mats[k][r] if ni else [0] * w)
+        rows.append(tuple(row))
+    kern = kernel_basis(F, tuple(rows), total) if total else []
+    dprime = len(kern)
+    assert dprime == new_dims[vi]
+    new_mats = []
+    for k, (s, t) in enumerate(quiver.arrows):
+        if t != vertex:
+            new_mats.append(x.mats[k])
+            continue
+        pos = 0
+        for (kk, ss), w in zip(incoming, widths):
+            if kk == k:
+                break
+            pos += w
+        w = x.dims[idx[s]]
+        block = tuple(
+            tuple(vec[pos + r] for vec in kern) for r in range(w)
+        )
+        new_mats.append(block)
+    return QuiverRep(new_quiver, x.q, new_dims, tuple(new_mats))
 
 
 # ---------------------------------------------------------------------------
@@ -1090,17 +1024,23 @@ def specialize_compare(
     if v_num * v_num != q:
         raise ValueError("comparison needs a perfect-square q")
     quiver = datum.quiver
+    images: dict = {}
+
+    def image(word):
+        if word not in images:
+            images[word] = hall_word(quiver, q, v_num, word, budget)
+        return images[word]
+
     report = []
     for w1 in words_of_weight(datum, nu_a):
-        h1 = hall_word(quiver, q, v_num, w1, budget)
+        h1 = image(w1)
         for w2 in words_of_weight(datum, nu_b):
-            h2 = hall_word(quiver, q, v_num, w2, budget)
-            lhs = hall_product(h1, h2, v_num, budget)
+            lhs = hall_product(h1, image(w2), v_num, budget)
             prod = normal_form(FreeElement(datum, {w1 + w2: RF_ONE}))
             rhs = HallElement(quiver, q)
             for word, coeff in prod.terms.items():
                 val = coeff.eval_at(Fraction(v_num))
-                rhs = rhs + hall_word(quiver, q, v_num, word, budget).scale(val)
+                rhs = rhs + image(word).scale(val)
             report.append(
                 {
                     "left": w1,

@@ -41,7 +41,6 @@ from .ratfunc import MINUS_ONE, ONE, ZERO, v_pow
 @dataclass
 class Session:
     datum: CartanDatum
-    q: int = 4
     budget: int = hall.DEFAULT_BUDGET
     weight_bound: int = 4
     hopf_degree: int = 3
@@ -699,10 +698,8 @@ def _check_hall_bgp(s: Session):
 
 def _check_hall_assoc(s: Session):
     quiver = s.datum.quiver
-    q = s.q
-    v_num = 2 if q == 4 else None
-    if v_num is None:
-        return ("skip", "associativity check runs at q = 4")
+    q = 4
+    v_num = 2
     simples = [hall.HallElement.simple(quiver, q, i) for i in quiver.vertices]
     for a in simples:
         for b in simples:
