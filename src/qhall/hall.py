@@ -759,7 +759,9 @@ def sub_quotient_reps(M: QuiverRep, sub_basis: tuple):
     full = []
     for n, b in zip(M.dims, sub_basis):
         pivots = {next(c for c, x in enumerate(row) if x) for row in b}
-        units = [tuple(int(c == k) for c in range(n)) for k in range(n) if k not in pivots]
+        units = [
+            tuple(int(c == k) for c in range(n)) for k in range(n) if k not in pivots
+        ]
         full.append((*b, *units))
     # change of basis: coordinates of x in the completed basis
     inv = [
