@@ -343,14 +343,20 @@ def e_v_dimension(quiver: Quiver, dims: tuple) -> int:
     return sum(r * c for r, c in _arrow_shapes(quiver, dims))
 
 
+def require_budget(quiver: Quiver, q: int, dims: tuple, budget: int) -> None:
+    """Raise BudgetExceeded when walking the q^dim(E_V) points of the
+    representation space would pass the budget."""
+    needed = q ** e_v_dimension(quiver, dims)
+    if needed > budget:
+        raise BudgetExceeded(needed, budget)
+
+
 def all_points(quiver: Quiver, q: int, dims: tuple, budget: int = DEFAULT_BUDGET):
     """Every point of the representation space, in the order of `<` on
     points: arrows in order, each matrix row-major."""
+    require_budget(quiver, q, dims, budget)
     shapes = _arrow_shapes(quiver, dims)
     total_entries = sum(r * c for r, c in shapes)
-    needed = q ** total_entries
-    if needed > budget:
-        raise BudgetExceeded(needed, budget)
     for flat in product(range(q), repeat=total_entries):
         mats = []
         pos = 0
@@ -421,9 +427,7 @@ def orbit_of(
     quiver: Quiver, q: int, dims: tuple, point: tuple, budget: int = DEFAULT_BUDGET
 ) -> set:
     """The GL-orbit of a point, by breadth-first search over generators."""
-    needed = q ** e_v_dimension(quiver, dims)
-    if needed > budget:
-        raise BudgetExceeded(needed, budget)
+    require_budget(quiver, q, dims, budget)
     F = field(q)
     gens = _group_generators(quiver, q, dims)
     seen = {point}
@@ -1019,14 +1023,20 @@ def specialize_compare(
     nu_b: tuple,
     q: int,
     budget: int = DEFAULT_BUDGET,
+    images: dict | None = None,
 ) -> list[dict]:
     """Check that composition-algebra products of theta-word functions
-    match the symbolic structure constants evaluated at v = sqrt(q)."""
+    match the symbolic structure constants evaluated at v = sqrt(q).
+
+    images maps each theta-word to its Hall function; a caller comparing
+    several weights on the same datum and q can pass one dict to every
+    call, so that no word's function is computed twice."""
     v_num = isqrt(q)
     if v_num * v_num != q:
         raise ValueError("comparison needs a perfect-square q")
     quiver = datum.quiver
-    images: dict = {}
+    if images is None:
+        images = {}
 
     def image(word):
         if word not in images:

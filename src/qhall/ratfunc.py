@@ -432,19 +432,77 @@ def _mul_cached(a: RatFunc, b: RatFunc) -> RatFunc:
     return r
 
 
+def _lcm_cofactors(dens) -> tuple[IntPoly, dict]:
+    """A common multiple of ordinary polynomials (the lcm up to integer
+    content) and, for each distinct one, its cofactor: den == d * cof[d]."""
+    distinct = dict.fromkeys(dens)
+    den = ONE_POLY
+    for d in distinct:
+        if d != den:
+            g = _dense_gcd(_to_dense(den), _to_dense(d))
+            den = den * _from_dense(_dense_exact_div(_to_dense(d), g))
+    dense = _to_dense(den)
+    return den, {
+        d: ONE_POLY
+        if d == den
+        else _from_dense(_dense_exact_div(dense, _to_dense(d)))
+        for d in distinct
+    }
+
+
 def common_denominator(values) -> tuple[IntPoly, list[IntPoly]]:
     """One denominator for a list of Q(v) values, with the numerators
     over it: values[k] == RatFunc(nums[k], den)."""
-    den = ONE_POLY
-    for x in values:
-        if x.den != den:
-            g = _dense_gcd(_to_dense(den), _to_dense(x.den))
-            den = den * _from_dense(_dense_exact_div(_to_dense(x.den), g))
-    dense = _to_dense(den)
-    return den, [
-        x.num * _from_dense(_dense_exact_div(dense, _to_dense(x.den)))
-        for x in values
-    ]
+    den, cof = _lcm_cofactors([x.den for x in values])
+    return den, [x.num * cof[x.den] for x in values]
+
+
+def sum_products(groups: dict) -> dict:
+    """key -> the sum of a * b * v^k over the key's (a, b, k) triples,
+    with the keys whose sum is zero left out.
+
+    A key with one triple is that product.  A longer sum is taken over
+    one common denominator as integer Laurent polynomials and reduced
+    once; a zero numerator is dropped before any gcd.  Each denominator
+    pair (a.den, b.den) is multiplied out once per call, and each distinct
+    set of such products gets its common denominator and cofactors once
+    per call."""
+    pair_dens: dict = {}  # (a.den, b.den) -> a.den * b.den
+    lcms: dict = {}  # a key's distinct pair products -> (den, cofactors)
+    out = {}
+    for key, triples in groups.items():
+        if len(triples) == 1:
+            ((a, b, k),) = triples
+            out[key] = a * b * v_pow(k)
+            continue
+        prods = []
+        for a, b, _k in triples:
+            pair = (a.den, b.den)
+            p = pair_dens.get(pair)
+            if p is None:
+                p = pair_dens[pair] = a.den * b.den
+            prods.append(p)
+        shape = tuple(dict.fromkeys(prods))
+        found = lcms.get(shape)
+        if found is None:
+            found = lcms[shape] = _lcm_cofactors(shape)
+        den, cof = found
+        num: dict = {}
+        for (a, b, k), p in zip(triples, prods):
+            term = a.num * b.num
+            factor = cof[p]
+            if factor is not ONE_POLY:
+                term = term * factor
+            for e, c in term.coeffs.items():
+                e += k
+                s = num.get(e, 0) + c
+                if s:
+                    num[e] = s
+                else:
+                    del num[e]
+        if num:
+            out[key] = RatFunc(IntPoly._raw(num), den)
+    return out
 
 
 ZERO = RatFunc(ZERO_POLY)

@@ -23,6 +23,12 @@ coweight and scales it by a v-power read from its E-word.  The coweight
 is thus not part of the cached work: the word-pair image T_i(F_a) T_i(E_b)
 is kept in a bounded cache and twisted per term.
 
+The products c * pc * v^k (a coefficient of x, a pair-image coefficient,
+the twist) are collected per output key and each key is reduced once
+(ratfunc.sum_products): a longer sum is added up over one common
+denominator as integer Laurent polynomials, and one that cancels, as most
+do in T_i^-1(T_i(x)), is dropped without a gcd.
+
 t_tilde_apply is the decomposition-based route: each triangular slot is
 split through the divided-power decomposition, the kernel pieces are
 moved by the restricted symmetry, and the minus side is rescaled by the
@@ -47,7 +53,7 @@ from .falgebra import (
 from .freealg import FreeElement, Word
 from . import linalg
 from .lincomb import merge
-from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, v_pow
+from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, sum_products, v_pow
 from .ualgebra import (
     UElement,
     embed_minus,
@@ -160,18 +166,22 @@ def _pair_image(
 
 def _apply_table(vertex: int, x: UElement, inverse: bool) -> UElement:
     """T(F_a K_mu E_b) = v^alpha_delta(lam) T(F_a) T(E_b) K_lam with
-    lam = s_i mu: one cached pair image per term, twisted by lam."""
+    lam = s_i mu: one cached pair image per term, twisted by lam.  The
+    (c, pc, twist) triples are collected per output key and each key's
+    sum is reduced once."""
     d = x.datum
-    out: dict = {}
+    groups: dict = {}
     for (fw, mu, ew), c in x.terms.items():
         lam = d.reflect_coweight(vertex, mu)
         for (f, kappa, e), pc, twist in _pair_image(d, vertex, fw, ew, inverse):
-            merge(
-                out,
-                (f, add_vec(kappa, lam), e),
-                c * pc * v_pow(d.alpha_weight(twist, lam)),
-            )
-    return UElement(d, out)
+            triple = (c, pc, d.alpha_weight(twist, lam))
+            key = (f, add_vec(kappa, lam), e)
+            found = groups.get(key)
+            if found is None:
+                groups[key] = [triple]
+            else:
+                found.append(triple)
+    return UElement(d, sum_products(groups))
 
 
 def ti_apply(vertex: int, x: UElement) -> UElement:

@@ -657,6 +657,7 @@ def _check_hall_orbits(s: Session):
 def _check_hall_bgp(s: Session):
     quiver = s.datum.quiver
     datum = s.datum
+    cases = []
     for q in s.hall_qs:
         for i in quiver.vertices:
             if not is_sink(i, quiver):
@@ -666,33 +667,33 @@ def _check_hall_bgp(s: Session):
                 target = datum.reflect_dim(i, dims)
                 if any(x < 0 for x in target):
                     continue
-                zero_classes = [
-                    rep
-                    for rep, _size in hall.iso_classes(quiver, q, dims, s.budget)
-                    if hall.stratum_index(hall.QuiverRep(quiver, q, dims, rep), i) == 0
-                ]
-                images = set()
-                for rep in zero_classes:
-                    y = hall.bgp_reflect(i, hall.QuiverRep(quiver, q, dims, rep))
-                    if y.dims != target or hall.stratum_index(y, i) != 0:
-                        return False
-                    images.add(
-                        hall.canonical_point(y.quiver, q, y.dims, y.mats, s.budget)
-                    )
-                if len(images) != len(zero_classes):
-                    return False
-                other = [
-                    rep
-                    for rep, _size in hall.iso_classes(
-                        reversed_quiver, q, target, s.budget
-                    )
-                    if hall.stratum_index(
-                        hall.QuiverRep(reversed_quiver, q, target, rep), i
-                    )
-                    == 0
-                ]
-                if len(other) != len(images):
-                    return False
+                # a case enumerates E_V on both sides; every budget is
+                # met, in the order of the work, before any of it is done
+                hall.require_budget(quiver, q, dims, s.budget)
+                hall.require_budget(reversed_quiver, q, target, s.budget)
+                cases.append((q, i, reversed_quiver, dims, target))
+    for q, i, reversed_quiver, dims, target in cases:
+        zero_classes = [
+            rep
+            for rep, _size in hall.iso_classes(quiver, q, dims, s.budget)
+            if hall.stratum_index(hall.QuiverRep(quiver, q, dims, rep), i) == 0
+        ]
+        images = set()
+        for rep in zero_classes:
+            y = hall.bgp_reflect(i, hall.QuiverRep(quiver, q, dims, rep))
+            if y.dims != target or hall.stratum_index(y, i) != 0:
+                return False
+            images.add(hall.canonical_point(y.quiver, q, y.dims, y.mats, s.budget))
+        if len(images) != len(zero_classes):
+            return False
+        other = [
+            rep
+            for rep, _size in hall.iso_classes(reversed_quiver, q, target, s.budget)
+            if hall.stratum_index(hall.QuiverRep(reversed_quiver, q, target, rep), i)
+            == 0
+        ]
+        if len(other) != len(images):
+            return False
     return True
 
 
@@ -738,6 +739,7 @@ def _check_hall_serre(s: Session):
 def _check_hall_agreement(s: Session):
     d = s.datum
     bound = s.hall_dims()
+    images: dict = {}  # theta-word -> Hall function, shared by every weight
     for nu_a in dims_upto(bound):
         for nu_b in dims_upto(bound):
             total = add_vec(nu_a, nu_b)
@@ -745,7 +747,7 @@ def _check_hall_agreement(s: Session):
                 continue
             if not any(nu_a) or not any(nu_b):
                 continue
-            report = hall.specialize_compare(d, nu_a, nu_b, 4, s.budget)
+            report = hall.specialize_compare(d, nu_a, nu_b, 4, s.budget, images)
             if not all(r["match"] for r in report):
                 return False
     return True
@@ -757,6 +759,7 @@ def _check_hall_orientation(s: Session):
     rank = d.rank
     small = tuple(1 for _ in range(rank)) if rank > 2 else bound
     for datum2 in _orientations(d):
+        images: dict = {}  # theta-word -> Hall function on this orientation
         for nu_a in dims_upto(small):
             for nu_b in dims_upto(small):
                 total = add_vec(nu_a, nu_b)
@@ -764,7 +767,9 @@ def _check_hall_orientation(s: Session):
                     continue
                 if not any(nu_a) or not any(nu_b):
                     continue
-                report = hall.specialize_compare(datum2, nu_a, nu_b, 4, s.budget)
+                report = hall.specialize_compare(
+                    datum2, nu_a, nu_b, 4, s.budget, images
+                )
                 if not all(r["match"] for r in report):
                     return False
     return True

@@ -11,11 +11,13 @@ from qhall.ratfunc import (
     RatFunc,
     V,
     ZERO,
+    common_denominator,
     field_normalize,
     parse_ratfunc,
     qbinom,
     qfact,
     qint,
+    sum_products,
     v_pow,
     _mul_cached,
 )
@@ -173,3 +175,49 @@ def test_unit_monomial_products(a):
                 assert str(got) == str(want)
     # the shift never reaches the general product's cache
     assert _mul_cached.cache_info().currsize == 0
+
+
+# a few fixed denominators, so that sums meet equal, coprime and
+# overlapping denominators
+shared_den_ratfuncs = st.builds(
+    RatFunc,
+    nonzero_polys,
+    st.sampled_from(
+        [poly({0: 1}), poly({0: 1, 2: 1}), poly({0: 1, 1: 1, 2: 1}),
+         poly({0: -1, 2: 1}), poly({0: 1, 2: -2, 4: 1}), poly({0: 3})]
+    ),
+)
+coefficients = st.one_of(
+    ratfuncs, const_den_ratfuncs, shared_den_ratfuncs
+).filter(bool)
+triples = st.tuples(coefficients, coefficients, st.integers(-4, 4))
+# per key: its triples, and whether to append their negatives
+key_sums = st.tuples(st.lists(triples, min_size=1, max_size=4), st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(key_sums, max_size=4))
+def test_sum_products_matches_left_to_right_sums(spec):
+    groups = {}
+    for key, (ts, cancel) in enumerate(spec):
+        groups[key] = ts + [(-a, b, k) for a, b, k in ts] if cancel else ts
+    want = {}
+    for key, ts in groups.items():
+        total = ZERO
+        for a, b, k in ts:
+            total = total + a * b * v_pow(k)
+        if total:
+            want[key] = total
+    got = sum_products(groups)
+    assert got.keys() == want.keys()
+    assert not any(spec[key][1] for key in got)  # cancelled keys are gone
+    for key, total in want.items():
+        assert got[key] == total and hash(got[key]) == hash(total)
+        assert str(got[key]) == str(total)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(ratfuncs, shared_den_ratfuncs), max_size=6))
+def test_common_denominator(values):
+    den, nums = common_denominator(values)
+    assert [RatFunc(n, den) for n in nums] == values

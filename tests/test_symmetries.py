@@ -5,10 +5,11 @@ from pathlib import Path
 import pytest
 
 from qhall import symmetries
-from qhall.cartan import A2, A3
+from qhall.cartan import A2, A3, add_vec
 from qhall.falgebra import FElement, normal_form, sub_if_basis, weight_basis
 from qhall.freealg import FreeElement
-from qhall.ratfunc import MINUS_ONE, ONE, v_pow
+from qhall.lincomb import merge
+from qhall.ratfunc import MINUS_ONE, ONE, parse_ratfunc, v_pow
 from qhall.symmetries import (
     _pair_image,
     _word_image,
@@ -213,3 +214,47 @@ def test_pair_cache_bounded_and_transparent():
     for i, t, tinv in before:
         assert ti_apply(i, x) == t
         assert ti_inverse_apply(i, x) == tinv
+
+
+def _per_product_reference(i, x, inverse):
+    """The pair-image route with every product c * pc * v^twist reduced
+    and merged into its key one at a time."""
+    d = x.datum
+    out = {}
+    for (fw, mu, ew), c in x.terms.items():
+        lam = d.reflect_coweight(i, mu)
+        for (f, kappa, e), pc, twist in _pair_image(d, i, fw, ew, inverse):
+            coeff = c * pc * v_pow(d.alpha_weight(twist, lam))
+            merge(out, (f, add_vec(kappa, lam), e), coeff)
+    return UElement(d, out)
+
+
+def test_reduce_once_matches_per_product_sums():
+    # non-unit coefficients over several denominators, so that the terms
+    # landing on one key need a common denominator and often cancel
+    coeffs = [
+        parse_ratfunc(text)
+        for text in (
+            "3v^2 - v^-1",
+            "(v + 2)/(v^2 + 1)",
+            "(2v^-1 - 1)/(v^2 + v + 1)",
+            "(v^2 + 3)/(v^2 - 1)",
+            "(v - 2)/(v^4 - 1)",
+            "5/2",
+        )
+    ]
+    rng = random.Random(11)
+    words = _basis_words(A3, 2)
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            mu = tuple(rng.randint(-1, 1) for _ in range(3))
+            terms[(rng.choice(words), mu, rng.choice(words))] = rng.choice(coeffs)
+        x = UElement(A3, terms)
+        i = rng.choice(A3.vertices)
+        y = ti_apply(i, x)
+        assert y == _per_product_reference(i, x, False)
+        assert ti_inverse_apply(i, x) == _per_product_reference(i, x, True)
+        assert ti_inverse_apply(i, y) == _per_product_reference(i, y, True)
+        assert ti_inverse_apply(i, y) == x
+        assert ti_apply(i, ti_inverse_apply(i, x)) == x
