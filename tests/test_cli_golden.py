@@ -50,6 +50,8 @@ COMMANDS = [
     f"{A3} ti calibrate 2",
     "hall classes 1->2,2->3 1,1,1 2",
     "hall number 1->2,2->3 2 1,1,0:1 1,0,0:0 0,1,0:0",
+    "hall number 1->2,2->3 3 1,2,1:0 1,1,0:0 0,1,1:0",
+    "hall number 1->2,2->3 2 1,1,1:2 1,1,0:0 0,0,1:0",
     "hall strata 1->2,2->3 1,1,1 2 3",
     "hall strata 1->2,2->3 1,2,1 2 1",
     "hall compare 1->2,2->3 1,1,0 0,1,1 --q 4",
