@@ -512,12 +512,6 @@ class _Bricks:
     def key(self, x: QuiverRep) -> tuple:
         return x.dims, tuple(hom_dim(b, x) for b in self.reps)
 
-    def has_key(self, x: QuiverRep, key: tuple) -> bool:
-        """key(x) == key, stopping at the first Hom dimension that differs."""
-        return x.dims == key[0] and all(
-            hom_dim(b, x) == h for b, h in zip(self.reps, key[1])
-        )
-
     def multiplicities(self, h: tuple) -> tuple:
         """m with h = H m: how often each X_k occurs in a class."""
         m = tuple(sum(a * b for a, b in zip(row, h)) for row in self.h_inverse)
@@ -799,33 +793,30 @@ def sub_quotient_reps(M: QuiverRep, sub_basis: tuple):
 def hall_number(M: QuiverRep, N: QuiverRep, L: QuiverRep) -> int:
     """Count arrow-stable graded subspaces of M isomorphic to L with
     quotient isomorphic to N."""
-    if tuple(
-        a + b for a, b in zip(N.dims, L.dims)
-    ) != M.dims:
+    if tuple(a + b for a, b in zip(N.dims, L.dims)) != M.dims:
         raise ValueError("dimension vectors of quotient and sub must add up")
-    return _hall_number(M.quiver, M.q, class_key(M), class_key(N), class_key(L))
+    tally = _hall_tally(M.quiver, M.q, class_key(M), L.dims)
+    return tally.get((class_key(N), class_key(L)), 0)
 
 
-@lru_cache(maxsize=1 << 14)
-def _hall_number(
-    quiver: Quiver, q: int, key_m: tuple, key_n: tuple, key_l: tuple
-) -> int:
-    """The Hall number as a function of the three class keys, counted on
-    one point of the class of M: on Dynkin data the direct sum of bricks."""
+@lru_cache(maxsize=4096)
+def _hall_tally(
+    quiver: Quiver, q: int, key_m: tuple, sub_dims: tuple
+) -> MappingProxyType:
+    """Every Hall number of the class of M with a sub of dimension sub_dims,
+    in one pass over the graded subreps of one point of that class (on
+    Dynkin data the direct sum of bricks): (quotient key, sub key) ->
+    count, read-only since every caller shares it."""
     bricks = _bricks(quiver, q)
     dims, inv = key_m
     point = inv if bricks is None else bricks.direct_sum(quiver, q, dims, inv)
-
-    def has_key(x: QuiverRep, key: tuple) -> bool:
-        return class_key(x) == key if bricks is None else bricks.has_key(x, key)
-
     M = QuiverRep(quiver, q, dims, point)
-    count = 0
-    for sub_basis in graded_subreps(M, key_l[0]):
+    tally: dict = {}
+    for sub_basis in graded_subreps(M, sub_dims):
         sub, quo = sub_quotient_reps(M, sub_basis)
-        if has_key(sub, key_l) and has_key(quo, key_n):
-            count += 1
-    return count
+        key = (class_key(quo), class_key(sub))
+        tally[key] = tally.get(key, 0) + 1
+    return MappingProxyType(tally)
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +879,7 @@ def hall_product(
             twist = Fraction(v_num) ** datum.euler_form(dims_a, dims_b)
             terms: dict = {}
             for key_m, (rep, _size) in _class_table(quiver, q, dims_m, budget).items():
-                g = _hall_number(quiver, q, key_m, key_a, key_b)
+                g = _hall_tally(quiver, q, key_m, dims_b).get((key_a, key_b), 0)
                 if g:
                     terms[(dims_m, rep)] = ca * cb * twist * g
             out = out + HallElement(quiver, q, terms)

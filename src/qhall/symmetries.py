@@ -117,19 +117,20 @@ def _table(datum: CartanDatum, vertex: int, inverse: bool) -> dict:
 @lru_cache(maxsize=None)
 def _certified(datum: CartanDatum, vertex: int) -> bool:
     """Check T_i o T_i^-1 = id and T_i^-1 o T_i = id on all generators."""
+
+    def round_trip(g, inverse_first):
+        inner = _apply_table(vertex, g, inverse_first)
+        return _apply_table(vertex, inner, not inverse_first)
+
     for j in datum.vertices:
         for maker in (UElement.E, UElement.F):
             g = maker(datum, j)
-            if ti_apply(vertex, ti_inverse_apply(vertex, g)) != g:
-                raise RuntimeError(
-                    f"inverse symmetry table failed certification at vertex {j}"
-                )
-            if ti_inverse_apply(vertex, ti_apply(vertex, g)) != g:
+            if round_trip(g, True) != g or round_trip(g, False) != g:
                 raise RuntimeError(
                     f"inverse symmetry table failed certification at vertex {j}"
                 )
         k = UElement.K(datum, datum.unit_vec(j))
-        if ti_apply(vertex, ti_inverse_apply(vertex, k)) != k:
+        if round_trip(k, True) != k:
             raise RuntimeError("inverse symmetry table failed on the torus")
     return True
 
@@ -191,24 +192,8 @@ def ti_apply(vertex: int, x: UElement) -> UElement:
 
 def ti_inverse_apply(vertex: int, x: UElement) -> UElement:
     """The inverse symmetry; the table is certified on first use."""
-    _ensure_certified(x.datum, vertex)
+    _certified(x.datum, vertex)
     return _apply_table(vertex, x, True)
-
-
-_cert_guard: set = set()
-
-
-def _ensure_certified(datum: CartanDatum, vertex: int):
-    # certification itself runs the inverse on generators; the guard
-    # breaks that recursion
-    key = (datum, vertex)
-    if key in _cert_guard:
-        return
-    _cert_guard.add(key)
-    try:
-        _certified(datum, vertex)
-    finally:
-        _cert_guard.discard(key)
 
 
 def ti_restricted(vertex: int, x: FElement) -> FElement:

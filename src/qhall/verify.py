@@ -610,9 +610,7 @@ def suite_braid(s: Session) -> list[CheckResult]:
                 continue
             a = d.a(i, j)
             name = f"braid-{i}-{j}"
-            if a == -1:
-                out.append(_run(name, lambda i=i, j=j: sym.braid_verify(d, i, j)))
-            elif a == 0:
+            if a in (-1, 0):
                 out.append(_run(name, lambda i=i, j=j: sym.braid_verify(d, i, j)))
             else:
                 out.append(
@@ -736,10 +734,10 @@ def _check_hall_serre(s: Session):
     return True
 
 
-def _check_hall_agreement(s: Session):
-    d = s.datum
-    bound = s.hall_dims()
-    images: dict = {}  # theta-word -> Hall function, shared by every weight
+def _hall_agreement(datum: CartanDatum, bound: tuple, budget: int) -> bool:
+    """specialize_compare on every pair of nonzero weights whose sum stays
+    within bound, with one theta-word -> Hall function dict for them all."""
+    images: dict = {}
     for nu_a in dims_upto(bound):
         for nu_b in dims_upto(bound):
             total = add_vec(nu_a, nu_b)
@@ -747,32 +745,20 @@ def _check_hall_agreement(s: Session):
                 continue
             if not any(nu_a) or not any(nu_b):
                 continue
-            report = hall.specialize_compare(d, nu_a, nu_b, 4, s.budget, images)
+            report = hall.specialize_compare(datum, nu_a, nu_b, 4, budget, images)
             if not all(r["match"] for r in report):
                 return False
     return True
 
 
+def _check_hall_agreement(s: Session):
+    return _hall_agreement(s.datum, s.hall_dims(), s.budget)
+
+
 def _check_hall_orientation(s: Session):
     d = s.datum
-    bound = s.hall_dims()
-    rank = d.rank
-    small = tuple(1 for _ in range(rank)) if rank > 2 else bound
-    for datum2 in _orientations(d):
-        images: dict = {}  # theta-word -> Hall function on this orientation
-        for nu_a in dims_upto(small):
-            for nu_b in dims_upto(small):
-                total = add_vec(nu_a, nu_b)
-                if any(t > b for t, b in zip(total, small)):
-                    continue
-                if not any(nu_a) or not any(nu_b):
-                    continue
-                report = hall.specialize_compare(
-                    datum2, nu_a, nu_b, 4, s.budget, images
-                )
-                if not all(r["match"] for r in report):
-                    return False
-    return True
+    small = tuple(1 for _ in range(d.rank)) if d.rank > 2 else s.hall_dims()
+    return all(_hall_agreement(d2, small, s.budget) for d2 in _orientations(d))
 
 
 def suite_hall(s: Session) -> list[CheckResult]:

@@ -339,6 +339,48 @@ def test_orientation_independence_of_composition_constants():
             assert all(r["match"] for r in report)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize(
+    "spec, bound",
+    [
+        ("1->2", (2, 2)),
+        ("2->1", (2, 2)),
+        ("1->2,2->3", (2, 2, 1)),
+        ("1->2,3->2", (2, 2, 1)),
+    ],
+)
+def test_hall_numbers_match_subrep_tally(spec, bound, q):
+    """Every Hall number F^M_{N,L} equals a count of the subreps of M of
+    dimension dims(L), each keyed by the least points of the orbits of its
+    quotient and sub; and over all (N, L) the numbers add up to that many
+    subreps."""
+    quiver = quiver_from_shorthand(spec)
+
+    def least(dims, mats):
+        return hall.orbit_canonical_point(quiver, q, dims, mats)
+
+    for dims in dims_upto(bound):
+        for point, _size in iso_classes(quiver, q, dims):
+            M = QuiverRep(quiver, q, dims, point)
+            for sub_dims in dims_upto(dims):
+                quo_dims = tuple(a - b for a, b in zip(dims, sub_dims))
+                tally = Counter()
+                for basis in graded_subreps(M, sub_dims):
+                    sub, quo = sub_quotient_reps(M, basis)
+                    tally[least(quo_dims, quo.mats), least(sub_dims, sub.mats)] += 1
+                total = 0
+                for N, _s in iso_classes(quiver, q, quo_dims):
+                    for L, _s in iso_classes(quiver, q, sub_dims):
+                        got = hall_number(
+                            M,
+                            QuiverRep(quiver, q, quo_dims, N),
+                            QuiverRep(quiver, q, sub_dims, L),
+                        )
+                        assert got == tally[N, L], (dims, point, N, L)
+                        total += got
+                assert total == sum(tally.values())
+
+
 # ---------------------------------------------------------------------------
 # the invariant route against the orbit route
 

@@ -63,6 +63,27 @@ def test_inverse_certified_round_trip():
     assert ti_inverse_apply(1, ti_apply(1, x)) == x
 
 
+def test_inverse_certification_rejects_a_corrupt_table(monkeypatch):
+    caches = (symmetries._certified, _word_image, _pair_image)
+
+    def clear():
+        for cache in caches:
+            cache.cache_clear()
+
+    # T_1^-1(E2) replaced by E2 itself: T_1 T_1^-1 E2 is then no longer E2
+    table = symmetries._table(A2, 1, True)
+    monkeypatch.setitem(table, ("E", 2), UElement.E(A2, 2))
+    clear()
+    try:
+        with pytest.raises(RuntimeError, match="failed certification"):
+            ti_inverse_apply(1, UElement.F(A2, 1))
+    finally:
+        monkeypatch.undo()
+        clear()
+    x = UElement.E(A2, 2)
+    assert ti_inverse_apply(1, ti_apply(1, x)) == x
+
+
 def test_homomorphism_on_generator_pairs():
     gens = [
         UElement.E(A2, 1),
