@@ -2,16 +2,18 @@
 
 Subcommands mirror the library: f (quotient algebra), u (quantum
 group), ti (symmetries), braid, hall (finite-field oracle), double,
-and verify.  Global flags pick the quiver, the field size, the
-enumeration budget, and JSON output.  Exit code 0 means every
-requested check passed; bad input exits 2 with one line on stderr.
+and verify.  Global flags pick the quiver, the enumeration budget, and
+JSON output; the hall subcommands take the field size as an argument.
+
+Exit codes: 0 when every requested check passed, 1 when a check
+failed, and 2 on bad input or an enumeration past the budget, with one
+line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import double as dbl
@@ -47,11 +49,9 @@ def _parse_dims(text: str, rank: int) -> tuple:
 
 
 def _session(args) -> Session:
-    quiver = load_quiver(args.datum)
-    budget = args.budget
-    if budget is None:
-        budget = int(os.environ.get("QHALL_BUDGET", hall.DEFAULT_BUDGET))
-    return Session(datum=load_datum(quiver), budget=budget)
+    if args.budget <= 0:
+        raise ValueError(f"--budget must be positive, got {args.budget}")
+    return Session(datum=load_datum(load_quiver(args.datum)), budget=args.budget)
 
 
 def _emit(args, payload: dict, text: str):
@@ -386,7 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
         "finite-field Hall oracle",
     )
     p.add_argument("--datum", default="1->2", help="quiver: shorthand, JSON, or file")
-    p.add_argument("--budget", type=int, default=None, help="enumeration budget")
+    p.add_argument(
+        "--budget", type=int, default=hall.DEFAULT_BUDGET, help="enumeration budget"
+    )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     subs = p.add_subparsers(dest="cmd", required=True)
 
@@ -476,7 +478,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as e:  # bad input, including ParseError
+    except (ValueError, hall.BudgetExceeded) as e:  # bad input, or too big
         print(f"qhall: {e}", file=sys.stderr)
         return 2
 

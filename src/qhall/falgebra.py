@@ -32,8 +32,6 @@ class WeightBasis:
     weight: tuple
     words: tuple[Word, ...]          # all words of this weight, lex order
     selected: tuple[int, ...]        # indices of the greedy basis words
-    gram: tuple                      # normalization-1 form on selected x selected
-    gram_inv: tuple                  # its inverse
     forms: tuple                     # normal form of each word, as in words
 
     @property
@@ -120,11 +118,7 @@ def weight_basis(datum: CartanDatum, nu: tuple) -> WeightBasis:
         inv_rows = [common_denominator(r) for r in gram_inv]
         selected.append(k)
         forms.append(((w, ONE),))
-    basis = [words[i] for i in selected]
-    gram = tuple(tuple(RatFunc(pair(a, b)) for b in basis) for a in basis)
-    return WeightBasis(
-        nu, words, tuple(selected), gram, tuple(map(tuple, gram_inv)), tuple(forms)
-    )
+    return WeightBasis(nu, words, tuple(selected), tuple(forms))
 
 
 def dim_f(datum: CartanDatum, nu: tuple) -> int:
@@ -249,7 +243,7 @@ def sub_if_basis(
         for w in wb.basis_words
     ]
     rows = [[c.terms.get(bw, ZERO) for c in comps] for bw in target_wb.basis_words]
-    kernel = linalg.nullspace(rows, len(wb.basis_words))
+    kernel = linalg.nullspace(linalg.QV, rows, len(wb.basis_words))
     return tuple(FElement(datum, dict(zip(wb.basis_words, vec))) for vec in kernel)
 
 
@@ -271,7 +265,7 @@ def _decompose_word(datum: CartanDatum, vertex: int, word: Word, side: str) -> t
             labels.append((t, ker))
     rows = [list(r) for r in zip(*columns)]
     rhs = [ONE if w == word else ZERO for w in wb.basis_words]
-    sol = linalg.solve(rows, rhs)
+    sol = linalg.solve(linalg.QV, rows, rhs)
     if sol is None or len(columns) != wb.dim:
         raise RuntimeError(
             "divided-power decomposition failed; the direct-sum invariant is broken"

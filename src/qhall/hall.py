@@ -29,6 +29,7 @@ from .cartan import (
 )
 from .falgebra import normal_form
 from .freealg import FreeElement, words_of_weight
+from .linalg import QQ, inverse, nullspace
 from .lincomb import LinComb
 from .ratfunc import ONE as RF_ONE
 
@@ -113,6 +114,8 @@ class Fq:
     """The field with q = p^d elements; elements are ints 0..q-1 encoding
     polynomial residues base p.  Multiplication runs on log/antilog
     tables built from a primitive element (q <= 256)."""
+
+    zero, one = 0, 1
 
     def __init__(self, q: int):
         if q < 2 or q > 256:
@@ -249,31 +252,6 @@ def mat_mul(F: Fq, a, b):
     return tuple(out)
 
 
-def mat_rref(F: Fq, a):
-    m = [list(r) for r in a]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = F.inv(m[r][c])
-        m[r] = [F.mul(inv, x) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
 def mat_rank(F: Fq, a) -> int:
     """Rank by forward elimination (no back substitution)."""
     rows = [list(r) for r in a if any(r)]
@@ -294,30 +272,6 @@ def mat_rank(F: Fq, a) -> int:
         if rank == len(rows):
             break
     return rank
-
-
-def mat_inv(F: Fq, a):
-    n = len(a)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(a)]
-    red, pivots = mat_rref(F, aug)
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    return tuple(tuple(row[n:]) for row in red)
-
-
-def kernel_basis(F: Fq, a, ncols):
-    """Column vectors (as rows) spanning the kernel of a."""
-    red, pivots = mat_rref(F, a)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    out = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = F.neg(red[r][fc])
-        out.append(tuple(vec))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +348,7 @@ def _group_generators(quiver: Quiver, q: int, dims: tuple):
     out = []
     for k, n in enumerate(dims):
         for g in _gl_generators(F, n):
-            out.append((k, g, mat_inv(F, g)))
+            out.append((k, g, tuple(map(tuple, inverse(F, g)))))
     return tuple(out)
 
 
@@ -503,11 +457,11 @@ class _Bricks:
         self.roots = roots
         self.reps = reps
         hom = [[Fraction(hom_dim(a, b)) for b in reps] for a in reps]
-        inverse = _fraction_inverse(hom)
+        h_inv = inverse(QQ, hom)
         # H is unitriangular in a directed order, so the inverse is integral
-        if any(x.denominator != 1 for row in inverse for x in row):
+        if any(x.denominator != 1 for row in h_inv for x in row):
             raise RuntimeError("the Hom matrix of the bricks is not unimodular")
-        self.h_inverse = tuple(tuple(map(int, row)) for row in inverse)
+        self.h_inverse = tuple(tuple(map(int, row)) for row in h_inv)
 
     def key(self, x: QuiverRep) -> tuple:
         return x.dims, tuple(hom_dim(b, x) for b in self.reps)
@@ -566,23 +520,6 @@ def _bricks(quiver: Quiver, q: int) -> _Bricks | None:
     if roots is None:
         return None
     return _Bricks(roots, tuple(_brick(quiver, q, root) for root in roots))
-
-
-def _fraction_inverse(rows: list) -> tuple:
-    n = len(rows)
-    aug = [
-        row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)
-    ]
-    for c in range(n):
-        pr = next(i for i in range(c, n) if aug[i][c])
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pivot = aug[c][c]
-        aug[c] = [x / pivot for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def class_key(x: QuiverRep) -> tuple:
@@ -762,10 +699,7 @@ def sub_quotient_reps(M: QuiverRep, sub_basis: tuple):
         ]
         full.append((*b, *units))
     # change of basis: coordinates of x in the completed basis
-    inv = [
-        mat_inv(F, tuple(zip(*full[i]))) if M.dims[i] else ()
-        for i in range(len(M.dims))
-    ]
+    inv = [inverse(F, tuple(zip(*basis))) for basis in full]
     sub_mats, quo_mats = [], []
     for (s, t), m in zip(quiver.arrows, M.mats):
         si, ti = idx[s], idx[t]
@@ -774,7 +708,7 @@ def sub_quotient_reps(M: QuiverRep, sub_basis: tuple):
         for r in range(M.dims[si]):
             basis_vec = full[si][r]
             img = _apply_mat(F, m, basis_vec)
-            coords = _apply_mat(F, inv[ti], img) if M.dims[ti] else ()
+            coords = _apply_mat(F, inv[ti], img)
             cols.append(coords)
         sub_mats.append(
             tuple(tuple(cols[c][r] for c in range(ks)) for r in range(kt))
@@ -932,9 +866,9 @@ def stratum_index(x: QuiverRep, vertex: int) -> int:
 def stratum_counts(
     quiver: Quiver, dims: tuple, q: int, vertex: int, budget: int = DEFAULT_BUDGET
 ) -> list[int]:
+    ni = dims[load_datum(quiver).index(vertex)]
     if not (is_sink(vertex, quiver) or is_source(vertex, quiver)):
         raise ValueError(f"vertex {vertex} is neither a sink nor a source")
-    ni = dims[quiver.vertices.index(vertex)]
     counts = [0] * (ni + 1)
     # the stratum index is constant on an iso-class
     for rep, size in iso_classes(quiver, q, dims, budget):
@@ -977,13 +911,8 @@ def bgp_reflect(vertex: int, x: QuiverRep) -> QuiverRep:
     ni = x.dims[vi]
     widths = [x.dims[idx[s]] for _k, s in incoming]
     total = sum(widths)
-    rows = []
-    for r in range(ni):
-        row = []
-        for (k, _s), w in zip(incoming, widths):
-            row.extend(x.mats[k][r] if ni else [0] * w)
-        rows.append(tuple(row))
-    kern = kernel_basis(F, tuple(rows), total) if total else []
+    rows = [[e for k, _s in incoming for e in x.mats[k][r]] for r in range(ni)]
+    kern = nullspace(F, rows, total)
     dprime = len(kern)
     assert dprime == new_dims[vi]
     new_mats = []

@@ -242,14 +242,12 @@ def if_membership_crosscheck(datum: CartanDatum, vertex: int, nu: tuple) -> bool
                 if key in bad_rows:
                     bad_rows[key][col] = c
         rows = [bad_rows[k] for k in sorted(bad_rows)]
-        t_side = linalg.nullspace(rows, n) if rows else [
-            [ONE if i == j else ZERO for j in range(n)] for i in range(n)
-        ]
+        t_side = linalg.nullspace(linalg.QV, rows, n)
         kernel = [
             [b.terms.get(w, ZERO) for w in wb.basis_words]
             for b in sub_if_basis(datum, vertex, nu, side)
         ]
-        if not linalg.same_span(t_side, kernel, n):
+        if not linalg.same_span(linalg.QV, t_side, kernel):
             return False
     return True
 

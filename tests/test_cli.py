@@ -191,6 +191,18 @@ def test_cli_rejects_dimension_vector_of_wrong_length(capsys):
 
 def test_cli_rejects_unknown_vertex(capsys):
     assert "unknown vertex 7" in _bad_input(capsys, "ti", "apply", "7", "E1")
+    line = _bad_input(capsys, "hall", "strata", "1->2", "1,1", "2", "7")
+    assert line == "qhall: unknown vertex 7; the vertices are 1, 2"
+
+
+def test_cli_rejects_budget_overrun_and_nonpositive_budget(capsys):
+    line = _bad_input(capsys, "hall", "classes", "1->2", "4,4", "4")
+    assert "budget is 10000000" in line
+    line = _bad_input(capsys, "--budget", "10", "hall", "classes", "1->2", "2,2", "4")
+    assert "needs about 256 points but the budget is 10" in line
+    for budget in ("0", "-5"):
+        line = _bad_input(capsys, "--budget", budget, "verify", "hall")
+        assert "--budget must be positive" in line
 
 
 def test_cli_reports_parse_errors(capsys):

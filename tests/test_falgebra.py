@@ -26,7 +26,7 @@ from qhall.freealg import (
     coproduct_word,
     words_of_weight,
 )
-from qhall.linalg import rref, solve
+from qhall.linalg import QV, rref, solve
 from qhall.ratfunc import ONE, RatFunc, parse_ratfunc, qfact, v_pow
 
 
@@ -51,7 +51,6 @@ def test_weight_basis_selection_is_lex_greedy():
     wb = weight_basis(A2, (2, 1))
     assert wb.words == ((1, 1, 2), (1, 2, 1), (2, 1, 1))
     assert wb.selected == (0, 1)
-    assert len(wb.gram) == 2 and len(wb.gram_inv) == 2
 
 
 def test_serre_relator_is_zero():
@@ -208,12 +207,12 @@ def _reference_basis(d, nu):
     selected: list = []
     for k in range(len(words)):
         rows = [gram[i] for i in selected + [k]]
-        if len(rref(rows)[1]) == len(rows):
+        if len(rref(QV, rows)[1]) == len(rows):
             selected.append(k)
     block = [[gram[i][j] for j in selected] for i in selected]
     forms = []
     for k in range(len(words)):
-        coords = solve(block, [gram[i][k] for i in selected])
+        coords = solve(QV, block, [gram[i][k] for i in selected])
         forms.append(
             tuple((words[i], x) for i, x in zip(selected, coords) if x)
         )

@@ -1,0 +1,62 @@
+"""The shared exact elimination over F_q and Q, against the forward-only
+rank of the Hall oracle as an independent reference."""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from qhall.hall import field, mat_mul, mat_rank
+from qhall.linalg import QQ, inverse, nullspace
+
+
+def _all_square(q, n):
+    for flat in product(range(q), repeat=n * n):
+        yield tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n))
+
+
+def _random_square(q, n, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+
+
+CASES = [
+    pytest.param(2, list(_all_square(2, 2)), id="F2-all-2x2"),
+    pytest.param(3, list(_all_square(3, 2)), id="F3-all-2x2"),
+    pytest.param(4, list(_random_square(4, 3, 200, seed=11)), id="F4-random-3x3"),
+]
+
+
+@pytest.mark.parametrize("q, mats", CASES)
+def test_inverse_exactly_on_full_rank(q, mats):
+    F = field(q)
+    for a in mats:
+        n = len(a)
+        if mat_rank(F, a) == n:
+            ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            assert mat_mul(F, inverse(F, a), a) == ident
+        else:
+            with pytest.raises(ValueError, match="singular"):
+                inverse(F, a)
+
+
+@pytest.mark.parametrize("q, mats", CASES)
+def test_nullspace_is_killed_and_has_corank_size(q, mats):
+    F = field(q)
+    for a in mats:
+        n = len(a)
+        kern = nullspace(F, a, n)
+        assert len(kern) == n - mat_rank(F, a)
+        for vec in kern:
+            assert mat_mul(F, a, tuple((x,) for x in vec)) == tuple((0,) for _ in a)
+        if kern:
+            assert mat_rank(F, kern) == len(kern)
+
+
+def test_rational_inverse_and_singular_matrix():
+    a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
+    assert inverse(QQ, a) == [[1, -1], [-1, 2]]
+    with pytest.raises(ValueError, match="singular"):
+        inverse(QQ, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
