@@ -264,6 +264,36 @@ def test_stratum_counts_match_pointwise_tally(spec, bound, q):
             assert stratum_counts(quiver, dims, q, vertex) == tally, (vertex, dims)
 
 
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize(
+    "spec, bound",
+    [
+        ("1->2", (2, 2)),
+        ("2->1", (2, 2)),
+        ("1->2,2->3", (2, 2, 1)),
+        ("2->1,2->3", (2, 2, 1)),
+    ],
+)
+def test_source_stratum_is_the_outgoing_kernel(spec, bound, q):
+    """At a source, the stratum index of every point is dim V_i minus the
+    rank of the outgoing matrices stacked on top of each other."""
+    quiver = quiver_from_shorthand(spec)
+    F = field(q)
+    for vertex in (v for v in quiver.vertices if is_source(v, quiver)):
+        ni = quiver.vertices.index(vertex)
+        for dims in dims_upto(bound):
+            for p in all_points(quiver, q, dims):
+                stacked = [
+                    row
+                    for (s, _t), m in zip(quiver.arrows, p)
+                    if s == vertex
+                    for row in m
+                ]
+                want = dims[ni] - hall.mat_rank(F, stacked)
+                x = QuiverRep(quiver, q, dims, p)
+                assert stratum_index(x, vertex) == want, (vertex, dims, p)
+
 def _span(q, n, gens):
     """Every F_q-combination of the given vectors of F_q^n (q prime)."""
     return frozenset(

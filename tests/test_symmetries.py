@@ -5,8 +5,14 @@ from pathlib import Path
 import pytest
 
 from qhall import symmetries
-from qhall.cartan import A2, A3, add_vec
-from qhall.falgebra import FElement, normal_form, sub_if_basis, weight_basis
+from qhall.cartan import A2, A3, add_vec, load_datum, quiver_from_shorthand
+from qhall.falgebra import (
+    FElement,
+    normal_form,
+    sub_if_basis,
+    theta_divided,
+    weight_basis,
+)
 from qhall.freealg import FreeElement
 from qhall.lincomb import merge
 from qhall.ratfunc import MINUS_ONE, ONE, parse_ratfunc, v_pow
@@ -23,7 +29,7 @@ from qhall.symmetries import (
     ti_restricted,
     ti_restricted_inverse,
 )
-from qhall.ualgebra import UElement, embed_minus, embed_plus, u_mul
+from qhall.ualgebra import UElement, embed_minus, embed_plus, u_mul, u_product
 
 
 def felt(d, *letters):
@@ -279,3 +285,47 @@ def test_reduce_once_matches_per_product_sums():
         assert ti_inverse_apply(i, y) == _per_product_reference(i, y, True)
         assert ti_inverse_apply(i, y) == x
         assert ti_apply(i, ti_inverse_apply(i, x)) == x
+
+
+def _expected_inverse_table(d, i):
+    """T_i^-1 on E_j and F_j written out directly from the formulas."""
+    h = d.unit_vec(i)
+    out = {
+        ("E", i): u_mul(UElement.K(d, tuple(-x for x in h)), UElement.F(d, i)).scale(
+            MINUS_ONE
+        ),
+        ("F", i): u_mul(UElement.E(d, i), UElement.K(d, h)).scale(MINUS_ONE),
+    }
+    for j in d.vertices:
+        if j == i:
+            continue
+        n = -d.a(i, j)
+        esum = UElement(d)
+        fsum = UElement(d)
+        for r in range(n + 1):
+            sign = MINUS_ONE if r % 2 else ONE
+            e_r, e_s = (embed_plus(theta_divided(d, i, k)) for k in (r, n - r))
+            f_r, f_s = (embed_minus(theta_divided(d, i, k)) for k in (r, n - r))
+            esum = esum + u_product([e_r, UElement.E(d, j), e_s]).scale(
+                sign * v_pow(-r)
+            )
+            fsum = fsum + u_product([f_s, UElement.F(d, j), f_r]).scale(
+                sign * v_pow(r)
+            )
+        out[("E", j)] = esum
+        out[("F", j)] = fsum
+    return out
+
+
+@pytest.mark.parametrize("spec", ["1->2", "1->2,2->3", "1->2,1->2"])
+def test_inverse_generator_images_match_the_formulas(spec):
+    # the Kronecker quiver has a_12 = -2, so divided powers up to 2 appear
+    d = load_datum(quiver_from_shorthand(spec))
+    for i in d.vertices:
+        want = _expected_inverse_table(d, i)
+        for j in d.vertices:
+            assert ti_inverse_apply(i, UElement.E(d, j)) == want[("E", j)], (i, j)
+            assert ti_inverse_apply(i, UElement.F(d, j)) == want[("F", j)], (i, j)
+            mu = d.unit_vec(j)
+            k_image = UElement.K(d, d.reflect_coweight(i, mu))
+            assert ti_inverse_apply(i, UElement.K(d, mu)) == k_image, (i, j)
