@@ -55,6 +55,9 @@ def quiver_from_shorthand(text: str) -> Quiver:
 
 
 def quiver_from_json(obj) -> Quiver:
+    for key in ("vertices", "arrows"):
+        if key not in obj:
+            raise ValueError(f"quiver JSON has no {key!r} key")
     return Quiver(tuple(obj["vertices"]), tuple((s, t) for s, t in obj["arrows"]))
 
 

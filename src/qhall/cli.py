@@ -288,7 +288,12 @@ def cmd_hall(args) -> int:
             dims_text, _, index = spec.partition(":")
             dims = _parse_dims(dims_text, rank)
             classes = hall.iso_classes(quiver, q, dims, s.budget)
-            k = int(index)
+            try:
+                k = int(index)
+            except ValueError:
+                raise ValueError(
+                    f"class index {index!r} in {spec!r} is not an integer"
+                ) from None
             if not 0 <= k < len(classes):
                 raise ValueError(
                     f"class index {k} in {spec!r} is out of range: "
@@ -296,7 +301,8 @@ def cmd_hall(args) -> int:
                 )
             return hall.QuiverRep(quiver, q, dims, classes[k][0])
 
-        g = hall.hall_number(rep_of(args.M), rep_of(args.N), rep_of(args.L))
+        M, N, L = (rep_of(spec) for spec in (args.M, args.N, args.L))
+        g = hall.hall_number(M, N, L, s.budget)
         _emit(args, {"schema": SCHEMA, "hall_number": g}, str(g))
         return 0
     if args.hall_cmd == "strata":

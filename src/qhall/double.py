@@ -120,11 +120,10 @@ def half_delta(sign: str, a: HalfElement) -> HalfTensor:
             nu1 = d.weight_of_word(w1)
             nu2 = d.weight_of_word(w2)
             mu2 = d.coweight_of_dim(nu2)
+            move = v_pow(-d.sym_form(nu1, nu2))
             if sign == "plus":
-                move = v_pow(-d.sym_form(nu1, nu2))
                 key = ((add_vec(mu, mu2), w1), (mu, w2))
             else:
-                move = v_pow(-d.sym_form(nu1, nu2))
                 key = ((mu, w2), (sub_vec(mu, mu2), w1))
             merge(out, key, c * cc * move)
     return HalfTensor(d, sign, out)
@@ -187,9 +186,7 @@ def half_counit(a: HalfElement) -> RatFunc:
     return total
 
 
-def pairing_phi(
-    a: HalfElement, b: HalfElement, c_gen: RatFunc = PAIRING_CONSTANT
-) -> RatFunc:
+def pairing_phi(a: HalfElement, b: HalfElement) -> RatFunc:
     """Skew pairing of a plus and a minus element: the quoted v-power in
     the coweights and weights times the bilinear form of the words."""
     if a.sign != "plus" or b.sign != "minus":
@@ -202,7 +199,7 @@ def pairing_phi(
             nu2 = d.weight_of_word(w2)
             if nu != nu2:
                 continue
-            val = _form_words(d, w1, w2, c_gen)
+            val = _form_words(d, w1, w2, PAIRING_CONSTANT)
             if not val:
                 continue
             expo = (
@@ -306,9 +303,7 @@ def _cross(datum: CartanDatum, pword: Word, mword: Word, c_gen: RatFunc) -> Doub
     return DoubleElement(datum, out)
 
 
-def double_mul(
-    x: DoubleElement, y: DoubleElement, c_gen: RatFunc = PAIRING_CONSTANT
-) -> DoubleElement:
+def double_mul(x: DoubleElement, y: DoubleElement) -> DoubleElement:
     """Product in the quotient double, in triangular normal form."""
     if x.datum != y.datum:
         raise ValueError("operands live over different data")
@@ -316,7 +311,7 @@ def double_mul(
     out: dict = {}
     for (m1, k1, p1), c1 in x.terms.items():
         for (m2, k2, p2), c2 in y.terms.items():
-            core = _cross(d, p1, m2, c_gen)
+            core = _cross(d, p1, m2, PAIRING_CONSTANT)
             for (mw, kappa, pw), cc in core.terms.items():
                 move = v_pow(
                     -d.alpha_weight(d.weight_of_word(mw), k1)

@@ -59,25 +59,21 @@ def _derive_word(datum: CartanDatum, vertex: int, word: Word, side: str) -> list
 
 def _form_at_one(datum: CartanDatum):
     """Pairing (w, u) at normalization 1: the sum of v^e (w', u[1:]) over
-    (w', e) in i_r w, i = u[0].  Rows of shorter words are memoized in the
+    (w', e) in i_r w, i = u[0].  Pairs of shorter words are memoized in the
     returned closure only, so they are dropped with it."""
-    rows: dict = {}
-
-    def entry(derived: list, tail: Word) -> IntPoly:
-        acc: dict = {}
-        for sub, e in derived:
-            if sub not in rows:
-                by_letter = {i: _derive_word(datum, i, sub, "left") for i in set(sub)}
-                rows[sub] = {
-                    u: entry(by_letter[u[0]], u[1:]) if u else ONE_POLY
-                    for u in words_of_weight(datum, datum.weight_of_word(sub))
-                }
-            for x, c in rows[sub][tail].coeffs.items():
-                acc[x + e] = acc.get(x + e, 0) + c
-        return IntPoly(acc)
+    memo: dict = {}
 
     def pair(w: Word, u: Word) -> IntPoly:
-        return entry(_derive_word(datum, u[0], w, "left"), u[1:]) if u else ONE_POLY
+        if not u:
+            return ONE_POLY
+        found = memo.get((w, u))
+        if found is None:
+            acc: dict = {}
+            for sub, e in _derive_word(datum, u[0], w, "left"):
+                for x, c in pair(sub, u[1:]).coeffs.items():
+                    acc[x + e] = acc.get(x + e, 0) + c
+            found = memo[w, u] = IntPoly(acc)
+        return found
 
     return pair
 

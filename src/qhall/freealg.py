@@ -134,18 +134,16 @@ def _form_words(datum: CartanDatum, w1: Word, w2: Word, c_gen: RatFunc) -> RatFu
     return total
 
 
-def lusztig_form(
-    x: FreeElement, y: FreeElement, c_gen: RatFunc = DEFAULT_FORM_CONSTANT
-) -> RatFunc:
-    """Symmetric bilinear form with (1,1) = 1, (th_i, th_j) = delta c_gen,
-    and multiplicativity against the twisted coproduct.  Distinct weights
-    pair to zero."""
+def lusztig_form(x: FreeElement, y: FreeElement) -> RatFunc:
+    """Symmetric bilinear form with (1,1) = 1, (th_i, th_j) = delta_ij
+    DEFAULT_FORM_CONSTANT, and multiplicativity against the twisted
+    coproduct.  Distinct weights pair to zero."""
     if x.datum != y.datum:
         raise ValueError("operands live over different data")
     total = ZERO
     for w1, c1 in x.terms.items():
         for w2, c2 in y.terms.items():
-            val = _form_words(x.datum, w1, w2, c_gen)
+            val = _form_words(x.datum, w1, w2, DEFAULT_FORM_CONSTANT)
             if val:
                 total = total + c1 * c2 * val
     return total

@@ -26,6 +26,7 @@ from .cartan import (
     kostant_count,
     load_datum,
     positive_roots,
+    sigma_i,
 )
 from .falgebra import normal_form
 from .freealg import FreeElement, words_of_weight
@@ -322,46 +323,42 @@ def all_points(quiver: Quiver, q: int, dims: tuple, budget: int = DEFAULT_BUDGET
         yield tuple(mats)
 
 
-def _gl_generators(F: Fq, n: int):
-    if n == 0:
-        return []
-    gens = []
-    prim = F.exp[1] if F.q > 2 else 1
-    diag = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    diag[0][0] = prim
-    gens.append(tuple(tuple(r) for r in diag))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for c in range(1, F.q):
-                m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-                m[i][j] = c
-                gens.append(tuple(tuple(r) for r in m))
-    return gens
-
-
 @lru_cache(maxsize=None)
 def _group_generators(quiver: Quiver, q: int, dims: tuple):
-    """Generators of prod GL(V_i) as (vertex index, matrix, inverse)."""
-    F = field(q)
+    """Generators of prod GL(V_k) as (k, i, j), meaning g = I + c E_ij on
+    V_k: the transvection with c = 1 when i != j, and diag(zeta, 1, ...,
+    1) with zeta primitive, c = zeta - 1, when i = j = 0 (left out at
+    q = 2).  They generate each GL_n(F_q): conjugating by the diagonal
+    gives every E_0j(zeta^k), sums of those every E_0j(c), and
+    commutators the rest."""
     out = []
     for k, n in enumerate(dims):
-        for g in _gl_generators(F, n):
-            out.append((k, g, tuple(map(tuple, inverse(F, g)))))
+        if n and q > 2:
+            out.append((k, 0, 0))
+        out.extend((k, i, j) for i in range(n) for j in range(n) if i != j)
     return tuple(out)
 
 
-def _act(F: Fq, quiver: Quiver, dims: tuple, gen, point):
-    k, g, ginv = gen
-    idx = {v: i for i, v in enumerate(quiver.vertices)}
-    mats = []
-    for (s, t), m in zip(quiver.arrows, point):
-        if idx[t] == k:
-            m = mat_mul(F, g, m)
-        if idx[s] == k:
-            m = mat_mul(F, m, ginv)
-        mats.append(m)
+def _act(F: Fq, into: list, out_of: list, gen, point):
+    """A generator applied to a point: each arrow into vertex k gets the
+    row operation row_i += c row_j of g, each arrow out of k the column
+    operation col_j += c' col_i of g^-1 = I + c' E_ij."""
+    k, i, j = gen
+    if i == j:
+        zeta = F.exp[1]
+        c, c_inv = F.sub(zeta, 1), F.sub(F.inv(zeta), 1)
+    else:
+        c, c_inv = 1, F.neg(1)
+    mats = list(point)
+    for a in into[k]:
+        m = list(mats[a])
+        m[i] = tuple(F.add(x, F.mul(c, y)) for x, y in zip(m[i], m[j]))
+        mats[a] = tuple(m)
+    for a in out_of[k]:
+        mats[a] = tuple(
+            (*row[:j], F.add(row[j], F.mul(c_inv, row[i])), *row[j + 1 :])
+            for row in mats[a]
+        )
     return tuple(mats)
 
 
@@ -384,13 +381,18 @@ def orbit_of(
     require_budget(quiver, q, dims, budget)
     F = field(q)
     gens = _group_generators(quiver, q, dims)
+    idx = {v: i for i, v in enumerate(quiver.vertices)}
+    into, out_of = ([[] for _ in dims] for _ in range(2))
+    for a, (s, t) in enumerate(quiver.arrows):
+        into[idx[t]].append(a)
+        out_of[idx[s]].append(a)
     seen = {point}
     frontier = [point]
     while frontier:
         nxt = []
         for p in frontier:
             for gen in gens:
-                moved = _act(F, quiver, dims, gen, p)
+                moved = _act(F, into, out_of, gen, p)
                 if moved not in seen:
                     seen.add(moved)
                     nxt.append(moved)
@@ -631,14 +633,20 @@ def subspace_count(q: int, n: int, k: int) -> int:
     return num // den
 
 
+def _require_subspaces(q: int, dims: tuple, sub_dims: tuple, budget: int) -> None:
+    """Raise BudgetExceeded when walking the graded subspaces of the given
+    dimension vector would pass the budget."""
+    needed = 1
+    for n, k in zip(dims, sub_dims):
+        needed *= subspace_count(q, n, k)
+    if needed > budget:
+        raise BudgetExceeded(needed, budget)
+
+
 def graded_subreps(M: QuiverRep, sub_dims: tuple, budget: int = DEFAULT_BUDGET):
     """All arrow-stable graded subspaces of the given dimension vector,
     as tuples of basis-row matrices per vertex."""
-    needed = 1
-    for n, k in zip(M.dims, sub_dims):
-        needed *= subspace_count(M.q, n, k)
-    if needed > budget:
-        raise BudgetExceeded(needed, budget)
+    _require_subspaces(M.q, M.dims, sub_dims, budget)
     F = field(M.q)
     quiver = M.quiver
     idx = {v: i for i, v in enumerate(quiver.vertices)}
@@ -724,11 +732,14 @@ def sub_quotient_reps(M: QuiverRep, sub_basis: tuple):
     return sub, quo
 
 
-def hall_number(M: QuiverRep, N: QuiverRep, L: QuiverRep) -> int:
+def hall_number(
+    M: QuiverRep, N: QuiverRep, L: QuiverRep, budget: int = DEFAULT_BUDGET
+) -> int:
     """Count arrow-stable graded subspaces of M isomorphic to L with
     quotient isomorphic to N."""
     if tuple(a + b for a, b in zip(N.dims, L.dims)) != M.dims:
         raise ValueError("dimension vectors of quotient and sub must add up")
+    _require_subspaces(M.q, M.dims, L.dims, budget)
     tally = _hall_tally(M.quiver, M.q, class_key(M), L.dims)
     return tally.get((class_key(N), class_key(L)), 0)
 
@@ -810,6 +821,7 @@ def hall_product(
         for (dims_b, pb), cb in b.terms.items():
             key_b = _term_key(quiver, q, dims_b, pb)
             dims_m = tuple(x + y for x, y in zip(dims_a, dims_b))
+            _require_subspaces(q, dims_m, dims_b, budget)
             twist = Fraction(v_num) ** datum.euler_form(dims_a, dims_b)
             terms: dict = {}
             for key_m, (rep, _size) in _class_table(quiver, q, dims_m, budget).items():
@@ -835,31 +847,30 @@ def hall_word(
 # strata and reflection functors
 
 
+def _joined_incoming(x: QuiverRep, vertex: int):
+    """The arrows into a vertex as (arrow index, width) pairs, and their
+    matrices joined side by side into one dim V_i x (sum of widths)
+    matrix."""
+    idx = {v: i for i, v in enumerate(x.quiver.vertices)}
+    incoming = [
+        (k, x.dims[idx[s]]) for k, (s, t) in enumerate(x.quiver.arrows) if t == vertex
+    ]
+    rows = [
+        tuple(e for k, _w in incoming for e in x.mats[k][r])
+        for r in range(x.dims[idx[vertex]])
+    ]
+    return incoming, rows
+
+
 def stratum_index(x: QuiverRep, vertex: int) -> int:
     """At a sink: codimension of the total incoming image; at a source:
-    dimension of the total outgoing kernel."""
-    F = field(x.q)
-    quiver = x.quiver
-    idx = {v: i for i, v in enumerate(quiver.vertices)}
-    vi = idx[vertex]
-    if is_sink(vertex, quiver):
-        blocks = [m for (s, t), m in zip(quiver.arrows, x.mats) if t == vertex]
-        ni = x.dims[vi]
-        if ni == 0:
-            return 0
-        if not blocks:
-            return ni
-        rows = [sum((list(b[r]) for b in blocks), []) for r in range(ni)]
-        return ni - mat_rank(F, tuple(tuple(r) for r in rows))
-    if is_source(vertex, quiver):
-        blocks = [m for (s, t), m in zip(quiver.arrows, x.mats) if s == vertex]
-        ni = x.dims[vi]
-        if ni == 0:
-            return 0
-        if not blocks:
-            return ni
-        stacked = tuple(row for b in blocks for row in b)
-        return ni - mat_rank(F, stacked)
+    dimension of the total outgoing kernel, which is the sink index of the
+    dual."""
+    if is_sink(vertex, x.quiver):
+        _incoming, rows = _joined_incoming(x, vertex)
+        return len(rows) - mat_rank(field(x.q), rows)
+    if is_source(vertex, x.quiver):
+        return stratum_index(_dual(x), vertex)
     raise ValueError(f"vertex {vertex} is neither a sink nor a source")
 
 
@@ -891,8 +902,6 @@ def bgp_reflect(vertex: int, x: QuiverRep) -> QuiverRep:
     """Reflection functor at a stratum-0 sink; at a kernel-stratum-0
     source its inverse, the sink functor conjugated by duality
     (Bernstein-Gelfand-Ponomarev).  Errors off the open stratum."""
-    from .cartan import sigma_i
-
     quiver = x.quiver
     if stratum_index(x, vertex) != 0:
         raise ValueError(
@@ -900,37 +909,16 @@ def bgp_reflect(vertex: int, x: QuiverRep) -> QuiverRep:
         )
     if not is_sink(vertex, quiver):
         return _dual(bgp_reflect(vertex, _dual(x)))
-    F = field(x.q)
-    idx = {v: i for i, v in enumerate(quiver.vertices)}
-    vi = idx[vertex]
-    new_quiver = sigma_i(vertex, quiver)
     new_dims = load_datum(quiver).reflect_dim(vertex, x.dims)
-    incoming = [
-        (k, s) for k, (s, t) in enumerate(quiver.arrows) if t == vertex
-    ]
-    ni = x.dims[vi]
-    widths = [x.dims[idx[s]] for _k, s in incoming]
-    total = sum(widths)
-    rows = [[e for k, _s in incoming for e in x.mats[k][r]] for r in range(ni)]
-    kern = nullspace(F, rows, total)
-    dprime = len(kern)
-    assert dprime == new_dims[vi]
-    new_mats = []
-    for k, (s, t) in enumerate(quiver.arrows):
-        if t != vertex:
-            new_mats.append(x.mats[k])
-            continue
-        pos = 0
-        for (kk, ss), w in zip(incoming, widths):
-            if kk == k:
-                break
-            pos += w
-        w = x.dims[idx[s]]
-        block = tuple(
-            tuple(vec[pos + r] for vec in kern) for r in range(w)
-        )
-        new_mats.append(block)
-    return QuiverRep(new_quiver, x.q, new_dims, tuple(new_mats))
+    incoming, rows = _joined_incoming(x, vertex)
+    kern = nullspace(field(x.q), rows, sum(w for _k, w in incoming))
+    assert len(kern) == new_dims[quiver.vertices.index(vertex)]
+    mats = list(x.mats)
+    pos = 0
+    for k, w in incoming:
+        mats[k] = tuple(tuple(vec[pos + r] for vec in kern) for r in range(w))
+        pos += w
+    return QuiverRep(sigma_i(vertex, quiver), x.q, new_dims, tuple(mats))
 
 
 # ---------------------------------------------------------------------------

@@ -306,10 +306,6 @@ class RatFunc:
         return RatFunc(IntPoly.const(n))
 
     @staticmethod
-    def rational(n: int, d: int) -> "RatFunc":
-        return RatFunc(IntPoly.const(n), IntPoly.const(d))
-
-    @staticmethod
     def v_power(k: int) -> "RatFunc":
         return RatFunc(IntPoly({k: 1}))
 

@@ -7,9 +7,11 @@ ti_apply extends the generator table
     T_i(F_j) = sum (-1)^r v^r  F_i^(r) F_j F_i^(s)
     T_i(K_mu) = K_(mu - alpha_i(mu) h_i)
 
-multiplicatively.  The inverse table is the mirror image and is not
-trusted: it is certified against T_i o T_i^-1 = id on every generator
-the first time a (datum, i) pair is used, and a failure raises.
+multiplicatively.  The inverse table is the sigma-image of this one, as
+T_i^-1 = sigma T_i sigma (Lusztig, Introduction to Quantum Groups,
+37.2.4), and is not trusted: it is certified against T_i o T_i^-1 = id on
+every generator the first time a (datum, i) pair is used, and a failure
+raises.
 
 On a triangular term the extension is
 
@@ -65,23 +67,31 @@ from .ualgebra import (
 )
 
 
+def _sigma(x: UElement) -> UElement:
+    """Lusztig's algebra anti-automorphism sigma: every E_j and F_j fixed,
+    K_mu sent to K_-mu, and the factor order of every product reversed."""
+    d = x.datum
+    out = UElement(d)
+    for (fw, mu, ew), c in x.terms.items():
+        e_rev, f_rev = (normal_form(FreeElement.word(d, w[::-1])) for w in (ew, fw))
+        k = UElement.K(d, neg_vec(mu))
+        out = out + u_product([embed_plus(e_rev), k, embed_minus(f_rev)]).scale(c)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _table(datum: CartanDatum, vertex: int, inverse: bool) -> dict:
-    """Generator images of T_i (or of the mirror table for its inverse)."""
-    images: dict = {}
+    """Generator images of T_i; for T_i^-1 = sigma T_i sigma, since sigma
+    fixes every E_j and F_j, the sigma-images of those of T_i."""
+    if inverse:
+        return {g: _sigma(img) for g, img in _table(datum, vertex, False).items()}
     h = datum.unit_vec(vertex)
     fi = UElement.F(datum, vertex)
     ei = UElement.E(datum, vertex)
-    if not inverse:
-        images[("E", vertex)] = u_mul(fi, UElement.K(datum, h)).scale(MINUS_ONE)
-        images[("F", vertex)] = u_mul(UElement.K(datum, neg_vec(h)), ei).scale(
-            MINUS_ONE
-        )
-    else:
-        images[("E", vertex)] = u_mul(UElement.K(datum, neg_vec(h)), fi).scale(
-            MINUS_ONE
-        )
-        images[("F", vertex)] = u_mul(ei, UElement.K(datum, h)).scale(MINUS_ONE)
+    images = {
+        ("E", vertex): u_mul(fi, UElement.K(datum, h)).scale(MINUS_ONE),
+        ("F", vertex): u_mul(UElement.K(datum, neg_vec(h)), ei).scale(MINUS_ONE),
+    }
     for j in datum.vertices:
         if j == vertex:
             continue
@@ -89,26 +99,16 @@ def _table(datum: CartanDatum, vertex: int, inverse: bool) -> dict:
         esum = UElement(datum)
         fsum = UElement(datum)
         for r in range(n + 1):
-            s = n - r
             sign = MINUS_ONE if r % 2 else ONE
-            ediv_r = embed_plus(theta_divided(datum, vertex, r))
-            ediv_s = embed_plus(theta_divided(datum, vertex, s))
-            fdiv_r = embed_minus(theta_divided(datum, vertex, r))
-            fdiv_s = embed_minus(theta_divided(datum, vertex, s))
-            if not inverse:
-                esum = esum + u_product(
-                    [ediv_s, UElement.E(datum, j), ediv_r]
-                ).scale(sign * v_pow(-r))
-                fsum = fsum + u_product(
-                    [fdiv_r, UElement.F(datum, j), fdiv_s]
-                ).scale(sign * v_pow(r))
-            else:
-                esum = esum + u_product(
-                    [ediv_r, UElement.E(datum, j), ediv_s]
-                ).scale(sign * v_pow(-r))
-                fsum = fsum + u_product(
-                    [fdiv_s, UElement.F(datum, j), fdiv_r]
-                ).scale(sign * v_pow(r))
+            divided = [theta_divided(datum, vertex, k) for k in (r, n - r)]
+            e_r, e_s = map(embed_plus, divided)
+            f_r, f_s = map(embed_minus, divided)
+            esum = esum + u_product([e_s, UElement.E(datum, j), e_r]).scale(
+                sign * v_pow(-r)
+            )
+            fsum = fsum + u_product([f_r, UElement.F(datum, j), f_s]).scale(
+                sign * v_pow(r)
+            )
         images[("E", j)] = esum
         images[("F", j)] = fsum
     return images
@@ -200,24 +200,21 @@ def ti_restricted(vertex: int, x: FElement) -> FElement:
     """The symmetry restricted to the left kernel subalgebra; the image
     must land in the positive part, which doubles as the membership
     check."""
-    img = ti_apply(vertex, embed_plus(x))
-    try:
-        return plus_part(img)
-    except ValueError:
-        raise ValueError(
-            "image leaves the positive part; the input is not in the "
-            "left kernel subalgebra"
-        ) from None
+    return _restricted(ti_apply, vertex, x, "left")
 
 
 def ti_restricted_inverse(vertex: int, x: FElement) -> FElement:
-    img = ti_inverse_apply(vertex, embed_plus(x))
+    """The inverse symmetry restricted to the right kernel subalgebra."""
+    return _restricted(ti_inverse_apply, vertex, x, "right")
+
+
+def _restricted(apply_fn, vertex: int, x: FElement, side: str) -> FElement:
     try:
-        return plus_part(img)
+        return plus_part(apply_fn(vertex, embed_plus(x)))
     except ValueError:
         raise ValueError(
-            "inverse image leaves the positive part; the input is not in "
-            "the right kernel subalgebra"
+            "image leaves the positive part; the input is not in the "
+            f"{side} kernel subalgebra"
         ) from None
 
 

@@ -197,25 +197,22 @@ def _check_f_assoc(s: Session):
 
 def _check_f_decomposition(s: Session):
     d = s.datum
+    # x = sum th^(t) x_t on the left, x = sum x_t th^(t) on the right
+    sides = (("left", fa.i_decompose, 1), ("right", fa.i_decompose_right, -1))
     for nu in _weights_upto(d, s.weight_bound):
         for i in d.vertices:
             if not fa.dim_decomposition_check(d, i, nu):
                 return False
             for x in _basis_elements(d, nu):
-                rebuilt = fa.FElement(d)
-                for t, piece in fa.i_decompose(i, x):
-                    if not fa.in_kernel(i, "left", piece):
+                for side, decompose, order in sides:
+                    rebuilt = fa.FElement(d)
+                    for t, piece in decompose(i, x):
+                        if not fa.in_kernel(i, side, piece):
+                            return False
+                        pair = (fa.theta_divided(d, i, t), piece)[::order]
+                        rebuilt = rebuilt + fa.f_mul(*pair)
+                    if rebuilt != x:
                         return False
-                    rebuilt = rebuilt + fa.f_mul(fa.theta_divided(d, i, t), piece)
-                if rebuilt != x:
-                    return False
-                rebuilt = fa.FElement(d)
-                for t, piece in fa.i_decompose_right(i, x):
-                    if not fa.in_kernel(i, "right", piece):
-                        return False
-                    rebuilt = rebuilt + fa.f_mul(piece, fa.theta_divided(d, i, t))
-                if rebuilt != x:
-                    return False
     return True
 
 

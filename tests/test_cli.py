@@ -200,6 +200,9 @@ def test_cli_rejects_budget_overrun_and_nonpositive_budget(capsys):
     assert "budget is 10000000" in line
     line = _bad_input(capsys, "--budget", "10", "hall", "classes", "1->2", "2,2", "4")
     assert "needs about 256 points but the budget is 10" in line
+    argv = ("--budget", "10", "hall", "number", "1->2", "4", "3,0:0", "2,0:0", "1,0:0")
+    line = _bad_input(capsys, *argv)
+    assert "needs about 21 points but the budget is 10" in line
     for budget in ("0", "-5"):
         line = _bad_input(capsys, "--budget", budget, "verify", "hall")
         assert "--budget must be positive" in line
@@ -208,8 +211,12 @@ def test_cli_rejects_budget_overrun_and_nonpositive_budget(capsys):
 def test_cli_reports_parse_errors(capsys):
     assert "position 4" in _bad_input(capsys, "f", "nf", "th1*")
     assert "theta expression" in _bad_input(capsys, "f", "nf", "E1")
+    line = _bad_input(capsys, "--datum", "{}", "f", "dim", "1")
+    assert line == "qhall: quiver JSON has no 'vertices' key"
 
 
 def test_cli_rejects_hall_class_index_out_of_range(capsys):
     line = _bad_input(capsys, "hall", "number", "1->2", "2", "1,1:9", "1,0:0", "0,1:0")
     assert "out of range" in line
+    line = _bad_input(capsys, "hall", "number", "1->2", "2", "1,0:x", "1,0:0", "0,1:0")
+    assert line == "qhall: class index 'x' in '1,0:x' is not an integer"

@@ -492,6 +492,16 @@ def test_kronecker_takes_the_orbit_route(q):
         assert canonical_point(kronecker, q, (1, 1), p) == least
 
 
+
+@pytest.mark.parametrize(
+    "n, q", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]
+)
+def test_orbit_of_the_identity_is_the_general_linear_group(n, q):
+    """In 1->2 at dims (n, n) the orbit of the identity matrix is GL_n(F_q),
+    so the generators reach every element of the group."""
+    identity = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+    assert len(orbit_of(Q, q, (n, n), (identity,))) == gl_order(q, n)
+
 def test_hom_dimensions():
     assert hom_dim(P2, P2) == 1
     assert hom_dim(S2, P2) == 1
