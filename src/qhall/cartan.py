@@ -42,10 +42,13 @@ def quiver_from_shorthand(text: str) -> Quiver:
         part = part.strip()
         if not part:
             continue
-        if "->" not in part:
-            raise ValueError(f"bad arrow spec {part!r}")
-        a, b = part.split("->")
-        s, t = int(a), int(b)
+        try:
+            s, t = map(int, part.split("->"))
+        except ValueError:
+            raise ValueError(
+                f"bad arrow spec {part!r}: expected <source>-><target>, "
+                "and vertex ids must be integers"
+            ) from None
         for x in (s, t):
             if x not in seen:
                 seen.add(x)
@@ -55,10 +58,33 @@ def quiver_from_shorthand(text: str) -> Quiver:
 
 
 def quiver_from_json(obj) -> Quiver:
+    if not isinstance(obj, dict):
+        raise ValueError("quiver JSON must be an object with 'vertices' and 'arrows'")
     for key in ("vertices", "arrows"):
         if key not in obj:
             raise ValueError(f"quiver JSON has no {key!r} key")
-    return Quiver(tuple(obj["vertices"]), tuple((s, t) for s, t in obj["arrows"]))
+    vertices, arrows = obj["vertices"], obj["arrows"]
+    if not isinstance(vertices, list) or not all(type(x) is int for x in vertices):
+        raise ValueError(
+            "quiver JSON 'vertices' must be a list of integer vertex ids, "
+            f"got {json.dumps(vertices)}"
+        )
+    if not isinstance(arrows, list):
+        raise ValueError(
+            "quiver JSON 'arrows' must be a list of [source, target] pairs, "
+            f"got {json.dumps(arrows)}"
+        )
+    for arrow in arrows:
+        if not (
+            isinstance(arrow, list)
+            and len(arrow) == 2
+            and all(type(x) is int for x in arrow)
+        ):
+            raise ValueError(
+                f"quiver JSON arrow {json.dumps(arrow)} is not a "
+                "[source, target] pair of integer vertex ids"
+            )
+    return Quiver(tuple(vertices), tuple(map(tuple, arrows)))
 
 
 def load_quiver(spec: str) -> Quiver:

@@ -417,7 +417,7 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-@lru_cache(maxsize=1 << 18)
+@lru_cache(maxsize=1 << 14)
 def _mul_cached(a: RatFunc, b: RatFunc) -> RatFunc:
     # cross-cancel against the opposite denominators; the remaining
     # product is already reduced

@@ -9,13 +9,32 @@ E/F letters with the usual v-powers, and re-reduces the E/F words.
 Straightening of (E-word, F-word) pairs is memoized per datum,
 letter-local, and terminates because each step strictly shrinks the
 total word length on one side of the recursion.
+
+The product, coproduct and antipode of terms are memoized on their words
+alone; the torus costs nothing extra (Lusztig, Introduction to Quantum
+Groups, 3.1.4).  Moving K_mu past an F- or E-word of weight nu costs
+v^(+-alpha_weight(nu, mu)), a linear function of mu, so each memo row
+keeps the vector of that function (its pairing vector) and a term's
+coweight twists the row by one dot product:
+
+- F_f1 K_m1 E_e1 . F_f2 K_m2 E_e2: the normal form of F_f1 (E_e1 F_f2)
+  E_e2, each row at coweight kappa + m1 + m2 and times
+  v^-(alpha(wt fw, m1) + alpha(wt ew, m2)), where fw, ew are the words
+  of the straightened middle term.
+- Delta(F_fw K_mu E_ew): Delta(F_fw E_ew) with mu added to both
+  coweights and no v-power, since every left and right factor of
+  Delta(F_fw) is an F-word then a torus element, and of Delta(E_ew) a
+  torus element then an E-word.
+- S(F_fw K_mu E_ew) = S(E_ew) K_-mu S(F_fw): each term (fa, kappa, ea) of
+  S(F_fw E_ew) at coweight kappa - mu and times
+  v^(alpha(wt ew, mu) + alpha(wt fa, mu)).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .cartan import CartanDatum, add_vec, neg_vec
+from .cartan import CartanDatum, add_vec, neg_vec, sub_vec
 from .falgebra import FElement, _normal_form_word
 from .freealg import Word
 from .lincomb import LinComb, merge
@@ -87,7 +106,7 @@ def plus_part(x: UElement) -> FElement:
     return FElement(x.datum, out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def _straighten(datum: CartanDatum, ew: Word, fw: Word) -> "UElement":
     """Normal form of (E-word).(F-word)."""
     zero = datum.zero_vec()
@@ -134,35 +153,66 @@ def _append_coweight(x: UElement, mu: tuple) -> UElement:
     return UElement(d, out)
 
 
+def _pairing(datum: CartanDatum, nu: tuple) -> tuple:
+    """The vector p with alpha_weight(nu, mu) == p . mu for every mu."""
+    return tuple(sum(a * n for a, n in zip(row, nu)) for row in datum.cartan)
+
+
+def _dot(p: tuple, mu: tuple) -> int:
+    return sum(a * b for a, b in zip(p, mu))
+
+
+@lru_cache(maxsize=1 << 13)
+def _product_table(
+    datum: CartanDatum, f1: Word, e1: Word, f2: Word, e2: Word
+) -> tuple:
+    """F_f1 (E_e1 F_f2) E_e2 in normal form, as (key, coefficient, pairing)
+    rows.  With fw, ew the words of a straightened middle term of
+    E_e1 F_f2, the pairing is the pairing vector of wt fw followed by that
+    of wt ew, so its dot product with m1 + m2 (concatenated) is
+    alpha_weight(wt fw, m1) + alpha_weight(wt ew, m2).  Middle terms merged
+    onto one key share it: wt fw and wt ew are the weights of the key's
+    F- and E-word less wt f1 and wt e2."""
+    out: dict = {}
+    for (fw, kappa, ew), cc in _straighten(datum, e1, f2).terms.items():
+        ftotal = ((fw, ONE),) if not f1 else _normal_form_word(datum, f1 + fw)
+        etotal = ((ew, ONE),) if not e2 else _normal_form_word(datum, ew + e2)
+        for bf, cf in ftotal:
+            for be, ce in etotal:
+                merge(out, (bf, kappa, be), cc * cf * ce)
+    wf1, we2 = datum.weight_of_word(f1), datum.weight_of_word(e2)
+    return tuple(
+        (
+            key,
+            c,
+            _pairing(datum, sub_vec(datum.weight_of_word(key[0]), wf1))
+            + _pairing(datum, sub_vec(datum.weight_of_word(key[2]), we2)),
+        )
+        for key, c in out.items()
+    )
+
+
 def u_mul(x: UElement, y: UElement) -> UElement:
+    """x y: every pair of terms F_f1 K_m1 E_e1, F_f2 K_m2 E_e2 reads the
+    product table of (f1, e1, f2, e2) twisted by (m1, m2)."""
     if x.datum != y.datum:
         raise ValueError("operands live over different data")
     d = x.datum
     out: dict = {}
     for (f1, m1, e1), c1 in x.terms.items():
         for (f2, m2, e2), c2 in y.terms.items():
-            core = _straighten(d, e1, f2)
             base = c1 * c2
-            for (fw, kappa, ew), cc in core.terms.items():
-                shift = v_pow(
-                    -d.alpha_weight(d.weight_of_word(fw), m1)
-                    - d.alpha_weight(d.weight_of_word(ew), m2)
-                )
-                mu = add_vec(add_vec(m1, kappa), m2)
-                coeff = base * cc * shift
-                ftotal = (
-                    ((fw, ONE),)
-                    if not f1
-                    else _normal_form_word(d, f1 + fw)
-                )
-                etotal = (
-                    ((ew, ONE),)
-                    if not e2
-                    else _normal_form_word(d, ew + e2)
-                )
-                for bf, cf in ftotal:
-                    for be, ce in etotal:
-                        merge(out, (bf, mu, be), coeff * cf * ce)
+            outer = add_vec(m1, m2)
+            twist = m1 + m2
+            twisted = any(twist)
+            for key, c, pairing in _product_table(d, f1, e1, f2, e2):
+                coeff = base * c
+                if twisted:
+                    k = _dot(pairing, twist)
+                    if k:
+                        coeff = coeff * v_pow(-k)
+                    key = (key[0], add_vec(key[1], outer), key[2])
+                merge(out, key, coeff)
     return UElement(d, out)
 
 
@@ -207,7 +257,6 @@ class UTensor(LinComb):
         return UTensor(d, out)
 
 
-@lru_cache(maxsize=None)
 def _delta_generator(datum: CartanDatum, kind: str, vertex: int) -> UTensor:
     one = ((), datum.zero_vec(), ())
     h = datum.unit_vec(vertex)
@@ -220,17 +269,25 @@ def _delta_generator(datum: CartanDatum, kind: str, vertex: int) -> UTensor:
     return UTensor(datum, {(fk, kneg): ONE, (one, fk): ONE})
 
 
-@lru_cache(maxsize=None)
-def _delta_key(datum: CartanDatum, key: UKey) -> UTensor:
-    fw, mu, ew = key
+@lru_cache(maxsize=1 << 10)
+def _delta_words(datum: CartanDatum, fw: Word, ew: Word) -> tuple:
+    """Delta(F_fw E_ew) as ((left key, right key), coefficient) pairs."""
     t = UTensor.unit(datum)
     for letter in fw:
         t = t * _delta_generator(datum, "F", letter)
-    kk = ((), mu, ())
-    t = t * UTensor(datum, {(kk, kk): ONE})
     for letter in ew:
         t = t * _delta_generator(datum, "E", letter)
-    return t
+    return tuple(t.terms.items())
+
+
+def _delta_key(datum: CartanDatum, key: UKey) -> list:
+    """Delta of one term: Delta(F_fw E_ew) with mu added to both
+    coweights."""
+    fw, mu, ew = key
+    return [
+        (((fa, add_vec(ka, mu), ea), (fb, add_vec(kb, mu), eb)), c)
+        for ((fa, ka, ea), (fb, kb, eb)), c in _delta_words(datum, fw, ew)
+    ]
 
 
 def delta(x: UElement) -> UTensor:
@@ -238,15 +295,16 @@ def delta(x: UElement) -> UTensor:
     K |-> K x K, extended multiplicatively."""
     out: dict = {}
     for key, c in x.terms.items():
-        for k, ck in _delta_key(x.datum, key).terms.items():
+        for k, ck in _delta_key(x.datum, key):
             merge(out, k, c * ck)
     return UTensor(x.datum, out)
 
 
-@lru_cache(maxsize=None)
-def _antipode_key(datum: CartanDatum, key: UKey) -> UElement:
-    fw, mu, ew = key
-    factors = []
+@lru_cache(maxsize=1 << 10)
+def _antipode_words(datum: CartanDatum, fw: Word, ew: Word) -> tuple:
+    """S(F_fw E_ew) = S(E_ew) S(F_fw) as (key, coefficient, pairing) rows;
+    the pairing vector is that of wt(ew) + wt(F-word of the key)."""
+    factors = [UElement.unit(datum)]
     for letter in reversed(ew):
         h = datum.unit_vec(letter)
         factors.append(
@@ -254,13 +312,27 @@ def _antipode_key(datum: CartanDatum, key: UKey) -> UElement:
                 MINUS_ONE
             )
         )
-    factors.append(UElement.K(datum, neg_vec(mu)))
     for letter in reversed(fw):
         h = datum.unit_vec(letter)
         factors.append(
             u_mul(UElement.F(datum, letter), UElement.K(datum, h)).scale(MINUS_ONE)
         )
-    return u_product(factors)
+    wew = datum.weight_of_word(ew)
+    return tuple(
+        (key, c, _pairing(datum, add_vec(wew, datum.weight_of_word(key[0]))))
+        for key, c in u_product(factors).terms.items()
+    )
+
+
+def _antipode_key(datum: CartanDatum, key: UKey) -> UElement:
+    """S of one term: S(F_fw E_ew) with K_-mu moved in from between S(E_ew)
+    and S(F_fw)."""
+    fw, mu, ew = key
+    out = {}
+    for (fa, kappa, ea), c, pairing in _antipode_words(datum, fw, ew):
+        k = _dot(pairing, mu)
+        out[(fa, sub_vec(kappa, mu), ea)] = c * v_pow(k) if k else c
+    return UElement(datum, out)
 
 
 def antipode(x: UElement) -> UElement:
@@ -281,12 +353,10 @@ def _tensor3_from(t: UTensor, which: str) -> dict:
     out: dict = {}
     for (a, b), c in t.terms.items():
         if which == "left":
-            inner = _delta_key(d, a)
-            for (a1, a2), ci in inner.terms.items():
+            for (a1, a2), ci in _delta_key(d, a):
                 merge(out, (a1, a2, b), c * ci)
         else:
-            inner = _delta_key(d, b)
-            for (b1, b2), ci in inner.terms.items():
+            for (b1, b2), ci in _delta_key(d, b):
                 merge(out, (a, b1, b2), c * ci)
     return out
 

@@ -215,6 +215,34 @@ def test_cli_reports_parse_errors(capsys):
     assert line == "qhall: quiver JSON has no 'vertices' key"
 
 
+def test_cli_rejects_malformed_quiver_json(capsys, tmp_path):
+    def bad(datum):
+        return _bad_input(capsys, "--datum", datum, "f", "dim", "1")
+
+    assert bad('{"vertices": 1, "arrows": []}') == (
+        "qhall: quiver JSON 'vertices' must be a list of integer vertex ids, got 1"
+    )
+    assert "'vertices'" in bad('{"vertices": [1, "b"], "arrows": []}')
+    assert "'arrows' must be a list" in bad('{"vertices": [1], "arrows": 3}')
+    assert bad('{"vertices": [1, 2], "arrows": [[1]]}') == (
+        "qhall: quiver JSON arrow [1] is not a [source, target] pair of "
+        "integer vertex ids"
+    )
+    assert "arrow [1, 2.5]" in bad('{"vertices": [1, 2], "arrows": [[1, 2.5]]}')
+    path = tmp_path / "quiver.json"
+    path.write_text("[1, 2]")
+    assert "must be an object" in bad(str(path))
+
+
+def test_cli_rejects_non_integer_vertex_in_shorthand(capsys):
+    line = _bad_input(capsys, "--datum", "1->x", "f", "dim", "1,1")
+    assert line == (
+        "qhall: bad arrow spec '1->x': expected <source>-><target>, "
+        "and vertex ids must be integers"
+    )
+    assert "'1->2->3'" in _bad_input(capsys, "--datum", "1->2->3", "f", "dim", "1,1,1")
+
+
 def test_cli_rejects_hall_class_index_out_of_range(capsys):
     line = _bad_input(capsys, "hall", "number", "1->2", "2", "1,1:9", "1,0:0", "0,1:0")
     assert "out of range" in line

@@ -1,11 +1,29 @@
 import itertools
+import random
+from functools import lru_cache
+from pathlib import Path
 
-from qhall.cartan import A2, A3
-from qhall.falgebra import FElement, normal_form, serre_element, theta_divided
+from qhall import ualgebra
+from qhall.cartan import A2, A3, add_vec, neg_vec
+from qhall.falgebra import (
+    FElement,
+    _normal_form_word,
+    normal_form,
+    serre_element,
+    theta_divided,
+    weight_basis,
+)
 from qhall.freealg import FreeElement
-from qhall.ratfunc import MINUS_ONE, ONE, v_pow
+from qhall.lincomb import merge
+from qhall.ratfunc import MINUS_ONE, ONE, parse_ratfunc, v_pow
 from qhall.ualgebra import (
     UElement,
+    UTensor,
+    _antipode_words,
+    _delta_generator,
+    _delta_words,
+    _product_table,
+    _straighten,
     antipode,
     counit,
     delta,
@@ -145,3 +163,170 @@ def test_plus_part_extraction():
 def test_u_degree():
     key = ((1,), (0, 0), (1, 2))
     assert u_degree(A2, key) == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# reference routes without the coweight twist: every term carries its torus
+# element through the computation, as in Lusztig 3.1.4 taken literally
+
+
+def _u_mul_reference(x, y):
+    """The per-term product: straighten E_e1 F_f2, move K_m1 left and K_m2
+    right past its F- and E-word, and renormalize F_f1 fw and ew E_e2."""
+    d = x.datum
+    out = {}
+    for (f1, m1, e1), c1 in x.terms.items():
+        for (f2, m2, e2), c2 in y.terms.items():
+            for (fw, kappa, ew), cc in _straighten_reference(d, e1, f2).terms.items():
+                shift = v_pow(
+                    -d.alpha_weight(d.weight_of_word(fw), m1)
+                    - d.alpha_weight(d.weight_of_word(ew), m2)
+                )
+                mu = add_vec(add_vec(m1, kappa), m2)
+                coeff = c1 * c2 * cc * shift
+                ftotal = ((fw, ONE),) if not f1 else _normal_form_word(d, f1 + fw)
+                etotal = ((ew, ONE),) if not e2 else _normal_form_word(d, ew + e2)
+                for bf, cf in ftotal:
+                    for be, ce in etotal:
+                        merge(out, (bf, mu, be), coeff * cf * ce)
+    return UElement(d, out)
+
+
+@lru_cache(maxsize=None)
+def _straighten_reference(d, ew, fw):
+    """E_ew F_fw by the commutator relation, with the reference product."""
+    zero = d.zero_vec()
+    if not ew or not fw:
+        if not ew and not fw:
+            return UElement.unit(d)
+        if not ew:
+            return UElement(d, {(w, zero, ()): c for w, c in _normal_form_word(d, fw)})
+        return UElement(d, {((), zero, w): c for w, c in _normal_form_word(d, ew)})
+    a, b = ew[-1], fw[0]
+    total = _u_mul_reference(
+        _straighten_reference(d, ew[:-1], (b,)), _straighten_reference(d, (a,), fw[1:])
+    )
+    if a == b:
+        # E_head (K_a - K_-a)/(v - v^-1) F_tail, multiplied out literally
+        h = d.unit_vec(a)
+        k = UElement.K(d, h) - UElement.K(d, neg_vec(h))
+        e_head = UElement(d, {((), zero, ew[:-1]): ONE})
+        f_tail = UElement(d, {(fw[1:], zero, ()): ONE})
+        middle = _u_mul_reference(_u_mul_reference(e_head, k), f_tail)
+        total = total + middle.scale((v_pow(1) - v_pow(-1)).inverse())
+    return total
+
+
+def _tensor_mul_reference(s, t):
+    d = s.datum
+    out = {}
+    for (a1, b1), c1 in s.terms.items():
+        for (a2, b2), c2 in t.terms.items():
+            left = _u_mul_reference(UElement(d, {a1: ONE}), UElement(d, {a2: ONE}))
+            right = _u_mul_reference(UElement(d, {b1: ONE}), UElement(d, {b2: ONE}))
+            for ka, ca in left.terms.items():
+                for kb, cb in right.terms.items():
+                    merge(out, (ka, kb), c1 * c2 * ca * cb)
+    return UTensor(d, out)
+
+
+def _delta_key_reference(d, key):
+    """Delta(F_fw K_mu E_ew) as the product of the generators' coproducts."""
+    fw, mu, ew = key
+    t = UTensor.unit(d)
+    for letter in fw:
+        t = _tensor_mul_reference(t, _delta_generator(d, "F", letter))
+    kk = ((), mu, ())
+    t = _tensor_mul_reference(t, UTensor(d, {(kk, kk): ONE}))
+    for letter in ew:
+        t = _tensor_mul_reference(t, _delta_generator(d, "E", letter))
+    return t
+
+
+def _antipode_key_reference(d, key):
+    """S(F_fw K_mu E_ew) as the reversed product of the generators'
+    antipodes, K_-mu included."""
+    fw, mu, ew = key
+    out = UElement.unit(d)
+    for letter in reversed(ew):
+        h = d.unit_vec(letter)
+        s_e = _u_mul_reference(UElement.K(d, neg_vec(h)), UElement.E(d, letter))
+        out = _u_mul_reference(out, s_e.scale(MINUS_ONE))
+    out = _u_mul_reference(out, UElement.K(d, neg_vec(mu)))
+    for letter in reversed(fw):
+        h = d.unit_vec(letter)
+        s_f = _u_mul_reference(UElement.F(d, letter), UElement.K(d, h))
+        out = _u_mul_reference(out, s_f.scale(MINUS_ONE))
+    return out
+
+
+def _basis_words(d, height):
+    out = []
+    for nu in itertools.product(range(height + 1), repeat=d.rank):
+        if sum(nu) <= height:
+            out.extend(weight_basis(d, nu).basis_words)
+    return out
+
+
+def _check_twists(d, key):
+    x = UElement(d, {key: ONE})
+    assert delta(x) == _delta_key_reference(d, key)
+    assert antipode(x) == _antipode_key_reference(d, key)
+
+
+def test_twisted_coproduct_and_antipode_match_reference_a2():
+    words = _basis_words(A2, 2)
+    for fw in words:
+        for ew in words:
+            for mu in itertools.product(range(-2, 3), repeat=2):
+                _check_twists(A2, (fw, mu, ew))
+
+
+def test_twisted_product_matches_reference_a2():
+    # every straightening pair (e1, f2) and every pair of coweights, with
+    # seeded outer words and coefficients off the unit monomials
+    words = _basis_words(A2, 2)
+    coweights = list(itertools.product(range(-2, 3), repeat=2))
+    rng = random.Random(11)
+    c1, c2 = parse_ratfunc("v^2 + 1"), parse_ratfunc("1/(v - v^-1)")
+    for e1 in words:
+        for f2 in words:
+            for m1 in coweights:
+                for m2 in coweights:
+                    x = UElement(A2, {(rng.choice(words), m1, e1): c1})
+                    y = UElement(A2, {(f2, m2, rng.choice(words)): c2})
+                    assert u_mul(x, y) == _u_mul_reference(x, y)
+
+
+def test_twists_match_reference_a3_sample():
+    rng = random.Random(5)
+    words = _basis_words(A3, 3)
+
+    def key():
+        mu = tuple(rng.randint(-2, 2) for _ in range(3))
+        return (rng.choice(words), mu, rng.choice(words))
+
+    for _ in range(150):
+        a, b = key(), key()
+        _check_twists(A3, a)
+        x = UElement(A3, {a: ONE}) + UElement(A3, {key(): v_pow(-1) + v_pow(3)})
+        y = UElement(A3, {b: MINUS_ONE})
+        assert u_mul(x, y) == _u_mul_reference(x, y)
+
+
+def test_term_memos_bounded_and_transparent():
+    memos = (_product_table, _delta_words, _antipode_words, _straighten)
+    for memo in memos:
+        assert memo.cache_parameters()["maxsize"] is not None
+    src = Path(ualgebra.__file__).read_text()
+    assert src.count("maxsize=None") == 0
+    d = A3
+    x = UElement(d, {((2, 1), (1, -1, 0), (3, 2)): ONE}) + UElement(
+        d, {((1,), (0, 2, -1), (2,)): v_pow(-1) + v_pow(2)}
+    )
+    y = UElement(d, {((3,), (-1, 0, 2), (1, 2)): ONE})
+    before = (u_mul(x, y), delta(x), antipode(x), hopf_axiom_check(x))
+    for memo in memos:
+        memo.cache_clear()
+    assert (u_mul(x, y), delta(x), antipode(x), hopf_axiom_check(x)) == before
+    assert before[3]
