@@ -131,9 +131,6 @@ class CartanDatum:
         e[self.index(vertex)] = 1
         return tuple(e)
 
-    def coroot(self, vertex: int) -> tuple[int, ...]:
-        return self.unit_vec(vertex)
-
     def sym_form(self, x: tuple, y: tuple) -> int:
         """Symmetric bilinear form sum x_i a_ij y_j on the root lattice
         (and, with the same matrix, on coweights)."""

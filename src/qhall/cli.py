@@ -367,7 +367,7 @@ def cmd_double(args) -> int:
 
 def _report(args, results) -> int:
     payload = [
-        {"check": r.name, "status": r.status, "millis": r.millis}
+        {"check": r.name, "status": r.status, "millis": r.millis, "detail": r.detail}
         for r in results
     ]
     if args.json:

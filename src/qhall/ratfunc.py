@@ -507,11 +507,6 @@ V = RatFunc(V_POLY)
 MINUS_ONE = RatFunc(IntPoly({0: -1}))
 
 
-def field_normalize(num: IntPoly, den: IntPoly) -> RatFunc:
-    """Canonical reduced representative of num/den; den must be nonzero."""
-    return RatFunc(num, den)
-
-
 def v_pow(k: int) -> RatFunc:
     return RatFunc.v_power(k)
 

@@ -136,7 +136,7 @@ def test_cli_verify_json(capsys):
     payload = json.loads(out)
     results = payload["results"]
     assert all(r["status"] in ("pass", "skip") for r in results)
-    assert all(set(r) == {"check", "status", "millis"} for r in results)
+    assert all(set(r) == {"check", "status", "millis", "detail"} for r in results)
 
 
 def test_cli_verify_suite_accepts_prefix(capsys):

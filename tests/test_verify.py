@@ -47,3 +47,65 @@ def test_hall_bgp_skips_before_any_enumeration(monkeypatch):
     r = verify._run("hall-bgp-bijection", lambda: verify._check_hall_bgp(s))
     assert r.status == "skip"
     assert r.detail.startswith("enumeration needs about 43046721 points")
+
+
+def test_a_wrong_generator_image_fails_with_its_counterexample(monkeypatch):
+    # T_1(E2) on A2 is E1*E2 - v^-1*E2*E1; make it off by E2
+    d = load_datum(load_quiver("1->2"))
+    e2 = verify.ua.UElement.E(d, 2)
+    real = verify.sym.ti_apply
+
+    def wrong(i, x):
+        image = real(i, x)
+        return image + e2 if (i, x) == (1, e2) else image
+
+    monkeypatch.setattr(verify.sym, "ti_apply", wrong)
+    r = verify._run("ti-generator-formulas", verify._check_ti_tables, Session(d))
+    assert r.status == "fail" and not r.ok
+    want = real(1, e2)
+    assert r.detail == f"T_1(E2): got {want + e2}, want {want}"
+
+
+def test_a_side_is_cut_to_one_bounded_line():
+    long = "x" * (2 * verify.SIDE_CHARS)
+
+    def check():
+        verify._expect("inputs", long, "y")
+
+    r = verify._run("cut", check)
+    assert r.status == "fail"
+    got = r.detail.removeprefix("inputs: got ").removesuffix(", want y")
+    assert len(got) == verify.SIDE_CHARS and got.endswith("...")
+    assert "\n" not in r.detail
+
+
+def test_elements_are_printed_only_on_failure():
+    printed = []
+
+    class Element:
+        def __str__(self):
+            printed.append(self)
+            return "x"
+
+    verify._expect("same on", 1, 1, Element())
+    assert printed == []
+    r = verify._run("differs", verify._expect, "differs on", 1, 2, Element(), Element())
+    assert r.status == "fail"
+    assert r.detail == "differs on x, x: got 1, want 2"
+    assert len(printed) == 2
+
+
+def test_a_bare_assertion_is_an_error_not_a_failure():
+    def check():
+        raise AssertionError("internal invariant")
+
+    r = verify._run("boom", check)
+    assert r.status == "error"
+    assert r.detail == "AssertionError: internal invariant"
+
+
+def test_kostant_dims_skip_without_a_finite_root_system():
+    s = Session(load_datum(load_quiver("1->2,1->2")))
+    r = verify._run("f-dims-kostant", verify._check_f_dims_kostant, s)
+    assert r.status == "skip"
+    assert r.detail == "root system is not finite; no partition oracle"
