@@ -1,14 +1,24 @@
 """The quotient of the free theta algebra by the radical of the form.
 
-A weight space f_nu is presented by its Gram matrix: a lexicographically
-greedy independent subset of words is selected against the bordered
-inverse of the selected Gram block, and the same pass records every other
-word's coordinates, its normal form.  The quantum Serre relations hold
+A weight space f_nu is presented by basis words, the inverse of their
+Gram block, and normal forms computed from the two on demand.  On Dynkin
+data the basis words are known without a pass over the words of nu: in
+the reversed alphabet order, they are the non-increasing products of the
+good Lyndon root words, one product per Kostant partition of nu (Lalonde
+and Ram 1995; Leclerc 2004).  The root words follow from Leclerc's rule
+l(g) = max{l(b1) l(b2) : b1 + b2 = g, l(b1) < l(b2)}.  Only those words
+are bordered into the inverse, and each must be independent of the ones
+before it.  Elsewhere (positive_roots is None) the same bordering runs
+greedily over every word in lexicographic order and keeps the words
+independent of those kept before; on Dynkin data it selects the same
+words.  A word's normal form is its pairings with the basis words times
+the inverse, looked up when asked for.  The quantum Serre relations hold
 because Serre elements lie in the radical.  Pairings are taken at
 generator normalization 1, where they are iterated twisted derivations
 with nonnegative integer coefficients; a normalization c scales f_nu by
-c^|nu| and changes no basis or coordinate.  Weight bases are memoized per
-(datum, weight); the cached objects are immutable.
+c^|nu| and changes no basis or coordinate.  Weight bases and normal forms
+are memoized per (datum, weight) and (datum, word); the cached objects
+are immutable.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from functools import lru_cache
 from operator import mul
 
 from . import linalg
-from .cartan import CartanDatum, scale_vec, sub_vec
+from .cartan import CartanDatum, positive_roots, scale_vec, sub_vec
 from .freealg import FreeElement, Word, words_of_weight
 from .lincomb import LinComb, merge
 from .ratfunc import (
@@ -29,18 +39,43 @@ from .ratfunc import (
 
 @dataclass(frozen=True)
 class WeightBasis:
+    datum: CartanDatum
     weight: tuple
-    words: tuple[Word, ...]          # all words of this weight, lex order
-    selected: tuple[int, ...]        # indices of the greedy basis words
-    forms: tuple                     # normal form of each word, as in words
-
-    @property
-    def basis_words(self) -> tuple[Word, ...]:
-        return tuple(self.words[i] for i in self.selected)
+    basis_words: tuple[Word, ...]    # lex order
+    inv_rows: tuple                  # Gram block inverse, (den, nums) per row
 
     @property
     def dim(self) -> int:
-        return len(self.selected)
+        return len(self.basis_words)
+
+    @property
+    def words(self) -> tuple[Word, ...]:
+        """All words of this weight, lex order."""
+        return words_of_weight(self.datum, self.weight)
+
+    @property
+    def selected(self) -> tuple[int, ...]:
+        """Indices of the basis words in words."""
+        return tuple(bisect_left(self.words, w) for w in self.basis_words)
+
+    @property
+    def forms(self) -> tuple:
+        """Normal form of each word, as in words."""
+        return tuple(_normal_form_word(self.datum, w) for w in self.words)
+
+    def coordinates(self, word: Word) -> tuple:
+        """Coordinates of a word of this weight on the basis words: its
+        pairings with them times the inverse of their Gram block."""
+        k = bisect_left(self.basis_words, word)
+        if k < self.dim and self.basis_words[k] == word:
+            return ((word, ONE),)
+        pair = _form_at_one(self.datum)
+        polys = [pair(word, u) for u in self.basis_words]
+        coeffs = [
+            RatFunc(sum(map(mul, nums, polys), ZERO_POLY), den)
+            for den, nums in self.inv_rows
+        ]
+        return tuple((u, c) for u, c in zip(self.basis_words, coeffs) if c)
 
 
 def _derive_word(datum: CartanDatum, vertex: int, word: Word, side: str) -> list:
@@ -78,30 +113,72 @@ def _form_at_one(datum: CartanDatum):
     return pair
 
 
-@lru_cache(maxsize=None)
-def weight_basis(datum: CartanDatum, nu: tuple) -> WeightBasis:
-    """Greedy basis selection in lexicographic word order.
+def _reversed(word: Word) -> tuple:
+    """Sort key of the reversed alphabet order on words."""
+    return tuple(-x for x in word)
 
-    A word is kept exactly when its component orthogonal to the span of
-    the kept words pairs nontrivially with itself; the form is definite
-    for large v, so this is the same subset the row rank of the full
-    Gram matrix selects, at a fraction of the pairings.  A word not kept
-    lies in that span in f; its coordinates there are its normal form.
-    """
-    words = words_of_weight(datum, nu)
+
+@lru_cache(maxsize=32)
+def _root_words(datum: CartanDatum):
+    """Good Lyndon word of each positive root by Leclerc's rule, in the
+    reversed alphabet order; None when the root system is not finite."""
+    roots = positive_roots(datum)
+    if roots is None:
+        return None
+    words = {datum.unit_vec(i): (i,) for i in datum.vertices}
+    for gamma in sorted(roots, key=sum):
+        if gamma in words:
+            continue
+        words[gamma] = max(
+            (
+                words[b1] + words[b2]
+                for b1 in words
+                if (b2 := sub_vec(gamma, b1)) in words
+                and _reversed(words[b1]) < _reversed(words[b2])
+            ),
+            key=_reversed,
+        )
+    return words
+
+
+def _lyndon_basis_words(root_words: dict, nu: tuple) -> list:
+    """The non-increasing product of root words of each Kostant partition
+    of nu, in lex order."""
+    ordered = sorted(root_words.items(), key=lambda rw: _reversed(rw[1]), reverse=True)
+    out = []
+
+    def rec(k: int, rem: tuple, acc: Word):
+        if not any(rem):
+            out.append(acc)
+            return
+        if k == len(ordered):
+            return
+        root, word = ordered[k]
+        while all(x >= 0 for x in rem):
+            rec(k + 1, rem, acc)
+            rem, acc = sub_vec(rem, root), acc + word
+
+    rec(0, nu, ())
+    return sorted(out)
+
+
+def _border(datum: CartanDatum, nu: tuple, candidates) -> WeightBasis:
+    """Border the Gram block and its inverse by each candidate in turn,
+    keeping exactly the candidates whose component orthogonal to the span
+    of those kept before pairs nontrivially with itself.  Over every word
+    in lex order this is the row rank of the full Gram matrix, since the
+    form is definite for large v."""
     pair = _form_at_one(datum)
-    selected: list[int] = []
+    kept: list = []
     gram_inv: list[list] = []
-    forms: list[tuple] = []
     inv_rows: list = []  # gram_inv row by row over one denominator
-    for k, w in enumerate(words):
-        polys = [pair(w, words[i]) for i in selected]
+    for w in candidates:
+        polys = [pair(w, u) for u in kept]
         coeffs = [RatFunc(sum(map(mul, n, polys), ZERO_POLY), d) for d, n in inv_rows]
         den, nums = common_denominator(coeffs)
         residual_num = pair(w, w) * den - sum(map(mul, nums, polys), ZERO_POLY)
         residual = RatFunc(residual_num, den)
         if not residual:
-            forms.append(tuple((words[i], c) for i, c in zip(selected, coeffs) if c))
             continue
         # border the Gram block and its inverse by the new word
         inv_scale = residual.inverse()
@@ -112,9 +189,31 @@ def weight_basis(datum: CartanDatum, nu: tuple) -> WeightBasis:
         ]
         gram_inv.append([-c for c in corner] + [inv_scale])
         inv_rows = [common_denominator(r) for r in gram_inv]
-        selected.append(k)
-        forms.append(((w, ONE),))
-    return WeightBasis(nu, words, tuple(selected), tuple(forms))
+        kept.append(w)
+    rows = tuple((d, tuple(n)) for d, n in inv_rows)
+    return WeightBasis(datum, nu, tuple(kept), rows)
+
+
+def greedy_basis(datum: CartanDatum, nu: tuple) -> WeightBasis:
+    """The lexicographically greedy basis, bordered over every word of nu."""
+    return _border(datum, nu, words_of_weight(datum, nu))
+
+
+@lru_cache(maxsize=None)
+def weight_basis(datum: CartanDatum, nu: tuple) -> WeightBasis:
+    """The basis of f_nu: products of root words on Dynkin data, the
+    greedy basis elsewhere."""
+    root_words = _root_words(datum)
+    if root_words is None:
+        return greedy_basis(datum, nu)
+    words = _lyndon_basis_words(root_words, nu)
+    wb = _border(datum, nu, words)
+    if wb.dim != len(words):
+        raise RuntimeError(
+            f"the root-word products of weight {nu} are dependent in f; "
+            "a root word is wrong"
+        )
+    return wb
 
 
 def dim_f(datum: CartanDatum, nu: tuple) -> int:
@@ -157,9 +256,8 @@ class FElement(LinComb):
 
 @lru_cache(maxsize=None)
 def _normal_form_word(datum: CartanDatum, word: Word) -> tuple:
-    """Coordinates of a word on the selected basis of its weight."""
-    wb = weight_basis(datum, datum.weight_of_word(word))
-    return wb.forms[bisect_left(wb.words, word)]
+    """Coordinates of a word on the basis of its weight."""
+    return weight_basis(datum, datum.weight_of_word(word)).coordinates(word)
 
 
 def normal_form(x: FreeElement | FElement) -> FElement:

@@ -6,7 +6,8 @@ first pair of sides that differ; a check with nothing to compare on the
 datum raises `Skip`.  `_run` alone turns an outcome into a status: a
 check that returns passes, `Mismatch` fails with the inputs and both
 sides as its detail, `Skip` and `hall.BudgetExceeded` skip, and any
-other exception is an error.  A suite is a deterministic table of
+other exception is an error whose detail names its type, its message and
+the last frame of its traceback.  A suite is a deterministic table of
 (name, check) rows.  The acceptance test module drives the same checks
 at the documented bounds, and the CLI exposes them through the verify
 subcommand with exit code 0 exactly when nothing fails or errs.
@@ -15,7 +16,9 @@ subcommand with exit code 0 exactly when nothing fails or errs.
 from __future__ import annotations
 
 import itertools
+import os
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,7 +122,9 @@ def _run(name: str, check, *args) -> CheckResult:
         status, detail = "skip", str(e)
     except Exception as e:
         # one broken check must not take the rest of the suite down
-        status, detail = "error", f"{type(e).__name__}: {e}"
+        frame = traceback.extract_tb(e.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+        status, detail = "error", f"{type(e).__name__}: {e} (at {where})"
     millis = int((time.perf_counter() - start) * 1000)
     return CheckResult(name, status, millis, detail)
 
@@ -208,8 +213,13 @@ def _check_f_dims_kostant(s: Session):
     roots = positive_roots(d)
     if roots is None:
         raise Skip("root system is not finite; no partition oracle")
+    # the Lyndon basis has the Kostant count by construction, so both are
+    # compared with the greedy pass over every word
     for nu in _weights_upto(d, s.weight_bound):
-        _expect(f"dim f_{nu}", fa.weight_basis(d, nu).dim, kostant_count(roots, nu))
+        greedy = fa.greedy_basis(d, nu)
+        _expect(f"dim f_{nu}", greedy.dim, kostant_count(roots, nu))
+        lyndon = fa.weight_basis(d, nu).basis_words
+        _expect(f"basis words of f_{nu}", lyndon, greedy.basis_words)
 
 
 def _check_f_assoc(s: Session):

@@ -2,13 +2,16 @@ import itertools
 
 import pytest
 
-from qhall.cartan import A2, A3, dims_of_height
+from qhall import falgebra
+from qhall.cartan import A2, A3, dims_of_height, load_datum, load_quiver, positive_roots
 from qhall.falgebra import (
     FElement,
     _form_at_one,
+    _normal_form_word,
     dim_decomposition_check,
     dim_f,
     f_mul,
+    greedy_basis,
     i_decompose,
     i_decompose_right,
     i_r_component,
@@ -253,3 +256,64 @@ def test_i_r_component_matches_coproduct_extraction(d, max_height):
                     assert got == _coproduct_slot(d, i, side, w)
                     cases += 1
     assert cases == {A2: 504, A3: 720}[d]
+
+
+@pytest.mark.parametrize(
+    "spec, max_height", [("1->3,3->2", 5), ("2->1,2->3,2->4", 4)], ids=["A3", "D4"]
+)
+def test_lyndon_basis_matches_greedy_pass(spec, max_height):
+    # labellings where the alphabet order is not the order along the diagram
+    d = load_datum(load_quiver(spec))
+    for nu in _weights(d, max_height):
+        greedy = greedy_basis(d, nu)
+        assert weight_basis(d, nu).basis_words == greedy.basis_words
+        for w in words_of_weight(d, nu):
+            assert _normal_form_word(d, w) == greedy.coordinates(w)
+
+
+def _is_lyndon_reversed(word):
+    key = tuple(-x for x in word)
+    return all(key < key[k:] for k in range(1, len(key)))
+
+
+@pytest.mark.parametrize(
+    "spec, max_height",
+    [
+        ("1->2", 2),
+        ("1->2,2->3", 3),
+        ("1->2,3->2", 3),
+        ("1->3,3->2", 3),
+        ("2->1,2->3,2->4", 5),
+        ("1->2,2->3,3->4", 4),
+        # the highest root (1,2,2,1,1) alone takes a 9 s greedy pass
+        ("1->2,2->3,3->4,3->5", 6),
+    ],
+    ids=["A2", "A3", "A3-sink", "A3-relabelled", "D4", "A4", "D5"],
+)
+def test_root_words_are_the_lyndon_words_of_the_greedy_bases(spec, max_height):
+    d = load_datum(load_quiver(spec))
+    root_words = falgebra._root_words(d)
+    roots = [r for r in positive_roots(d) if sum(r) <= max_height]
+    assert set(positive_roots(d)) == set(root_words)
+    for beta in roots:
+        words = greedy_basis(d, beta).basis_words
+        assert [w for w in words if _is_lyndon_reversed(w)] == [root_words[beta]]
+
+
+def test_a_wrong_root_word_makes_weight_basis_raise(monkeypatch):
+    d = load_datum(load_quiver("3->5"))
+    wrong = {(1, 0): (3,), (0, 1): (5,), (1, 1): (3, 5)}  # (5, 3) is right
+    monkeypatch.setattr(falgebra, "_root_words", lambda datum: wrong)
+    try:
+        assert weight_basis(d, (1, 0)).basis_words == ((3,),)
+        with pytest.raises(RuntimeError, match="root word"):
+            weight_basis(d, (1, 1))
+    finally:
+        weight_basis.cache_clear()
+
+
+def test_kronecker_quiver_keeps_the_greedy_pass():
+    d = load_datum(load_quiver("1->2,1->2"))
+    assert falgebra._root_words(d) is None
+    assert dim_f(d, (3, 3)) == 14
+    assert weight_basis(d, (3, 3)) == greedy_basis(d, (3, 3))

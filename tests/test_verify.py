@@ -15,15 +15,26 @@ def _raises():
 def test_a_check_that_raises_is_an_error():
     r = verify._run("boom", _raises)
     assert r.status == "error"
-    assert r.detail == "ZeroDivisionError: division by zero"
+    line = _raises.__code__.co_firstlineno + 1
+    where = f"test_verify.py:{line} in _raises"
+    assert r.detail == f"ZeroDivisionError: division by zero (at {where})"
     assert not r.ok
+
+
+def test_an_error_names_the_frame_that_raised():
+    # the last frame is where the exception was raised, not the check
+    d = load_datum(load_quiver("1->2"))
+    r = verify._run("bad vertex", verify.fa.FElement.generator, d, 9)
+    assert r.status == "error"
+    assert r.detail.startswith("ValueError: unknown vertex 9 (at falgebra.py:")
+    assert r.detail.endswith(" in generator)")
 
 
 def test_run_verify_counts_errors_as_failures(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("run_verify", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    monkeypatch.setattr(script, "DATA", [("A2", "1->2")])
+    monkeypatch.setattr(script, "DATA", [("A2", "1->2", ("all",))])
     monkeypatch.setattr(
         script,
         "run_suite",
@@ -101,7 +112,8 @@ def test_a_bare_assertion_is_an_error_not_a_failure():
 
     r = verify._run("boom", check)
     assert r.status == "error"
-    assert r.detail == "AssertionError: internal invariant"
+    where = f"test_verify.py:{check.__code__.co_firstlineno + 1} in check"
+    assert r.detail == f"AssertionError: internal invariant (at {where})"
 
 
 def test_kostant_dims_skip_without_a_finite_root_system():
