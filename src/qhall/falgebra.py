@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import le, mul
 
 from . import linalg
 from .cartan import CartanDatum, positive_roots, scale_vec, sub_vec
@@ -144,7 +144,8 @@ def _root_words(datum: CartanDatum):
 def _lyndon_basis_words(root_words: dict, nu: tuple) -> list:
     """The non-increasing product of root words of each Kostant partition
     of nu, in lex order."""
-    ordered = sorted(root_words.items(), key=lambda rw: _reversed(rw[1]), reverse=True)
+    fits = [rw for rw in root_words.items() if all(map(le, rw[0], nu))]
+    ordered = sorted(fits, key=lambda rw: _reversed(rw[1]), reverse=True)
     out = []
 
     def rec(k: int, rem: tuple, acc: Word):
