@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import os
 import time
-import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,8 +121,11 @@ def _run(name: str, check, *args) -> CheckResult:
         status, detail = "skip", str(e)
     except Exception as e:
         # one broken check must not take the rest of the suite down
-        frame = traceback.extract_tb(e.__traceback__)[-1]
-        where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+        tb = e.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        where = f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}"
         status, detail = "error", f"{type(e).__name__}: {e} (at {where})"
     millis = int((time.perf_counter() - start) * 1000)
     return CheckResult(name, status, millis, detail)
