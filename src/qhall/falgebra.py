@@ -12,10 +12,11 @@ before it.  Elsewhere (positive_roots is None) the same bordering runs
 greedily over every word in lexicographic order and keeps the words
 independent of those kept before; on Dynkin data it selects the same
 words.  A word's normal form is its pairings with the basis words times
-the inverse, looked up when asked for.  The quantum Serre relations hold
-because Serre elements lie in the radical.  Pairings are taken at
-generator normalization 1, where they are iterated twisted derivations
-with nonnegative integer coefficients; a normalization c scales f_nu by
+the inverse, looked up when asked for; the pairings of the weight used
+last share one memo.  The quantum Serre relations hold because Serre
+elements lie in the radical.  Pairings are taken at generator
+normalization 1, where they are iterated twisted derivations with
+nonnegative integer coefficients; a normalization c scales f_nu by
 c^|nu| and changes no basis or coordinate.  Weight bases and normal forms
 are memoized per (datum, weight) and (datum, word); the cached objects
 are immutable.
@@ -69,7 +70,7 @@ class WeightBasis:
         k = bisect_left(self.basis_words, word)
         if k < self.dim and self.basis_words[k] == word:
             return ((word, ONE),)
-        pair = _form_at_one(self.datum)
+        pair = _weight_pairing(self.datum, self.weight)
         polys = [pair(word, u) for u in self.basis_words]
         coeffs = [
             RatFunc(sum(map(mul, nums, polys), ZERO_POLY), den)
@@ -111,6 +112,13 @@ def _form_at_one(datum: CartanDatum):
         return found
 
     return pair
+
+
+@lru_cache(maxsize=1)
+def _weight_pairing(datum: CartanDatum, nu: tuple):
+    """The pairing of the weight used last: a basis and the lookups that
+    follow it in one weight share a memo, and one weight's memo is kept."""
+    return _form_at_one(datum)
 
 
 def _reversed(word: Word) -> tuple:
@@ -169,7 +177,7 @@ def _border(datum: CartanDatum, nu: tuple, candidates) -> WeightBasis:
     of those kept before pairs nontrivially with itself.  Over every word
     in lex order this is the row rank of the full Gram matrix, since the
     form is definite for large v."""
-    pair = _form_at_one(datum)
+    pair = _weight_pairing(datum, nu)
     kept: list = []
     gram_inv: list[list] = []
     inv_rows: list = []  # gram_inv row by row over one denominator
