@@ -49,21 +49,6 @@ class WeightBasis:
     def dim(self) -> int:
         return len(self.basis_words)
 
-    @property
-    def words(self) -> tuple[Word, ...]:
-        """All words of this weight, lex order."""
-        return words_of_weight(self.datum, self.weight)
-
-    @property
-    def selected(self) -> tuple[int, ...]:
-        """Indices of the basis words in words."""
-        return tuple(bisect_left(self.words, w) for w in self.basis_words)
-
-    @property
-    def forms(self) -> tuple:
-        """Normal form of each word, as in words."""
-        return tuple(_normal_form_word(self.datum, w) for w in self.words)
-
     def coordinates(self, word: Word) -> tuple:
         """Coordinates of a word of this weight on the basis words: its
         pairings with them times the inverse of their Gram block."""

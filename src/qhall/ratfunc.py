@@ -469,7 +469,7 @@ def sum_products(groups: dict) -> dict:
     for key, triples in groups.items():
         if len(triples) == 1:
             ((a, b, k),) = triples
-            out[key] = a * b * v_pow(k)
+            out[key] = a * b * v_pow(k) if k else a * b
             continue
         prods = []
         for a, b, _k in triples:

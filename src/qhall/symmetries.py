@@ -20,30 +20,29 @@ On a triangular term the extension is
 
 with lam = s_i mu and delta the U-degree (E-weight minus F-weight) of
 T_i(E_b), since K_lam Y = v^alpha_delta(lam) Y K_lam for homogeneous Y
-of degree delta; right multiplication by K_lam shifts each term's
-coweight and scales it by a v-power read from its E-word.  The coweight
-is thus not part of the cached work: the word-pair image T_i(F_a) T_i(E_b)
-is kept in a bounded cache and twisted per term.
-
-The products c * pc * v^k (a coefficient of x, a pair-image coefficient,
-the twist) are collected per output key and each key is reduced once
-(ratfunc.sum_products): a longer sum is added up over one common
-denominator as integer Laurent polynomials, and one that cancels, as most
-do in T_i^-1(T_i(x)), is dropped without a gcd.
+of degree delta, and K_lam then moves past each term's E-word.  So the
+word-pair product T_i(F_a) T_i(E_b) does not depend on the coweight: it
+is kept as torus-free rows in a bounded cache, and the one torus twist of
+ualgebra (_twisted, which u_mul and the antipode read too) moves each
+row to lam.  The products c * pc * v^k (a coefficient of x, a row's
+coefficient, the twist) are collected per output key and each key is
+reduced once (ratfunc.sum_products).
 
 t_tilde_apply is the decomposition-based route: each triangular slot is
 split through the divided-power decomposition, the kernel pieces are
 moved by the restricted symmetry, and the minus side is rescaled by the
 transport factor (-v)^-(nu,i) that makes the reassembly agree with
-ti_apply exactly.  It multiplies by K_lam between the two slots with
-u_mul, so comparing it with ti_apply also checks the twist.
+ti_apply exactly.  Its word-pair products are built afresh for each term
+and twisted the same way.  The two routes share only the twist, so
+comparing them checks the word images, not the twist; the twist is
+checked against products that carry every K_mu through the computation.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .cartan import CartanDatum, add_vec, neg_vec, scale_vec, sub_vec
+from .cartan import CartanDatum, neg_vec, scale_vec, sub_vec
 from .falgebra import (
     FElement,
     i_decompose,
@@ -58,6 +57,8 @@ from .lincomb import merge
 from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, sum_products, v_pow
 from .ualgebra import (
     UElement,
+    _pairing,
+    _twisted,
     embed_minus,
     embed_plus,
     plus_part,
@@ -119,8 +120,9 @@ def _certified(datum: CartanDatum, vertex: int) -> bool:
     """Check T_i o T_i^-1 = id and T_i^-1 o T_i = id on all generators."""
 
     def round_trip(g, inverse_first):
-        inner = _apply_table(vertex, g, inverse_first)
-        return _apply_table(vertex, inner, not inverse_first)
+        for inverse in (inverse_first, not inverse_first):
+            g = _apply_table(vertex, g, partial(_pair_image, datum, vertex, inverse))
+        return g
 
     for j in datum.vertices:
         for maker in (UElement.E, UElement.F):
@@ -146,54 +148,55 @@ def _word_image(
     return u_mul(head, _word_image(datum, vertex, kind, word[1:], inverse))
 
 
+def _pair_rows(f_img: UElement, e_img: UElement) -> tuple:
+    """f_img e_img as rows for _twisted at twist and shift lam, with e_img
+    homogeneous of U-degree delta.  Moving K_lam from between the two
+    images to the right of a term with E-word e costs
+    v^alpha_weight(delta - wt(e), lam), so the row keeps the pairing vector
+    of delta - wt(e)."""
+    d = f_img.datum
+    delta = u_degree(d, next(iter(e_img.terms)))
+    prod = u_mul(f_img, e_img).terms
+    # many rows share an E-word; T~_i builds these rows for every term
+    ewords = {e for _f, _kappa, e in prod}
+    pairing = {e: _pairing(d, sub_vec(delta, d.weight_of_word(e))) for e in ewords}
+    return tuple((key, c, pairing[key[2]]) for key, c in prod.items())
+
+
 @lru_cache(maxsize=4096)
 def _pair_image(
-    datum: CartanDatum, vertex: int, fw: Word, ew: Word, inverse: bool
+    datum: CartanDatum, vertex: int, inverse: bool, fw: Word, ew: Word
 ) -> tuple:
-    """T(F_fw) T(E_ew) as (key, coefficient, twist weight) triples.
-
-    The twist weight of a term with E-word e is delta - wt(e), where delta
-    is the U-degree of T(E_ew), so that moving K_lam from between the two
-    images to the right of a term multiplies it by
-    v^alpha_weight(twist weight, lam)."""
-    e_img = _word_image(datum, vertex, "E", ew, inverse)
-    delta = u_degree(datum, next(iter(e_img.terms)))
-    prod = u_mul(_word_image(datum, vertex, "F", fw, inverse), e_img)
-    return tuple(
-        (key, c, sub_vec(delta, datum.weight_of_word(key[2])))
-        for key, c in prod.terms.items()
+    """T(F_fw) T(E_ew) as _pair_rows."""
+    return _pair_rows(
+        _word_image(datum, vertex, "F", fw, inverse),
+        _word_image(datum, vertex, "E", ew, inverse),
     )
 
 
-def _apply_table(vertex: int, x: UElement, inverse: bool) -> UElement:
+def _apply_table(vertex: int, x: UElement, pairs) -> UElement:
     """T(F_a K_mu E_b) = v^alpha_delta(lam) T(F_a) T(E_b) K_lam with
-    lam = s_i mu: one cached pair image per term, twisted by lam.  The
-    (c, pc, twist) triples are collected per output key and each key's
-    sum is reduced once."""
+    lam = s_i mu: one pair image pairs(a, b) per term, twisted by lam.
+    The (c, pc, exponent) triples are collected per output key and each
+    key's sum is reduced once."""
     d = x.datum
     groups: dict = {}
     for (fw, mu, ew), c in x.terms.items():
         lam = d.reflect_coweight(vertex, mu)
-        for (f, kappa, e), pc, twist in _pair_image(d, vertex, fw, ew, inverse):
-            triple = (c, pc, d.alpha_weight(twist, lam))
-            key = (f, add_vec(kappa, lam), e)
-            found = groups.get(key)
-            if found is None:
-                groups[key] = [triple]
-            else:
-                found.append(triple)
+        for key, pc, k in _twisted(pairs(fw, ew), lam, lam):
+            groups.setdefault(key, []).append((c, pc, k))
     return UElement(d, sum_products(groups))
 
 
 def ti_apply(vertex: int, x: UElement) -> UElement:
     """Lusztig's symmetry at the given vertex."""
-    return _apply_table(vertex, x, False)
+    return _apply_table(vertex, x, partial(_pair_image, x.datum, vertex, False))
 
 
 def ti_inverse_apply(vertex: int, x: UElement) -> UElement:
     """The inverse symmetry; the table is certified on first use."""
     _certified(x.datum, vertex)
-    return _apply_table(vertex, x, True)
+    return _apply_table(vertex, x, partial(_pair_image, x.datum, vertex, True))
 
 
 def ti_restricted(vertex: int, x: FElement) -> FElement:
@@ -290,16 +293,12 @@ def _t_tilde_word(
 
 def t_tilde_apply(vertex: int, x: UElement) -> UElement:
     """Symmetry computed through the direct-sum decomposition of each
-    triangular slot; agrees exactly with ti_apply."""
-    d = x.datum
-    out: dict = {}
-    for (fw, mu, ew), c in x.terms.items():
-        img = _t_tilde_word(d, vertex, "minus", fw)
-        img = u_mul(img, UElement.K(d, d.reflect_coweight(vertex, mu)))
-        img = u_mul(img, _t_tilde_word(d, vertex, "plus", ew))
-        for key, ic in img.terms.items():
-            merge(out, key, c * ic)
-    return UElement(d, out)
+    triangular slot; agrees exactly with ti_apply.  Its pair images are
+    not cached."""
+    word = partial(_t_tilde_word, x.datum, vertex)
+    return _apply_table(
+        vertex, x, lambda fw, ew: _pair_rows(word("minus", fw), word("plus", ew))
+    )
 
 
 def calibrate_twist(datum: CartanDatum, vertex: int, samples: list) -> list:

@@ -13,26 +13,31 @@ total word length on one side of the recursion.
 The product, coproduct and antipode of terms are memoized on their words
 alone; the torus costs nothing extra (Lusztig, Introduction to Quantum
 Groups, 3.1.4).  Moving K_mu past an F- or E-word of weight nu costs
-v^(+-alpha_weight(nu, mu)), a linear function of mu, so each memo row
-keeps the vector of that function (its pairing vector) and a term's
-coweight twists the row by one dot product:
+v^(+-alpha_weight(nu, mu)), a linear function of mu, so a torus-free memo
+keeps rows (key, coefficient, pairing vector), and one torus twist,
+_twisted, moves the rows to a torus element: each key's coweight is
+shifted, and its v-exponent is the pairing vector dotted with the twist.
+Each memo stores its pairing vectors with the sign its identity needs.
+u_mul, the antipode and symmetries._apply_table read their memos through
+it:
 
 - F_f1 K_m1 E_e1 . F_f2 K_m2 E_e2: the normal form of F_f1 (E_e1 F_f2)
-  E_e2, each row at coweight kappa + m1 + m2 and times
-  v^-(alpha(wt fw, m1) + alpha(wt ew, m2)), where fw, ew are the words
-  of the straightened middle term.
+  E_e2 at twist m1 + m2 (concatenated) and shift m1 + m2, so each row
+  gets v^-(alpha(wt fw, m1) + alpha(wt ew, m2)), where fw, ew are the
+  words of the straightened middle term.
+- S(F_fw K_mu E_ew) = S(E_ew) K_-mu S(F_fw): S(F_fw E_ew) at twist mu
+  and shift -mu, so a term (fa, kappa, ea) gets
+  v^(alpha(wt ew, mu) + alpha(wt fa, mu)).
 - Delta(F_fw K_mu E_ew): Delta(F_fw E_ew) with mu added to both
   coweights and no v-power, since every left and right factor of
   Delta(F_fw) is an F-word then a torus element, and of Delta(E_ew) a
   torus element then an E-word.
-- S(F_fw K_mu E_ew) = S(E_ew) K_-mu S(F_fw): each term (fa, kappa, ea) of
-  S(F_fw E_ew) at coweight kappa - mu and times
-  v^(alpha(wt ew, mu) + alpha(wt fa, mu)).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from .cartan import CartanDatum, add_vec, neg_vec, sub_vec
 from .falgebra import FElement, _normal_form_word
@@ -127,52 +132,44 @@ def _straighten(datum: CartanDatum, ew: Word, fw: Word) -> "UElement":
     left = u_mul(
         _straighten(datum, ew_head, (b,)), _straighten(datum, (a,), fw_tail)
     )
-    total = left
-    if a == b:
-        rest = _straighten(datum, ew_head, fw_tail)
-        h = datum.unit_vec(a)
-        tail_wt = datum.weight_of_word(fw_tail)
-        denom = (v_pow(1) - v_pow(-1)).inverse()
-        plusk = _append_coweight(rest, h).scale(
-            v_pow(-datum.alpha_weight(tail_wt, h)) * denom
-        )
-        minusk = _append_coweight(rest, neg_vec(h)).scale(
-            v_pow(datum.alpha_weight(tail_wt, h)) * denom
-        )
-        total = total + plusk - minusk
-    return total
-
-
-def _append_coweight(x: UElement, mu: tuple) -> UElement:
-    """Right-multiply by K_mu, commuting it past the E-word."""
-    d = x.datum
-    out: dict = {}
-    for (fw, kappa, ew), c in x.terms.items():
-        shift = v_pow(-d.alpha_weight(d.weight_of_word(ew), mu))
-        merge(out, (fw, add_vec(kappa, mu), ew), c * shift)
-    return UElement(d, out)
+    if a != b:
+        return left
+    # E_head K_+-a F_tail = v^-+alpha(wt F_tail, h) (E_head F_tail) K_+-a
+    h = datum.unit_vec(a)
+    k = datum.alpha_weight(datum.weight_of_word(fw_tail), h)
+    denom = (v_pow(1) - v_pow(-1)).inverse()
+    plus = UElement.K(datum, h).scale(v_pow(-k) * denom)
+    minus = UElement.K(datum, neg_vec(h)).scale(v_pow(k) * denom)
+    return left + u_mul(_straighten(datum, ew_head, fw_tail), plus - minus)
 
 
 def _pairing(datum: CartanDatum, nu: tuple) -> tuple:
     """The vector p with alpha_weight(nu, mu) == p . mu for every mu."""
-    return tuple(sum(a * n for a, n in zip(row, nu)) for row in datum.cartan)
+    return tuple(sum(map(mul, row, nu)) for row in datum.cartan)
 
 
-def _dot(p: tuple, mu: tuple) -> int:
-    return sum(a * b for a, b in zip(p, mu))
+def _twisted(rows, twist: tuple, shift: tuple):
+    """Rows (key, coefficient, pairing vector) of a torus-free memo at one
+    torus element: each key's coweight moved by shift, with v-exponent
+    pairing . twist, as (key, coefficient, exponent)."""
+    if not any(twist) and not any(shift):
+        return ((key, c, 0) for key, c, _p in rows)
+    return (
+        ((fw, add_vec(kappa, shift), ew), c, sum(map(mul, p, twist)))
+        for (fw, kappa, ew), c, p in rows
+    )
 
 
 @lru_cache(maxsize=1 << 13)
 def _product_table(
     datum: CartanDatum, f1: Word, e1: Word, f2: Word, e2: Word
 ) -> tuple:
-    """F_f1 (E_e1 F_f2) E_e2 in normal form, as (key, coefficient, pairing)
-    rows.  With fw, ew the words of a straightened middle term of
-    E_e1 F_f2, the pairing is the pairing vector of wt fw followed by that
-    of wt ew, so its dot product with m1 + m2 (concatenated) is
-    alpha_weight(wt fw, m1) + alpha_weight(wt ew, m2).  Middle terms merged
-    onto one key share it: wt fw and wt ew are the weights of the key's
-    F- and E-word less wt f1 and wt e2."""
+    """F_f1 (E_e1 F_f2) E_e2 in normal form, as rows for _twisted at twist
+    m1 + m2 (concatenated) and shift m1 + m2.  With fw, ew the words of a
+    straightened middle term of E_e1 F_f2, the pairing vector is that of
+    -wt fw followed by that of -wt ew.  Middle terms merged onto one key
+    share it: wt fw and wt ew are the weights of the key's F- and E-word
+    less wt f1 and wt e2."""
     out: dict = {}
     for (fw, kappa, ew), cc in _straighten(datum, e1, f2).terms.items():
         ftotal = ((fw, ONE),) if not f1 else _normal_form_word(datum, f1 + fw)
@@ -185,8 +182,8 @@ def _product_table(
         (
             key,
             c,
-            _pairing(datum, sub_vec(datum.weight_of_word(key[0]), wf1))
-            + _pairing(datum, sub_vec(datum.weight_of_word(key[2]), we2)),
+            _pairing(datum, sub_vec(wf1, datum.weight_of_word(key[0])))
+            + _pairing(datum, sub_vec(we2, datum.weight_of_word(key[2]))),
         )
         for key, c in out.items()
     )
@@ -202,17 +199,10 @@ def u_mul(x: UElement, y: UElement) -> UElement:
     for (f1, m1, e1), c1 in x.terms.items():
         for (f2, m2, e2), c2 in y.terms.items():
             base = c1 * c2
-            outer = add_vec(m1, m2)
-            twist = m1 + m2
-            twisted = any(twist)
-            for key, c, pairing in _product_table(d, f1, e1, f2, e2):
+            rows = _product_table(d, f1, e1, f2, e2)
+            for key, c, k in _twisted(rows, m1 + m2, add_vec(m1, m2)):
                 coeff = base * c
-                if twisted:
-                    k = _dot(pairing, twist)
-                    if k:
-                        coeff = coeff * v_pow(-k)
-                    key = (key[0], add_vec(key[1], outer), key[2])
-                merge(out, key, coeff)
+                merge(out, key, coeff * v_pow(k) if k else coeff)
     return UElement(d, out)
 
 
@@ -302,8 +292,9 @@ def delta(x: UElement) -> UTensor:
 
 @lru_cache(maxsize=1 << 10)
 def _antipode_words(datum: CartanDatum, fw: Word, ew: Word) -> tuple:
-    """S(F_fw E_ew) = S(E_ew) S(F_fw) as (key, coefficient, pairing) rows;
-    the pairing vector is that of wt(ew) + wt(F-word of the key)."""
+    """S(F_fw E_ew) = S(E_ew) S(F_fw) as rows for _twisted at twist mu and
+    shift -mu: the pairing vector is that of wt(ew) + wt(F-word of the
+    key)."""
     factors = [UElement.unit(datum)]
     for letter in reversed(ew):
         h = datum.unit_vec(letter)
@@ -328,11 +319,8 @@ def _antipode_key(datum: CartanDatum, key: UKey) -> UElement:
     """S of one term: S(F_fw E_ew) with K_-mu moved in from between S(E_ew)
     and S(F_fw)."""
     fw, mu, ew = key
-    out = {}
-    for (fa, kappa, ea), c, pairing in _antipode_words(datum, fw, ew):
-        k = _dot(pairing, mu)
-        out[(fa, sub_vec(kappa, mu), ea)] = c * v_pow(k) if k else c
-    return UElement(datum, out)
+    rows = _twisted(_antipode_words(datum, fw, ew), mu, neg_vec(mu))
+    return UElement(datum, {term: c * v_pow(k) if k else c for term, c, k in rows})
 
 
 def antipode(x: UElement) -> UElement:

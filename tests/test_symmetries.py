@@ -18,6 +18,7 @@ from qhall.lincomb import merge
 from qhall.ratfunc import MINUS_ONE, ONE, parse_ratfunc, v_pow
 from qhall.symmetries import (
     _pair_image,
+    _t_tilde_word,
     _word_image,
     braid_verify,
     calibrate_twist,
@@ -156,6 +157,32 @@ def test_t_tilde_equals_ti():
     assert t_tilde_apply(1, UElement.K(A2, (1, 0))) == UElement.K(A2, (-1, 0))
 
 
+def _t_tilde_reference(i, x):
+    """T~(F_a) K_(s_i mu) T~(E_b) by two plain products per term."""
+    d = x.datum
+    out = {}
+    for (fw, mu, ew), c in x.terms.items():
+        img = _t_tilde_word(d, i, "minus", fw)
+        img = u_mul(img, UElement.K(d, d.reflect_coweight(i, mu)))
+        img = u_mul(img, _t_tilde_word(d, i, "plus", ew))
+        for key, ic in img.terms.items():
+            merge(out, key, c * ic)
+    return UElement(d, out)
+
+
+@pytest.mark.parametrize("spec", ["1->2", "1->2,1->2"])
+def test_t_tilde_matches_two_plain_products(spec):
+    # every key of basis words up to height 2 at coweights in {-2..2}^2, on
+    # A2 and on the Kronecker quiver (a_12 = -2)
+    d = load_datum(quiver_from_shorthand(spec))
+    words = _basis_words(d, 2)
+    for i in d.vertices:
+        for fw, ew in itertools.product(words, repeat=2):
+            for mu in itertools.product(range(-2, 3), repeat=2):
+                x = UElement(d, {(fw, mu, ew): ONE})
+                assert t_tilde_apply(i, x) == _t_tilde_reference(i, x), (i, fw, mu, ew)
+
+
 def test_calibration_report():
     samples = [felt(A2, 2, 1), felt(A2, 1, 2)]
     report = calibrate_twist(A2, 1, samples)
@@ -244,14 +271,14 @@ def test_pair_cache_bounded_and_transparent():
 
 
 def _per_product_reference(i, x, inverse):
-    """The pair-image route with every product c * pc * v^twist reduced
-    and merged into its key one at a time."""
+    """The pair-image route with every product c * pc * v^(pairing . lam)
+    reduced and merged into its key one at a time."""
     d = x.datum
     out = {}
     for (fw, mu, ew), c in x.terms.items():
         lam = d.reflect_coweight(i, mu)
-        for (f, kappa, e), pc, twist in _pair_image(d, i, fw, ew, inverse):
-            coeff = c * pc * v_pow(d.alpha_weight(twist, lam))
+        for (f, kappa, e), pc, pairing in _pair_image(d, i, inverse, fw, ew):
+            coeff = c * pc * v_pow(sum(p * k for p, k in zip(pairing, lam)))
             merge(out, (f, add_vec(kappa, lam), e), coeff)
     return UElement(d, out)
 
