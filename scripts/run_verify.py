@@ -4,10 +4,12 @@ and print a summary table.  Exit code 0 means nothing failed anywhere.
 
 The f suite also runs on D4 with its branch vertex labelled 2 and on the
 path 1 - 3 - 2, where the alphabet order of the root words is not the
-order along the Dynkin diagram.  The u, double and f suites run on the
-Kronecker quiver, whose a_12 = -2 puts the product and antipode twists
-off the simply-laced data; its ti suite is left out, as no budget bounds
-it yet."""
+order along the Dynkin diagram.  The ti suite runs on that path too, so
+T_i and T~_i, and the vertex key of the T~_i word-pair memo, are
+exercised at a middle vertex whose id is 3.  The u, double and f suites
+run on the Kronecker quiver, whose a_12 = -2 puts the product and
+antipode twists off the simply-laced data; its ti suite is left out, as
+no budget bounds it yet."""
 
 import sys
 import time
@@ -20,7 +22,7 @@ DATA = [
     ("A2", "1->2", ("all",)),
     ("A2-reversed", "2->1", ("all",)),
     ("A3", "1->2,2->3", ("all",)),
-    ("A3-1->3,3->2", "1->3,3->2", ("f",)),
+    ("A3-1->3,3->2", "1->3,3->2", ("f", "ti")),
     ("D4", "2->1,2->3,2->4", ("f",)),
     ("Kronecker", "1->2,1->2", ("u", "double", "f")),
 ]

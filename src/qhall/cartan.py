@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -268,25 +270,43 @@ def dims_of_height(rank: int, total: int):
             yield (first,) + rest
 
 
-def positive_roots(datum: CartanDatum, cap: int = 200):
+def _positive_definite(datum: CartanDatum) -> bool:
+    """Whether the symmetric Cartan matrix is positive definite, which is
+    when every connected component is a Dynkin diagram and the root
+    system is finite (Gabriel 1972; Bernstein, Gelfand and Ponomarev
+    1973).  Sylvester's criterion by one elimination over Q: on a
+    symmetric matrix every pivot is a ratio of two leading principal
+    minors, so all of them are positive exactly when the minors are."""
+    m = [[Fraction(x) for x in row] for row in datum.cartan]
+    for k, pivot_row in enumerate(m):
+        pivot = pivot_row[k]
+        if pivot <= 0:
+            return False
+        for row in m[k + 1 :]:
+            f = row[k] / pivot
+            if f:
+                for j in range(k, len(row)):
+                    row[j] -= f * pivot_row[j]
+    return True
+
+
+@lru_cache(maxsize=32)
+def positive_roots(datum: CartanDatum):
     """Closure of the simple roots under reflections, sorted; None when
-    the system fails to close (non-finite type)."""
+    the symmetric Cartan matrix is not positive definite, where the
+    closure never ends."""
+    if not _positive_definite(datum):
+        return None
     roots = {datum.unit_vec(i) for i in datum.vertices}
-    while True:
-        new = set()
-        for r in roots:
-            for i in datum.vertices:
-                ref = datum.reflect_dim(i, r)
-                if all(x >= 0 for x in ref) and any(ref) and ref not in roots:
-                    new.add(ref)
-        if not new:
-            return sorted(roots)
+    new = roots
+    while new:
+        reflected = {datum.reflect_dim(i, r) for r in new for i in datum.vertices}
+        new = {r for r in reflected if min(r) >= 0 and any(r)} - roots
         roots |= new
-        if len(roots) > cap:
-            return None
+    return tuple(sorted(roots))
 
 
-def kostant_count(roots: list, nu: tuple) -> int:
+def kostant_count(roots: tuple, nu: tuple) -> int:
     """Number of ways to write nu as a sum of the given roots, with
     repetition and without regard to order."""
 

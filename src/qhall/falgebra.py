@@ -8,12 +8,13 @@ good Lyndon root words, one product per Kostant partition of nu (Lalonde
 and Ram 1995; Leclerc 2004).  The root words follow from Leclerc's rule
 l(g) = max{l(b1) l(b2) : b1 + b2 = g, l(b1) < l(b2)}.  Only those words
 are bordered into the inverse, and each must be independent of the ones
-before it.  Elsewhere (positive_roots is None) the same bordering runs
-greedily over every word in lexicographic order and keeps the words
-independent of those kept before; on Dynkin data it selects the same
-words.  A word's normal form is its pairings with the basis words times
-the inverse, looked up when asked for; the pairings of the weight used
-last share one memo.  The quantum Serre relations hold because Serre
+before it.  Elsewhere (positive_roots is None: the symmetric Cartan
+matrix is not positive definite) the same bordering runs greedily over
+every word in lexicographic order and keeps the words independent of
+those kept before; on Dynkin data it selects the same words.  A word's
+normal form is its pairings with the basis words times the inverse,
+looked up when asked for; the pairings of the weight used last share
+one memo.  The quantum Serre relations hold because Serre
 elements lie in the radical.  Pairings are taken at generator
 normalization 1, where they are iterated twisted derivations with
 nonnegative integer coefficients; a normalization c scales f_nu by

@@ -4,9 +4,10 @@ algebra, used to cross-check the symbolic structure constants.
 Points of the representation variety are tuples of matrices (one per
 arrow, entries 0..q-1), and the canonical representative of an iso-class
 is the lexicographically least point of its orbit under the product of
-general linear groups.  On Dynkin quivers classes are told apart by the
-dimensions of Hom from the indecomposables; on other quivers by orbit
-search.  Exhaustive loops check a configurable budget and fail fast.
+general linear groups.  On Dynkin quivers with at most MAX_BRICKS
+positive roots classes are told apart by the dimensions of Hom from the
+indecomposables; on other quivers by orbit search.  Exhaustive loops
+check a configurable budget and fail fast.
 """
 
 from __future__ import annotations
@@ -365,13 +366,14 @@ def _act(F: Fq, into: list, out_of: list, gen, point):
 # ---------------------------------------------------------------------------
 # iso-classes
 #
-# Dynkin data (the reflection closure of the simple roots is finite) are
-# classified by invariants.  By Gabriel's theorem the indecomposables are
-# bricks X_beta, one per positive root beta, and by Auslander's theorem
-# M and N are isomorphic exactly when dim Hom(X_beta, M) = dim Hom(X_beta, N)
-# for every beta.  The class key of a point is (dims, those Hom dimensions).
-# Other data, such as the Kronecker quiver, are classified by orbit search,
-# and their class key is (dims, least point of the orbit).
+# Dynkin data (the symmetric Cartan matrix is positive definite) with at
+# most MAX_BRICKS positive roots are classified by invariants.  By
+# Gabriel's theorem the indecomposables are bricks X_beta, one per
+# positive root beta, and by Auslander's theorem M and N are isomorphic
+# exactly when dim Hom(X_beta, M) = dim Hom(X_beta, N) for every beta.
+# The class key of a point is (dims, those Hom dimensions).  Other data,
+# such as the Kronecker quiver, are classified by orbit search, and their
+# class key is (dims, least point of the orbit).
 
 
 def orbit_of(
@@ -455,7 +457,7 @@ class _Bricks:
     lex-least point of E_beta whose endomorphisms are the scalars, and the
     inverse of H[k][l] = dim Hom(X_k, X_l)."""
 
-    def __init__(self, roots: list, reps: tuple):
+    def __init__(self, roots: tuple, reps: tuple):
         self.roots = roots
         self.reps = reps
         hom = [[Fraction(hom_dim(a, b)) for b in reps] for a in reps]
@@ -514,12 +516,18 @@ def _brick(quiver: Quiver, q: int, root: tuple) -> QuiverRep:
     raise RuntimeError(f"no brick of dimension {root}")
 
 
+# A cost limit, not a finiteness test: _brick searches E_beta point by
+# point for each root, and on a long path some root spaces have 2^20
+# points, so Dynkin data with more roots than this classify by orbits.
+MAX_BRICKS = 200
+
+
 @lru_cache(maxsize=32)
 def _bricks(quiver: Quiver, q: int) -> _Bricks | None:
-    """The bricks of Dynkin data; None when the root closure does not
-    finish, and the orbit route classifies."""
+    """The bricks of Dynkin data with at most MAX_BRICKS positive roots;
+    None otherwise, and the orbit route classifies."""
     roots = positive_roots(load_datum(quiver))
-    if roots is None:
+    if roots is None or len(roots) > MAX_BRICKS:
         return None
     return _Bricks(roots, tuple(_brick(quiver, q, root) for root in roots))
 

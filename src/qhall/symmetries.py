@@ -32,10 +32,11 @@ t_tilde_apply is the decomposition-based route: each triangular slot is
 split through the divided-power decomposition, the kernel pieces are
 moved by the restricted symmetry, and the minus side is rescaled by the
 transport factor (-v)^-(nu,i) that makes the reassembly agree with
-ti_apply exactly.  Its word-pair products are built afresh for each term
-and twisted the same way.  The two routes share only the twist, so
-comparing them checks the word images, not the twist; the twist is
-checked against products that carry every K_mu through the computation.
+ti_apply exactly.  Its word-pair products are kept as torus-free rows in
+a bounded cache of their own and twisted the same way.  The two routes
+share only the twist and the row layout (_pair_rows), so comparing them
+checks the word images, not the twist; the twist is checked against
+products that carry every K_mu through the computation.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def _pair_rows(f_img: UElement, e_img: UElement) -> tuple:
     d = f_img.datum
     delta = u_degree(d, next(iter(e_img.terms)))
     prod = u_mul(f_img, e_img).terms
-    # many rows share an E-word; T~_i builds these rows for every term
+    # many rows share an E-word, so each pairing vector is computed once
     ewords = {e for _f, _kappa, e in prod}
     pairing = {e: _pairing(d, sub_vec(delta, d.weight_of_word(e))) for e in ewords}
     return tuple((key, c, pairing[key[2]]) for key, c in prod.items())
@@ -291,14 +292,23 @@ def _t_tilde_word(
     return UElement(datum, out)
 
 
+@lru_cache(maxsize=64)
+def _t_tilde_pair(datum: CartanDatum, vertex: int, fw: Word, ew: Word) -> tuple:
+    """T~(F_fw) T~(E_ew) as _pair_rows.  A memo of its own, so that T~_i
+    traffic never evicts the rows of _pair_image.  A check that walks the
+    coweights innermost repeats each pair back to back, and 64 entries
+    catch every such repeat at little memory."""
+    return _pair_rows(
+        _t_tilde_word(datum, vertex, "minus", fw),
+        _t_tilde_word(datum, vertex, "plus", ew),
+    )
+
+
 def t_tilde_apply(vertex: int, x: UElement) -> UElement:
     """Symmetry computed through the direct-sum decomposition of each
     triangular slot; agrees exactly with ti_apply.  Its pair images are
-    not cached."""
-    word = partial(_t_tilde_word, x.datum, vertex)
-    return _apply_table(
-        vertex, x, lambda fw, ew: _pair_rows(word("minus", fw), word("plus", ew))
-    )
+    read from the bounded memo _t_tilde_pair."""
+    return _apply_table(vertex, x, partial(_t_tilde_pair, x.datum, vertex))
 
 
 def calibrate_twist(datum: CartanDatum, vertex: int, samples: list) -> list:

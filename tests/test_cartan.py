@@ -129,7 +129,13 @@ def test_positive_roots_and_kostant_counts():
     assert len(roots) == 6 and (1, 1, 1) in roots and (1, 0, 1) not in roots
     d4 = load_datum(quiver_from_shorthand("1->2,3->2,4->2"))
     assert len(positive_roots(d4)) == 12 and (1, 2, 1, 1) in positive_roots(d4)
-    assert positive_roots(load_datum(quiver_from_shorthand("1->2,1->2"))) is None
+    # A_21 has 21 * 22 / 2 roots; A2 x A2 is finite though not connected
+    path = ",".join(f"{i}->{i + 1}" for i in range(1, 21))
+    assert len(positive_roots(load_datum(quiver_from_shorthand(path)))) == 231
+    assert len(positive_roots(load_datum(quiver_from_shorthand("1->2,3->4")))) == 6
+    # the Kronecker quiver, affine D4 and the 3-cycle are not positive definite
+    for spec in ("1->2,1->2", "1->2,3->2,4->2,5->2", "1->2,2->3,3->1"):
+        assert positive_roots(load_datum(quiver_from_shorthand(spec))) is None
     assert kostant_count(roots, (0, 0, 0)) == 1
     assert kostant_count(roots, (1, 1, 1)) == 4
     assert kostant_count(positive_roots(A2), (2, 2)) == 3

@@ -492,6 +492,15 @@ def test_kronecker_takes_the_orbit_route(q):
         assert canonical_point(kronecker, q, (1, 1), p) == least
 
 
+def test_a_long_dynkin_path_takes_the_orbit_route():
+    # A_21 is finite, but with 231 bricks to search for it is past the
+    # cost limit, and the classes come from orbit search
+    path = quiver_from_shorthand(",".join(f"{i}->{i + 1}" for i in range(1, 21)))
+    assert len(hall.positive_roots(load_datum(path))) > hall.MAX_BRICKS
+    assert hall._bricks(path, 2) is None
+    dims = (1, 1) + (0,) * 19
+    assert sorted(size for _r, size in iso_classes(path, 2, dims)) == [1, 1]
+
 
 @pytest.mark.parametrize(
     "n, q", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]

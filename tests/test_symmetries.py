@@ -18,6 +18,7 @@ from qhall.lincomb import merge
 from qhall.ratfunc import MINUS_ONE, ONE, parse_ratfunc, v_pow
 from qhall.symmetries import (
     _pair_image,
+    _t_tilde_pair,
     _t_tilde_word,
     _word_image,
     braid_verify,
@@ -268,6 +269,19 @@ def test_pair_cache_bounded_and_transparent():
     for i, t, tinv in before:
         assert ti_apply(i, x) == t
         assert ti_inverse_apply(i, x) == tinv
+
+
+def test_t_tilde_pair_cache_bounded_and_transparent():
+    assert _t_tilde_pair.cache_parameters()["maxsize"] is not None
+    src = Path(symmetries.__file__).read_text()
+    assert src.count("maxsize=None") == 5
+    x = UElement(A3, {((2, 1), (1, -1, 0), (3, 2)): ONE}) + UElement(
+        A3, {((1,), (0, 2, -1), (2,)): v_pow(-1) + v_pow(2)}
+    )
+    before = [(i, t_tilde_apply(i, x)) for i in A3.vertices]
+    _t_tilde_pair.cache_clear()
+    for i, tt in before:
+        assert t_tilde_apply(i, x) == tt == ti_apply(i, x)
 
 
 def _per_product_reference(i, x, inverse):

@@ -116,6 +116,14 @@ def test_a_bare_assertion_is_an_error_not_a_failure():
     assert r.detail == f"AssertionError: internal invariant (at {where})"
 
 
+def test_kostant_dims_pass_on_a_long_path():
+    # A_21 is finite with 231 roots: the Lyndon bases are checked, not skipped
+    path = ",".join(f"{i}->{i + 1}" for i in range(1, 21))
+    s = Session(load_datum(load_quiver(path)), weight_bound=2)
+    r = verify._run("f-dims-kostant", verify._check_f_dims_kostant, s)
+    assert r.status == "pass", r.detail
+
+
 def test_kostant_dims_skip_without_a_finite_root_system():
     s = Session(load_datum(load_quiver("1->2,1->2")))
     r = verify._run("f-dims-kostant", verify._check_f_dims_kostant, s)
