@@ -6,10 +6,12 @@ The f suite also runs on D4 with its branch vertex labelled 2 and on the
 path 1 - 3 - 2, where the alphabet order of the root words is not the
 order along the Dynkin diagram.  The ti suite runs on that path too, so
 T_i and T~_i, and the vertex key of the T~_i word-pair memo, are
-exercised at a middle vertex whose id is 3.  The u, double and f suites
-run on the Kronecker quiver, whose a_12 = -2 puts the product and
-antipode twists off the simply-laced data; its ti suite is left out, as
-no budget bounds it yet."""
+exercised at a middle vertex whose id is 3.  The hall suite runs on that
+D4, whose branch vertex is a source: its class tables come from Kostant
+partitions, and hall-bgp-bijection reflects at each of the three sinks.
+The u, double and f suites run on the Kronecker quiver, whose a_12 = -2
+puts the product and antipode twists off the simply-laced data; its ti
+suite is left out, as no budget bounds it yet."""
 
 import sys
 import time
@@ -23,7 +25,7 @@ DATA = [
     ("A2-reversed", "2->1", ("all",)),
     ("A3", "1->2,2->3", ("all",)),
     ("A3-1->3,3->2", "1->3,3->2", ("f", "ti")),
-    ("D4", "2->1,2->3,2->4", ("f",)),
+    ("D4", "2->1,2->3,2->4", ("f", "hall")),
     ("Kronecker", "1->2,1->2", ("u", "double", "f")),
 ]
 

@@ -306,24 +306,30 @@ def positive_roots(datum: CartanDatum):
     return tuple(sorted(roots))
 
 
-def kostant_count(roots: tuple, nu: tuple) -> int:
-    """Number of ways to write nu as a sum of the given roots, with
-    repetition and without regard to order."""
+def kostant_partitions(roots: tuple, nu: tuple):
+    """Every way to write nu as a sum of the given roots, with repetition
+    and without regard to order: the multiplicity of each root, aligned
+    with roots."""
 
-    def rec(k: int, rem: tuple) -> int:
+    def rec(k: int, rem: tuple):
         if not any(rem):
-            return 1
+            yield (0,) * (len(roots) - k)
+            return
         if k == len(roots):
-            return 0
+            return
         r = roots[k]
-        total = 0
-        cur = rem
+        n, cur = 0, rem
         while all(x >= 0 for x in cur):
-            total += rec(k + 1, cur)
-            cur = sub_vec(cur, r)
-        return total
+            for rest in rec(k + 1, cur):
+                yield (n, *rest)
+            n, cur = n + 1, sub_vec(cur, r)
 
     return rec(0, nu)
+
+
+def kostant_count(roots: tuple, nu: tuple) -> int:
+    """Number of Kostant partitions of nu over the given roots."""
+    return sum(1 for _ in kostant_partitions(roots, nu))
 
 
 A2 = load_datum(quiver_from_shorthand("1->2"))

@@ -6,8 +6,11 @@ arrow, entries 0..q-1), and the canonical representative of an iso-class
 is the lexicographically least point of its orbit under the product of
 general linear groups.  On Dynkin quivers with at most MAX_BRICKS
 positive roots classes are told apart by the dimensions of Hom from the
-indecomposables; on other quivers by orbit search.  Exhaustive loops
-check a configurable budget and fail fast.
+indecomposables, and the class table of a dimension vector is built from
+its Kostant partitions without enumerating any point; only `iso_classes`
+and `canonical_point`, which return least points, walk the space.  On
+other quivers classes come from orbit search.  Exhaustive loops check a
+configurable budget and fail fast.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .cartan import (
     is_sink,
     is_source,
     kostant_count,
+    kostant_partitions,
     load_datum,
     positive_roots,
     sigma_i,
@@ -224,7 +228,9 @@ class Fq:
         return self.exp[(-self.log[a]) % (self.q - 1)]
 
 
-@lru_cache(maxsize=None)
+# a hall run uses its few q (three by default); a q = 256 field holds
+# 2^16 addition entries, so the bound keeps few of them
+@lru_cache(maxsize=8)
 def field(q: int) -> Fq:
     return Fq(q)
 
@@ -324,7 +330,9 @@ def all_points(quiver: Quiver, q: int, dims: tuple, budget: int = DEFAULT_BUDGET
         yield tuple(mats)
 
 
-@lru_cache(maxsize=None)
+# one entry per (quiver, q, dims) the orbit route searches: 58 in the
+# Kronecker `verify hall`, none on Dynkin data
+@lru_cache(maxsize=128)
 def _group_generators(quiver: Quiver, q: int, dims: tuple):
     """Generators of prod GL(V_k) as (k, i, j), meaning g = I + c E_ij on
     V_k: the transvection with c = 1 when i != j, and diag(zeta, 1, ...,
@@ -371,7 +379,8 @@ def _act(F: Fq, into: list, out_of: list, gen, point):
 # Gabriel's theorem the indecomposables are bricks X_beta, one per
 # positive root beta, and by Auslander's theorem M and N are isomorphic
 # exactly when dim Hom(X_beta, M) = dim Hom(X_beta, N) for every beta.
-# The class key of a point is (dims, those Hom dimensions).  Other data,
+# The class key of a point is (dims, those Hom dimensions), and every
+# class is a direct sum of bricks, one per Kostant partition.  Other data,
 # such as the Kronecker quiver, are classified by orbit search, and their
 # class key is (dims, least point of the orbit).
 
@@ -454,14 +463,14 @@ def hom_dim(x: QuiverRep, m: QuiverRep) -> int:
 
 class _Bricks:
     """The indecomposables of Dynkin data over F_q: per positive root, the
-    lex-least point of E_beta whose endomorphisms are the scalars, and the
-    inverse of H[k][l] = dim Hom(X_k, X_l)."""
+    lex-least point of E_beta whose endomorphisms are the scalars, and
+    H[k][l] = dim Hom(X_k, X_l) with its inverse."""
 
     def __init__(self, roots: tuple, reps: tuple):
         self.roots = roots
         self.reps = reps
-        hom = [[Fraction(hom_dim(a, b)) for b in reps] for a in reps]
-        h_inv = inverse(QQ, hom)
+        self.hom = tuple(tuple(hom_dim(a, b) for b in reps) for a in reps)
+        h_inv = inverse(QQ, [[Fraction(x) for x in row] for row in self.hom])
         # H is unitriangular in a directed order, so the inverse is integral
         if any(x.denominator != 1 for row in h_inv for x in row):
             raise RuntimeError("the Hom matrix of the bricks is not unimodular")
@@ -532,12 +541,12 @@ def _bricks(quiver: Quiver, q: int) -> _Bricks | None:
     return _Bricks(roots, tuple(_brick(quiver, q, root) for root in roots))
 
 
-def class_key(x: QuiverRep) -> tuple:
+def class_key(x: QuiverRep, budget: int = DEFAULT_BUDGET) -> tuple:
     """A complete isomorphism invariant: (dims, Hom dimensions from the
     bricks) on Dynkin data, (dims, least orbit point) otherwise."""
     bricks = _bricks(x.quiver, x.q)
     if bricks is None:
-        return x.dims, orbit_canonical_point(x.quiver, x.q, x.dims, x.mats)
+        return x.dims, orbit_canonical_point(x.quiver, x.q, x.dims, x.mats, budget)
     return bricks.key(x)
 
 
@@ -545,24 +554,64 @@ def class_key(x: QuiverRep) -> tuple:
 def _class_table(
     quiver: Quiver, q: int, dims: tuple, budget: int
 ) -> MappingProxyType:
-    """Class key -> (least point of the class, orbit size), in the order
-    of the points; read-only, since every caller shares it."""
+    """Class key -> (a point of the class, orbit size); read-only, since
+    every caller shares it.  On Dynkin data there is one class per
+    Kostant partition m of dims (Gabriel): its key is (dims, H m), its
+    point the direct sum of bricks, and no point of E_V is enumerated.
+    Otherwise the classes come from orbit search, each with the least
+    point of its orbit, in the order of the points."""
+    # the budget bounds q^dim(E_V) on both routes, so a dimension vector
+    # over it skips, or exits 2, alike on every quiver
+    require_budget(quiver, q, dims, budget)
     bricks = _bricks(quiver, q)
     if bricks is None:
         classes = orbit_classes(quiver, q, dims, budget)
         return MappingProxyType({(dims, rep): (rep, size) for rep, size in classes})
-    # walking in the order of `<`, the first point with a key is the least
-    # point of its class; Gabriel's theorem says how many classes to expect
-    want = kostant_count(bricks.roots, dims)
     table = {}
+    for m in kostant_partitions(bricks.roots, dims):
+        h = tuple(sum(a * b for a, b in zip(row, m)) for row in bricks.hom)
+        point = bricks.direct_sum(quiver, q, dims, h)
+        key = bricks.key(QuiverRep(quiver, q, dims, point))
+        if key != (dims, h):
+            raise RuntimeError(
+                f"the direct sum {point} of bricks with multiplicities {m} has "
+                f"Hom dimensions {key[1]} where H m is {h}"
+            )
+        table[key] = (point, bricks.orbit_size(q, dims, h))
+    return MappingProxyType(table)
+
+
+def class_points(
+    quiver: Quiver, q: int, dims: tuple, budget: int = DEFAULT_BUDGET
+) -> tuple:
+    """One (point, orbit size) per iso-class: the direct sum of bricks on
+    Dynkin data, the least point of the orbit otherwise.  Callers that
+    only need some point of each class read this, not `iso_classes`."""
+    return tuple(_class_table(quiver, q, dims, budget).values())
+
+
+@lru_cache(maxsize=256)
+def _least_points(
+    quiver: Quiver, q: int, dims: tuple, budget: int
+) -> MappingProxyType:
+    """Class key -> least point of the class on Dynkin data, in the order
+    of the points.  Walking in the order of `<`, the first point with a
+    key is the least point of its class; Gabriel's theorem says how many
+    classes to expect, and each must be a class of the table."""
+    bricks = _bricks(quiver, q)
+    table = _class_table(quiver, q, dims, budget)
+    want = kostant_count(bricks.roots, dims)
+    least = {}
     for p in all_points(quiver, q, dims, budget):
         key = bricks.key(QuiverRep(quiver, q, dims, p))
-        if key not in table:
-            table[key] = (p, bricks.orbit_size(q, dims, key[1]))
-            if len(table) == want:
-                return MappingProxyType(table)
+        if key not in least:
+            if key not in table:
+                raise RuntimeError(f"{p} has Hom dimensions {key[1]}, of no class")
+            least[key] = p
+            if len(least) == want:
+                return MappingProxyType(least)
     raise RuntimeError(
-        f"found {len(table)} iso-classes of dimension {dims} where the "
+        f"found {len(least)} iso-classes of dimension {dims} where the "
         f"Kostant partition count is {want}"
     )
 
@@ -573,7 +622,11 @@ def iso_classes(
     """G-orbit decomposition of the representation space: a sorted tuple
     of (canonical representative, orbit size), the representative being
     the least point of the orbit."""
-    return tuple(_class_table(quiver, q, dims, budget).values())
+    table = _class_table(quiver, q, dims, budget)
+    if _bricks(quiver, q) is None:
+        return tuple(table.values())
+    least = _least_points(quiver, q, dims, budget)
+    return tuple((p, table[key][1]) for key, p in least.items())
 
 
 def canonical_point(
@@ -583,7 +636,7 @@ def canonical_point(
     if _bricks(quiver, q) is None:
         return orbit_canonical_point(quiver, q, dims, point, budget)
     key = class_key(QuiverRep(quiver, q, dims, point))
-    return _class_table(quiver, q, dims, budget)[key][0]
+    return _least_points(quiver, q, dims, budget)[key]
 
 
 def gl_order(q: int, n: int) -> int:
@@ -778,7 +831,8 @@ def _hall_tally(
 
 class HallElement(LinComb):
     """Linear combination of iso-classes with exact rational coefficients.
-    Keys are (dims, canonical point)."""
+    Keys are (dims, point of the class table): the direct sum of bricks on
+    Dynkin data, the least point of the orbit otherwise."""
 
     __slots__ = SPACE = ("quiver", "q")
 
@@ -803,8 +857,8 @@ class HallElement(LinComb):
 
 @lru_cache(maxsize=4096)
 def _term_key(quiver: Quiver, q: int, dims: tuple, point: tuple) -> tuple:
-    """Class key of a term of a HallElement; the terms are canonical
-    points, so few distinct ones recur across products."""
+    """Class key of a term of a HallElement; the terms are points of the
+    class tables, so few distinct ones recur across products."""
     return class_key(QuiverRep(quiver, q, dims, point))
 
 
@@ -890,7 +944,7 @@ def stratum_counts(
         raise ValueError(f"vertex {vertex} is neither a sink nor a source")
     counts = [0] * (ni + 1)
     # the stratum index is constant on an iso-class
-    for rep, size in iso_classes(quiver, q, dims, budget):
+    for rep, size in class_points(quiver, q, dims, budget):
         counts[stratum_index(QuiverRep(quiver, q, dims, rep), vertex)] += size
     return counts
 

@@ -87,6 +87,10 @@ class Skip(Exception):
 SIDE_CHARS = 160
 
 
+def _cut(text: str) -> str:
+    return text if len(text) <= SIDE_CHARS else text[: SIDE_CHARS - 3] + "..."
+
+
 def _show(x) -> str:
     """One side in its canonical printed form, cut at SIDE_CHARS."""
     if isinstance(x, (TensorElement, hall.HallElement)):  # no printed form
@@ -95,18 +99,29 @@ def _show(x) -> str:
         text = "{" + ", ".join(f"{k}: {c}" for k, c in sorted(x.items())) + "}"
     else:
         text = str(x)
-    return text if len(text) <= SIDE_CHARS else text[: SIDE_CHARS - 3] + "..."
+    return _cut(text)
+
+
+def _space(x) -> str:
+    """The type of a side and the values that fix its space, such as its
+    datum, cut at SIDE_CHARS."""
+    values = (f"{n}={getattr(x, n)}" for n in getattr(x, "SPACE", ()))
+    return _cut(", ".join((type(x).__name__, *values)))
 
 
 def _expect(inputs: str, got, want, *elements) -> None:
     """Fail the running check unless got == want.  inputs names what was
     compared; the elements it is about follow the sides and are printed
     only on failure, since printing an element costs more than most
-    comparisons."""
+    comparisons.  Sides that print alike but differ, such as units over
+    two data, are told apart by their spaces."""
     if got != want:
         if elements:
             inputs += " " + ", ".join(str(x) for x in elements)
-        raise Mismatch(f"{inputs}: got {_show(got)}, want {_show(want)}")
+        g, w = _show(got), _show(want)
+        if g == w:
+            g, w = f"{g} [{_space(got)}]", f"{w} [{_space(want)}]"
+        raise Mismatch(f"{inputs}: got {g}, want {w}")
 
 
 def _run(name: str, check, *args) -> CheckResult:
@@ -644,7 +659,7 @@ def _check_hall_orbits(s: Session):
     quiver = s.datum.quiver
     for q in s.hall_qs:
         for dims in dims_upto(s.hall_dims()):
-            classes = hall.iso_classes(quiver, q, dims, s.budget)
+            classes = hall.class_points(quiver, q, dims, s.budget)
             total = sum(size for _rep, size in classes)
             points = q ** hall.e_v_dimension(quiver, dims)
             _expect(f"orbits of E_{dims} at q={q}", total, points)
@@ -674,7 +689,7 @@ def _check_hall_bgp(s: Session):
     for q, i, reversed_quiver, dims, target in cases:
         zero_classes = [
             rep
-            for rep, _size in hall.iso_classes(quiver, q, dims, s.budget)
+            for rep, _size in hall.class_points(quiver, q, dims, s.budget)
             if hall.stratum_index(hall.QuiverRep(quiver, q, dims, rep), i) == 0
         ]
         images = set()
@@ -683,11 +698,12 @@ def _check_hall_bgp(s: Session):
             where = f"sigma_{i}({rep}) at q={q}"
             _expect(f"dims of {where}", y.dims, target)
             _expect(f"{i}-stratum of {where}", hall.stratum_index(y, i), 0)
-            images.add(hall.canonical_point(y.quiver, q, y.dims, y.mats, s.budget))
+            # the class key is a complete invariant: distinct keys, distinct classes
+            images.add(hall.class_key(y, s.budget))
         _expect(f"sigma_{i} images of {dims} at q={q}", len(images), len(zero_classes))
         other = [
             rep
-            for rep, _size in hall.iso_classes(reversed_quiver, q, target, s.budget)
+            for rep, _size in hall.class_points(reversed_quiver, q, target, s.budget)
             if hall.stratum_index(hall.QuiverRep(reversed_quiver, q, target, rep), i)
             == 0
         ]

@@ -480,6 +480,45 @@ def test_invariant_route_matches_orbit_route_d4(q):
     _assert_routes_agree(quiver_from_shorthand("1->2,3->2,4->2"), q, dims, dims)
 
 
+def _walk(quiver, q, dims):
+    """Every point of E_dims keyed by its class: the least point and the
+    number of points of each key, in the order of the points."""
+    least, count = {}, Counter()
+    for p in all_points(quiver, q, dims):
+        key = hall.class_key(QuiverRep(quiver, q, dims, p))
+        least.setdefault(key, p)
+        count[key] += 1
+    return least, count
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize(
+    "spec, bound",
+    [
+        ("1->2,2->3", (2, 2, 1)),
+        ("2->1,2->3,2->4", (1, 2, 1, 1)),
+        ("1->2,1->3,1->4", (2, 1, 1, 1)),
+        ("1->2,3->2,4->2", (1, 2, 1, 1)),
+    ],
+)
+def test_kostant_table_matches_the_walk(spec, bound, q):
+    """The classes built from Kostant partitions are the classes a walk
+    over every point finds, each with as many points as its orbit size,
+    and each table point lies in its class."""
+    quiver = quiver_from_shorthand(spec)
+    assert hall._bricks(quiver, q) is not None
+    for dims in dims_upto(bound):
+        table = hall._class_table(quiver, q, dims, hall.DEFAULT_BUDGET)
+        least, count = _walk(quiver, q, dims)
+        assert table.keys() == least.keys(), dims
+        for key, (point, size) in table.items():
+            assert size == count[key], (dims, key)
+            assert canonical_point(quiver, q, dims, point) == least[key], (dims, key)
+        assert iso_classes(quiver, q, dims) == tuple(
+            (p, count[key]) for key, p in least.items()
+        )
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_kronecker_takes_the_orbit_route(q):
     kronecker = quiver_from_shorthand("1->2,1->2")
@@ -490,6 +529,11 @@ def test_kronecker_takes_the_orbit_route(q):
     for p in all_points(kronecker, q, (1, 1)):
         least = min(orbit_of(kronecker, q, (1, 1), p))
         assert canonical_point(kronecker, q, (1, 1), p) == least
+    # the class table the Hall checks read is the orbit table
+    for dims in dims_upto((2, 2)):
+        orbits = hall.orbit_classes(kronecker, q, dims)
+        assert hall.class_points(kronecker, q, dims) == orbits
+        assert iso_classes(kronecker, q, dims) == orbits
 
 
 def test_a_long_dynkin_path_takes_the_orbit_route():
@@ -521,12 +565,12 @@ def test_hom_dimensions():
 
 def test_iso_classes_raise_below_the_kostant_count(monkeypatch):
     monkeypatch.setattr(hall, "kostant_count", lambda roots, nu: 3)
-    hall._class_table.cache_clear()
+    hall._least_points.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="Kostant"):
             iso_classes(Q, 2, (1, 1))
     finally:
-        hall._class_table.cache_clear()
+        hall._least_points.cache_clear()
 
 
 def test_orbit_search_budget():

@@ -53,6 +53,7 @@ def test_hall_bgp_skips_before_any_enumeration(monkeypatch):
         raise AssertionError("enumerated before the budget was met")
 
     monkeypatch.setattr(verify.hall, "iso_classes", enumerated)
+    monkeypatch.setattr(verify.hall, "class_points", enumerated)
     datum = load_datum(load_quiver("1->2,3->2,4->2"))
     s = Session(datum)
     r = verify._run("hall-bgp-bijection", lambda: verify._check_hall_bgp(s))
@@ -88,6 +89,21 @@ def test_a_side_is_cut_to_one_bounded_line():
     got = r.detail.removeprefix("inputs: got ").removesuffix(", want y")
     assert len(got) == verify.SIDE_CHARS and got.endswith("...")
     assert "\n" not in r.detail
+
+
+def test_sides_that_print_alike_name_their_data():
+    a2 = load_datum(load_quiver("1->2"))
+    a3 = load_datum(load_quiver("1->2,2->3"))
+    got, want = verify.ua.UElement.unit(a2), verify.ua.UElement.unit(a3)
+    assert str(got) == str(want) == "1"
+    r = verify._run("units", verify._expect, "unit", got, want)
+    assert r.status == "fail"
+    assert r.detail == (
+        f"unit: got 1 [UElement, datum={a2}], want 1 [UElement, datum={a3}]"
+    )
+    # sides that print apart keep the short form
+    r = verify._run("ints", verify._expect, "int", 1, 2)
+    assert r.detail == "int: got 1, want 2"
 
 
 def test_elements_are_printed_only_on_failure():
