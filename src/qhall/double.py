@@ -93,9 +93,8 @@ def half_mul(sign: str, a: HalfElement, b: HalfElement) -> HalfElement:
     for (m1, w1), c1 in a.terms.items():
         wt1 = d.weight_of_word(w1)
         for (m2, w2), c2 in b.terms.items():
-            move = v_pow(eps * d.alpha_weight(wt1, m2))
             mu = add_vec(m1, m2)
-            coeff = c1 * c2 * move
+            coeff = (c1 * c2).shift(eps * d.alpha_weight(wt1, m2))
             for bw, cw in _normal_form_word(d, w1 + w2):
                 merge(out, (mu, bw), coeff * cw)
     return HalfElement(d, sign, out)
@@ -120,12 +119,12 @@ def half_delta(sign: str, a: HalfElement) -> HalfTensor:
             nu1 = d.weight_of_word(w1)
             nu2 = d.weight_of_word(w2)
             mu2 = d.coweight_of_dim(nu2)
-            move = v_pow(-d.sym_form(nu1, nu2))
+            move = -d.sym_form(nu1, nu2)
             if sign == "plus":
                 key = ((add_vec(mu, mu2), w1), (mu, w2))
             else:
                 key = ((mu, w2), (sub_vec(mu, mu2), w1))
-            merge(out, key, c * cc * move)
+            merge(out, key, (c * cc).shift(move))
     return HalfTensor(d, sign, out)
 
 
@@ -207,7 +206,7 @@ def pairing_phi(a: HalfElement, b: HalfElement) -> RatFunc:
                 - d.alpha_weight(nu, beta)
                 + d.alpha_weight(nu2, alpha)
             )
-            total = total + c1 * c2 * v_pow(expo) * val
+            total = total + (c1 * c2 * val).shift(expo)
     return total
 
 
@@ -262,8 +261,8 @@ def _torus_left(mu: tuple, x: DoubleElement) -> DoubleElement:
     d = x.datum
     out: dict = {}
     for (mw, kappa, pw), c in x.terms.items():
-        move = v_pow(-d.alpha_weight(d.weight_of_word(mw), mu))
-        merge(out, (mw, add_vec(mu, kappa), pw), c * move)
+        move = -d.alpha_weight(d.weight_of_word(mw), mu)
+        merge(out, (mw, add_vec(mu, kappa), pw), c.shift(move))
     return DoubleElement(d, out)
 
 
@@ -296,7 +295,7 @@ def _cross(datum: CartanDatum, pword: Word, mword: Word, c_gen: RatFunc) -> Doub
                     moved = _torus_left(
                         datum.coweight_of_dim(wt_x2), inner
                     ).scale(
-                        -cx * cy * val * v_pow(-datum.sym_form(wt_x1, wt_x2))
+                        (-cx * cy * val).shift(-datum.sym_form(wt_x1, wt_x2))
                     )
                     for k, c in moved.terms.items():
                         merge(out, k, c)
@@ -313,12 +312,12 @@ def double_mul(x: DoubleElement, y: DoubleElement) -> DoubleElement:
         for (m2, k2, p2), c2 in y.terms.items():
             core = _cross(d, p1, m2, PAIRING_CONSTANT)
             for (mw, kappa, pw), cc in core.terms.items():
-                move = v_pow(
+                move = (
                     -d.alpha_weight(d.weight_of_word(mw), k1)
                     - d.alpha_weight(d.weight_of_word(pw), k2)
                 )
                 mu = add_vec(add_vec(k1, kappa), k2)
-                coeff = c1 * c2 * cc * move
+                coeff = (c1 * c2 * cc).shift(move)
                 mtotal = (
                     ((mw, ONE),) if not m1 else _normal_form_word(d, m1 + mw)
                 )

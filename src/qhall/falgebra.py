@@ -35,7 +35,7 @@ from .cartan import CartanDatum, positive_roots, scale_vec, sub_vec
 from .freealg import FreeElement, Word, words_of_weight
 from .lincomb import LinComb, merge
 from .ratfunc import (
-    ONE, ONE_POLY, ZERO, ZERO_POLY, IntPoly, RatFunc, common_denominator, qfact, v_pow
+    ONE, ONE_POLY, ZERO, ZERO_POLY, IntPoly, RatFunc, common_denominator, qfact
 )
 
 
@@ -311,7 +311,7 @@ def i_r_component(vertex: int, side: str, x: FElement) -> FElement:
     out: dict = {}
     for w, c in x.terms.items():
         for sub, e in _derive_word(x.datum, vertex, w, side):
-            merge(out, sub, c * v_pow(e) if e else c)
+            merge(out, sub, c.shift(e))
     return normal_form(FreeElement(x.datum, out))
 
 

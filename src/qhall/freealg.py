@@ -91,7 +91,7 @@ def twisted_tensor_mul(t1: TensorElement, t2: TensorElement) -> TensorElement:
         wy1 = d.weight_of_word(y1)
         for (x2, y2), c2 in t2.terms.items():
             twist = d.sym_form(wy1, d.weight_of_word(x2))
-            merge(out, (x1 + x2, y1 + y2), c1 * c2 * v_pow(twist))
+            merge(out, (x1 + x2, y1 + y2), (c1 * c2).shift(twist))
     return TensorElement(d, out)
 
 

@@ -3,7 +3,14 @@
 Everything here is integer arithmetic on Laurent polynomials; there is no
 floating point anywhere.  RatFunc values are kept in a canonical reduced
 form, so equality is structural and values are hashable.  All values are
-immutable and can be shared freely between threads.
+immutable and can be shared freely between threads, so an operation may
+return an operand as it is: a sum with zero and a product with ONE do.
+
+The canonical form keeps the Laurent shift in the numerator, so a product
+by a unit monomial +-v^k only moves (and signs) the numerator's exponents
+and runs no reduction; RatFunc.shift(k) is the product by v^k, and the
+torus twists of the algebras above call it rather than multiplying by
+v_pow(k).
 """
 
 from __future__ import annotations
@@ -348,7 +355,21 @@ class RatFunc:
     def __sub__(self, other):
         return self + (-other)
 
+    def shift(self, k: int) -> "RatFunc":
+        """Multiply by v^k.  The Laurent shift lives in the numerator, so
+        only its exponents move and the result is canonical as it is."""
+        if not k or not self.num.coeffs:
+            return self
+        r = object.__new__(RatFunc)
+        r.num, r.den, r._hash = self.num.shift(k), self.den, None
+        return r
+
     def __mul__(self, other):
+        # values are immutable, so a factor ONE returns the other operand
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
         if self.num.is_zero() or other.num.is_zero():
             return ZERO
         if self.den.coeffs == {0: 1} and other.den.coeffs == {0: 1}:
@@ -361,13 +382,10 @@ class RatFunc:
         for a, m in ((self, other), (other, self)):
             if m.den.coeffs == {0: 1} and len(m.num.coeffs) == 1:
                 ((k, s),) = m.num.coeffs.items()
-                if s == 1 or s == -1:
-                    r = object.__new__(RatFunc)
-                    r.num = IntPoly._raw(
-                        {e + k: s * c for e, c in a.num.coeffs.items()}
-                    )
-                    r.den, r._hash = a.den, None
-                    return r
+                if s == 1:
+                    return a.shift(k)
+                if s == -1:
+                    return -a.shift(k)
         return _mul_cached(self, other)
 
     def __truediv__(self, other):
@@ -469,7 +487,7 @@ def sum_products(groups: dict) -> dict:
     for key, triples in groups.items():
         if len(triples) == 1:
             ((a, b, k),) = triples
-            out[key] = a * b * v_pow(k) if k else a * b
+            out[key] = (a * b).shift(k)
             continue
         prods = []
         for a, b, _k in triples:
@@ -511,13 +529,17 @@ def v_pow(k: int) -> RatFunc:
     return RatFunc.v_power(k)
 
 
-@lru_cache(maxsize=None)
+# The q-number memos are bounded far above what the verify suites use:
+# scripts/run_verify.py and the symbolic-verify benchmark leave 4 quantum
+# integers, 5 factorials and no binomials in them (u-queries 2, 2 and 0).
+# Divided powers up to theta^(31) stay cached whole.
+@lru_cache(maxsize=32)
 def qint(n: int) -> RatFunc:
     """Quantum integer (v^n - v^-n)/(v - v^-1)."""
     return RatFunc(IntPoly({n: 1, -n: -1}) if n else ZERO_POLY, IntPoly({1: 1, -1: -1}))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def qfact(n: int) -> RatFunc:
     """Quantum factorial [1][2]...[n]; qfact(0) = 1."""
     if n < 0:
@@ -528,7 +550,7 @@ def qfact(n: int) -> RatFunc:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def qbinom(n: int, k: int) -> RatFunc:
     """Gaussian binomial coefficient; 0 outside 0 <= k <= n."""
     if k < 0:

@@ -138,8 +138,8 @@ def _straighten(datum: CartanDatum, ew: Word, fw: Word) -> "UElement":
     h = datum.unit_vec(a)
     k = datum.alpha_weight(datum.weight_of_word(fw_tail), h)
     denom = (v_pow(1) - v_pow(-1)).inverse()
-    plus = UElement.K(datum, h).scale(v_pow(-k) * denom)
-    minus = UElement.K(datum, neg_vec(h)).scale(v_pow(k) * denom)
+    plus = UElement.K(datum, h).scale(denom.shift(-k))
+    minus = UElement.K(datum, neg_vec(h)).scale(denom.shift(k))
     return left + u_mul(_straighten(datum, ew_head, fw_tail), plus - minus)
 
 
@@ -202,7 +202,7 @@ def u_mul(x: UElement, y: UElement) -> UElement:
             rows = _product_table(d, f1, e1, f2, e2)
             for key, c, k in _twisted(rows, m1 + m2, add_vec(m1, m2)):
                 coeff = base * c
-                merge(out, key, coeff * v_pow(k) if k else coeff)
+                merge(out, key, coeff.shift(k))
     return UElement(d, out)
 
 
@@ -320,7 +320,7 @@ def _antipode_key(datum: CartanDatum, key: UKey) -> UElement:
     and S(F_fw)."""
     fw, mu, ew = key
     rows = _twisted(_antipode_words(datum, fw, ew), mu, neg_vec(mu))
-    return UElement(datum, {term: c * v_pow(k) if k else c for term, c, k in rows})
+    return UElement(datum, {term: c.shift(k) for term, c, k in rows})
 
 
 def antipode(x: UElement) -> UElement:

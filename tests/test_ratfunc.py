@@ -1,9 +1,11 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from qhall import ratfunc
 from qhall.ratfunc import (
     IntPoly,
     MINUS_ONE,
@@ -92,6 +94,22 @@ def test_q_pascal_recurrence():
             assert lhs == rhs
 
 
+def test_q_number_memos_bounded_and_transparent():
+    memos = (qint, qfact, qbinom)
+    for memo in memos:
+        assert memo.cache_parameters()["maxsize"] is not None
+        assert memo.__module__ == "qhall.ratfunc"
+    assert Path(ratfunc.__file__).read_text().count("maxsize=None") == 0
+    # [40]! and the binomials of row 12 overflow the memos
+    big = qfact(40)
+    row = [qbinom(12, k) for k in range(13)]
+    for memo in memos:
+        assert memo.cache_info().currsize <= memo.cache_parameters()["maxsize"]
+        memo.cache_clear()
+    assert qfact(40) == big and [qbinom(12, k) for k in range(13)] == row
+    assert qfact(40) == qfact(39) * qint(40)
+
+
 def test_evaluation_homomorphism():
     two = Fraction(2)
     for n in range(11):
@@ -174,6 +192,28 @@ def test_unit_monomial_products(a):
                 assert str(got) == str(want)
     # the shift never reaches the general product's cache
     assert _mul_cached.cache_info().currsize == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(ratfuncs, const_den_ratfuncs))
+def test_shift_is_the_product_by_a_v_power(a):
+    _mul_cached.cache_clear()
+    for k in range(-6, 7):
+        got = a.shift(k)
+        # rebuilt through the normalizing constructor, and through the
+        # general product that the unit-monomial path skips
+        rebuilt = RatFunc(a.num.shift(k), a.den)
+        assert got == a * v_pow(k) == _mul_cached(a, v_pow(k)) == rebuilt
+        assert hash(got) == hash(rebuilt) and str(got) == str(rebuilt)
+    assert a.shift(0) is a
+    assert ZERO.shift(3) is ZERO
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(ratfuncs, const_den_ratfuncs))
+def test_one_factor_returns_the_other_operand(a):
+    assert ONE * a == a == a * ONE
+    assert ONE * a is a and a * ONE is a
 
 
 # a few fixed denominators, so that sums meet equal, coprime and

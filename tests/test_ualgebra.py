@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from qhall.falgebra import (
 from qhall.freealg import FreeElement
 from qhall.lincomb import merge
 from qhall.ratfunc import MINUS_ONE, ONE, parse_ratfunc, v_pow
+from qhall.symmetries import ti_apply
 from qhall.ualgebra import (
     UElement,
     UTensor,
@@ -312,6 +314,41 @@ def test_twists_match_reference_a3_sample():
         x = UElement(A3, {a: ONE}) + UElement(A3, {key(): v_pow(-1) + v_pow(3)})
         y = UElement(A3, {b: MINUS_ONE})
         assert u_mul(x, y) == _u_mul_reference(x, y)
+
+
+def _scaled_at_two(got, x, m):
+    """got == x.scale(m), read off at v = 2 so that no product by m is
+    taken: a shift the wrong way round on both sides still shows."""
+    two = Fraction(2)
+    return got.terms.keys() == x.terms.keys() and all(
+        c.eval_at(two) == x.terms[key].eval_at(two) * m.eval_at(two)
+        for key, c in got.terms.items()
+    )
+
+
+def test_unit_monomial_scalars_pass_through_the_twists_a2():
+    # nonzero coweights give nonzero twist exponents
+    words = _basis_words(A2, 2)
+    coweights = [mu for mu in itertools.product(range(-2, 3), repeat=2) if any(mu)]
+    rng = random.Random(19)
+
+    def term(c):
+        key = (rng.choice(words), rng.choice(coweights), rng.choice(words))
+        return UElement(A2, {key: c})
+
+    for _ in range(40):
+        x, y = term(ONE), term(parse_ratfunc("(v^2 + 1)/(v - v^-1)"))
+        xy, s = u_mul(x, y), antipode(x)
+        t = {i: ti_apply(i, x) for i in A2.vertices}
+        for k in (-3, -1, 2):
+            for m in (v_pow(k), -v_pow(k)):
+                for got in (u_mul(x.scale(m), y), u_mul(x, y.scale(m))):
+                    assert got == xy.scale(m) and _scaled_at_two(got, xy, m)
+                got = antipode(x.scale(m))
+                assert got == s.scale(m) and _scaled_at_two(got, s, m)
+                for i in A2.vertices:
+                    got = ti_apply(i, x.scale(m))
+                    assert got == t[i].scale(m) and _scaled_at_two(got, t[i], m)
 
 
 def test_term_memos_bounded_and_transparent():

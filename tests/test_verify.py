@@ -34,7 +34,7 @@ def test_run_verify_counts_errors_as_failures(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("run_verify", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    monkeypatch.setattr(script, "DATA", [("A2", "1->2", ("all",))])
+    monkeypatch.setattr(script, "DATA", [("A2", "1->2", ("all",), {})])
     monkeypatch.setattr(
         script,
         "run_suite",
