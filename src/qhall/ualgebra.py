@@ -24,7 +24,9 @@ it:
 - F_f1 K_m1 E_e1 . F_f2 K_m2 E_e2: the normal form of F_f1 (E_e1 F_f2)
   E_e2 at twist m1 + m2 (concatenated) and shift m1 + m2, so each row
   gets v^-(alpha(wt fw, m1) + alpha(wt ew, m2)), where fw, ew are the
-  words of the straightened middle term.
+  words of the straightened middle term.  u_mul collects the products
+  c1 c2 c v^k per output key and reduces each key once
+  (ratfunc.sum_products), as symmetries._apply_table does.
 - S(F_fw K_mu E_ew) = S(E_ew) K_-mu S(F_fw): S(F_fw E_ew) at twist mu
   and shift -mu, so a term (fa, kappa, ea) gets
   v^(alpha(wt ew, mu) + alpha(wt fa, mu)).
@@ -43,7 +45,7 @@ from .cartan import CartanDatum, add_vec, neg_vec, sub_vec
 from .falgebra import FElement, _normal_form_word
 from .freealg import Word
 from .lincomb import LinComb, merge
-from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, v_pow
+from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, sum_products, v_pow
 
 UKey = tuple[Word, tuple, Word]
 
@@ -191,19 +193,20 @@ def _product_table(
 
 def u_mul(x: UElement, y: UElement) -> UElement:
     """x y: every pair of terms F_f1 K_m1 E_e1, F_f2 K_m2 E_e2 reads the
-    product table of (f1, e1, f2, e2) twisted by (m1, m2)."""
+    product table of (f1, e1, f2, e2) twisted by (m1, m2).  The
+    (c1 c2, row coefficient, exponent) triples are collected per output
+    key and each key's sum is reduced once."""
     if x.datum != y.datum:
         raise ValueError("operands live over different data")
     d = x.datum
-    out: dict = {}
+    groups: dict = {}
     for (f1, m1, e1), c1 in x.terms.items():
         for (f2, m2, e2), c2 in y.terms.items():
             base = c1 * c2
             rows = _product_table(d, f1, e1, f2, e2)
             for key, c, k in _twisted(rows, m1 + m2, add_vec(m1, m2)):
-                coeff = base * c
-                merge(out, key, coeff.shift(k))
-    return UElement(d, out)
+                groups.setdefault(key, []).append((base, c, k))
+    return UElement(d, sum_products(groups))
 
 
 def u_product(factors) -> UElement:

@@ -20,7 +20,8 @@ from qhall.ratfunc import (
     qint,
     sum_products,
     v_pow,
-    _mul_cached,
+    _cancelled,
+    _product,
 )
 
 
@@ -182,7 +183,7 @@ def test_laurent_rendering():
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(ratfuncs, const_den_ratfuncs))
 def test_unit_monomial_products(a):
-    _mul_cached.cache_clear()
+    _cancelled.cache_clear()
     for k in range(-3, 4):
         for s in (1, -1):
             m = RatFunc(IntPoly({k: s}))
@@ -190,20 +191,20 @@ def test_unit_monomial_products(a):
             for got in (a * m, m * a):
                 assert got == want and hash(got) == hash(want)
                 assert str(got) == str(want)
-    # the shift never reaches the general product's cache
-    assert _mul_cached.cache_info().currsize == 0
+    # the shift never reaches the general product's cancellation memo
+    assert _cancelled.cache_info().currsize == 0
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(ratfuncs, const_den_ratfuncs))
 def test_shift_is_the_product_by_a_v_power(a):
-    _mul_cached.cache_clear()
+    _cancelled.cache_clear()
     for k in range(-6, 7):
         got = a.shift(k)
         # rebuilt through the normalizing constructor, and through the
         # general product that the unit-monomial path skips
         rebuilt = RatFunc(a.num.shift(k), a.den)
-        assert got == a * v_pow(k) == _mul_cached(a, v_pow(k)) == rebuilt
+        assert got == a * v_pow(k) == _product(a, v_pow(k)) == rebuilt
         assert hash(got) == hash(rebuilt) and str(got) == str(rebuilt)
     assert a.shift(0) is a
     assert ZERO.shift(3) is ZERO
@@ -253,6 +254,35 @@ def test_sum_products_matches_left_to_right_sums(spec):
     for key, total in want.items():
         assert got[key] == total and hash(got[key]) == hash(total)
         assert str(got[key]) == str(total)
+
+
+general_factors = st.one_of(ratfuncs, const_den_ratfuncs, shared_den_ratfuncs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(general_factors, general_factors)
+def test_general_product_through_the_cancellation_memo(a, b):
+    want = RatFunc(a.num * b.num, a.den * b.den)
+    _cancelled.cache_clear()
+    cold = [a * b, b * a, _product(a, b), _product(b, a)]
+    warm = [a * b, b * a, _product(a, b), _product(b, a)]
+    for got in cold + warm:
+        assert got == want and hash(got) == hash(want)
+        assert str(got) == str(want)
+    # only a denominator other than 1 is cancelled against
+    assert _cancelled.cache_info().currsize <= 2
+
+
+def test_cancellation_memo_bounded_and_transparent():
+    assert _cancelled.cache_parameters()["maxsize"] is not None
+    assert _cancelled.__module__ == "qhall.ratfunc"
+    a = parse_ratfunc("(v^2 - 1)/(v^2 + v + 1)")
+    b = parse_ratfunc("(v^3 - 1)/(3v + 3)")
+    _cancelled.cache_clear()
+    assert str(a * b) == "(v^2 - 2v + 1)/3"
+    assert _cancelled.cache_info().currsize == 2
+    assert str(a * b) == "(v^2 - 2v + 1)/3"
+    assert _cancelled.cache_info().hits == 2
 
 
 @settings(max_examples=150, deadline=None)

@@ -260,7 +260,7 @@ def test_twisted_route_a3_sample():
 def test_pair_cache_bounded_and_transparent():
     assert _pair_image.cache_parameters()["maxsize"] is not None
     src = Path(symmetries.__file__).read_text()
-    assert src.count("maxsize=None") == 5
+    assert src.count("maxsize=None") == 0
     x = UElement(A3, {((2, 1), (1, -1, 0), (3, 2)): ONE}) + UElement(
         A3, {((1,), (0, 2, -1), (2,)): v_pow(-1) + v_pow(2)}
     )
@@ -274,7 +274,7 @@ def test_pair_cache_bounded_and_transparent():
 def test_t_tilde_pair_cache_bounded_and_transparent():
     assert _t_tilde_pair.cache_parameters()["maxsize"] is not None
     src = Path(symmetries.__file__).read_text()
-    assert src.count("maxsize=None") == 5
+    assert src.count("maxsize=None") == 0
     x = UElement(A3, {((2, 1), (1, -1, 0), (3, 2)): ONE}) + UElement(
         A3, {((1,), (0, 2, -1), (2,)): v_pow(-1) + v_pow(2)}
     )
@@ -282,6 +282,23 @@ def test_t_tilde_pair_cache_bounded_and_transparent():
     _t_tilde_pair.cache_clear()
     for i, tt in before:
         assert t_tilde_apply(i, x) == tt == ti_apply(i, x)
+
+
+def test_word_memos_bounded_and_transparent():
+    names = ("_table", "_certified", "_word_image", "_divided_image", "_t_tilde_word")
+    memos = [getattr(symmetries, name) for name in names]
+    for memo in memos:
+        assert memo.cache_parameters()["maxsize"] is not None
+        assert memo.__module__ == "qhall.symmetries"
+    x = UElement(A3, {((2, 1), (1, -1, 0), (3, 2)): ONE}) + UElement(
+        A3, {((1,), (0, 2, -1), (2,)): v_pow(-1) + v_pow(2)}
+    )
+    apply = (ti_apply, ti_inverse_apply, t_tilde_apply)
+    before = [f(i, x) for i in A3.vertices for f in apply]
+    for memo in memos + [_pair_image, _t_tilde_pair]:
+        memo.cache_clear()
+        assert memo.cache_info().currsize == 0
+    assert [f(i, x) for i in A3.vertices for f in apply] == before
 
 
 def _per_product_reference(i, x, inverse):

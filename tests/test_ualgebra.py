@@ -5,7 +5,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from qhall import ualgebra
-from qhall.cartan import A2, A3, add_vec, neg_vec
+from qhall.cartan import A2, A3, add_vec, load_datum, neg_vec, quiver_from_shorthand
 from qhall.falgebra import (
     FElement,
     _normal_form_word,
@@ -16,7 +16,7 @@ from qhall.falgebra import (
 )
 from qhall.freealg import FreeElement
 from qhall.lincomb import merge
-from qhall.ratfunc import MINUS_ONE, ONE, parse_ratfunc, v_pow
+from qhall.ratfunc import MINUS_ONE, ONE, ONE_POLY, IntPoly, RatFunc, parse_ratfunc, v_pow
 from qhall.symmetries import ti_apply
 from qhall.ualgebra import (
     UElement,
@@ -26,6 +26,7 @@ from qhall.ualgebra import (
     _delta_words,
     _product_table,
     _straighten,
+    _twisted,
     antipode,
     counit,
     delta,
@@ -349,6 +350,79 @@ def test_unit_monomial_scalars_pass_through_the_twists_a2():
                 for i in A2.vertices:
                     got = ti_apply(i, x.scale(m))
                     assert got == t[i].scale(m) and _scaled_at_two(got, t[i], m)
+
+
+def _u_mul_merge_reference(x, y):
+    """x y from the same product tables and twist as u_mul, with every
+    product c1 c2 c v^k reduced and merged into its key one at a time."""
+    d = x.datum
+    out = {}
+    for (f1, m1, e1), c1 in x.terms.items():
+        for (f2, m2, e2), c2 in y.terms.items():
+            rows = _product_table(d, f1, e1, f2, e2)
+            for key, c, k in _twisted(rows, m1 + m2, add_vec(m1, m2)):
+                merge(out, key, c1 * c2 * c * v_pow(k))
+    return UElement(d, out)
+
+
+KRONECKER = load_datum(quiver_from_shorthand("1->2,1->2"))
+# 3, v + 1, v^2 - 1, v^2 + 1 and v^2 + v + 1: the third shares the
+# factor v + 1 with the second, the others are coprime
+DENOMINATORS = [
+    IntPoly(d)
+    for d in ({0: 3}, {0: 1, 1: 1}, {0: -1, 2: 1}, {0: 1, 2: 1}, {0: 1, 1: 1, 2: 1})
+]
+
+
+def _coefficient(rng):
+    """A seeded Q(v) value over one of DENOMINATORS, never +-v^k."""
+    while True:
+        num = IntPoly({
+            rng.randint(-2, 2): rng.choice((-3, -1, 1, 2)),
+            rng.randint(-2, 2): rng.choice((-2, 1, 3)),
+        })
+        c = RatFunc(num, rng.choice(DENOMINATORS))
+        if c and not (c.den == ONE_POLY and len(c.num.coeffs) == 1):
+            return c
+
+
+def test_u_mul_reduces_once_per_key():
+    for d in (A3, KRONECKER):
+        rng = random.Random(23)
+        words = _basis_words(d, 2)
+        coweights = [
+            mu for mu in itertools.product(range(-2, 3), repeat=d.rank) if any(mu)
+        ]
+
+        def element(n):
+            keys = [
+                (rng.choice(words), rng.choice(coweights), rng.choice(words))
+                for _ in range(n)
+            ]
+            return UElement(d, {key: _coefficient(rng) for key in keys})
+
+        for _ in range(60):
+            x, y = element(rng.randint(1, 3)), element(rng.randint(1, 3))
+            assert u_mul(x, y) == _u_mul_merge_reference(x, y)
+        # K_mu E_i . F_i K_nu and F_i K_mu . K_nu E_i meet on the key
+        # (F_i, mu + nu, E_i): first with coefficients over different
+        # denominators, then with coefficients chosen to cancel there
+        for i in d.vertices:
+            mu, nu = rng.choice(coweights), rng.choice(coweights)
+            t1, s1 = ((), mu, (i,)), ((i,), nu, ())
+            t2, s2 = ((i,), mu, ()), ((), nu, (i,))
+            met = ((i,), add_vec(mu, nu), (i,))
+            r1, r2 = (
+                _u_mul_merge_reference(UElement(d, {t: ONE}), UElement(d, {s: ONE})).terms[met]
+                for t, s in ((t1, s1), (t2, s2))
+            )
+            ct1, cs1, ct2 = _coefficient(rng), _coefficient(rng), _coefficient(rng)
+            x = UElement(d, {t1: ct1, t2: ct2})
+            for cs2 in (_coefficient(rng), -(ct1 * cs1 * r1) / (ct2 * r2)):
+                y = UElement(d, {s1: cs1, s2: cs2})
+                got = u_mul(x, y)
+                assert got == _u_mul_merge_reference(x, y)
+            assert met not in got.terms
 
 
 def test_term_memos_bounded_and_transparent():
