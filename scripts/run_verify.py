@@ -7,20 +7,13 @@ from the defaults.
 The f suite also runs on D4 with its branch vertex labelled 2 and on the
 path 1 - 3 - 2, where the alphabet order of the root words is not the
 order along the Dynkin diagram.  The ti suite runs on that path too, so
-T_i and T~_i, and the vertex key of the T~_i word-pair memo, are
-exercised at a middle vertex whose id is 3.  The hall suite runs on that
-D4, whose branch vertex is a source: its class tables come from Kostant
-partitions, and hall-bgp-bijection reflects at each of the three sinks.
-The u, double and f suites run on the Kronecker quiver, whose a_12 = -2
-puts the product and antipode twists off the simply-laced data; its ti
-suite is left out, as no budget bounds it yet.
-
-A second A2 row runs the ti suite at T~ degree 1.  Each vertex then
-visits only 9 word pairs, and the next vertex visits the same 9.  So a
-T~_i word-pair memo whose key left out the vertex would hand one vertex
-the rows of the other.  At the default degree this does not show: each
-vertex visits more pairs than the memo holds, so the rows of one vertex
-are gone before the next one starts."""
+T_i and T~_i are exercised at a middle vertex whose id is 3.  The hall
+suite runs on that D4, whose branch vertex is a source: its class tables
+come from Kostant partitions, and hall-bgp-bijection reflects at each of
+the three sinks.  The u, double and f suites run on the Kronecker
+quiver, whose a_12 = -2 puts the product and antipode twists off the
+simply-laced data; its ti suite is left out, as no budget bounds it
+yet."""
 
 import sys
 import time
@@ -31,7 +24,6 @@ from qhall.verify import Session, run_suite
 DATA = [
     ("A1", '{"vertices": [1], "arrows": []}', ("all",), {}),
     ("A2", "1->2", ("all",), {}),
-    ("A2-ti-deg-1", "1->2", ("ti",), {"ttilde_degree": 1}),
     ("A2-reversed", "2->1", ("all",), {}),
     ("A3", "1->2,2->3", ("all",), {}),
     ("A3-1->3,3->2", "1->3,3->2", ("f", "ti"), {}),

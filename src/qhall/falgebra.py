@@ -211,10 +211,6 @@ def weight_basis(datum: CartanDatum, nu: tuple) -> WeightBasis:
     return wb
 
 
-def dim_f(datum: CartanDatum, nu: tuple) -> int:
-    return weight_basis(datum, nu).dim
-
-
 class FElement(LinComb):
     """Element of the quotient algebra in canonical coordinates.
 

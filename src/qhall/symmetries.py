@@ -28,20 +28,21 @@ row to lam.  The products c * pc * v^k (a coefficient of x, a row's
 coefficient, the twist) are collected per output key and each key is
 reduced once (ratfunc.sum_products).
 
-t_tilde_apply is the decomposition-based route: each triangular slot is
-split through the divided-power decomposition, the kernel pieces are
-moved by the restricted symmetry, and the minus side is rescaled by the
-transport factor (-v)^-(nu,i) that makes the reassembly agree with
-ti_apply exactly.  Its word-pair products are kept as torus-free rows in
-a bounded cache of their own and twisted the same way.  The two routes
-share only the twist and the row layout (_pair_rows), so comparing them
-checks the word images, not the twist; the twist is checked against
+t_tilde_apply is the decomposition-based route: each pure F-word or
+E-word is split through the divided-power decomposition, the kernel
+pieces are moved by the restricted symmetry, and the minus side is
+rescaled by the transport factor (-v)^-(nu,i) that makes the reassembly
+agree with ti_apply exactly.  The three routes T_i, T_i^-1 and T~_i
+differ only in their word images: all read their word-pair rows from
+one bounded memo keyed by the route, and twist them the same way.  So
+the routes agree on every monomial once their word images agree, which
+is what ti-decomposition-route compares; the twist is checked against
 products that carry every K_mu through the computation.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .cartan import CartanDatum, neg_vec, scale_vec, sub_vec
 from .falgebra import (
@@ -81,11 +82,11 @@ def _sigma(x: UElement) -> UElement:
     return out
 
 
-# _table, _certified, _word_image, _divided_image and _t_tilde_word are
-# bounded above the largest fill measured: one scripts/run_verify.py
-# process leaves 22, 11, 1,226, 88 and 460 entries in them, one
-# symbolic-verify round 10, 5, 370, 34 and 124, and the u-queries stream
-# 6, 3, 363, 18 and 72.
+# _table, _certified, _word_image, _pair_image, _divided_image and
+# _t_tilde_word are bounded above the largest fill measured: one
+# scripts/run_verify.py process leaves 22, 11, 1,226, 1,258, 88 and 460
+# entries in them, one symbolic-verify round 10, 5, 370, 436, 34 and 124,
+# and the u-queries stream 6, 3, 363, 1,943, 18 and 72.
 @lru_cache(maxsize=64)
 def _table(datum: CartanDatum, vertex: int, inverse: bool) -> dict:
     """Generator images of T_i; for T_i^-1 = sigma T_i sigma, since sigma
@@ -125,20 +126,20 @@ def _table(datum: CartanDatum, vertex: int, inverse: bool) -> dict:
 def _certified(datum: CartanDatum, vertex: int) -> bool:
     """Check T_i o T_i^-1 = id and T_i^-1 o T_i = id on all generators."""
 
-    def round_trip(g, inverse_first):
-        for inverse in (inverse_first, not inverse_first):
-            g = _apply_table(vertex, g, partial(_pair_image, datum, vertex, inverse))
+    def round_trip(g, routes):
+        for route in routes:
+            g = _apply_table(vertex, g, route)
         return g
 
     for j in datum.vertices:
         for maker in (UElement.E, UElement.F):
             g = maker(datum, j)
-            if round_trip(g, True) != g or round_trip(g, False) != g:
+            if round_trip(g, ("T-1", "T")) != g or round_trip(g, ("T", "T-1")) != g:
                 raise RuntimeError(
                     f"inverse symmetry table failed certification at vertex {j}"
                 )
         k = UElement.K(datum, datum.unit_vec(j))
-        if round_trip(k, True) != k:
+        if round_trip(k, ("T-1", "T")) != k:
             raise RuntimeError("inverse symmetry table failed on the torus")
     return True
 
@@ -171,38 +172,45 @@ def _pair_rows(f_img: UElement, e_img: UElement) -> tuple:
 
 @lru_cache(maxsize=4096)
 def _pair_image(
-    datum: CartanDatum, vertex: int, inverse: bool, fw: Word, ew: Word
+    datum: CartanDatum, vertex: int, route: str, fw: Word, ew: Word
 ) -> tuple:
-    """T(F_fw) T(E_ew) as _pair_rows."""
+    """T(F_fw) T(E_ew) as _pair_rows, where T is T_i on route "T", T_i^-1
+    on "T-1" and the decomposition route T~_i on "T~"."""
+    if route == "T~":
+        return _pair_rows(
+            _t_tilde_word(datum, vertex, "minus", fw),
+            _t_tilde_word(datum, vertex, "plus", ew),
+        )
+    inverse = route == "T-1"
     return _pair_rows(
         _word_image(datum, vertex, "F", fw, inverse),
         _word_image(datum, vertex, "E", ew, inverse),
     )
 
 
-def _apply_table(vertex: int, x: UElement, pairs) -> UElement:
+def _apply_table(vertex: int, x: UElement, route: str) -> UElement:
     """T(F_a K_mu E_b) = v^alpha_delta(lam) T(F_a) T(E_b) K_lam with
-    lam = s_i mu: one pair image pairs(a, b) per term, twisted by lam.
-    The (c, pc, exponent) triples are collected per output key and each
-    key's sum is reduced once."""
+    lam = s_i mu: one pair image of (a, b) on the route per term, twisted
+    by lam.  The (c, pc, exponent) triples are collected per output key
+    and each key's sum is reduced once."""
     d = x.datum
     groups: dict = {}
     for (fw, mu, ew), c in x.terms.items():
         lam = d.reflect_coweight(vertex, mu)
-        for key, pc, k in _twisted(pairs(fw, ew), lam, lam):
+        for key, pc, k in _twisted(_pair_image(d, vertex, route, fw, ew), lam, lam):
             groups.setdefault(key, []).append((c, pc, k))
     return UElement(d, sum_products(groups))
 
 
 def ti_apply(vertex: int, x: UElement) -> UElement:
     """Lusztig's symmetry at the given vertex."""
-    return _apply_table(vertex, x, partial(_pair_image, x.datum, vertex, False))
+    return _apply_table(vertex, x, "T")
 
 
 def ti_inverse_apply(vertex: int, x: UElement) -> UElement:
     """The inverse symmetry; the table is certified on first use."""
     _certified(x.datum, vertex)
-    return _apply_table(vertex, x, partial(_pair_image, x.datum, vertex, True))
+    return _apply_table(vertex, x, "T-1")
 
 
 def ti_restricted(vertex: int, x: FElement) -> FElement:
@@ -297,23 +305,10 @@ def _t_tilde_word(
     return UElement(datum, out)
 
 
-@lru_cache(maxsize=64)
-def _t_tilde_pair(datum: CartanDatum, vertex: int, fw: Word, ew: Word) -> tuple:
-    """T~(F_fw) T~(E_ew) as _pair_rows.  A memo of its own, so that T~_i
-    traffic never evicts the rows of _pair_image.  A check that walks the
-    coweights innermost repeats each pair back to back, and 64 entries
-    catch every such repeat at little memory."""
-    return _pair_rows(
-        _t_tilde_word(datum, vertex, "minus", fw),
-        _t_tilde_word(datum, vertex, "plus", ew),
-    )
-
-
 def t_tilde_apply(vertex: int, x: UElement) -> UElement:
     """Symmetry computed through the direct-sum decomposition of each
-    triangular slot; agrees exactly with ti_apply.  Its pair images are
-    read from the bounded memo _t_tilde_pair."""
-    return _apply_table(vertex, x, partial(_t_tilde_pair, x.datum, vertex))
+    triangular slot; agrees exactly with ti_apply."""
+    return _apply_table(vertex, x, "T~")
 
 
 def calibrate_twist(datum: CartanDatum, vertex: int, samples: list) -> list:

@@ -572,13 +572,21 @@ def _check_ti_subalgebra(s: Session):
 
 
 def _check_ti_ttilde(s: Session):
+    """T~_i and T_i on every basis F-word and E-word up to the T~ degree,
+    read from the word images directly.  Both routes assemble F_a K_mu E_b
+    from the images of F_a and E_b by the same rows and twist, so this
+    covers every monomial; a few mixed monomials run that assembly."""
     d = s.datum
-    mus = _mu_samples(d)
+    weights = _weights_upto(d, s.ttilde_degree)
+    words = [w for nu in weights for w in fa.weight_basis(d, nu).basis_words]
+    mixed = [k for k in _u_monomial_keys(d, 2, _mu_samples(d)) if k[0] and k[2]]
     for i in d.vertices:
-        for key in _u_monomial_keys(d, 2 * s.ttilde_degree, mus):
-            fw, mu, ew = key
-            if len(fw) > s.ttilde_degree or len(ew) > s.ttilde_degree:
-                continue
+        for w in words:
+            for kind, sign in (("F", "minus"), ("E", "plus")):
+                got = sym._t_tilde_word(d, i, sign, w)
+                want = sym._word_image(d, i, kind, w, False)
+                _expect(f"T~_{i} vs T_{i} on {kind}{w}", got, want)
+        for key in mixed:
             x = ua.UElement(d, {key: ONE})
             got = sym.t_tilde_apply(i, x)
             _expect(f"T~_{i} vs T_{i} on", got, sym.ti_apply(i, x), x)

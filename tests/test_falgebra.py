@@ -9,7 +9,6 @@ from qhall.falgebra import (
     _form_at_one,
     _normal_form_word,
     dim_decomposition_check,
-    dim_f,
     f_mul,
     greedy_basis,
     i_decompose,
@@ -42,12 +41,12 @@ def felt(d, *letters):
 
 
 def test_weight_space_dimensions():
-    assert dim_f(A2, (1, 0)) == 1
+    assert weight_basis(A2, (1, 0)).dim == 1
     assert weight_basis(A2, (1, 0)).basis_words == ((1,),)
-    assert dim_f(A2, (1, 1)) == 2
-    assert dim_f(A2, (2, 1)) == 2
-    assert dim_f(A2, (2, 2)) == 3
-    assert dim_f(A3, (1, 1, 1)) == 4
+    assert weight_basis(A2, (1, 1)).dim == 2
+    assert weight_basis(A2, (2, 1)).dim == 2
+    assert weight_basis(A2, (2, 2)).dim == 3
+    assert weight_basis(A3, (1, 1, 1)).dim == 4
 
 
 def test_weight_basis_selection_is_lex_greedy():
@@ -172,7 +171,7 @@ def test_decomposition_reconstruction():
 
 
 def test_dim_decomposition_examples():
-    assert dim_f(A2, (1, 1)) == 2
+    assert weight_basis(A2, (1, 1)).dim == 2
     assert len(sub_if_basis(A2, 1, (1, 1), "left")) == 1
     assert len(sub_if_basis(A2, 1, (0, 1), "left")) == 1
     assert len(sub_if_basis(A2, 1, (2, 1), "left")) == 0
@@ -316,5 +315,5 @@ def test_a_wrong_root_word_makes_weight_basis_raise(monkeypatch):
 def test_kronecker_quiver_keeps_the_greedy_pass():
     d = load_datum(load_quiver("1->2,1->2"))
     assert falgebra._root_words(d) is None
-    assert dim_f(d, (3, 3)) == 14
+    assert weight_basis(d, (3, 3)).dim == 14
     assert weight_basis(d, (3, 3)) == greedy_basis(d, (3, 3))

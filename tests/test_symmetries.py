@@ -18,7 +18,6 @@ from qhall.lincomb import merge
 from qhall.ratfunc import MINUS_ONE, ONE, parse_ratfunc, v_pow
 from qhall.symmetries import (
     _pair_image,
-    _t_tilde_pair,
     _t_tilde_word,
     _word_image,
     braid_verify,
@@ -264,28 +263,36 @@ def test_pair_cache_bounded_and_transparent():
     x = UElement(A3, {((2, 1), (1, -1, 0), (3, 2)): ONE}) + UElement(
         A3, {((1,), (0, 2, -1), (2,)): v_pow(-1) + v_pow(2)}
     )
-    before = [(i, ti_apply(i, x), ti_inverse_apply(i, x)) for i in A3.vertices]
+    apply = (ti_apply, ti_inverse_apply, t_tilde_apply)
+    before = [(i, [f(i, x) for f in apply]) for i in A3.vertices]
     _pair_image.cache_clear()
-    for i, t, tinv in before:
-        assert ti_apply(i, x) == t
-        assert ti_inverse_apply(i, x) == tinv
+    for i, images in before:
+        assert [f(i, x) for f in apply] == images
+        assert images[2] == images[0]
 
 
-def test_t_tilde_pair_cache_bounded_and_transparent():
-    assert _t_tilde_pair.cache_parameters()["maxsize"] is not None
-    src = Path(symmetries.__file__).read_text()
-    assert src.count("maxsize=None") == 0
-    x = UElement(A3, {((2, 1), (1, -1, 0), (3, 2)): ONE}) + UElement(
-        A3, {((1,), (0, 2, -1), (2,)): v_pow(-1) + v_pow(2)}
-    )
-    before = [(i, t_tilde_apply(i, x)) for i in A3.vertices]
-    _t_tilde_pair.cache_clear()
-    for i, tt in before:
-        assert t_tilde_apply(i, x) == tt == ti_apply(i, x)
+def test_route_is_part_of_the_pair_memo_key():
+    # T~_i = T_i, so no image shows a memo that hands one route the rows
+    # of the other; a cold _t_tilde_word call after T_i has filled the
+    # pair does
+    x = UElement(A2, {((2, 1), (0, 1), (1, 2)): ONE})
+    for memo in (_pair_image, _t_tilde_word):
+        memo.cache_clear()
+    ti_apply(1, x)
+    assert _t_tilde_word.cache_info().misses == 0
+    assert t_tilde_apply(1, x) == ti_apply(1, x)
+    assert _t_tilde_word.cache_info().misses > 0
 
 
 def test_word_memos_bounded_and_transparent():
-    names = ("_table", "_certified", "_word_image", "_divided_image", "_t_tilde_word")
+    names = (
+        "_table",
+        "_certified",
+        "_word_image",
+        "_pair_image",
+        "_divided_image",
+        "_t_tilde_word",
+    )
     memos = [getattr(symmetries, name) for name in names]
     for memo in memos:
         assert memo.cache_parameters()["maxsize"] is not None
@@ -295,20 +302,20 @@ def test_word_memos_bounded_and_transparent():
     )
     apply = (ti_apply, ti_inverse_apply, t_tilde_apply)
     before = [f(i, x) for i in A3.vertices for f in apply]
-    for memo in memos + [_pair_image, _t_tilde_pair]:
+    for memo in memos:
         memo.cache_clear()
         assert memo.cache_info().currsize == 0
     assert [f(i, x) for i in A3.vertices for f in apply] == before
 
 
-def _per_product_reference(i, x, inverse):
+def _per_product_reference(i, x, route):
     """The pair-image route with every product c * pc * v^(pairing . lam)
     reduced and merged into its key one at a time."""
     d = x.datum
     out = {}
     for (fw, mu, ew), c in x.terms.items():
         lam = d.reflect_coweight(i, mu)
-        for (f, kappa, e), pc, pairing in _pair_image(d, i, inverse, fw, ew):
+        for (f, kappa, e), pc, pairing in _pair_image(d, i, route, fw, ew):
             coeff = c * pc * v_pow(sum(p * k for p, k in zip(pairing, lam)))
             merge(out, (f, add_vec(kappa, lam), e), coeff)
     return UElement(d, out)
@@ -338,9 +345,9 @@ def test_reduce_once_matches_per_product_sums():
         x = UElement(A3, terms)
         i = rng.choice(A3.vertices)
         y = ti_apply(i, x)
-        assert y == _per_product_reference(i, x, False)
-        assert ti_inverse_apply(i, x) == _per_product_reference(i, x, True)
-        assert ti_inverse_apply(i, y) == _per_product_reference(i, y, True)
+        assert y == _per_product_reference(i, x, "T")
+        assert ti_inverse_apply(i, x) == _per_product_reference(i, x, "T-1")
+        assert ti_inverse_apply(i, y) == _per_product_reference(i, y, "T-1")
         assert ti_inverse_apply(i, y) == x
         assert ti_apply(i, ti_inverse_apply(i, x)) == x
 

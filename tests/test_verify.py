@@ -78,6 +78,24 @@ def test_a_wrong_generator_image_fails_with_its_counterexample(monkeypatch):
     assert r.detail == f"T_1(E2): got {want + e2}, want {want}"
 
 
+def test_a_wrong_t_tilde_word_image_fails_with_the_word_and_both_images(monkeypatch):
+    # ti-decomposition-route reads the word images directly; make T~_1(F2)
+    # on A2 off by F2
+    d = load_datum(load_quiver("1->2"))
+    f2 = verify.ua.UElement.F(d, 2)
+    real = verify.sym._t_tilde_word
+
+    def wrong(datum, i, sign, word):
+        image = real(datum, i, sign, word)
+        return image + f2 if (i, sign, word) == (1, "minus", (2,)) else image
+
+    monkeypatch.setattr(verify.sym, "_t_tilde_word", wrong)
+    r = verify._run("ti-decomposition-route", verify._check_ti_ttilde, Session(d))
+    assert r.status == "fail"
+    want = verify.sym.ti_apply(1, f2)
+    assert r.detail == f"T~_1 vs T_1 on F(2,): got {want + f2}, want {want}"
+
+
 def test_a_side_is_cut_to_one_bounded_line():
     long = "x" * (2 * verify.SIDE_CHARS)
 
