@@ -271,6 +271,23 @@ def test_pair_cache_bounded_and_transparent():
         assert images[2] == images[0]
 
 
+def test_t_tilde_pair_cache_bounded_and_transparent():
+    # T~_i keeps its rows in the shared, bounded _pair_image memo under
+    # its own route; clearing that memo and _t_tilde_word changes no image
+    assert _pair_image.cache_parameters()["maxsize"] is not None
+    assert _t_tilde_word.cache_parameters()["maxsize"] is not None
+    x = UElement(A3, {((2, 1), (1, -1, 0), (3, 2)): ONE}) + UElement(
+        A3, {((1,), (0, 2, -1), (2,)): v_pow(-1) + v_pow(2)}
+    )
+    _pair_image.cache_clear()
+    before = [(i, t_tilde_apply(i, x)) for i in A3.vertices]
+    assert _pair_image.cache_info().currsize > 0
+    for memo in (_pair_image, _t_tilde_word):
+        memo.cache_clear()
+    for i, tt in before:
+        assert t_tilde_apply(i, x) == tt == ti_apply(i, x)
+
+
 def test_route_is_part_of_the_pair_memo_key():
     # T~_i = T_i, so no image shows a memo that hands one route the rows
     # of the other; a cold _t_tilde_word call after T_i has filled the
