@@ -31,11 +31,11 @@ from functools import lru_cache
 from operator import le, mul
 
 from . import linalg
-from .cartan import CartanDatum, positive_roots, scale_vec, sub_vec
+from .cartan import CartanDatum, kostant_partitions, positive_roots, scale_vec, sub_vec
 from .freealg import FreeElement, Word, words_of_weight
-from .lincomb import LinComb, merge
+from .lincomb import LinComb, bilinear, linear
 from .ratfunc import (
-    ONE, ONE_POLY, ZERO, ZERO_POLY, IntPoly, RatFunc, common_denominator, qfact
+    ONE, ONE_POLY, ZERO, ZERO_POLY, IntPoly, RatFunc, common_denominator, qfact, v_pow
 )
 
 
@@ -140,21 +140,11 @@ def _lyndon_basis_words(root_words: dict, nu: tuple) -> list:
     of nu, in lex order."""
     fits = [rw for rw in root_words.items() if all(map(le, rw[0], nu))]
     ordered = sorted(fits, key=lambda rw: _reversed(rw[1]), reverse=True)
-    out = []
-
-    def rec(k: int, rem: tuple, acc: Word):
-        if not any(rem):
-            out.append(acc)
-            return
-        if k == len(ordered):
-            return
-        root, word = ordered[k]
-        while all(x >= 0 for x in rem):
-            rec(k + 1, rem, acc)
-            rem, acc = sub_vec(rem, root), acc + word
-
-    rec(0, nu, ())
-    return sorted(out)
+    roots = tuple(root for root, _word in ordered)
+    return sorted(
+        sum((word * m for (_root, word), m in zip(ordered, mults)), ())
+        for mults in kostant_partitions(roots, nu)
+    )
 
 
 def _border(datum: CartanDatum, nu: tuple, candidates) -> WeightBasis:
@@ -256,22 +246,19 @@ def normal_form(x: FreeElement | FElement) -> FElement:
     exactly on the radical."""
     if isinstance(x, FElement):
         return x
-    out: dict = {}
-    for w, c in x.terms.items():
-        for bw, coeff in _normal_form_word(x.datum, w):
-            merge(out, bw, c * coeff)
-    return FElement(x.datum, out)
+    d = x.datum
+    return FElement(d)._like(linear(x.terms.items(), lambda w: _normal_form_word(d, w)))
 
 
 def f_mul(x: FElement, y: FElement) -> FElement:
     if x.datum != y.datum:
         raise ValueError("operands live over different data")
-    out: dict = {}
-    for w1, c1 in x.terms.items():
-        for w2, c2 in y.terms.items():
-            for bw, coeff in _normal_form_word(x.datum, w1 + w2):
-                merge(out, bw, c1 * c2 * coeff)
-    return FElement(x.datum, out)
+    d = x.datum
+
+    def image(w1: Word, w2: Word) -> tuple:
+        return _normal_form_word(d, w1 + w2)
+
+    return x._like(bilinear(x.terms.items(), y.terms.items(), image))
 
 
 def theta_divided(datum: CartanDatum, vertex: int, n: int) -> FElement:
@@ -290,11 +277,8 @@ def serre_element(datum: CartanDatum, i: int, j: int) -> FreeElement:
     n = 1 - datum.a(i, j)
     terms: dict = {}
     for k in range(n + 1):
-        w = (i,) * k + (j,) + (i,) * (n - k)
         coeff = (qfact(k) * qfact(n - k)).inverse()
-        if k % 2:
-            coeff = -coeff
-        merge(terms, w, coeff)
+        terms[(i,) * k + (j,) + (i,) * (n - k)] = -coeff if k % 2 else coeff
     return FreeElement(datum, terms)
 
 
@@ -304,11 +288,12 @@ def i_r_component(vertex: int, side: str, x: FElement) -> FElement:
     read off the twisted derivation on each word."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    out: dict = {}
-    for w, c in x.terms.items():
-        for sub, e in _derive_word(x.datum, vertex, w, side):
-            merge(out, sub, c.shift(e))
-    return normal_form(FreeElement(x.datum, out))
+    d = x.datum
+
+    def image(w):
+        return ((sub, v_pow(e)) for sub, e in _derive_word(d, vertex, w, side))
+
+    return normal_form(FreeElement(d)._like(linear(x.terms.items(), image)))
 
 
 @lru_cache(maxsize=None)
@@ -335,7 +320,8 @@ def sub_if_basis(
 @lru_cache(maxsize=None)
 def _decompose_word(datum: CartanDatum, vertex: int, word: Word, side: str) -> tuple:
     """Coordinates of a basis word in the divided-power decomposition
-    f_nu = sum_t th^(t) (kernel part); returns ((t, FElement), ...)."""
+    f_nu = sum_t th^(t) (kernel part), as ((t, basis word), coefficient)
+    rows: the piece at level t is the sum of the rows with that t."""
     nu = datum.weight_of_word(word)
     idx = datum.index(vertex)
     wb = weight_basis(datum, nu)
@@ -355,11 +341,12 @@ def _decompose_word(datum: CartanDatum, vertex: int, word: Word, side: str) -> t
         raise RuntimeError(
             "divided-power decomposition failed; the direct-sum invariant is broken"
         )
-    pieces: dict = {}
-    for (t, ker), c in zip(labels, sol):
-        if c:
-            pieces[t] = pieces.get(t, FElement(datum)) + ker.scale(c)
-    return tuple(sorted((t, p) for t, p in pieces.items() if not p.is_zero()))
+
+    def image(label):
+        t, ker = label
+        return (((t, w), c) for w, c in ker.terms.items())
+
+    return tuple(linear(zip(labels, sol), image).items())
 
 
 def i_decompose(vertex: int, x: FElement) -> list:
@@ -376,11 +363,12 @@ def i_decompose_right(vertex: int, x: FElement) -> list:
 def _i_decompose_side(vertex: int, x: FElement, side: str) -> list:
     if len(x.weights()) > 1:
         raise ValueError("decomposition needs a homogeneous element")
+    d = x.datum
+    rows = linear(x.terms.items(), lambda w: _decompose_word(d, vertex, w, side))
     pieces: dict = {}
-    for w, c in x.terms.items():
-        for t, piece in _decompose_word(x.datum, vertex, w, side):
-            pieces[t] = pieces.get(t, FElement(x.datum)) + piece.scale(c)
-    return sorted((t, p) for t, p in pieces.items() if not p.is_zero())
+    for (t, w), c in rows.items():
+        pieces.setdefault(t, {})[w] = c
+    return [(t, x._like(p)) for t, p in sorted(pieces.items())]
 
 
 def dim_decomposition_check(datum: CartanDatum, vertex: int, nu: tuple) -> bool:

@@ -4,8 +4,8 @@ Carries the twisted coproduct determined by th_i |-> th_i x 1 + 1 x th_i
 and the symmetric bilinear form built from it by recursion.  Words are
 tuples of vertex ids; elements map words to Q(v) coefficients.
 
-The word-level coproduct and form are memoized per datum; cached values
-are pure and insert-only, so concurrent readers always agree.
+The word-level coproduct and form are memoized per datum in bounded
+caches; cached values are pure, so an evicted entry is recomputed alike.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cartan import CartanDatum
-from .lincomb import LinComb, merge
+from .lincomb import LinComb, bilinear, linear
 from .ratfunc import ONE, RatFunc, ZERO, v_pow
 
 Word = tuple[int, ...]
@@ -74,11 +74,11 @@ class TensorElement(LinComb):
 def free_mul(x: FreeElement, y: FreeElement) -> FreeElement:
     if x.datum != y.datum:
         raise ValueError("operands live over different data")
-    out: dict = {}
-    for w1, c1 in x.terms.items():
-        for w2, c2 in y.terms.items():
-            merge(out, w1 + w2, c1 * c2)
-    return FreeElement(x.datum, out)
+    return x._like(bilinear(x.terms.items(), y.terms.items(), _concat))
+
+
+def _concat(w1: Word, w2: Word) -> tuple:
+    return ((w1 + w2, ONE),)
 
 
 def twisted_tensor_mul(t1: TensorElement, t2: TensorElement) -> TensorElement:
@@ -86,16 +86,23 @@ def twisted_tensor_mul(t1: TensorElement, t2: TensorElement) -> TensorElement:
     if t1.datum != t2.datum:
         raise ValueError("operands live over different data")
     d = t1.datum
-    out: dict = {}
-    for (x1, y1), c1 in t1.terms.items():
-        wy1 = d.weight_of_word(y1)
-        for (x2, y2), c2 in t2.terms.items():
-            twist = d.sym_form(wy1, d.weight_of_word(x2))
-            merge(out, (x1 + x2, y1 + y2), (c1 * c2).shift(twist))
-    return TensorElement(d, out)
+    # each key carries the weight that the twist reads from it
+    xs = [((x, y, d.weight_of_word(y)), c) for (x, y), c in t1.terms.items()]
+    ys = [((x, y, d.weight_of_word(x)), c) for (x, y), c in t2.terms.items()]
+
+    def image(k1, k2):
+        (x1, y1, wt_y1), (x2, y2, wt_x2) = k1, k2
+        twist = d.sym_form(wt_y1, wt_x2)
+        return (((x1 + x2, y1 + y2), v_pow(twist) if twist else ONE),)
+
+    return t1._like(bilinear(xs, ys, image))
 
 
-@lru_cache(maxsize=None)
+# coproduct_word, _form_words and words_of_weight are bounded above the
+# largest fill measured: one scripts/run_verify.py process leaves 1,777,
+# 4,870 and 617 entries in them, one symbolic-verify round 427, 243 and
+# 105, and the u-queries stream none.
+@lru_cache(maxsize=4096)
 def coproduct_word(datum: CartanDatum, word: Word) -> tuple:
     """Coproduct of a single word as a tuple of ((w1, w2), coeff)."""
     if not word:
@@ -111,14 +118,12 @@ def coproduct_word(datum: CartanDatum, word: Word) -> tuple:
 
 def coproduct_r(x: FreeElement) -> TensorElement:
     """The algebra homomorphism into the twisted tensor square."""
-    out: dict = {}
-    for w, c in x.terms.items():
-        for key, coeff in coproduct_word(x.datum, w):
-            merge(out, key, c * coeff)
-    return TensorElement(x.datum, out)
+    d = x.datum
+    terms = linear(x.terms.items(), lambda w: coproduct_word(d, w))
+    return TensorElement(d)._like(terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _form_words(datum: CartanDatum, w1: Word, w2: Word, c_gen: RatFunc) -> RatFunc:
     if datum.weight_of_word(w1) != datum.weight_of_word(w2):
         return ZERO
@@ -140,16 +145,15 @@ def lusztig_form(x: FreeElement, y: FreeElement) -> RatFunc:
     coproduct.  Distinct weights pair to zero."""
     if x.datum != y.datum:
         raise ValueError("operands live over different data")
-    total = ZERO
-    for w1, c1 in x.terms.items():
-        for w2, c2 in y.terms.items():
-            val = _form_words(x.datum, w1, w2, DEFAULT_FORM_CONSTANT)
-            if val:
-                total = total + c1 * c2 * val
-    return total
+    forms = (
+        c1 * c2 * _form_words(x.datum, w1, w2, DEFAULT_FORM_CONSTANT)
+        for w1, c1 in x.terms.items()
+        for w2, c2 in y.terms.items()
+    )
+    return sum(forms, ZERO)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def words_of_weight(datum: CartanDatum, nu: tuple) -> tuple[Word, ...]:
     """All words with the given weight, in lexicographic vertex order."""
     letters = []

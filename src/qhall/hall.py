@@ -36,7 +36,7 @@ from .cartan import (
 from .falgebra import normal_form
 from .freealg import FreeElement, words_of_weight
 from .linalg import QQ, inverse, nullspace
-from .lincomb import LinComb
+from .lincomb import LinComb, bilinear, linear
 from .ratfunc import ONE as RF_ONE
 
 DEFAULT_BUDGET = 10_000_000
@@ -877,21 +877,19 @@ def hall_product(
         )
     quiver = a.quiver
     datum = load_datum(quiver)
-    out = HallElement(quiver, q)
-    for (dims_a, pa), ca in a.terms.items():
-        key_a = _term_key(quiver, q, dims_a, pa)
-        for (dims_b, pb), cb in b.terms.items():
-            key_b = _term_key(quiver, q, dims_b, pb)
-            dims_m = tuple(x + y for x, y in zip(dims_a, dims_b))
-            _require_subspaces(q, dims_m, dims_b, budget)
-            twist = Fraction(v_num) ** datum.euler_form(dims_a, dims_b)
-            terms: dict = {}
-            for key_m, (rep, _size) in _class_table(quiver, q, dims_m, budget).items():
-                g = _hall_tally(quiver, q, key_m, dims_b).get((key_a, key_b), 0)
-                if g:
-                    terms[(dims_m, rep)] = ca * cb * twist * g
-            out = out + HallElement(quiver, q, terms)
-    return out
+
+    def image(term_a, term_b):
+        (dims_a, pa), (dims_b, pb) = term_a, term_b
+        key_ab = (_term_key(quiver, q, dims_a, pa), _term_key(quiver, q, dims_b, pb))
+        dims_m = tuple(x + y for x, y in zip(dims_a, dims_b))
+        _require_subspaces(q, dims_m, dims_b, budget)
+        twist = Fraction(v_num) ** datum.euler_form(dims_a, dims_b)
+        for key_m, (rep, _size) in _class_table(quiver, q, dims_m, budget).items():
+            g = _hall_tally(quiver, q, key_m, dims_b).get(key_ab, 0)
+            if g:
+                yield (dims_m, rep), twist * g
+
+    return a._like(bilinear(a.terms.items(), b.terms.items(), image))
 
 
 def hall_word(
@@ -1019,10 +1017,8 @@ def specialize_compare(
         for w2 in words_of_weight(datum, nu_b):
             lhs = hall_product(h1, image(w2), v_num, budget)
             prod = normal_form(FreeElement(datum, {w1 + w2: RF_ONE}))
-            rhs = HallElement(quiver, q)
-            for word, coeff in prod.terms.items():
-                val = coeff.eval_at(Fraction(v_num))
-                rhs = rhs + image(word).scale(val)
+            at_v = ((w, c.eval_at(Fraction(v_num))) for w, c in prod.terms.items())
+            rhs = lhs._like(linear(at_v, lambda word: image(word).terms.items()))
             report.append(
                 {
                     "left": w1,

@@ -8,6 +8,9 @@ values in those attributes.  Coefficients are field elements whose truth
 value means nonzero: Q(v) values or exact ``Fraction``s.
 
 Elements are immutable values: every operation returns a new element.
+Every map on elements is given on basis keys and extended by ``linear``
+or ``bilinear``, which use only ``+``, ``*`` and truth values and return
+zero-free dicts for ``_like``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,23 @@ def merge(dst: dict, key, coeff) -> None:
             dst[key] = s
         else:
             del dst[key]
+
+
+def linear(pairs, image) -> dict:
+    """The sum of c * image(k) over the (k, c) in pairs, where image(k)
+    yields (key, coefficient) pairs."""
+    out: dict = {}
+    for k, c in pairs:
+        for key, ck in image(k):
+            merge(out, key, c * ck)
+    return out
+
+
+def bilinear(xs, ys, image) -> dict:
+    """The sum of a * b * image(j, k) over the (j, a) in xs and (k, b) in
+    ys (read once per pair of xs): linear on the pairs of keys."""
+    pairs = (((j, k), a * b) for j, a in xs for k, b in ys)
+    return linear(pairs, lambda jk: image(*jk))
 
 
 def _mismatch(a, b) -> ValueError:

@@ -55,7 +55,7 @@ from .falgebra import (
 )
 from .freealg import FreeElement, Word
 from . import linalg
-from .lincomb import merge
+from .lincomb import linear
 from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, sum_products, v_pow
 from .ualgebra import (
     UElement,
@@ -74,12 +74,14 @@ def _sigma(x: UElement) -> UElement:
     """Lusztig's algebra anti-automorphism sigma: every E_j and F_j fixed,
     K_mu sent to K_-mu, and the factor order of every product reversed."""
     d = x.datum
-    out = UElement(d)
-    for (fw, mu, ew), c in x.terms.items():
+
+    def image(key):
+        fw, mu, ew = key
         e_rev, f_rev = (normal_form(FreeElement.word(d, w[::-1])) for w in (ew, fw))
         k = UElement.K(d, neg_vec(mu))
-        out = out + u_product([embed_plus(e_rev), k, embed_minus(f_rev)]).scale(c)
-    return out
+        return u_product([embed_plus(e_rev), k, embed_minus(f_rev)]).terms.items()
+
+    return x._like(linear(x.terms.items(), image))
 
 
 # _table, _certified, _word_image, _pair_image, _divided_image and
@@ -100,25 +102,25 @@ def _table(datum: CartanDatum, vertex: int, inverse: bool) -> dict:
         ("E", vertex): u_mul(fi, UElement.K(datum, h)).scale(MINUS_ONE),
         ("F", vertex): u_mul(UElement.K(datum, neg_vec(h)), ei).scale(MINUS_ONE),
     }
+    zero = UElement(datum)
     for j in datum.vertices:
         if j == vertex:
             continue
         n = -datum.a(vertex, j)
-        esum = UElement(datum)
-        fsum = UElement(datum)
-        for r in range(n + 1):
-            sign = MINUS_ONE if r % 2 else ONE
-            divided = [theta_divided(datum, vertex, k) for k in (r, n - r)]
-            e_r, e_s = map(embed_plus, divided)
-            f_r, f_s = map(embed_minus, divided)
-            esum = esum + u_product([e_s, UElement.E(datum, j), e_r]).scale(
-                sign * v_pow(-r)
-            )
-            fsum = fsum + u_product([f_r, UElement.F(datum, j), f_s]).scale(
-                sign * v_pow(r)
-            )
-        images[("E", j)] = esum
-        images[("F", j)] = fsum
+        e = [embed_plus(theta_divided(datum, vertex, k)) for k in range(n + 1)]
+        f = [embed_minus(theta_divided(datum, vertex, k)) for k in range(n + 1)]
+        e_j, f_j = UElement.E(datum, j), UElement.F(datum, j)
+        signs = [MINUS_ONE if r % 2 else ONE for r in range(n + 1)]
+        e_sum = linear(
+            ((r, sign * v_pow(-r)) for r, sign in enumerate(signs)),
+            lambda r: u_product([e[n - r], e_j, e[r]]).terms.items(),
+        )
+        f_sum = linear(
+            ((r, sign * v_pow(r)) for r, sign in enumerate(signs)),
+            lambda r: u_product([f[r], f_j, f[n - r]]).terms.items(),
+        )
+        images[("E", j)] = zero._like(e_sum)
+        images[("F", j)] = zero._like(f_sum)
     return images
 
 
@@ -289,20 +291,22 @@ def _t_tilde_word(
 ) -> UElement:
     """Decomposition-route image of a pure F-word (sign="minus") or
     E-word (sign="plus")."""
-    x = FElement(datum, {word: ONE})
+    pieces = dict(i_decompose(vertex, FElement(datum, {word: ONE})))
     nu = datum.weight_of_word(word)
-    out: dict = {}
-    for r, piece in i_decompose(vertex, x):
-        moved = ti_restricted(vertex, piece)
+    embed = embed_minus if sign == "minus" else embed_plus
+
+    def transport(r):
+        if sign == "plus":
+            return ONE
         level = sub_vec(nu, scale_vec(r, datum.unit_vec(vertex)))
-        if sign == "minus":
-            part = embed_minus(moved).scale(minus_transport(datum, vertex, level))
-        else:
-            part = embed_plus(moved)
-        img = u_mul(_divided_image(datum, vertex, sign, r), part)
-        for key, c in img.terms.items():
-            merge(out, key, c)
-    return UElement(datum, out)
+        return minus_transport(datum, vertex, level)
+
+    def image(r):
+        moved = embed(ti_restricted(vertex, pieces[r]))
+        return u_mul(_divided_image(datum, vertex, sign, r), moved).terms.items()
+
+    terms = linear(((r, transport(r)) for r in pieces), image)
+    return UElement(datum)._like(terms)
 
 
 def t_tilde_apply(vertex: int, x: UElement) -> UElement:

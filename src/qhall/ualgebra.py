@@ -44,7 +44,7 @@ from operator import mul
 from .cartan import CartanDatum, add_vec, neg_vec, sub_vec
 from .falgebra import FElement, _normal_form_word
 from .freealg import Word
-from .lincomb import LinComb, merge
+from .lincomb import LinComb, bilinear, linear
 from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, sum_products, v_pow
 
 UKey = tuple[Word, tuple, Word]
@@ -172,13 +172,14 @@ def _product_table(
     -wt fw followed by that of -wt ew.  Middle terms merged onto one key
     share it: wt fw and wt ew are the weights of the key's F- and E-word
     less wt f1 and wt e2."""
-    out: dict = {}
-    for (fw, kappa, ew), cc in _straighten(datum, e1, f2).terms.items():
+
+    def image(key):
+        fw, kappa, ew = key
         ftotal = ((fw, ONE),) if not f1 else _normal_form_word(datum, f1 + fw)
         etotal = ((ew, ONE),) if not e2 else _normal_form_word(datum, ew + e2)
-        for bf, cf in ftotal:
-            for be, ce in etotal:
-                merge(out, (bf, kappa, be), cc * cf * ce)
+        return (((bf, kappa, be), cf * ce) for bf, cf in ftotal for be, ce in etotal)
+
+    out = linear(_straighten(datum, e1, f2).terms.items(), image)
     wf1, we2 = datum.weight_of_word(f1), datum.weight_of_word(e2)
     return tuple(
         (
@@ -218,11 +219,7 @@ def u_product(factors) -> UElement:
 
 
 def counit(x: UElement) -> RatFunc:
-    total = ZERO
-    for (fw, _mu, ew), c in x.terms.items():
-        if not fw and not ew:
-            total = total + c
-    return total
+    return sum((c for (fw, _mu, ew), c in x.terms.items() if not fw and not ew), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +236,18 @@ class UTensor(LinComb):
 
     def __mul__(self, other: "UTensor") -> "UTensor":
         d = self.datum
-        out: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                left = u_mul(UElement(d, {a1: ONE}), UElement(d, {a2: ONE}))
-                right = u_mul(UElement(d, {b1: ONE}), UElement(d, {b2: ONE}))
-                for ka, ca in left.terms.items():
-                    for kb, cb in right.terms.items():
-                        merge(out, (ka, kb), c1 * c2 * ca * cb)
-        return UTensor(d, out)
+
+        def image(k1, k2):
+            (a1, b1), (a2, b2) = k1, k2
+            left = u_mul(UElement(d, {a1: ONE}), UElement(d, {a2: ONE})).terms
+            right = u_mul(UElement(d, {b1: ONE}), UElement(d, {b2: ONE})).terms
+            return (
+                ((ka, kb), ca * cb)
+                for ka, ca in left.items()
+                for kb, cb in right.items()
+            )
+
+        return self._like(bilinear(self.terms.items(), other.terms.items(), image))
 
 
 def _delta_generator(datum: CartanDatum, kind: str, vertex: int) -> UTensor:
@@ -286,11 +286,8 @@ def _delta_key(datum: CartanDatum, key: UKey) -> list:
 def delta(x: UElement) -> UTensor:
     """Comultiplication E |-> E x 1 + K x E, F |-> F x K^-1 + 1 x F,
     K |-> K x K, extended multiplicatively."""
-    out: dict = {}
-    for key, c in x.terms.items():
-        for k, ck in _delta_key(x.datum, key):
-            merge(out, k, c * ck)
-    return UTensor(x.datum, out)
+    d = x.datum
+    return UTensor(d)._like(linear(x.terms.items(), lambda key: _delta_key(d, key)))
 
 
 @lru_cache(maxsize=1 << 10)
@@ -332,41 +329,33 @@ def antipode(x: UElement) -> UElement:
     The F-generator image is the one forced by the Hopf axioms for the
     comultiplication above.
     """
-    out: dict = {}
-    for key, c in x.terms.items():
-        for k, ck in _antipode_key(x.datum, key).terms.items():
-            merge(out, k, c * ck)
-    return UElement(x.datum, out)
-
-
-def _tensor3_from(t: UTensor, which: str) -> dict:
-    d = t.datum
-    out: dict = {}
-    for (a, b), c in t.terms.items():
-        if which == "left":
-            for (a1, a2), ci in _delta_key(d, a):
-                merge(out, (a1, a2, b), c * ci)
-        else:
-            for (b1, b2), ci in _delta_key(d, b):
-                merge(out, (a, b1, b2), c * ci)
-    return out
+    d = x.datum
+    return x._like(
+        linear(x.terms.items(), lambda key: _antipode_key(d, key).terms.items())
+    )
 
 
 def hopf_axiom_check(x: UElement) -> bool:
     """Coassociativity plus both antipode identities, all exact."""
     d = x.datum
-    dx = delta(x)
-    if _tensor3_from(dx, "left") != _tensor3_from(dx, "right"):
+    dx = delta(x).terms.items()
+
+    def delta_left(ab):
+        return (((a1, a2, ab[1]), c) for (a1, a2), c in _delta_key(d, ab[0]))
+
+    def delta_right(ab):
+        return (((ab[0], b1, b2), c) for (b1, b2), c in _delta_key(d, ab[1]))
+
+    def antipode_left(ab):
+        return u_mul(_antipode_key(d, ab[0]), UElement(d, {ab[1]: ONE})).terms.items()
+
+    def antipode_right(ab):
+        return u_mul(UElement(d, {ab[0]: ONE}), _antipode_key(d, ab[1])).terms.items()
+
+    if linear(dx, delta_left) != linear(dx, delta_right):
         return False
-    target = UElement.unit(d).scale(counit(x))
-    left = UElement(d)
-    right = UElement(d)
-    for (a, b), c in dx.terms.items():
-        ea = UElement(d, {a: ONE})
-        eb = UElement(d, {b: ONE})
-        left = left + u_mul(_antipode_key(d, a), eb).scale(c)
-        right = right + u_mul(ea, _antipode_key(d, b)).scale(c)
-    return left == target and right == target
+    target = UElement.unit(d).scale(counit(x)).terms
+    return linear(dx, antipode_left) == target and linear(dx, antipode_right) == target
 
 
 def u_degree(datum: CartanDatum, key: UKey) -> tuple:

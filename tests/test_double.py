@@ -1,10 +1,15 @@
+from pathlib import Path
+
 import pytest
 
+from qhall import double
 from qhall.cartan import A2, A3
 from qhall.double import (
     DoubleElement,
     HalfElement,
     PAIRING_CONSTANT,
+    _antipode_word,
+    _cross,
     calibrate_pairing,
     double_mul,
     half_antipode,
@@ -211,3 +216,17 @@ def test_half_structures_match_u_through_iso():
                     emb(FElement(A2, {word: ONE})),
                 ).scale(c)
             assert u_img == antipode(emb(x))
+
+
+def test_memos_bounded_and_transparent():
+    memos = (double.reduced_splits, _antipode_word, _cross)
+    for memo in memos:
+        assert memo.cache_parameters()["maxsize"] is not None
+    assert Path(double.__file__).read_text().count("maxsize=None") == 0
+    x = DoubleElement.plus_of(A3, felt(A3, 1, 2)) + DoubleElement.torus(A3, (1, 0, -1))
+    y = DoubleElement.minus_of(A3, felt(A3, 2, 1))
+    h = hplus(felt(A2, 1, 2))
+    before = (double_mul(x, y), half_antipode("plus", h), half_delta("plus", h))
+    for memo in memos:
+        memo.cache_clear()
+    assert (double_mul(x, y), half_antipode("plus", h), half_delta("plus", h)) == before

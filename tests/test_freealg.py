@@ -1,10 +1,14 @@
 import itertools
+from pathlib import Path
 
+from qhall import freealg
 from qhall.cartan import A2, A3
 from qhall.freealg import (
     FreeElement,
     TensorElement,
+    _form_words,
     coproduct_r,
+    coproduct_word,
     free_mul,
     lusztig_form,
     twisted_tensor_mul,
@@ -111,3 +115,21 @@ def test_coproduct_grading():
 def test_words_of_weight_order():
     assert words_of_weight(A2, (2, 1)) == ((1, 1, 2), (1, 2, 1), (2, 1, 1))
     assert words_of_weight(A2, (0, 0)) == ((),)
+
+
+def test_memos_bounded_and_transparent():
+    memos = (coproduct_word, _form_words, words_of_weight)
+    for memo in memos:
+        assert memo.cache_parameters()["maxsize"] is not None
+    assert Path(freealg.__file__).read_text().count("maxsize=None") == 0
+    x = th(A3, 1, 2, 3) + th(A3, 2, 1).scale(v_pow(2))
+    y = th(A3, 3, 2, 1) + th(A3, 2, 1, 3)
+
+    def values():
+        return coproduct_r(x), lusztig_form(x, y), words_of_weight(A3, (1, 1, 1))
+
+    before = values()
+    for memo in memos:
+        memo.cache_clear()
+    assert values() == before
+    assert not lusztig_form(x, y).is_zero()

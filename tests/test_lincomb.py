@@ -7,8 +7,8 @@ from qhall.double import DoubleElement, HalfElement
 from qhall.falgebra import FElement
 from qhall.freealg import FreeElement
 from qhall.hall import HallElement
-from qhall.lincomb import merge
-from qhall.ratfunc import ONE, ZERO, v_pow
+from qhall.lincomb import bilinear, linear, merge
+from qhall.ratfunc import MINUS_ONE, ONE, ZERO, v_pow
 from qhall.ualgebra import UElement
 
 
@@ -21,6 +21,62 @@ def test_merge_keeps_dict_zero_free():
     assert "b" not in d
     merge(d, "a", -(ONE + v_pow(1)))
     assert d == {}
+
+
+def test_linear_drops_images_that_cancel():
+    # x - v^2 y with x |-> {a: v^2}, y |-> {a: 1, b: 1}: a cancels
+    images = {"x": {"a": v_pow(2)}, "y": {"a": ONE, "b": ONE}}
+    got = linear([("x", ONE), ("y", -v_pow(2))], lambda k: images[k].items())
+    assert got == {"b": -v_pow(2)}
+    assert linear([("x", ONE), ("x", MINUS_ONE)], lambda k: images[k].items()) == {}
+
+
+def test_linear_and_bilinear_of_empty_operands():
+    assert linear([], lambda k: [(k, ONE)]) == {}
+    assert linear([("x", ONE)], lambda k: ()) == {}
+    pairs = [("x", ONE)]
+    assert bilinear([], pairs, lambda j, k: [((j, k), ONE)]) == {}
+    assert bilinear(pairs, [], lambda j, k: [((j, k), ONE)]) == {}
+
+
+def test_linear_merges_a_repeated_output_key():
+    # one image names its key twice, and two inputs share it too
+    got = linear(
+        [("x", ONE), ("y", v_pow(1))], lambda k: [("out", ONE), ("out", v_pow(-1))]
+    )
+    assert got == {"out": (ONE + v_pow(-1)) * (ONE + v_pow(1))}
+    assert bilinear(
+        [(1, ONE), (2, ONE)], [(2, ONE), (1, ONE)], lambda j, k: [(j + k, ONE)]
+    ) == {2: ONE, 3: ONE + ONE, 4: ONE}
+
+
+def test_extension_over_fraction_coefficients():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    got = linear(
+        [("x", half), ("y", third)], lambda k: [(k, Fraction(6)), ("z", Fraction(-1))]
+    )
+    assert got == {"x": 3, "y": 2, "z": Fraction(-5, 6)}
+    assert all(type(c) is Fraction for c in got.values())
+    pairs = [("y", half), ("z", -half)]
+    assert bilinear([("x", half)], pairs, lambda j, k: [(j, Fraction(4))]) == {}
+    s1 = HallElement.simple(A2.quiver, 4, 1)
+    assert s1._like(linear(s1.terms.items(), lambda k: [(k, half)])) == s1.scale(half)
+
+
+def test_bilinear_image_across_two_spaces():
+    # free words of A2 against triangular terms of U(A3), keyed by both
+    x = FreeElement.word(A2, (1, 2), v_pow(1)) + FreeElement.word(A2, (2,))
+    y = UElement.E(A3, 3).scale(v_pow(-2)) + UElement.K(A3, (1, 0, 0))
+    e3, k1 = ((), (0, 0, 0), (3,)), ((), (1, 0, 0), ())
+    got = bilinear(
+        x.terms.items(), y.terms.items(), lambda w, key: [((w, key), v_pow(len(w)))]
+    )
+    assert got == {
+        ((1, 2), e3): v_pow(1),
+        ((1, 2), k1): v_pow(3),
+        ((2,), e3): v_pow(-1),
+        ((2,), k1): v_pow(1),
+    }
 
 
 def test_construction_drops_zeros_and_arithmetic_round_trips():

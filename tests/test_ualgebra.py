@@ -38,6 +38,7 @@ from qhall.ualgebra import (
     u_mul,
     u_product,
 )
+from qhall.verify import _mu_samples, _u_monomial_keys
 
 
 def E(d, i):
@@ -115,6 +116,13 @@ def test_triangular_uniqueness():
     for seq in itertools.product(range(6), repeat=3):
         a, b, c = (gens[k] for k in seq)
         assert u_mul(u_mul(a, b), c) == u_mul(a, u_mul(b, c))
+    # F_fw K_mu E_ew of basis words is exactly the term (fw, mu, ew)
+    keys = _u_monomial_keys(A2, 2, _mu_samples(A2))
+    for fw, mu, ew in keys:
+        f = embed_minus(FElement(A2, {fw: ONE}))
+        e = embed_plus(FElement(A2, {ew: ONE}))
+        assert u_product([f, K(A2, mu), e]).terms == {(fw, mu, ew): ONE}
+    assert len(set(keys)) == len(keys) > 30
 
 
 def test_delta_on_generators():
