@@ -43,7 +43,7 @@ def linear(pairs, image) -> dict:
 
 def bilinear(xs, ys, image) -> dict:
     """The sum of a * b * image(j, k) over the (j, a) in xs and (k, b) in
-    ys (read once per pair of xs): linear on the pairs of keys."""
+    ys: linear on the pairs of keys.  ys is read once per term of xs."""
     pairs = (((j, k), a * b) for j, a in xs for k, b in ys)
     return linear(pairs, lambda jk: image(*jk))
 
