@@ -189,14 +189,6 @@ def half_antipode(sign: str, a: HalfElement) -> HalfElement:
     return a._like(linear(a.terms.items(), image))
 
 
-def half_counit(a: HalfElement) -> RatFunc:
-    total = ZERO
-    for (_mu, word), c in a.terms.items():
-        if not word:
-            total = total + c
-    return total
-
-
 def pairing_phi(a: HalfElement, b: HalfElement) -> RatFunc:
     """Skew pairing of a plus and a minus element: the quoted v-power in
     the coweights and weights times the bilinear form of the words."""

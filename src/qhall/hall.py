@@ -4,12 +4,12 @@ algebra, used to cross-check the symbolic structure constants.
 Points of the representation variety are tuples of matrices (one per
 arrow, entries 0..q-1), and the canonical representative of an iso-class
 is the lexicographically least point of its orbit under the product of
-general linear groups.  On Dynkin quivers with at most MAX_BRICKS
-positive roots classes are told apart by the dimensions of Hom from the
-indecomposables, and the class table of a dimension vector is built from
-its Kostant partitions without enumerating any point; only `iso_classes`
-and `canonical_point`, which return least points, walk the space.  On
-other quivers classes come from orbit search.  Exhaustive loops check a
+general linear groups.  On Dynkin quivers classes are told apart by the
+dimensions of Hom from the indecomposables, which are built from simples
+by reflection functors, and the class table of a dimension vector is
+built from its Kostant partitions without enumerating any point; only
+`iso_classes`, which returns least points, walks the space.  On other
+quivers classes come from orbit search.  Exhaustive loops check a
 configurable budget and fail fast.
 """
 
@@ -35,7 +35,7 @@ from .cartan import (
 )
 from .falgebra import normal_form
 from .freealg import FreeElement, words_of_weight
-from .linalg import QQ, inverse, nullspace
+from .linalg import inverse, nullspace
 from .lincomb import LinComb, bilinear, linear
 from .ratfunc import ONE as RF_ONE
 
@@ -43,9 +43,9 @@ DEFAULT_BUDGET = 10_000_000
 
 
 class BudgetExceeded(RuntimeError):
-    def __init__(self, needed: int, budget: int):
+    def __init__(self, needed: int, budget: int, unit: str = "points"):
         super().__init__(
-            f"enumeration needs about {needed} points but the budget is "
+            f"enumeration needs about {needed} {unit} but the budget is "
             f"{budget}; rerun with smaller dimensions or a larger --budget"
         )
         self.needed = needed
@@ -239,27 +239,6 @@ def field(q: int) -> Fq:
 # matrices over Fq: tuples of row tuples
 
 
-def zero_mat(rows, cols):
-    return tuple((0,) * cols for _ in range(rows))
-
-
-def mat_mul(F: Fq, a, b):
-    if not a or not b:
-        return tuple(() for _ in a) if a else ()
-    bl = list(zip(*b))
-    out = []
-    for row in a:
-        orow = []
-        for col in bl:
-            s = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    s = F.add(s, F.mul(x, y))
-            orow.append(s)
-        out.append(tuple(orow))
-    return tuple(out)
-
-
 def mat_rank(F: Fq, a) -> int:
     """Rank by forward elimination (no back substitution)."""
     rows = [list(r) for r in a if any(r)]
@@ -305,12 +284,29 @@ def e_v_dimension(quiver: Quiver, dims: tuple) -> int:
     return sum(r * c for r, c in _arrow_shapes(quiver, dims))
 
 
+def _zero_point(quiver: Quiver, dims: tuple) -> tuple:
+    """The point of E_V whose matrices are all zero."""
+    shapes = _arrow_shapes(quiver, dims)
+    return tuple(tuple((0,) * c for _ in range(r)) for r, c in shapes)
+
+
 def require_budget(quiver: Quiver, q: int, dims: tuple, budget: int) -> None:
     """Raise BudgetExceeded when walking the q^dim(E_V) points of the
     representation space would pass the budget."""
     needed = q ** e_v_dimension(quiver, dims)
     if needed > budget:
         raise BudgetExceeded(needed, budget)
+
+
+def require_class_budget(quiver: Quiver, q: int, dims: tuple, budget: int) -> None:
+    """Raise BudgetExceeded when building the class table of dims would
+    pass the budget: on Dynkin data it counts the classes, one per Kostant
+    partition, elsewhere the q^dim(E_V) points orbit search walks."""
+    roots = positive_roots(load_datum(quiver))
+    if roots is None:
+        require_budget(quiver, q, dims, budget)
+    elif (needed := kostant_count(roots, dims)) > budget:
+        raise BudgetExceeded(needed, budget, "classes")
 
 
 def all_points(quiver: Quiver, q: int, dims: tuple, budget: int = DEFAULT_BUDGET):
@@ -374,15 +370,14 @@ def _act(F: Fq, into: list, out_of: list, gen, point):
 # ---------------------------------------------------------------------------
 # iso-classes
 #
-# Dynkin data (the symmetric Cartan matrix is positive definite) with at
-# most MAX_BRICKS positive roots are classified by invariants.  By
-# Gabriel's theorem the indecomposables are bricks X_beta, one per
-# positive root beta, and by Auslander's theorem M and N are isomorphic
-# exactly when dim Hom(X_beta, M) = dim Hom(X_beta, N) for every beta.
-# The class key of a point is (dims, those Hom dimensions), and every
-# class is a direct sum of bricks, one per Kostant partition.  Other data,
-# such as the Kronecker quiver, are classified by orbit search, and their
-# class key is (dims, least point of the orbit).
+# Dynkin data (the symmetric Cartan matrix is positive definite) are
+# classified by invariants.  By Gabriel's theorem the indecomposables are
+# bricks X_beta, one per positive root beta; by Auslander's theorem M and
+# N are isomorphic exactly when dim Hom(X_beta, M) = dim Hom(X_beta, N)
+# for every beta.  The class key of a point is (dims, those Hom
+# dimensions), and every class is a direct sum of bricks, one per Kostant
+# partition.  Other data, such as the Kronecker quiver, are classified by
+# orbit search, with class key (dims, least point of the orbit).
 
 
 def orbit_of(
@@ -462,19 +457,25 @@ def hom_dim(x: QuiverRep, m: QuiverRep) -> int:
 
 
 class _Bricks:
-    """The indecomposables of Dynkin data over F_q: per positive root, the
-    lex-least point of E_beta whose endomorphisms are the scalars, and
-    H[k][l] = dim Hom(X_k, X_l) with its inverse."""
+    """The indecomposables of Dynkin data over F_q, one per positive root
+    in the order the walk of `_bricks` finds them, and H[k][l] =
+    dim Hom(X_k, X_l) with its inverse."""
 
     def __init__(self, roots: tuple, reps: tuple):
         self.roots = roots
         self.reps = reps
         self.hom = tuple(tuple(hom_dim(a, b) for b in reps) for a in reps)
-        h_inv = inverse(QQ, [[Fraction(x) for x in row] for row in self.hom])
-        # H is unitriangular in a directed order, so the inverse is integral
-        if any(x.denominator != 1 for row in h_inv for x in row):
-            raise RuntimeError("the Hom matrix of the bricks is not unimodular")
-        self.h_inverse = tuple(tuple(map(int, row)) for row in h_inv)
+        # a brick has no Hom to one found before it, so H is upper
+        # unitriangular and its inverse integral, by back substitution
+        n = len(reps)
+        if any(self.hom[k][l] != (k == l) for k in range(n) for l in range(k + 1)):
+            raise RuntimeError("the Hom matrix of the bricks is not unitriangular")
+        inv = [[int(k == l) for l in range(n)] for k in range(n)]
+        for k in reversed(range(n)):
+            for j in range(k + 1, n):
+                if h := self.hom[k][j]:
+                    inv[k] = [a - h * b for a, b in zip(inv[k], inv[j])]
+        self.h_inverse = tuple(map(tuple, inv))
 
     def key(self, x: QuiverRep) -> tuple:
         return x.dims, tuple(hom_dim(b, x) for b in self.reps)
@@ -517,28 +518,47 @@ class _Bricks:
         return tuple(mats)
 
 
-def _brick(quiver: Quiver, q: int, root: tuple) -> QuiverRep:
-    for p in all_points(quiver, q, root):
-        x = QuiverRep(quiver, q, root, p)
-        if hom_dim(x, x) == 1:
-            return x
-    raise RuntimeError(f"no brick of dimension {root}")
-
-
-# A cost limit, not a finiteness test: _brick searches E_beta point by
-# point for each root, and on a long path some root spaces have 2^20
-# points, so Dynkin data with more roots than this classify by orbits.
-MAX_BRICKS = 200
-
-
 @lru_cache(maxsize=32)
 def _bricks(quiver: Quiver, q: int) -> _Bricks | None:
-    """The bricks of Dynkin data with at most MAX_BRICKS positive roots;
-    None otherwise, and the orbit route classifies."""
-    roots = positive_roots(load_datum(quiver))
-    if roots is None or len(roots) > MAX_BRICKS:
+    """The bricks of Dynkin data, built from simples by reflection
+    functors (Bernstein, Gelfand and Ponomarev); None when the root system
+    is not finite, and the orbit route classifies.  The walk reverses the
+    arrows at one sink at a time, i_1, i_2, ...: each time the first sink
+    i of the current quiver whose root beta = s_{i_1} ... s_{i_k}(alpha_i)
+    is positive, after reflecting the simple at i back to the quiver
+    through the source functors at i_k, ..., i_1, which gives X_beta.  The
+    sinks spell a reduced expression of w_0 adapted to the quiver, so
+    every positive root appears once."""
+    datum = load_datum(quiver)
+    roots = positive_roots(datum)
+    if roots is None:
         return None
-    return _Bricks(roots, tuple(_brick(quiver, q, root) for root in roots))
+    found, sinks, current = {}, [], quiver
+    while len(found) < len(roots):
+        for i in current.vertices:
+            if not is_sink(i, current):
+                continue
+            beta = simple = datum.unit_vec(i)
+            for j in reversed(sinks):
+                beta = datum.reflect_dim(j, beta)
+            if min(beta) >= 0:
+                break
+        else:
+            raise RuntimeError(f"no sink of {current.arrows} has a positive root")
+        if beta in found:
+            raise RuntimeError(f"the root {beta} appears twice along the sinks {sinks}")
+        # a source functor is the sink functor conjugated by duality, so
+        # the chain of them dualizes only at its two ends
+        x = _dual(QuiverRep(current, q, simple, _zero_point(current, simple)))
+        for j in reversed(sinks):
+            x = bgp_reflect(j, x)
+        x = _dual(x)
+        if x.dims != beta or hom_dim(x, x) != 1:
+            raise RuntimeError(f"the reflected simple {x} is no brick of dims {beta}")
+        found[beta] = x
+        sinks.append(i)
+        current = sigma_i(i, current)
+    return _Bricks(tuple(found), tuple(found.values()))
 
 
 def class_key(x: QuiverRep, budget: int = DEFAULT_BUDGET) -> tuple:
@@ -560,9 +580,7 @@ def _class_table(
     point the direct sum of bricks, and no point of E_V is enumerated.
     Otherwise the classes come from orbit search, each with the least
     point of its orbit, in the order of the points."""
-    # the budget bounds q^dim(E_V) on both routes, so a dimension vector
-    # over it skips, or exits 2, alike on every quiver
-    require_budget(quiver, q, dims, budget)
+    require_class_budget(quiver, q, dims, budget)
     bricks = _bricks(quiver, q)
     if bricks is None:
         classes = orbit_classes(quiver, q, dims, budget)
@@ -627,16 +645,6 @@ def iso_classes(
         return tuple(table.values())
     least = _least_points(quiver, q, dims, budget)
     return tuple((p, table[key][1]) for key, p in least.items())
-
-
-def canonical_point(
-    quiver: Quiver, q: int, dims: tuple, point: tuple, budget: int = DEFAULT_BUDGET
-) -> tuple:
-    """The least point of the orbit of a point."""
-    if _bricks(quiver, q) is None:
-        return orbit_canonical_point(quiver, q, dims, point, budget)
-    key = class_key(QuiverRep(quiver, q, dims, point))
-    return _least_points(quiver, q, dims, budget)[key]
 
 
 def gl_order(q: int, n: int) -> int:
@@ -839,17 +847,13 @@ class HallElement(LinComb):
     @staticmethod
     def unit(quiver: Quiver, q: int) -> "HallElement":
         dims = (0,) * len(quiver.vertices)
-        shapes = _arrow_shapes(quiver, dims)
-        point = tuple(zero_mat(r, c) for r, c in shapes)
-        return HallElement(quiver, q, {(dims, point): Fraction(1)})
+        return HallElement(quiver, q, {(dims, _zero_point(quiver, dims)): Fraction(1)})
 
     @staticmethod
     def simple(quiver: Quiver, q: int, vertex: int) -> "HallElement":
         dims = tuple(1 if v == vertex else 0 for v in quiver.vertices)
-        shapes = _arrow_shapes(quiver, dims)
-        point = tuple(zero_mat(r, c) for r, c in shapes)
         # without loops the space of a simple is one point: its own class
-        return HallElement(quiver, q, {(dims, point): Fraction(1)})
+        return HallElement(quiver, q, {(dims, _zero_point(quiver, dims)): Fraction(1)})
 
     def __repr__(self):
         return f"HallElement({self.terms})"
@@ -963,22 +967,23 @@ def bgp_reflect(vertex: int, x: QuiverRep) -> QuiverRep:
     source its inverse, the sink functor conjugated by duality
     (Bernstein-Gelfand-Ponomarev).  Errors off the open stratum."""
     quiver = x.quiver
+    if is_source(vertex, quiver) and not is_sink(vertex, quiver):
+        return _dual(bgp_reflect(vertex, _dual(x)))
+    # raises at a vertex that is neither a sink nor a source
     if stratum_index(x, vertex) != 0:
         raise ValueError(
             "reflection functor is only an equivalence on the open stratum"
         )
-    if not is_sink(vertex, quiver):
-        return _dual(bgp_reflect(vertex, _dual(x)))
-    new_dims = load_datum(quiver).reflect_dim(vertex, x.dims)
     incoming, rows = _joined_incoming(x, vertex)
     kern = nullspace(field(x.q), rows, sum(w for _k, w in incoming))
-    assert len(kern) == new_dims[quiver.vertices.index(vertex)]
     mats = list(x.mats)
     pos = 0
     for k, w in incoming:
         mats[k] = tuple(tuple(vec[pos + r] for vec in kern) for r in range(w))
         pos += w
-    return QuiverRep(sigma_i(vertex, quiver), x.q, new_dims, tuple(mats))
+    dims = list(x.dims)
+    dims[quiver.vertices.index(vertex)] = len(kern)
+    return QuiverRep(sigma_i(vertex, quiver), x.q, tuple(dims), tuple(mats))
 
 
 # ---------------------------------------------------------------------------

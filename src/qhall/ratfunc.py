@@ -570,16 +570,6 @@ def qfact(n: int) -> RatFunc:
     return out
 
 
-@lru_cache(maxsize=64)
-def qbinom(n: int, k: int) -> RatFunc:
-    """Gaussian binomial coefficient; 0 outside 0 <= k <= n."""
-    if k < 0:
-        raise ValueError("negative lower index in Gaussian binomial")
-    if n < 0 or k > n:
-        return ZERO
-    return qfact(n) / (qfact(k) * qfact(n - k))
-
-
 def parse_ratfunc(src: str) -> RatFunc:
     """Parse the scalar sublanguage: integers, v, + - * / ^, parentheses."""
     from .exprs import parse_scalar

@@ -688,10 +688,10 @@ def _check_hall_bgp(s: Session):
                 target = datum.reflect_dim(i, dims)
                 if any(x < 0 for x in target):
                     continue
-                # a case enumerates E_V on both sides; every budget is
+                # a case builds both sides' class tables; every budget is
                 # met, in the order of the work, before any of it is done
-                hall.require_budget(quiver, q, dims, s.budget)
-                hall.require_budget(reversed_quiver, q, target, s.budget)
+                hall.require_class_budget(quiver, q, dims, s.budget)
+                hall.require_class_budget(reversed_quiver, q, target, s.budget)
                 cases.append((q, i, reversed_quiver, dims, target))
     for q, i, reversed_quiver, dims, target in cases:
         zero_classes = [

@@ -155,12 +155,16 @@ def test_cli_verify_deterministic_statuses(capsys):
 
 
 def test_cli_budget_guard_marks_skip(capsys):
+    # A2's class table of (2, 2) lists 3 classes, one past the budget
     code, out = run_cli(
-        capsys, "--json", "--budget", "10", "verify", "hall"
+        capsys, "--json", "--budget", "2", "verify", "hall"
     )
     payload = json.loads(out)
-    statuses = {r["check"]: r["status"] for r in payload["results"]}
-    assert statuses["hall-strata-partition"] == "skip"
+    results = {r["check"]: r for r in payload["results"]}
+    assert results["hall-strata-partition"]["status"] == "skip"
+    assert results["hall-strata-partition"]["detail"].startswith(
+        "enumeration needs about 3 classes"
+    )
     assert code == 0
 
 

@@ -13,7 +13,6 @@ from qhall.double import (
     calibrate_pairing,
     double_mul,
     half_antipode,
-    half_counit,
     half_delta,
     half_mul,
     iso_lambda,
@@ -21,8 +20,14 @@ from qhall.double import (
 )
 from qhall.falgebra import FElement, normal_form
 from qhall.freealg import FreeElement
-from qhall.ratfunc import MINUS_ONE, ONE, v_pow
+from qhall.ratfunc import MINUS_ONE, ONE, ZERO, v_pow
 from qhall.ualgebra import UElement, antipode, delta, embed_minus, embed_plus, u_mul
+
+
+def half_counit(a):
+    """The counit of a half: the sum of the coefficients of the pure torus
+    terms."""
+    return sum((c for (_mu, word), c in a.terms.items() if not word), ZERO)
 
 
 def felt(d, *letters):

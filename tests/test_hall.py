@@ -12,6 +12,7 @@ from qhall.cartan import (
     dims_upto,
     is_sink,
     is_source,
+    kostant_count,
     load_datum,
     quiver_from_shorthand,
     sigma_i,
@@ -22,7 +23,6 @@ from qhall.hall import (
     QuiverRep,
     all_points,
     bgp_reflect,
-    canonical_point,
     e_v_dimension,
     field,
     gl_order,
@@ -47,6 +47,16 @@ QA3 = A3.quiver
 
 def rep(dims, mats, q=2, quiver=Q):
     return QuiverRep(quiver, q, dims, mats)
+
+
+def canonical_point(quiver, q, dims, point):
+    """The least point of the orbit of a point: on Dynkin data the least
+    point of its class key from the walk of `iso_classes`, otherwise by
+    orbit search."""
+    if hall._bricks(quiver, q) is None:
+        return hall.orbit_canonical_point(quiver, q, dims, point)
+    key = hall.class_key(QuiverRep(quiver, q, dims, point))
+    return hall._least_points(quiver, q, dims, hall.DEFAULT_BUDGET)[key]
 
 
 P2 = rep((1, 1), (((1,),),))
@@ -536,14 +546,78 @@ def test_kronecker_takes_the_orbit_route(q):
         assert iso_classes(kronecker, q, dims) == orbits
 
 
-def test_a_long_dynkin_path_takes_the_orbit_route():
-    # A_21 is finite, but with 231 bricks to search for it is past the
-    # cost limit, and the classes come from orbit search
-    path = quiver_from_shorthand(",".join(f"{i}->{i + 1}" for i in range(1, 21)))
-    assert len(hall.positive_roots(load_datum(path))) > hall.MAX_BRICKS
-    assert hall._bricks(path, 2) is None
-    dims = (1, 1) + (0,) * 19
-    assert sorted(size for _r, size in iso_classes(path, 2, dims)) == [1, 1]
+def _searched_bricks(quiver, q, roots):
+    """Per root, the least point of E_beta whose endomorphisms are the
+    scalars, found by walking the points in order: a reference that uses
+    no reflection functor."""
+    out = []
+    for root in roots:
+        points = (QuiverRep(quiver, q, root, p) for p in all_points(quiver, q, root))
+        out.append(next(x for x in points if hom_dim(x, x) == 1))
+    return out
+
+
+# A3 in every orientation, A5, D4 with its centre a source, a sink and
+# neither, at q = 2, 3 and 4; D5 at q = 2 and 3, since its search takes
+# seconds per orientation at q = 4
+SEARCHED_BRICK_CASES = [
+    *(
+        (spec, q)
+        for spec in (
+            "1->2,2->3",
+            "1->2,3->2",
+            "2->1,2->3",
+            "1->3,3->2",
+            "1->2,2->3,3->4,4->5",
+            "2->1,2->3,2->4",
+            "1->2,3->2,4->2",
+            "1->2,2->3,2->4",
+        )
+        for q in (2, 3, 4)
+    ),
+    *(
+        (spec, q)
+        for spec in ("1->2,2->3,3->4,3->5", "5->3,4->3,3->2,2->1")
+        for q in (2, 3)
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, q", SEARCHED_BRICK_CASES)
+def test_reflected_bricks_match_the_searched_bricks(spec, q):
+    """Each brick built by reflection functors is isomorphic to the brick
+    a search of E_beta finds: both have the same class key, and the two
+    families have the same Hom matrix."""
+    quiver = quiver_from_shorthand(spec)
+    bricks = hall._bricks(quiver, q)
+    assert sorted(bricks.roots) == list(hall.positive_roots(load_datum(quiver)))
+    searched = _searched_bricks(quiver, q, bricks.roots)
+    hom = tuple(tuple(hom_dim(a, b) for b in searched) for a in searched)
+    assert hom == bricks.hom
+    for x, y in zip(bricks.reps, searched):
+        assert x.dims == y.dims and hom_dim(x, x) == 1, x
+        assert bricks.key(x) == bricks.key(y), (x, y)
+        assert [hom_dim(b, x) for b in searched] == [hom_dim(b, y) for b in searched]
+
+
+def test_e6_bricks_build_and_tables_cover_the_points():
+    # a search of E_beta did not end here: the largest root space has
+    # 2^22 points at q = 2
+    e6 = quiver_from_shorthand("1->2,2->3,3->4,4->5,3->6")
+    q = 2
+    roots = hall.positive_roots(load_datum(e6))
+    bricks = hall._bricks(e6, q)
+    assert len(roots) == 36 and sorted(bricks.roots) == list(roots)
+    for x, root in zip(bricks.reps, bricks.roots):
+        assert x.dims == root and hom_dim(x, x) == 1, x
+    for dims in [(1, 1, 1, 1, 1, 1), (0, 1, 2, 1, 0, 1), (1, 1, 2, 1, 1, 1)]:
+        table = hall._class_table(e6, q, dims, hall.DEFAULT_BUDGET)
+        assert len(table) == kostant_count(roots, dims), dims
+        sizes = [size for _point, size in table.values()]
+        assert sum(sizes) == q ** e_v_dimension(e6, dims), dims
+        # every point's key is a key of the table, met as often as its size
+        _least, count = _walk(e6, q, dims)
+        assert count == {key: size for key, (_p, size) in table.items()}, dims
 
 
 @pytest.mark.parametrize(

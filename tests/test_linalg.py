@@ -7,8 +7,21 @@ from itertools import product
 
 import pytest
 
-from qhall.hall import field, mat_mul, mat_rank
+from qhall.hall import field, mat_rank
 from qhall.linalg import QQ, inverse, nullspace
+
+
+def mat_mul(F, a, b):
+    """The product of two matrices over F, entry by entry."""
+    cols = list(zip(*b))
+    return tuple(tuple(_dot(F, row, col) for col in cols) for row in a)
+
+
+def _dot(F, xs, ys):
+    out = 0
+    for x, y in zip(xs, ys):
+        out = F.add(out, F.mul(x, y))
+    return out
 
 
 def _all_square(q, n):

@@ -15,7 +15,6 @@ from qhall.ratfunc import (
     ZERO,
     common_denominator,
     parse_ratfunc,
-    qbinom,
     qfact,
     qint,
     sum_products,
@@ -74,40 +73,19 @@ def test_qfact():
         qfact(-1)
 
 
-def test_qbinom():
-    assert qbinom(2, 1) == V + v_pow(-1)
-    for n in range(7):
-        assert qbinom(n, 0) == ONE
-    # ratio of factorials, computed independently
-    assert qbinom(3, 2) == qfact(3) / (qfact(2) * qfact(1))
-    assert qbinom(3, 2) == parse_ratfunc("v^2 + 1 + v^-2")
-    assert qbinom(2, 5) == ZERO
-    assert qbinom(-1, 2) == ZERO
-
-
-def test_q_pascal_recurrence():
-    for n in range(1, 9):
-        for k in range(n + 1):
-            lhs = qbinom(n, k)
-            rhs = v_pow(k) * qbinom(n - 1, k)
-            if k >= 1:
-                rhs = rhs + v_pow(k - n) * qbinom(n - 1, k - 1)
-            assert lhs == rhs
-
-
 def test_q_number_memos_bounded_and_transparent():
-    memos = (qint, qfact, qbinom)
+    memos = (qint, qfact)
     for memo in memos:
         assert memo.cache_parameters()["maxsize"] is not None
         assert memo.__module__ == "qhall.ratfunc"
     assert Path(ratfunc.__file__).read_text().count("maxsize=None") == 0
-    # [40]! and the binomials of row 12 overflow the memos
+    # [40]! overflows the memo of quantum integers
     big = qfact(40)
-    row = [qbinom(12, k) for k in range(13)]
+    row = [qfact(n) for n in range(13)]
     for memo in memos:
         assert memo.cache_info().currsize <= memo.cache_parameters()["maxsize"]
         memo.cache_clear()
-    assert qfact(40) == big and [qbinom(12, k) for k in range(13)] == row
+    assert qfact(40) == big and [qfact(n) for n in range(13)] == row
     assert qfact(40) == qfact(39) * qint(40)
 
 

@@ -47,14 +47,14 @@ def test_run_verify_counts_errors_as_failures(monkeypatch, capsys):
 
 
 def test_hall_bgp_skips_before_any_enumeration(monkeypatch):
-    # D4 with its sink at 2: (2,0,1,1) reflects to (2,4,1,1), whose 3^16
-    # points at q = 3 pass the default budget
+    # the Kronecker quiver with its sink at 2: (2,0) reflects to (2,4),
+    # whose 3^16 points at q = 3 pass the default budget
     def enumerated(*_args):
         raise AssertionError("enumerated before the budget was met")
 
     monkeypatch.setattr(verify.hall, "iso_classes", enumerated)
     monkeypatch.setattr(verify.hall, "class_points", enumerated)
-    datum = load_datum(load_quiver("1->2,3->2,4->2"))
+    datum = load_datum(load_quiver("1->2,1->2"))
     s = Session(datum)
     r = verify._run("hall-bgp-bijection", lambda: verify._check_hall_bgp(s))
     assert r.status == "skip"
