@@ -16,9 +16,9 @@ that dimension vector lists its classes without walking its 3^16 points
 at q = 3, so the budget counts classes there.  The u, double and f
 suites run on the Kronecker quiver, whose a_12 = -2 puts the product and
 antipode twists off the simply-laced data; its ti suite is left out, as
-no budget bounds it yet.  The hall suite is left out on E6:
-hall-orientation-independence walks all 32 of its orientations at bound
-(1,...,1) whatever the hall bound, which takes minutes."""
+no budget bounds it yet.  The hall suite runs on E6 at hall bound
+(1,1,1,0,0,0): hall-orientation-independence walks all 32 of its
+orientations at that bound capped at 1 per vertex."""
 
 import sys
 import time
@@ -35,6 +35,7 @@ DATA = [
     ("D4", "2->1,2->3,2->4", ("f", "hall"), {}),
     ("D4-centre-sink", "1->2,3->2,4->2", ("hall",), {}),
     ("Kronecker", "1->2,1->2", ("u", "double", "f"), {}),
+    ("E6", "1->2,2->3,3->4,4->5,3->6", ("hall",), {"hall_bound": (1, 1, 1, 0, 0, 0)}),
 ]
 
 

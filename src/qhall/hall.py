@@ -709,7 +709,7 @@ def _require_subspaces(q: int, dims: tuple, sub_dims: tuple, budget: int) -> Non
     for n, k in zip(dims, sub_dims):
         needed *= subspace_count(q, n, k)
     if needed > budget:
-        raise BudgetExceeded(needed, budget)
+        raise BudgetExceeded(needed, budget, "graded subspaces")
 
 
 def graded_subreps(M: QuiverRep, sub_dims: tuple, budget: int = DEFAULT_BUDGET):

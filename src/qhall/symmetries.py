@@ -60,6 +60,7 @@ from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, sum_products, v_pow
 from .ualgebra import (
     UElement,
     _pairing,
+    _share,
     _twisted,
     embed_minus,
     embed_plus,
@@ -88,7 +89,9 @@ def _sigma(x: UElement) -> UElement:
 # _t_tilde_word are bounded above the largest fill measured: one
 # scripts/run_verify.py process leaves 22, 11, 1,226, 1,258, 88 and 460
 # entries in them, one symbolic-verify round 10, 5, 370, 436, 34 and 124,
-# and the u-queries stream 6, 3, 363, 1,943, 18 and 72.
+# and the u-queries stream 6, 3, 363, 1,943, 18 and 72.  The rows of
+# _pair_image hold shared keys, coefficients and pairing vectors
+# (ualgebra._shared), so its entries cost about 1 KB each on that stream.
 @lru_cache(maxsize=64)
 def _table(datum: CartanDatum, vertex: int, inverse: bool) -> dict:
     """Generator images of T_i; for T_i^-1 = sigma T_i sigma, since sigma
@@ -169,7 +172,7 @@ def _pair_rows(f_img: UElement, e_img: UElement) -> tuple:
     # many rows share an E-word, so each pairing vector is computed once
     ewords = {e for _f, _kappa, e in prod}
     pairing = {e: _pairing(d, sub_vec(delta, d.weight_of_word(e))) for e in ewords}
-    return tuple((key, c, pairing[key[2]]) for key, c in prod.items())
+    return _share((key, c, pairing[key[2]]) for key, c in prod.items())
 
 
 @lru_cache(maxsize=4096)

@@ -17,7 +17,9 @@ v^(+-alpha_weight(nu, mu)), a linear function of mu, so a torus-free memo
 keeps rows (key, coefficient, pairing vector), and one torus twist,
 _twisted, moves the rows to a torus element: each key's coweight is
 shifted, and its v-exponent is the pairing vector dotted with the twist.
-Each memo stores its pairing vectors with the sign its identity needs.
+Each memo stores its pairing vectors with the sign its identity needs,
+and its rows through _share, so that equal keys, coefficients and pairing
+vectors across all rows are one object.
 u_mul, the antipode and symmetries._apply_table read their memos through
 it:
 
@@ -162,6 +164,25 @@ def _twisted(rows, twist: tuple, shift: tuple):
     )
 
 
+# The rows of _product_table, _antipode_words and symmetries._pair_rows
+# repeat a few keys, coefficients and pairing vectors, so each distinct
+# value is stored once.  _shared is bounded above the largest fill
+# measured: 11,518 entries after the u-queries stream, 1,644 after one
+# symbolic-verify round and 3,231 after one scripts/run_verify.py process.
+@lru_cache(maxsize=1 << 14)
+def _shared(value):
+    """The first stored object equal to value.  Only tuples and RatFuncs
+    are passed: lru_cache keys the scalars 1 and True alike."""
+    return value
+
+
+def _share(rows) -> tuple:
+    """Rows (key, coefficient, pairing vector) with every part replaced by
+    its shared copy; the values are immutable and canonical, so an equal
+    object stands in for each."""
+    return tuple((_shared(key), _shared(c), _shared(p)) for key, c, p in rows)
+
+
 @lru_cache(maxsize=1 << 13)
 def _product_table(
     datum: CartanDatum, f1: Word, e1: Word, f2: Word, e2: Word
@@ -181,7 +202,7 @@ def _product_table(
 
     out = linear(_straighten(datum, e1, f2).terms.items(), image)
     wf1, we2 = datum.weight_of_word(f1), datum.weight_of_word(e2)
-    return tuple(
+    return _share(
         (
             key,
             c,
@@ -309,7 +330,7 @@ def _antipode_words(datum: CartanDatum, fw: Word, ew: Word) -> tuple:
             u_mul(UElement.F(datum, letter), UElement.K(datum, h)).scale(MINUS_ONE)
         )
     wew = datum.weight_of_word(ew)
-    return tuple(
+    return _share(
         (key, c, _pairing(datum, add_vec(wew, datum.weight_of_word(key[0]))))
         for key, c in u_product(factors).terms.items()
     )

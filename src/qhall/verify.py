@@ -776,7 +776,8 @@ def _check_hall_agreement(s: Session):
 
 def _check_hall_orientation(s: Session):
     d = s.datum
-    small = tuple(1 for _ in range(d.rank)) if d.rank > 2 else s.hall_dims()
+    bound = s.hall_dims()
+    small = tuple(min(1, b) for b in bound) if d.rank > 2 else bound
     for d2 in _orientations(d):
         _hall_agreement(d2, small, s.budget)
 

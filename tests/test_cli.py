@@ -168,6 +168,16 @@ def test_cli_budget_guard_marks_skip(capsys):
     assert code == 0
 
 
+def test_cli_budget_skip_names_graded_subspaces(capsys):
+    # the Hall product walks graded subspaces, and its skip says so
+    code, out = run_cli(capsys, "--json", "--budget", "2", "verify", "hall")
+    results = {r["check"]: r for r in json.loads(out)["results"]}
+    check = results["hall-product-associative"]
+    assert check["status"] == "skip"
+    assert "subspaces" in check["detail"]
+    assert code == 0
+
+
 def test_cli_single_vertex_datum(capsys):
     code, out = run_cli(
         capsys,
@@ -206,7 +216,7 @@ def test_cli_rejects_budget_overrun_and_nonpositive_budget(capsys):
     assert "needs about 256 points but the budget is 10" in line
     argv = ("--budget", "10", "hall", "number", "1->2", "4", "3,0:0", "2,0:0", "1,0:0")
     line = _bad_input(capsys, *argv)
-    assert "needs about 21 points but the budget is 10" in line
+    assert "needs about 21 graded subspaces but the budget is 10" in line
     for budget in ("0", "-5"):
         line = _bad_input(capsys, "--budget", budget, "verify", "hall")
         assert "--budget must be positive" in line

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -317,3 +318,33 @@ def test_kronecker_quiver_keeps_the_greedy_pass():
     assert falgebra._root_words(d) is None
     assert weight_basis(d, (3, 3)).dim == 14
     assert weight_basis(d, (3, 3)) == greedy_basis(d, (3, 3))
+
+
+def test_f_memos_bounded_and_transparent():
+    memos = [
+        obj
+        for obj in vars(falgebra).values()
+        if hasattr(obj, "cache_info") and obj.__module__ == "qhall.falgebra"
+    ]
+    named = {weight_basis, _normal_form_word, sub_if_basis, falgebra._decompose_word}
+    assert named <= set(memos)
+    for memo in memos:
+        assert memo.cache_parameters()["maxsize"] is not None
+    assert Path(falgebra.__file__).read_text().count("maxsize=None") == 0
+    nu = (1, 2, 1)
+    x = normal_form(free_word(A3, 2, 1, 3, 2) + free_word(A3, 3, 2, 2, 1).scale(v_pow(2)))
+
+    def results():
+        return (
+            weight_basis(A3, nu),
+            [normal_form(FreeElement.word(A3, w)) for w in words_of_weight(A3, nu)],
+            [sub_if_basis(A3, i, nu, s) for i in A3.vertices for s in ("left", "right")],
+            [i_decompose(i, x) for i in A3.vertices],
+            [i_decompose_right(i, x) for i in A3.vertices],
+        )
+
+    before = results()
+    for memo in memos:
+        memo.cache_clear()
+        assert memo.cache_info().currsize == 0
+    assert results() == before

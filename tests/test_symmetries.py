@@ -30,7 +30,15 @@ from qhall.symmetries import (
     ti_restricted,
     ti_restricted_inverse,
 )
-from qhall.ualgebra import UElement, embed_minus, embed_plus, u_mul, u_product
+from qhall.ualgebra import (
+    UElement,
+    _product_table,
+    _shared,
+    embed_minus,
+    embed_plus,
+    u_mul,
+    u_product,
+)
 
 
 def felt(d, *letters):
@@ -299,6 +307,40 @@ def test_route_is_part_of_the_pair_memo_key():
     assert _t_tilde_word.cache_info().misses == 0
     assert t_tilde_apply(1, x) == ti_apply(1, x)
     assert _t_tilde_word.cache_info().misses > 0
+
+
+def test_memo_rows_share_equal_values():
+    # equal keys, coefficients and pairing vectors stored by different
+    # entries of the product table and the pair memo are one object, and
+    # the rows equal those rebuilt once the intern memo is cleared
+    for d in (A2, A3):
+        words = _basis_words(d, 1)
+
+        def tables():
+            products = [
+                _product_table(d, *ws) for ws in itertools.product(words, repeat=4)
+            ]
+            pairs = [
+                _pair_image(d, i, route, fw, ew)
+                for i in d.vertices
+                for route in ("T", "T-1", "T~")
+                for fw in words
+                for ew in words
+            ]
+            return products + pairs
+
+        for memo in (_product_table, _pair_image, _shared):
+            memo.cache_clear()
+        before = tables()
+        parts = [part for rows in before for row in rows for part in row]
+        first: dict = {}
+        for part in parts:
+            assert first.setdefault((type(part), part), part) is part
+        assert len(first) < len(parts)
+        assert _shared.cache_info().hits > 0
+        for memo in (_product_table, _pair_image, _shared):
+            memo.cache_clear()
+        assert tables() == before
 
 
 def test_word_memos_bounded_and_transparent():

@@ -25,6 +25,7 @@ from qhall.ualgebra import (
     _delta_generator,
     _delta_words,
     _product_table,
+    _shared,
     _straighten,
     _twisted,
     antipode,
@@ -434,7 +435,7 @@ def test_u_mul_reduces_once_per_key():
 
 
 def test_term_memos_bounded_and_transparent():
-    memos = (_product_table, _delta_words, _antipode_words, _straighten)
+    memos = (_product_table, _delta_words, _antipode_words, _straighten, _shared)
     for memo in memos:
         assert memo.cache_parameters()["maxsize"] is not None
     src = Path(ualgebra.__file__).read_text()

@@ -61,6 +61,17 @@ def test_hall_bgp_skips_before_any_enumeration(monkeypatch):
     assert r.detail.startswith("enumeration needs about 43046721 points")
 
 
+def test_hall_orientation_check_keeps_the_hall_bound(monkeypatch):
+    # on rank > 2 every orientation runs at the hall bound capped at 1
+    calls = []
+    monkeypatch.setattr(
+        verify, "_hall_agreement", lambda d, bound, budget: calls.append(bound)
+    )
+    s = Session(load_datum(load_quiver("1->2,2->3")), hall_bound=(1, 1, 0))
+    verify._check_hall_orientation(s)
+    assert calls and all(bound == (1, 1, 0) for bound in calls)
+
+
 def test_a_wrong_generator_image_fails_with_its_counterexample(monkeypatch):
     # T_1(E2) on A2 is E1*E2 - v^-1*E2*E1; make it off by E2
     d = load_datum(load_quiver("1->2"))
