@@ -95,8 +95,11 @@ def load_quiver(spec: str) -> Quiver:
     if text.startswith("{"):
         return quiver_from_json(json.loads(text))
     if text.endswith(".json"):
-        with open(text) as fh:
-            return quiver_from_json(json.load(fh))
+        try:
+            with open(text) as fh:
+                return quiver_from_json(json.load(fh))
+        except OSError as e:
+            raise ValueError(f"cannot read quiver file {text}: {e.strerror or e}") from None
     return quiver_from_shorthand(text)
 
 

@@ -360,8 +360,6 @@ def cmd_double(args) -> int:
         text = "\n".join(f"c_{i} = {c}" for i, c in consts.items())
         _emit(args, payload, text)
         return 0
-    if args.double_cmd == "verify":
-        return _report(args, run_suite(_session(args), "double"))
     raise SystemExit(f"unknown double subcommand {args.double_cmd}")
 
 
@@ -468,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     dmul.add_argument("left")
     dmul.add_argument("right")
     dsubs.add_parser("calibrate")
-    dsubs.add_parser("verify")
     dd.set_defaults(fn=cmd_double)
 
     ver = subs.add_parser("verify", help="run a verification suite")

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .cartan import CartanDatum, add_vec, neg_vec, sub_vec
 from .falgebra import FElement, _normal_form_word
-from .freealg import Word, coproduct_word, _form_words
+from .freealg import Word, coproduct_word, word_form
 from .lincomb import LinComb, bilinear, linear
 from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, v_pow
 from .ualgebra import UElement
@@ -202,7 +202,7 @@ def pairing_phi(a: HalfElement, b: HalfElement) -> RatFunc:
         if nu != d.weight_of_word(w2):
             return ZERO
         expo = d.alpha_weight(nu, alpha) - d.alpha_weight(nu, beta)
-        val = _form_words(d, w1, w2, PAIRING_CONSTANT)
+        val = word_form(d, w1, w2, PAIRING_CONSTANT)
         return val.shift(expo - d.sym_form(alpha, beta))
 
     xs, ys = a.terms.items(), b.terms.items()
@@ -270,11 +270,11 @@ def _cross(datum: CartanDatum, pword: Word, mword: Word, c_gen: RatFunc) -> Doub
         (x1, x2), (y1, y2) = xs, ys
         wt_x1, wt_x2, wt_y1, wt_y2 = map(weight, (x1, x2, y1, y2))
         if wt_x1 == wt_y2:
-            val = _form_words(datum, x1, y2, c_gen)
+            val = word_form(datum, x1, y2, c_gen)
             if val:
                 yield (y1, neg_vec(datum.coweight_of_dim(wt_y2)), x2), val
         if wt_x2 == wt_y1 and any(wt_x2):
-            val = _form_words(datum, x2, y1, c_gen)
+            val = word_form(datum, x2, y1, c_gen)
             if val:
                 # k_mu (x1 y2) with mu the coweight of wt x2, k_mu moved
                 # to the torus slot past each term's minus word

@@ -13,14 +13,14 @@ matrix is not positive definite) the same bordering runs greedily over
 every word in lexicographic order and keeps the words independent of
 those kept before; on Dynkin data it selects the same words.  A word's
 normal form is its pairings with the basis words times the inverse,
-looked up when asked for; the pairings of the weight used last share
-one memo.  The quantum Serre relations hold because Serre
-elements lie in the radical.  Pairings are taken at generator
-normalization 1, where they are iterated twisted derivations with
-nonnegative integer coefficients; a normalization c scales f_nu by
-c^|nu| and changes no basis or coordinate.  Weight bases and normal forms
-are memoized per (datum, weight) and (datum, word); the cached objects
-are immutable.
+looked up when asked for.  The quantum Serre relations hold because
+Serre elements lie in the radical.  Pairings are the form of
+qhall.freealg at generator normalization 1, iterated twisted
+derivations with nonnegative integer coefficients, from the one memo
+that every weight and lusztig_form share; a normalization c scales f_nu
+by c^|nu| and changes no basis or coordinate.  Weight bases and normal
+forms are memoized per (datum, weight) and (datum, word); the cached
+objects are immutable.
 """
 
 from __future__ import annotations
@@ -32,11 +32,9 @@ from operator import le, mul
 
 from . import linalg
 from .cartan import CartanDatum, kostant_partitions, positive_roots, scale_vec, sub_vec
-from .freealg import FreeElement, Word, words_of_weight
+from .freealg import FreeElement, Word, _derive_word, _form_words, words_of_weight
 from .lincomb import LinComb, bilinear, linear
-from .ratfunc import (
-    ONE, ONE_POLY, ZERO, ZERO_POLY, IntPoly, RatFunc, common_denominator, qfact, v_pow
-)
+from .ratfunc import ONE, ZERO, ZERO_POLY, RatFunc, common_denominator, qfact, v_pow
 
 
 @dataclass(frozen=True)
@@ -56,55 +54,12 @@ class WeightBasis:
         k = bisect_left(self.basis_words, word)
         if k < self.dim and self.basis_words[k] == word:
             return ((word, ONE),)
-        pair = _weight_pairing(self.datum, self.weight)
-        polys = [pair(word, u) for u in self.basis_words]
+        polys = [_form_words(self.datum, word, u) for u in self.basis_words]
         coeffs = [
             RatFunc(sum(map(mul, nums, polys), ZERO_POLY), den)
             for den, nums in self.inv_rows
         ]
         return tuple((u, c) for u, c in zip(self.basis_words, coeffs) if c)
-
-
-def _derive_word(datum: CartanDatum, vertex: int, word: Word, side: str) -> list:
-    """Twisted derivation of a word: (word without letter k, exponent of v)
-    for each k with word[k] == vertex; the exponent pairs alpha_vertex with
-    the weight of word[:k] (side="left", i_r) or word[k+1:] (r_i)."""
-    a = dict(zip(datum.vertices, datum.cartan[datum.index(vertex)]))
-    order = range(len(word)) if side == "left" else range(len(word) - 1, -1, -1)
-    out, e = [], 0
-    for k in order:
-        if word[k] == vertex:
-            out.append((word[:k] + word[k + 1:], e))
-        e += a[word[k]]
-    return out
-
-
-def _form_at_one(datum: CartanDatum):
-    """Pairing (w, u) at normalization 1: the sum of v^e (w', u[1:]) over
-    (w', e) in i_r w, i = u[0].  Pairs of shorter words are memoized in the
-    returned closure only, so they are dropped with it."""
-    memo: dict = {}
-
-    def pair(w: Word, u: Word) -> IntPoly:
-        if not u:
-            return ONE_POLY
-        found = memo.get((w, u))
-        if found is None:
-            acc: dict = {}
-            for sub, e in _derive_word(datum, u[0], w, "left"):
-                for x, c in pair(sub, u[1:]).coeffs.items():
-                    acc[x + e] = acc.get(x + e, 0) + c
-            found = memo[w, u] = IntPoly(acc)
-        return found
-
-    return pair
-
-
-@lru_cache(maxsize=1)
-def _weight_pairing(datum: CartanDatum, nu: tuple):
-    """The pairing of the weight used last: a basis and the lookups that
-    follow it in one weight share a memo, and one weight's memo is kept."""
-    return _form_at_one(datum)
 
 
 def _reversed(word: Word) -> tuple:
@@ -153,15 +108,15 @@ def _border(datum: CartanDatum, nu: tuple, candidates) -> WeightBasis:
     of those kept before pairs nontrivially with itself.  Over every word
     in lex order this is the row rank of the full Gram matrix, since the
     form is definite for large v."""
-    pair = _weight_pairing(datum, nu)
     kept: list = []
     gram_inv: list[list] = []
     inv_rows: list = []  # gram_inv row by row over one denominator
     for w in candidates:
-        polys = [pair(w, u) for u in kept]
+        polys = [_form_words(datum, w, u) for u in kept]
         coeffs = [RatFunc(sum(map(mul, n, polys), ZERO_POLY), d) for d, n in inv_rows]
         den, nums = common_denominator(coeffs)
-        residual_num = pair(w, w) * den - sum(map(mul, nums, polys), ZERO_POLY)
+        self_pair = _form_words(datum, w, w)
+        residual_num = self_pair * den - sum(map(mul, nums, polys), ZERO_POLY)
         residual = RatFunc(residual_num, den)
         if not residual:
             continue

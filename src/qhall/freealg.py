@@ -1,8 +1,13 @@
 """The free graded algebra on the generators th_i over Q(v).
 
-Carries the twisted coproduct determined by th_i |-> th_i x 1 + 1 x th_i
-and the symmetric bilinear form built from it by recursion.  Words are
-tuples of vertex ids; elements map words to Q(v) coefficients.
+Carries the twisted coproduct determined by th_i |-> th_i x 1 + 1 x th_i,
+its twisted derivations i_r and r_i, and the symmetric bilinear form.
+The form is read off the derivation i_r alone (Lusztig 1.2.13): one
+memoized recursion pairs words at generator normalization 1, with
+nonnegative integer coefficients, and a normalization c scales a pairing
+of weight nu by c^|nu|.  The weight bases of f, lusztig_form and the
+double all read this one pairing.  Words are tuples of vertex ids;
+elements map words to Q(v) coefficients.
 
 The word-level coproduct and form are memoized per datum in bounded
 caches; cached values are pure, so an evicted entry is recomputed alike.
@@ -14,7 +19,7 @@ from functools import lru_cache
 
 from .cartan import CartanDatum
 from .lincomb import LinComb, bilinear, linear
-from .ratfunc import ONE, RatFunc, ZERO, v_pow
+from .ratfunc import ONE, ONE_POLY, IntPoly, RatFunc, ZERO, v_pow
 
 Word = tuple[int, ...]
 
@@ -98,10 +103,10 @@ def twisted_tensor_mul(t1: TensorElement, t2: TensorElement) -> TensorElement:
     return t1._like(bilinear(xs, ys, image))
 
 
-# coproduct_word, _form_words and words_of_weight are bounded above the
-# largest fill measured: one scripts/run_verify.py process leaves 1,777,
-# 4,870 and 617 entries in them, one symbolic-verify round 427, 243 and
-# 105, and the u-queries stream none.
+# coproduct_word and words_of_weight are bounded above the largest fill
+# measured: one scripts/run_verify.py process leaves 1,777 and 821 entries
+# in them, one symbolic-verify round 427 and 105, and the u-queries stream
+# none.
 @lru_cache(maxsize=4096)
 def coproduct_word(datum: CartanDatum, word: Word) -> tuple:
     """Coproduct of a single word as a tuple of ((w1, w2), coeff)."""
@@ -123,20 +128,46 @@ def coproduct_r(x: FreeElement) -> TensorElement:
     return TensorElement(d)._like(terms)
 
 
-@lru_cache(maxsize=8192)
-def _form_words(datum: CartanDatum, w1: Word, w2: Word, c_gen: RatFunc) -> RatFunc:
+def _derive_word(datum: CartanDatum, vertex: int, word: Word, side: str) -> list:
+    """Twisted derivation of a word: (word without letter k, exponent of v)
+    for each k with word[k] == vertex; the exponent pairs alpha_vertex with
+    the weight of word[:k] (side="left", i_r) or word[k+1:] (r_i)."""
+    a = dict(zip(datum.vertices, datum.cartan[datum.index(vertex)]))
+    order = range(len(word)) if side == "left" else range(len(word) - 1, -1, -1)
+    out, e = [], 0
+    for k in order:
+        if word[k] == vertex:
+            out.append((word[:k] + word[k + 1:], e))
+        e += a[word[k]]
+    return out
+
+
+# _form_words is shared by every weight and every caller, and bounded
+# above the largest fill measured: one scripts/run_verify.py process
+# leaves 32,232 entries in it, one symbolic-verify round 2,274, the
+# u-queries stream 601 and one hall-verify round 468.
+@lru_cache(maxsize=1 << 16)
+def _form_words(datum: CartanDatum, w: Word, u: Word) -> IntPoly:
+    """The form (w, u) at generator normalization 1, for words w and u of
+    the same weight (the caller checks this): the sum of v^e (w', u[1:])
+    over (w', e) in i_r w, i = u[0].  Its coefficients are nonnegative
+    integers."""
+    if not u:
+        return ONE_POLY
+    acc: dict = {}
+    for sub, e in _derive_word(datum, u[0], w, "left"):
+        for x, c in _form_words(datum, sub, u[1:]).coeffs.items():
+            acc[x + e] = acc.get(x + e, 0) + c
+    return IntPoly(acc)
+
+
+def word_form(datum: CartanDatum, w1: Word, w2: Word, c_gen: RatFunc) -> RatFunc:
+    """The form (w1, w2) at generator normalization (th_i, th_i) = c_gen:
+    zero across weights, else c_gen^|w1| times the form at normalization 1,
+    since the recursion takes one factor c_gen per letter."""
     if datum.weight_of_word(w1) != datum.weight_of_word(w2):
         return ZERO
-    if not w2:
-        return ONE
-    head, rest = w2[0], w2[1:]
-    total = ZERO
-    for (a, b), coeff in coproduct_word(datum, w1):
-        if a == (head,):
-            sub = _form_words(datum, b, rest, c_gen)
-            if sub:
-                total = total + coeff * c_gen * sub
-    return total
+    return c_gen ** len(w1) * RatFunc(_form_words(datum, w1, w2))
 
 
 def lusztig_form(x: FreeElement, y: FreeElement) -> RatFunc:
@@ -146,7 +177,7 @@ def lusztig_form(x: FreeElement, y: FreeElement) -> RatFunc:
     if x.datum != y.datum:
         raise ValueError("operands live over different data")
     forms = (
-        c1 * c2 * _form_words(x.datum, w1, w2, DEFAULT_FORM_CONSTANT)
+        c1 * c2 * word_form(x.datum, w1, w2, DEFAULT_FORM_CONSTANT)
         for w1, c1 in x.terms.items()
         for w2, c2 in y.terms.items()
     )

@@ -248,6 +248,24 @@ def test_cli_rejects_malformed_quiver_json(capsys, tmp_path):
     assert "must be an object" in bad(str(path))
 
 
+def test_cli_rejects_unreadable_quiver_file(capsys, tmp_path):
+    missing = tmp_path / "nosuch.json"
+    line = _bad_input(capsys, "--datum", str(missing), "verify", "f")
+    assert line == f"qhall: cannot read quiver file {missing}: No such file or directory"
+    folder = tmp_path / "x.json"
+    folder.mkdir()
+    line = _bad_input(capsys, "--datum", str(folder), "verify", "f")
+    assert line.startswith(f"qhall: cannot read quiver file {folder}: ")
+
+
+def test_cli_double_has_no_verify_subcommand(capsys):
+    # the double suite runs as `qhall verify double`
+    with pytest.raises(SystemExit) as exc:
+        main(["double", "verify"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'verify'" in capsys.readouterr().err
+
+
 def test_cli_rejects_non_integer_vertex_in_shorthand(capsys):
     line = _bad_input(capsys, "--datum", "1->x", "f", "dim", "1,1")
     assert line == (

@@ -1,4 +1,5 @@
 import itertools
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,6 @@ from qhall import falgebra
 from qhall.cartan import A2, A3, dims_of_height, load_datum, load_quiver, positive_roots
 from qhall.falgebra import (
     FElement,
-    _form_at_one,
     _normal_form_word,
     dim_decomposition_check,
     f_mul,
@@ -27,10 +27,11 @@ from qhall.freealg import (
     FreeElement,
     _form_words,
     coproduct_word,
+    word_form,
     words_of_weight,
 )
 from qhall.linalg import QV, rref, solve
-from qhall.ratfunc import ONE, RatFunc, parse_ratfunc, qfact, v_pow
+from qhall.ratfunc import ONE, ZERO, RatFunc, parse_ratfunc, qfact, v_pow
 
 
 def free_word(d, *letters):
@@ -185,19 +186,70 @@ def _weights(d, max_height, min_height=0):
         yield from dims_of_height(d.rank, total)
 
 
-@pytest.mark.parametrize("d, max_height", [(A2, 6), (A3, 4)], ids=["A2", "A3"])
-def test_derivation_pairing_matches_coproduct_form(d, max_height):
+@lru_cache(maxsize=None)
+def _coproduct_form(d, w1, w2, c_gen):
+    """Reference form at generator normalization c_gen, recursing through
+    the whole coproduct of w1 and keeping the terms whose left factor is
+    the first letter of w2."""
+    if d.weight_of_word(w1) != d.weight_of_word(w2):
+        return ZERO
+    if not w2:
+        return ONE
+    head, rest = w2[0], w2[1:]
+    total = ZERO
+    for (a, b), coeff in coproduct_word(d, w1):
+        if a == (head,):
+            sub = _coproduct_form(d, b, rest, c_gen)
+            if sub:
+                total = total + coeff * c_gen * sub
+    return total
+
+
+@pytest.mark.parametrize(
+    "spec, max_height",
+    [("1->2", 6), ("1->2,2->3", 4), ("1->2,1->2", 5), ("2->1,2->3,2->4", 4)],
+    ids=["A2", "A3", "Kronecker", "D4"],
+)
+def test_derivation_pairing_matches_coproduct_form(spec, max_height):
     # at normalization c every pairing on f_nu carries c^|nu|
+    d = load_datum(load_quiver(spec))
     c = DEFAULT_FORM_CONSTANT
-    pair = _form_at_one(d)
     for nu in _weights(d, max_height):
         scale = c ** sum(nu)
         words = words_of_weight(d, nu)
         for w1 in words:
             for w2 in words:
-                entry = pair(w1, w2)
+                entry = _form_words(d, w1, w2)
                 assert all(x > 0 for x in entry.coeffs.values())
-                assert RatFunc(entry) * scale == _form_words(d, w1, w2, c)
+                reference = _coproduct_form(d, w1, w2, c)
+                assert RatFunc(entry) * scale == reference
+                assert word_form(d, w1, w2, c) == reference
+
+
+def test_word_form_is_zero_across_weights():
+    c = DEFAULT_FORM_CONSTANT
+    assert word_form(A2, (1, 2), (1, 1), c) == ZERO
+    assert word_form(A2, (), (1,), c) == ZERO
+    assert word_form(A2, (), (), c) == ONE
+
+
+def test_weight_bases_share_one_bounded_form_memo():
+    assert _form_words.cache_parameters()["maxsize"] is not None
+    assert _form_words.__module__ == "qhall.freealg"
+
+    def misses_building(nu):
+        before = _form_words.cache_info().misses
+        weight_basis(A2, nu)
+        return _form_words.cache_info().misses - before
+
+    weight_basis.cache_clear()
+    _form_words.cache_clear()
+    cold = misses_building((2, 2))
+    weight_basis.cache_clear()
+    _form_words.cache_clear()
+    assert misses_building((2, 1)) > 0
+    # f_(2,2) pairs down to words of weight (2,1) stored by the first build
+    assert misses_building((2, 2)) < cold
 
 
 def _reference_basis(d, nu):
@@ -206,7 +258,7 @@ def _reference_basis(d, nu):
     block."""
     c = DEFAULT_FORM_CONSTANT
     words = words_of_weight(d, nu)
-    gram = [[_form_words(d, a, b, c) for b in words] for a in words]
+    gram = [[_coproduct_form(d, a, b, c) for b in words] for a in words]
     selected: list = []
     for k in range(len(words)):
         rows = [gram[i] for i in selected + [k]]
