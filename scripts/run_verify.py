@@ -16,9 +16,14 @@ that dimension vector lists its classes without walking its 3^16 points
 at q = 3, so the budget counts classes there.  The u, double and f
 suites run on the Kronecker quiver, whose a_12 = -2 puts the product and
 antipode twists off the simply-laced data; its ti suite is left out, as
-no budget bounds it yet.  The hall suite runs on E6 at hall bound
-(1,1,1,0,0,0): hall-orientation-independence walks all 32 of its
-orientations at that bound capped at 1 per vertex."""
+no budget bounds it yet.  Its hall suite classifies by orbit search, the
+route of every quiver that is not Dynkin.  The row has two skips:
+f-dims-kostant, as the root system is not finite, and
+hall-bgp-bijection, as orbit search for the class table of a reflected
+dimension vector would walk 3^16 points at q = 3, over the default
+budget.  The hall suite runs on E6 at hall bound (1,1,1,0,0,0):
+hall-orientation-independence walks all 32 of its orientations at that
+bound capped at 1 per vertex."""
 
 import sys
 import time
@@ -34,7 +39,7 @@ DATA = [
     ("A3-1->3,3->2", "1->3,3->2", ("f", "ti"), {}),
     ("D4", "2->1,2->3,2->4", ("f", "hall"), {}),
     ("D4-centre-sink", "1->2,3->2,4->2", ("hall",), {}),
-    ("Kronecker", "1->2,1->2", ("u", "double", "f"), {}),
+    ("Kronecker", "1->2,1->2", ("u", "double", "f", "hall"), {}),
     ("E6", "1->2,2->3,3->4,4->5,3->6", ("hall",), {"hall_bound": (1, 1, 1, 0, 0, 0)}),
 ]
 

@@ -13,6 +13,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+def _store_hash(obj, fields: tuple) -> None:
+    """Keep the hash the frozen dataclass would compute, hash of the field
+    tuple, so that memos keyed on the value do not rehash its tuples."""
+    object.__setattr__(obj, "_hash", hash(fields))
+
+
 @dataclass(frozen=True)
 class Quiver:
     vertices: tuple[int, ...]
@@ -27,6 +33,10 @@ class Quiver:
                 raise ValueError(f"loop at vertex {s} is not allowed")
             if s not in vs or t not in vs:
                 raise ValueError(f"arrow {s}->{t} uses an unknown vertex")
+        _store_hash(self, (self.vertices, self.arrows))
+
+    def __hash__(self):
+        return self._hash
 
     def reversed_arrows(self, subset: frozenset[int]) -> "Quiver":
         arrows = tuple(
@@ -100,6 +110,9 @@ def load_quiver(spec: str) -> Quiver:
                 return quiver_from_json(json.load(fh))
         except OSError as e:
             raise ValueError(f"cannot read quiver file {text}: {e.strerror or e}") from None
+        except ValueError as e:
+            # malformed JSON, text that does not decode, or a bad schema
+            raise ValueError(f"quiver file {text}: {e}") from None
     return quiver_from_shorthand(text)
 
 
@@ -107,6 +120,12 @@ def load_quiver(spec: str) -> Quiver:
 class CartanDatum:
     quiver: Quiver
     cartan: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        _store_hash(self, (self.quiver, self.cartan))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def vertices(self) -> tuple[int, ...]:

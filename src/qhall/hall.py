@@ -35,7 +35,7 @@ from .cartan import (
 )
 from .falgebra import normal_form
 from .freealg import FreeElement, words_of_weight
-from .linalg import inverse, nullspace
+from .linalg import nullspace
 from .lincomb import LinComb, bilinear, linear
 from .ratfunc import ONE as RF_ONE
 
@@ -406,7 +406,6 @@ def orbit_of(
     return seen
 
 
-@lru_cache(maxsize=4096)
 def orbit_canonical_point(
     quiver: Quiver, q: int, dims: tuple, point: tuple, budget: int = DEFAULT_BUDGET
 ) -> tuple:
@@ -564,10 +563,19 @@ def _bricks(quiver: Quiver, q: int) -> _Bricks | None:
 def class_key(x: QuiverRep, budget: int = DEFAULT_BUDGET) -> tuple:
     """A complete isomorphism invariant: (dims, Hom dimensions from the
     bricks) on Dynkin data, (dims, least orbit point) otherwise."""
-    bricks = _bricks(x.quiver, x.q)
+    return _point_key(x.quiver, x.q, x.dims, x.mats, budget)
+
+
+# the one class-key memo of both routes; one `verify hall` per process
+# fills it to 338 entries on A3, 500 on the Kronecker quiver, 637 on E6 at
+# hall bound (1,1,1,0,0,0), 1,395 on D4 centre-sink and 2,154 on D4, and
+# `scripts/run_verify.py`, Kronecker `hall` row included, to 4,558
+@lru_cache(maxsize=1 << 13)
+def _point_key(quiver: Quiver, q: int, dims: tuple, point: tuple, budget: int) -> tuple:
+    bricks = _bricks(quiver, q)
     if bricks is None:
-        return x.dims, orbit_canonical_point(x.quiver, x.q, x.dims, x.mats, budget)
-    return bricks.key(x)
+        return dims, orbit_canonical_point(quiver, q, dims, point, budget)
+    return bricks.key(QuiverRep(quiver, q, dims, point))
 
 
 @lru_cache(maxsize=256)
@@ -589,7 +597,7 @@ def _class_table(
     for m in kostant_partitions(bricks.roots, dims):
         h = tuple(sum(a * b for a, b in zip(row, m)) for row in bricks.hom)
         point = bricks.direct_sum(quiver, q, dims, h)
-        key = bricks.key(QuiverRep(quiver, q, dims, point))
+        key = class_key(QuiverRep(quiver, q, dims, point), budget)
         if key != (dims, h):
             raise RuntimeError(
                 f"the direct sum {point} of bricks with multiplicities {m} has "
@@ -759,45 +767,34 @@ def _apply_mat(F: Fq, m, vec):
 
 def sub_quotient_reps(M: QuiverRep, sub_basis: tuple):
     """Induced representations on a stable graded subspace and on the
-    quotient by it.  Each vertex's basis rows must be in reduced row
-    echelon form, as `graded_subreps` yields them: the unit vectors off
-    their pivot columns then complete them to a basis, and span the
-    quotient."""
+    quotient by it.  Each vertex's basis rows b_r must be in reduced row
+    echelon form, as `graded_subreps` yields them: the unit vectors e_c
+    off their pivot columns then complete them to a basis, and span the
+    quotient.  A vector y has coordinate y[pivot_r] on b_r and
+    y[c] - sum_r y[pivot_r] b_r[c] on e_c, so no basis is inverted."""
     F = field(M.q)
     quiver = M.quiver
     idx = {v: i for i, v in enumerate(quiver.vertices)}
-    sub_dims = tuple(len(b) for b in sub_basis)
-    quo_dims = tuple(n - k for n, k in zip(M.dims, sub_dims))
-    full = []
-    for n, b in zip(M.dims, sub_basis):
-        pivots = {next(c for c, x in enumerate(row) if x) for row in b}
-        units = [
-            tuple(int(c == k) for c in range(n)) for k in range(n) if k not in pivots
-        ]
-        full.append((*b, *units))
-    # change of basis: coordinates of x in the completed basis
-    inv = [inverse(F, tuple(zip(*basis))) for basis in full]
+    pivots = [[row.index(1) for row in b] for b in sub_basis]
+    free = [[c for c in range(n) if c not in p] for n, p in zip(M.dims, pivots)]
     sub_mats, quo_mats = [], []
     for (s, t), m in zip(quiver.arrows, M.mats):
         si, ti = idx[s], idx[t]
-        ks, kt = sub_dims[si], sub_dims[ti]
-        cols = []
-        for r in range(M.dims[si]):
-            basis_vec = full[si][r]
-            img = _apply_mat(F, m, basis_vec)
-            coords = _apply_mat(F, inv[ti], img)
-            cols.append(coords)
-        sub_mats.append(
-            tuple(tuple(cols[c][r] for c in range(ks)) for r in range(kt))
-        )
-        quo_mats.append(
-            tuple(
-                tuple(cols[ks + c][kt + r] for c in range(M.dims[si] - ks))
-                for r in range(M.dims[ti] - kt)
-            )
-        )
-    sub = QuiverRep(quiver, M.q, sub_dims, tuple(sub_mats))
-    quo = QuiverRep(quiver, M.q, quo_dims, tuple(quo_mats))
+        images = [_apply_mat(F, m, row) for row in sub_basis[si]]
+        sub_mats.append(tuple(tuple(y[p] for y in images) for p in pivots[ti]))
+        cols = [tuple(row[c] for row in m) for c in free[si]]
+        quo = []
+        for c in free[ti]:
+            out = []
+            for y in cols:
+                x = y[c]
+                for p, b in zip(pivots[ti], sub_basis[ti]):
+                    x = F.sub(x, F.mul(y[p], b[c]))
+                out.append(x)
+            quo.append(tuple(out))
+        quo_mats.append(tuple(quo))
+    sub = QuiverRep(quiver, M.q, tuple(map(len, sub_basis)), tuple(sub_mats))
+    quo = QuiverRep(quiver, M.q, tuple(map(len, free)), tuple(quo_mats))
     return sub, quo
 
 
@@ -859,13 +856,6 @@ class HallElement(LinComb):
         return f"HallElement({self.terms})"
 
 
-@lru_cache(maxsize=4096)
-def _term_key(quiver: Quiver, q: int, dims: tuple, point: tuple) -> tuple:
-    """Class key of a term of a HallElement; the terms are points of the
-    class tables, so few distinct ones recur across products."""
-    return class_key(QuiverRep(quiver, q, dims, point))
-
-
 def hall_product(
     a: HallElement, b: HallElement, v_num: int, budget: int = DEFAULT_BUDGET
 ) -> HallElement:
@@ -884,7 +874,10 @@ def hall_product(
 
     def image(term_a, term_b):
         (dims_a, pa), (dims_b, pb) = term_a, term_b
-        key_ab = (_term_key(quiver, q, dims_a, pa), _term_key(quiver, q, dims_b, pb))
+        key_ab = (
+            class_key(QuiverRep(quiver, q, dims_a, pa)),
+            class_key(QuiverRep(quiver, q, dims_b, pb)),
+        )
         dims_m = tuple(x + y for x, y in zip(dims_a, dims_b))
         _require_subspaces(q, dims_m, dims_b, budget)
         twist = Fraction(v_num) ** datum.euler_form(dims_a, dims_b)

@@ -82,6 +82,15 @@ def test_quiver_loading():
     assert load_quiver('{"vertices": [1, 2], "arrows": [[1, 2]]}') == A2.quiver
 
 
+def test_stored_hashes_are_the_dataclass_hashes():
+    """Quiver and CartanDatum keep the hash of their field tuple, the value
+    a frozen dataclass computes, so set orders and outputs do not move."""
+    for d in (A2, A3, load_datum(quiver_from_shorthand("1->2,1->2"))):
+        assert hash(d.quiver) == hash((d.quiver.vertices, d.quiver.arrows))
+        assert hash(d) == hash((d.quiver, d.cartan))
+        assert hash(load_datum(Quiver(d.vertices, d.quiver.arrows))) == hash(d)
+
+
 small_quivers = st.builds(
     lambda n, pairs: Quiver(
         tuple(range(1, n + 1)),

@@ -245,7 +245,17 @@ def test_cli_rejects_malformed_quiver_json(capsys, tmp_path):
     assert "arrow [1, 2.5]" in bad('{"vertices": [1, 2], "arrows": [[1, 2.5]]}')
     path = tmp_path / "quiver.json"
     path.write_text("[1, 2]")
-    assert "must be an object" in bad(str(path))
+    assert bad(str(path)) == (
+        f"qhall: quiver file {path}: quiver JSON must be an object with "
+        "'vertices' and 'arrows'"
+    )
+    # a malformed file is named; an inline literal's message is the decoder's
+    path.write_text("{bad")
+    decoder = (
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    )
+    assert bad(str(path)) == f"qhall: quiver file {path}: {decoder}"
+    assert bad("{bad") == f"qhall: {decoder}"
 
 
 def test_cli_rejects_unreadable_quiver_file(capsys, tmp_path):

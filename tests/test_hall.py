@@ -40,6 +40,7 @@ from qhall.hall import (
     sub_quotient_reps,
     subspace_count,
 )
+from qhall.linalg import inverse
 
 Q = A2.quiver
 QA3 = A3.quiver
@@ -421,6 +422,69 @@ def test_hall_numbers_match_subrep_tally(spec, bound, q):
                 assert total == sum(tally.values())
 
 
+def _sub_quotient_by_inverse(M, sub_basis):
+    """The sub and the quotient by inverting each vertex's basis: the rref
+    rows, completed by the unit vectors off their pivot columns."""
+    F = field(M.q)
+    quiver = M.quiver
+    idx = {v: i for i, v in enumerate(quiver.vertices)}
+    sub_dims = tuple(len(b) for b in sub_basis)
+    quo_dims = tuple(n - k for n, k in zip(M.dims, sub_dims))
+    full = []
+    for n, b in zip(M.dims, sub_basis):
+        pivots = {next(c for c, x in enumerate(row) if x) for row in b}
+        units = [
+            tuple(int(c == k) for c in range(n)) for k in range(n) if k not in pivots
+        ]
+        full.append((*b, *units))
+    inv = [inverse(F, tuple(zip(*basis))) for basis in full]
+    sub_mats, quo_mats = [], []
+    for (s, t), m in zip(quiver.arrows, M.mats):
+        si, ti = idx[s], idx[t]
+        ks, kt = sub_dims[si], sub_dims[ti]
+        cols = [
+            hall._apply_mat(F, inv[ti], hall._apply_mat(F, m, full[si][r]))
+            for r in range(M.dims[si])
+        ]
+        sub_mats.append(tuple(tuple(cols[c][r] for c in range(ks)) for r in range(kt)))
+        quo_mats.append(
+            tuple(
+                tuple(cols[ks + c][kt + r] for c in range(M.dims[si] - ks))
+                for r in range(M.dims[ti] - kt)
+            )
+        )
+    return (
+        QuiverRep(quiver, M.q, sub_dims, tuple(sub_mats)),
+        QuiverRep(quiver, M.q, quo_dims, tuple(quo_mats)),
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize(
+    "spec, bound",
+    [
+        ("1->2", (2, 2)),
+        ("2->1", (2, 2)),
+        ("1->2,2->3", (2, 2, 1)),
+        ("1->2,3->2", (2, 2, 1)),
+        ("2->1,2->3,2->4", (1, 2, 1, 1)),
+        ("1->2,1->2", (1, 2)),
+    ],
+)
+def test_pivot_coordinates_match_the_inverse(spec, bound, q):
+    """The sub and quotient read off the rref pivots equal those found by
+    inverting the completed basis, for every graded subrep of every class
+    point; q = 3 tells a sign apart and q = 4 is not a prime field."""
+    quiver = quiver_from_shorthand(spec)
+    for dims in dims_upto(bound):
+        for point, _size in hall.class_points(quiver, q, dims):
+            M = QuiverRep(quiver, q, dims, point)
+            for sub_dims in dims_upto(dims):
+                for basis in graded_subreps(M, sub_dims):
+                    want = _sub_quotient_by_inverse(M, basis)
+                    assert sub_quotient_reps(M, basis) == want, (dims, point, basis)
+
+
 # ---------------------------------------------------------------------------
 # the invariant route against the orbit route
 
@@ -544,6 +608,30 @@ def test_kronecker_takes_the_orbit_route(q):
         orbits = hall.orbit_classes(kronecker, q, dims)
         assert hall.class_points(kronecker, q, dims) == orbits
         assert iso_classes(kronecker, q, dims) == orbits
+
+
+def test_one_bounded_class_key_memo_serves_both_routes():
+    memo = hall._point_key
+    assert memo.__module__ == "qhall.hall"
+    assert memo.cache_parameters()["maxsize"] is not None
+    assert not hasattr(hall, "_term_key")
+    assert not hasattr(hall.orbit_canonical_point, "cache_info")
+    q, vn = 4, 2
+    u1, u3 = HallElement.simple(QA3, q, 1), HallElement.simple(QA3, q, 3)
+    x = hall_product(hall_product(u1, HallElement.simple(QA3, q, 2), vn), u3, vn)
+    first = hall_product(x, u1, vn)
+    before = memo.cache_info()
+    assert hall_product(x, u1, vn) == first
+    after = memo.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+    # an orbit-route key is searched once, then read from the memo
+    kronecker = quiver_from_shorthand("1->2,1->2")
+    y = QuiverRep(kronecker, 3, (1, 2), (((1,), (2,)), ((0,), (1,))))
+    key = hall.class_key(y)
+    before = memo.cache_info()
+    assert hall.class_key(y) == key == ((1, 2), min(orbit_of(kronecker, 3, (1, 2), y.mats)))
+    after = memo.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def _searched_bricks(quiver, q, roots):
