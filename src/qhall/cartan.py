@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, neg, sub
 
 
 def _store_hash(obj, fields: tuple) -> None:
@@ -170,7 +171,7 @@ class CartanDatum:
     def alpha_eval(self, vertex: int, mu: tuple) -> int:
         """alpha_vertex(mu) for a coweight mu in coroot coordinates."""
         col = self.index(vertex)
-        return sum(mu[j] * self.cartan[j][col] for j in range(self.rank))
+        return sum(m * row[col] for m, row in zip(mu, self.cartan))
 
     def alpha_weight(self, nu: tuple, mu: tuple) -> int:
         """Linear extension sum_j nu_j alpha_j(mu)."""
@@ -253,11 +254,11 @@ def is_source(vertex: int, quiver: Quiver) -> bool:
 
 
 def add_vec(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def sub_vec(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def scale_vec(n: int, a: tuple) -> tuple:
@@ -265,7 +266,7 @@ def scale_vec(n: int, a: tuple) -> tuple:
 
 
 def neg_vec(a: tuple) -> tuple:
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def height(a: tuple) -> int:

@@ -6,14 +6,20 @@ and verify.  Global flags pick the quiver, the enumeration budget, and
 JSON output; the hall subcommands take the field size as an argument.
 
 Exit codes: 0 when every requested check passed, 1 when a check
-failed, and 2 on bad input or an enumeration past the budget, with one
-line on stderr.
+failed, 2 on bad input or an enumeration past the budget, with one
+line on stderr, and 141 (128 + SIGPIPE, as a shell reports a writer
+killed by a closed pipe) when the reader of standard output closes it
+early, as `qhall --json verify ti | head -c 100` does; nothing is printed
+then.
+
+`python -m qhall` runs the same command line from a source checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import double as dbl
@@ -477,13 +483,31 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _stdout_to_devnull() -> None:
+    """Point standard output at devnull, so that the interpreter's last
+    flush of a stream whose reader has gone raises nothing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no file descriptor
+        sys.stdout = open(os.devnull, "w")
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
     except (ValueError, hall.BudgetExceeded) as e:  # bad input, or too big
         print(f"qhall: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return 141
 
 
 if __name__ == "__main__":

@@ -562,7 +562,11 @@ def _bricks(quiver: Quiver, q: int) -> _Bricks | None:
 
 def class_key(x: QuiverRep, budget: int = DEFAULT_BUDGET) -> tuple:
     """A complete isomorphism invariant: (dims, Hom dimensions from the
-    bricks) on Dynkin data, (dims, least orbit point) otherwise."""
+    bricks) on Dynkin data, (dims, least orbit point) otherwise.  Only the
+    orbit search reads the budget, so a Dynkin point is keyed once
+    whatever budget its callers pass."""
+    if _bricks(x.quiver, x.q) is not None:
+        budget = None
     return _point_key(x.quiver, x.q, x.dims, x.mats, budget)
 
 
@@ -571,7 +575,10 @@ def class_key(x: QuiverRep, budget: int = DEFAULT_BUDGET) -> tuple:
 # hall bound (1,1,1,0,0,0), 1,395 on D4 centre-sink and 2,154 on D4, and
 # `scripts/run_verify.py`, Kronecker `hall` row included, to 4,558
 @lru_cache(maxsize=1 << 13)
-def _point_key(quiver: Quiver, q: int, dims: tuple, point: tuple, budget: int) -> tuple:
+def _point_key(
+    quiver: Quiver, q: int, dims: tuple, point: tuple, budget: int | None
+) -> tuple:
+    """class_key of a point; budget is None on Dynkin data."""
     bricks = _bricks(quiver, q)
     if bricks is None:
         return dims, orbit_canonical_point(quiver, q, dims, point, budget)

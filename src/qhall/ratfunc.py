@@ -470,8 +470,9 @@ def _lcm_cofactors(dens) -> tuple[IntPoly, dict]:
     """A common multiple of ordinary polynomials (the lcm up to integer
     content) and, for each distinct one, its cofactor: den == d * cof[d]."""
     distinct = dict.fromkeys(dens)
-    den = ONE_POLY
-    for d in distinct:
+    rest = iter(distinct)
+    den = next(rest, ONE_POLY)
+    for d in rest:
         if d != den:
             g = _dense_gcd(_to_dense(den), _to_dense(d))
             den = den * _from_dense(_dense_exact_div(_to_dense(d), g))

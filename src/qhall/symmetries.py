@@ -32,19 +32,26 @@ t_tilde_apply is the decomposition-based route: each pure F-word or
 E-word is split through the divided-power decomposition, the kernel
 pieces are moved by the restricted symmetry, and the minus side is
 rescaled by the transport factor (-v)^-(nu,i) that makes the reassembly
-agree with ti_apply exactly.  The three routes T_i, T_i^-1 and T~_i
-differ only in their word images: all read their word-pair rows from
-one bounded memo keyed by the route, and twist them the same way.  So
-the routes agree on every monomial once their word images agree, which
-is what ti-decomposition-route compares; the twist is checked against
-products that carry every K_mu through the computation.
+agree with ti_apply exactly.  The forward routes T_i and T~_i differ
+only in their word images: both read their word-pair rows from one
+bounded memo keyed by the route, and twist them the same way.  So they
+agree on every monomial once their word images agree, which is what
+ti-decomposition-route compares.
+
+T_i^-1 reads no pair rows.  Its inputs are mostly images of T_i, whose
+terms share few F-words and whose pair products are large and rarely
+met twice, so it writes x = sum_a F_a Y_a by F-word, builds each
+T_i^-1(Y_a) from the word images of the E-words, and multiplies by
+T_i^-1(F_a) through u_mul's term-pair loop.  Both twists are checked
+against products that carry every K_mu through the computation.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
-from .cartan import CartanDatum, neg_vec, scale_vec, sub_vec
+from .cartan import CartanDatum, add_vec, neg_vec, scale_vec, sub_vec
 from .falgebra import (
     FElement,
     i_decompose,
@@ -59,6 +66,7 @@ from .lincomb import linear
 from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, sum_products, v_pow
 from .ualgebra import (
     UElement,
+    _collect_products,
     _pairing,
     _share,
     _twisted,
@@ -87,11 +95,11 @@ def _sigma(x: UElement) -> UElement:
 
 # _table, _certified, _word_image, _pair_image, _divided_image and
 # _t_tilde_word are bounded above the largest fill measured: one
-# scripts/run_verify.py process leaves 22, 11, 1,226, 1,258, 88 and 460
-# entries in them, one symbolic-verify round 10, 5, 370, 436, 34 and 124,
-# and the u-queries stream 6, 3, 363, 1,943, 18 and 72.  The rows of
+# scripts/run_verify.py process leaves 22, 11, 1,226, 742, 88 and 460
+# entries in them, one symbolic-verify round 10, 5, 370, 280, 34 and 124,
+# and the u-queries stream 6, 3, 363, 856, 18 and 72.  The rows of
 # _pair_image hold shared keys, coefficients and pairing vectors
-# (ualgebra._shared), so its entries cost about 1 KB each on that stream.
+# (ualgebra._shared).
 @lru_cache(maxsize=64)
 def _table(datum: CartanDatum, vertex: int, inverse: bool) -> dict:
     """Generator images of T_i; for T_i^-1 = sigma T_i sigma, since sigma
@@ -131,20 +139,21 @@ def _table(datum: CartanDatum, vertex: int, inverse: bool) -> dict:
 def _certified(datum: CartanDatum, vertex: int) -> bool:
     """Check T_i o T_i^-1 = id and T_i^-1 o T_i = id on all generators."""
 
-    def round_trip(g, routes):
-        for route in routes:
-            g = _apply_table(vertex, g, route)
-        return g
+    def forward(g):
+        return _apply_table(vertex, g, "T")
+
+    def inverse(g):
+        return _apply_inverse(vertex, g)
 
     for j in datum.vertices:
         for maker in (UElement.E, UElement.F):
             g = maker(datum, j)
-            if round_trip(g, ("T-1", "T")) != g or round_trip(g, ("T", "T-1")) != g:
+            if forward(inverse(g)) != g or inverse(forward(g)) != g:
                 raise RuntimeError(
                     f"inverse symmetry table failed certification at vertex {j}"
                 )
         k = UElement.K(datum, datum.unit_vec(j))
-        if round_trip(k, ("T-1", "T")) != k:
+        if forward(inverse(k)) != k:
             raise RuntimeError("inverse symmetry table failed on the torus")
     return True
 
@@ -179,17 +188,18 @@ def _pair_rows(f_img: UElement, e_img: UElement) -> tuple:
 def _pair_image(
     datum: CartanDatum, vertex: int, route: str, fw: Word, ew: Word
 ) -> tuple:
-    """T(F_fw) T(E_ew) as _pair_rows, where T is T_i on route "T", T_i^-1
-    on "T-1" and the decomposition route T~_i on "T~"."""
+    """T(F_fw) T(E_ew) as _pair_rows, where T is T_i on route "T" and the
+    decomposition route T~_i on "T~"."""
     if route == "T~":
         return _pair_rows(
             _t_tilde_word(datum, vertex, "minus", fw),
             _t_tilde_word(datum, vertex, "plus", ew),
         )
-    inverse = route == "T-1"
+    if route != "T":
+        raise ValueError(f"no pair rows for route {route!r}")
     return _pair_rows(
-        _word_image(datum, vertex, "F", fw, inverse),
-        _word_image(datum, vertex, "E", ew, inverse),
+        _word_image(datum, vertex, "F", fw, False),
+        _word_image(datum, vertex, "E", ew, False),
     )
 
 
@@ -204,7 +214,35 @@ def _apply_table(vertex: int, x: UElement, route: str) -> UElement:
         lam = d.reflect_coweight(vertex, mu)
         for key, pc, k in _twisted(_pair_image(d, vertex, route, fw, ew), lam, lam):
             groups.setdefault(key, []).append((c, pc, k))
-    return UElement(d, sum_products(groups))
+    return x._like(sum_products(groups))
+
+
+def _apply_inverse(vertex: int, x: UElement) -> UElement:
+    """T_i^-1(x) with x = sum_a F_a Y_a grouped by F-word a: each
+    T_i^-1(Y_a) = sum c K_lam T_i^-1(E_b), lam = s_i mu, is read off the
+    word images, K_lam moved past each term's F-word f at
+    v^-alpha_weight(wt f, lam), and reduced once; then
+    T_i^-1(F_a) T_i^-1(Y_a) goes through u_mul's term-pair loop, and the
+    whole result is reduced once.  In a group of one term every key has
+    one product, which ratfunc.sum_products takes as it is."""
+    d = x.datum
+    by_fword: dict = {}
+    for (fw, mu, ew), c in x.terms.items():
+        by_fword.setdefault(fw, []).append((c, d.reflect_coweight(vertex, mu), ew))
+    pairing: dict = {}  # F-word -> pairing vector of minus its weight
+    groups: dict = {}
+    for fw, parts in by_fword.items():
+        y: dict = {}
+        for c, lam, ew in parts:
+            for (f, kappa, e), pc in _word_image(d, vertex, "E", ew, True).terms.items():
+                p = pairing.get(f)
+                if p is None:
+                    p = pairing[f] = _pairing(d, neg_vec(d.weight_of_word(f)))
+                k = sum(map(mul, p, lam))
+                y.setdefault((f, add_vec(kappa, lam), e), []).append((c, pc, k))
+        f_image = _word_image(d, vertex, "F", fw, True).terms.items()
+        _collect_products(d, f_image, sum_products(y).items(), groups)
+    return x._like(sum_products(groups))
 
 
 def ti_apply(vertex: int, x: UElement) -> UElement:
@@ -215,7 +253,7 @@ def ti_apply(vertex: int, x: UElement) -> UElement:
 def ti_inverse_apply(vertex: int, x: UElement) -> UElement:
     """The inverse symmetry; the table is certified on first use."""
     _certified(x.datum, vertex)
-    return _apply_table(vertex, x, "T-1")
+    return _apply_inverse(vertex, x)
 
 
 def ti_restricted(vertex: int, x: FElement) -> FElement:

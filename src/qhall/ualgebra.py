@@ -20,14 +20,14 @@ shifted, and its v-exponent is the pairing vector dotted with the twist.
 Each memo stores its pairing vectors with the sign its identity needs,
 and its rows through _share, so that equal keys, coefficients and pairing
 vectors across all rows are one object.
-u_mul, the antipode and symmetries._apply_table read their memos through
-it:
+u_mul, the antipode and the symmetries read their memos through it:
 
 - F_f1 K_m1 E_e1 . F_f2 K_m2 E_e2: the normal form of F_f1 (E_e1 F_f2)
   E_e2 at twist m1 + m2 (concatenated) and shift m1 + m2, so each row
   gets v^-(alpha(wt fw, m1) + alpha(wt ew, m2)), where fw, ew are the
-  words of the straightened middle term.  u_mul collects the products
-  c1 c2 c v^k per output key and reduces each key once
+  words of the straightened middle term.  _collect_products, which u_mul
+  and symmetries._apply_inverse share, collects the products
+  c2 (c1 c) v^k per output key, and each key is reduced once
   (ratfunc.sum_products), as symmetries._apply_table does.
 - S(F_fw K_mu E_ew) = S(E_ew) K_-mu S(F_fw): S(F_fw E_ew) at twist mu
   and shift -mu, so a term (fa, kappa, ea) gets
@@ -167,8 +167,8 @@ def _twisted(rows, twist: tuple, shift: tuple):
 # The rows of _product_table, _antipode_words and symmetries._pair_rows
 # repeat a few keys, coefficients and pairing vectors, so each distinct
 # value is stored once.  _shared is bounded above the largest fill
-# measured: 11,518 entries after the u-queries stream, 1,644 after one
-# symbolic-verify round and 3,231 after one scripts/run_verify.py process.
+# measured: 4,771 entries after the u-queries stream, 1,487 after one
+# symbolic-verify round and 2,827 after one scripts/run_verify.py process.
 @lru_cache(maxsize=1 << 14)
 def _shared(value):
     """The first stored object equal to value.  Only tuples and RatFuncs
@@ -213,22 +213,29 @@ def _product_table(
     )
 
 
+def _collect_products(datum: CartanDatum, xs, ys, groups: dict) -> None:
+    """Every pair of terms F_f1 K_m1 E_e1 of xs and F_f2 K_m2 E_e2 of ys
+    ((key, coefficient) pairs) reads the product table of
+    (f1, e1, f2, e2) twisted by (m1, m2); the triples
+    (c2, c1 * row coefficient, exponent) are appended to groups per
+    output key, for ratfunc.sum_products.  Row coefficients are mostly
+    Laurent polynomials, so with c1 one too (as in T_i^-1(F_a)) that
+    product needs no gcd and the triples keep the denominators of ys."""
+    for (f1, m1, e1), c1 in xs:
+        for (f2, m2, e2), c2 in ys:
+            rows = _product_table(datum, f1, e1, f2, e2)
+            for key, c, k in _twisted(rows, m1 + m2, add_vec(m1, m2)):
+                groups.setdefault(key, []).append((c2, c1 * c, k))
+
+
 def u_mul(x: UElement, y: UElement) -> UElement:
-    """x y: every pair of terms F_f1 K_m1 E_e1, F_f2 K_m2 E_e2 reads the
-    product table of (f1, e1, f2, e2) twisted by (m1, m2).  The
-    (c1 c2, row coefficient, exponent) triples are collected per output
-    key and each key's sum is reduced once."""
+    """x y: the term pairs collected by _collect_products, each key's sum
+    reduced once."""
     if x.datum != y.datum:
         raise ValueError("operands live over different data")
-    d = x.datum
     groups: dict = {}
-    for (f1, m1, e1), c1 in x.terms.items():
-        for (f2, m2, e2), c2 in y.terms.items():
-            base = c1 * c2
-            rows = _product_table(d, f1, e1, f2, e2)
-            for key, c, k in _twisted(rows, m1 + m2, add_vec(m1, m2)):
-                groups.setdefault(key, []).append((base, c, k))
-    return UElement(d, sum_products(groups))
+    _collect_products(x.datum, x.terms.items(), y.terms.items(), groups)
+    return x._like(sum_products(groups))
 
 
 def u_product(factors) -> UElement:

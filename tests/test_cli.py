@@ -1,7 +1,13 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qhall
 from qhall.cartan import A2
 from qhall.cli import main
 from qhall.double import DoubleElement
@@ -290,3 +296,43 @@ def test_cli_rejects_hall_class_index_out_of_range(capsys):
     assert "out of range" in line
     line = _bad_input(capsys, "hall", "number", "1->2", "2", "1,0:x", "1,0:0", "0,1:0")
     assert line == "qhall: class index 'x' in '1,0:x' is not an integer"
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # `python -m qhall` from a source checkout prints what main prints,
+    # and importing qhall.__main__ (as tools that walk the package do)
+    # runs nothing
+    importlib.import_module("qhall.__main__")
+    src = str(Path(qhall.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["--json", "ti", "apply", "1", "E2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qhall", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and proc.stdout == out
+
+
+class _ClosedPipe:
+    """A standard output whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_cli_closed_reader_exits_quietly(capsys, monkeypatch):
+    # `qhall --json verify ti | head -c 100`: no traceback, exit code 141,
+    # and standard output left on devnull for the interpreter's last flush
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["--json", "ti", "apply", "1", "E2"]) == 141
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""

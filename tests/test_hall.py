@@ -634,6 +634,27 @@ def test_one_bounded_class_key_memo_serves_both_routes():
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
+def test_dynkin_class_keys_do_not_depend_on_the_budget():
+    # the Dynkin key reads Hom dimensions, never the budget, so A3 `verify
+    # hall` keys each point once whether the session's budget is the
+    # default or larger
+    from qhall import verify
+
+    memos = [m for m in vars(hall).values() if hasattr(m, "cache_clear")]
+
+    def run(budget):
+        for memo in memos:
+            memo.cache_clear()
+        results = verify.run_suite(verify.Session(A3, budget=budget), "hall")
+        statuses = [(r.name, r.status, r.detail) for r in results]
+        return statuses, hall._point_key.cache_info().currsize
+
+    large = run(20_000_000)
+    default = run(hall.DEFAULT_BUDGET)
+    assert large == default
+    assert {status for _name, status, _detail in default[0]} == {"pass"}
+
+
 def _searched_bricks(quiver, q, roots):
     """Per root, the least point of E_beta whose endomorphisms are the
     scalars, found by walking the points in order: a reference that uses

@@ -231,18 +231,24 @@ def _basis_words(d, height):
     return out
 
 
-def _untwisted_reference(d, i, key, inverse):
-    """T(F_a) K_(s_i mu) T(E_b) by two plain products, without the twist."""
-    fw, mu, ew = key
-    k = UElement.K(d, d.reflect_coweight(i, mu))
-    left = u_mul(_word_image(d, i, "F", fw, inverse), k)
-    return u_mul(left, _word_image(d, i, "E", ew, inverse))
+def _untwisted_reference(d, i, x, inverse):
+    """The sum over the terms c F_a K_mu E_b of x of
+    c T(F_a) K_(s_i mu) T(E_b), by two plain products per term, without
+    the twist."""
+    out = {}
+    for (fw, mu, ew), c in x.terms.items():
+        k = UElement.K(d, d.reflect_coweight(i, mu))
+        left = u_mul(_word_image(d, i, "F", fw, inverse), k)
+        image = u_mul(left, _word_image(d, i, "E", ew, inverse))
+        for key, ic in image.terms.items():
+            merge(out, key, c * ic)
+    return UElement(d, out)
 
 
 def _check_twisted_route(d, i, key):
     x = UElement(d, {key: ONE})
-    assert ti_apply(i, x) == _untwisted_reference(d, i, key, False), key
-    assert ti_inverse_apply(i, x) == _untwisted_reference(d, i, key, True), key
+    assert ti_apply(i, x) == _untwisted_reference(d, i, x, False), key
+    assert ti_inverse_apply(i, x) == _untwisted_reference(d, i, x, True), key
 
 
 def test_twisted_route_a2_exhaustive():
@@ -323,7 +329,7 @@ def test_memo_rows_share_equal_values():
             pairs = [
                 _pair_image(d, i, route, fw, ew)
                 for i in d.vertices
-                for route in ("T", "T-1", "T~")
+                for route in ("T", "T~")
                 for fw in words
                 for ew in words
             ]
@@ -367,6 +373,20 @@ def test_word_memos_bounded_and_transparent():
     assert [f(i, x) for i in A3.vertices for f in apply] == before
 
 
+def test_pair_memo_serves_the_forward_routes_only():
+    # T_i^-1 reads word images grouped by F-word, never a pair entry
+    with pytest.raises(ValueError, match="no pair rows"):
+        _pair_image(A2, 1, "T-1", (2,), (1,))
+    x = UElement(A3, {((2, 1), (1, -1, 0), (3, 2)): ONE})
+    images = [(i, ti_apply(i, x)) for i in A3.vertices]
+    for i, y in images:
+        ti_inverse_apply(i, y)  # certifies the table on first use
+    _pair_image.cache_clear()
+    for i, y in images:
+        assert ti_inverse_apply(i, y) == x
+    assert _pair_image.cache_info().currsize == 0
+
+
 def _per_product_reference(i, x, route):
     """The pair-image route with every product c * pc * v^(pairing . lam)
     reduced and merged into its key one at a time."""
@@ -380,35 +400,60 @@ def _per_product_reference(i, x, route):
     return UElement(d, out)
 
 
+# non-unit coefficients over several denominators, so that the terms
+# landing on one key need a common denominator and often cancel
+_COEFFS = tuple(
+    parse_ratfunc(text)
+    for text in (
+        "3v^2 - v^-1",
+        "(v + 2)/(v^2 + 1)",
+        "(2v^-1 - 1)/(v^2 + v + 1)",
+        "(v^2 + 3)/(v^2 - 1)",
+        "(v - 2)/(v^4 - 1)",
+        "5/2",
+    )
+)
+
+
 def test_reduce_once_matches_per_product_sums():
-    # non-unit coefficients over several denominators, so that the terms
-    # landing on one key need a common denominator and often cancel
-    coeffs = [
-        parse_ratfunc(text)
-        for text in (
-            "3v^2 - v^-1",
-            "(v + 2)/(v^2 + 1)",
-            "(2v^-1 - 1)/(v^2 + v + 1)",
-            "(v^2 + 3)/(v^2 - 1)",
-            "(v - 2)/(v^4 - 1)",
-            "5/2",
-        )
-    ]
     rng = random.Random(11)
     words = _basis_words(A3, 2)
     for _ in range(40):
         terms = {}
         for _ in range(rng.randint(1, 4)):
             mu = tuple(rng.randint(-1, 1) for _ in range(3))
-            terms[(rng.choice(words), mu, rng.choice(words))] = rng.choice(coeffs)
+            terms[(rng.choice(words), mu, rng.choice(words))] = rng.choice(_COEFFS)
         x = UElement(A3, terms)
         i = rng.choice(A3.vertices)
         y = ti_apply(i, x)
         assert y == _per_product_reference(i, x, "T")
-        assert ti_inverse_apply(i, x) == _per_product_reference(i, x, "T-1")
-        assert ti_inverse_apply(i, y) == _per_product_reference(i, y, "T-1")
+        assert ti_inverse_apply(i, x) == _untwisted_reference(A3, i, x, True)
+        assert ti_inverse_apply(i, y) == _untwisted_reference(A3, i, y, True)
         assert ti_inverse_apply(i, y) == x
         assert ti_apply(i, ti_inverse_apply(i, x)) == x
+
+
+def test_grouped_inverse_matches_two_plain_products():
+    # the inputs are T_i-images of seeded 1-3-term A3 elements, the
+    # inverse's traffic: their terms share F-words, so T_i^-1 sums several
+    # terms into one F-word group before it multiplies by T_i^-1(F_a)
+    rng = random.Random(5)
+    words = _basis_words(A3, 2)
+    sizes = set()
+    for _ in range(45):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            mu = tuple(rng.randint(-1, 1) for _ in range(3))
+            terms[(rng.choice(words), mu, rng.choice(words))] = rng.choice(_COEFFS)
+        x = UElement(A3, terms)
+        i = rng.choice(A3.vertices)
+        y = ti_apply(i, x)
+        fwords = [fw for fw, _mu, _ew in y.terms]
+        sizes.update(fwords.count(fw) for fw in fwords)
+        assert ti_inverse_apply(i, y) == _untwisted_reference(A3, i, y, True), x
+        assert ti_inverse_apply(i, y) == x
+    # groups of one term and of several both occur
+    assert 1 in sizes and max(sizes) >= 3
 
 
 def _expected_inverse_table(d, i):
