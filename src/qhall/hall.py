@@ -6,10 +6,13 @@ arrow, entries 0..q-1), and the canonical representative of an iso-class
 is the lexicographically least point of its orbit under the product of
 general linear groups.  On Dynkin quivers classes are told apart by the
 dimensions of Hom from the indecomposables, which are built from simples
-by reflection functors, and the class table of a dimension vector is
-built from its Kostant partitions without enumerating any point; only
-`iso_classes`, which returns least points, walks the space.  On other
-quivers classes come from orbit search.  Exhaustive loops check a
+by reflection functors; from a projective P_v that dimension is read off
+the dimension vector, dim Hom(P_v, X) = dim X_v, and the others solve a
+linear system.  The class table of a dimension vector is built from its
+Kostant partitions without enumerating any point; only `iso_classes`,
+which returns least points, walks the space.  On other quivers classes
+come from orbit search.  The Hall product is read per pair of classes
+from one memo of twisted structure constants.  Exhaustive loops check a
 configurable budget and fail fast.
 """
 
@@ -455,12 +458,33 @@ def hom_dim(x: QuiverRep, m: QuiverRep) -> int:
     return nvars - mat_rank(F, rows)
 
 
+def _path_counts(quiver: Quiver, vertex: int) -> tuple:
+    """The number of paths from a vertex to each vertex, the trivial path
+    included: the dimension vector of its projective P_v (the quiver has
+    no oriented cycle)."""
+    idx = {v: i for i, v in enumerate(quiver.vertices)}
+    counts = [0] * len(idx)
+    stack = [vertex]
+    while stack:
+        s = stack.pop()
+        counts[idx[s]] += 1
+        stack.extend(t for a, t in quiver.arrows if a == s)
+    return tuple(counts)
+
+
 class _Bricks:
     """The indecomposables of Dynkin data over F_q, one per positive root
     in the order the walk of `_bricks` finds them, and H[k][l] =
-    dim Hom(X_k, X_l) with its inverse."""
+    dim Hom(X_k, X_l) with its inverse.
 
-    def __init__(self, roots: tuple, reps: tuple):
+    The projective P_v is the brick whose dimension vector counts the
+    paths from v, and Hom(P_v, X) is X_v (Yoneda), so `key` reads those
+    Hom dimensions off the dimension vector and solves the rest.  Each
+    P_v is certified on building: its row of H, solved by `hom_dim`, is
+    the column of v in the bricks' dimension vectors.  Hom is additive,
+    so the reading then holds on every direct sum of bricks."""
+
+    def __init__(self, quiver: Quiver, roots: tuple, reps: tuple):
         self.roots = roots
         self.reps = reps
         self.hom = tuple(tuple(hom_dim(a, b) for b in reps) for a in reps)
@@ -475,9 +499,29 @@ class _Bricks:
                 if h := self.hom[k][j]:
                     inv[k] = [a - h * b for a, b in zip(inv[k], inv[j])]
         self.h_inverse = tuple(map(tuple, inv))
+        at = {}  # brick index of P_v -> index of v
+        for i, v in enumerate(quiver.vertices):
+            dims = _path_counts(quiver, v)
+            if dims not in roots:
+                raise RuntimeError(f"no brick has the dimension vector {dims} of P_{v}")
+            k = roots.index(dims)
+            if self.hom[k] != tuple(b.dims[i] for b in reps):
+                raise RuntimeError(
+                    f"the Hom dimensions {self.hom[k]} from the projective "
+                    f"{reps[k]} are not the dimensions of the bricks at {v}"
+                )
+            at[k] = i
+        # the brick index of P_v per vertex, and per brick the index of
+        # its vertex when it is projective
+        self.projectives = tuple(at)
+        self._vertex = tuple(map(at.get, range(n)))
 
     def key(self, x: QuiverRep) -> tuple:
-        return x.dims, tuple(hom_dim(b, x) for b in self.reps)
+        dims = x.dims
+        return dims, tuple(
+            hom_dim(b, x) if i is None else dims[i]
+            for b, i in zip(self.reps, self._vertex)
+        )
 
     def multiplicities(self, h: tuple) -> tuple:
         """m with h = H m: how often each X_k occurs in a class."""
@@ -557,7 +601,7 @@ def _bricks(quiver: Quiver, q: int) -> _Bricks | None:
         found[beta] = x
         sinks.append(i)
         current = sigma_i(i, current)
-    return _Bricks(tuple(found), tuple(found.values()))
+    return _Bricks(quiver, tuple(found), tuple(found.values()))
 
 
 def class_key(x: QuiverRep, budget: int = DEFAULT_BUDGET) -> tuple:
@@ -573,7 +617,7 @@ def class_key(x: QuiverRep, budget: int = DEFAULT_BUDGET) -> tuple:
 # the one class-key memo of both routes; one `verify hall` per process
 # fills it to 338 entries on A3, 500 on the Kronecker quiver, 637 on E6 at
 # hall bound (1,1,1,0,0,0), 1,395 on D4 centre-sink and 2,154 on D4, and
-# `scripts/run_verify.py`, Kronecker `hall` row included, to 4,558
+# `scripts/run_verify.py`, Kronecker `hall` row included, to 4,750
 @lru_cache(maxsize=1 << 13)
 def _point_key(
     quiver: Quiver, q: int, dims: tuple, point: tuple, budget: int | None
@@ -877,23 +921,37 @@ def hall_product(
             "perfect-square q such as 4"
         )
     quiver = a.quiver
-    datum = load_datum(quiver)
+    # each term is keyed once, not once per pair it is in
+    keys = {
+        (dims, point): class_key(QuiverRep(quiver, q, dims, point))
+        for dims, point in (*a.terms, *b.terms)
+    }
 
     def image(term_a, term_b):
-        (dims_a, pa), (dims_b, pb) = term_a, term_b
-        key_ab = (
-            class_key(QuiverRep(quiver, q, dims_a, pa)),
-            class_key(QuiverRep(quiver, q, dims_b, pb)),
-        )
-        dims_m = tuple(x + y for x, y in zip(dims_a, dims_b))
-        _require_subspaces(q, dims_m, dims_b, budget)
-        twist = Fraction(v_num) ** datum.euler_form(dims_a, dims_b)
-        for key_m, (rep, _size) in _class_table(quiver, q, dims_m, budget).items():
-            g = _hall_tally(quiver, q, key_m, dims_b).get(key_ab, 0)
-            if g:
-                yield (dims_m, rep), twist * g
+        return _class_product(quiver, q, v_num, keys[term_a], keys[term_b], budget)
 
     return a._like(bilinear(a.terms.items(), b.terms.items(), image))
+
+
+# one entry per pair of classes multiplied, where a cold A3 `verify hall`
+# meets 1,179 pairs of terms: it fills the memo to 237 entries, and one
+# `scripts/run_verify.py` process to 4,008
+@lru_cache(maxsize=1 << 13)
+def _class_product(
+    quiver: Quiver, q: int, v_num: int, key_a: tuple, key_b: tuple, budget: int
+) -> tuple:
+    """The product of the classes of two keys, as rows ((dims, point of
+    the class table), v^<a,b> g^M_ab), one per class M whose Hall number
+    is nonzero."""
+    dims_a, dims_b = key_a[0], key_b[0]
+    dims_m = tuple(x + y for x, y in zip(dims_a, dims_b))
+    _require_subspaces(q, dims_m, dims_b, budget)
+    twist = Fraction(v_num) ** load_datum(quiver).euler_form(dims_a, dims_b)
+    rows = []
+    for key_m, (rep, _size) in _class_table(quiver, q, dims_m, budget).items():
+        if g := _hall_tally(quiver, q, key_m, dims_b).get((key_a, key_b), 0):
+            rows.append(((dims_m, rep), twist * g))
+    return tuple(rows)
 
 
 def hall_word(
@@ -1022,7 +1080,7 @@ def specialize_compare(
         for w2 in words_of_weight(datum, nu_b):
             lhs = hall_product(h1, image(w2), v_num, budget)
             prod = normal_form(FreeElement(datum, {w1 + w2: RF_ONE}))
-            at_v = ((w, c.eval_at(Fraction(v_num))) for w, c in prod.terms.items())
+            at_v = ((w, c.eval_at(v_num)) for w, c in prod.terms.items())
             rhs = lhs._like(linear(at_v, lambda word: image(word).terms.items()))
             report.append(
                 {

@@ -10,7 +10,8 @@ The canonical form keeps the Laurent shift in the numerator, so a product
 by a unit monomial +-v^k only moves (and signs) the numerator's exponents
 and runs no reduction; RatFunc.shift(k) is the product by v^k, and the
 torus twists of the algebras above call it rather than multiplying by
-v_pow(k).
+v_pow(k).  A denominator 1 is always the one object ONE_POLY, so products
+tell it by identity.
 
 A general product a * b cancels a.num against b.den and b.num against
 a.den, and multiplies what is left.  The two cancellations are memoized,
@@ -262,8 +263,9 @@ class RatFunc:
     Canonical form: the denominator is an ordinary polynomial with nonzero
     constant term and positive leading coefficient, gcd of the two integer
     contents is 1, and the polynomial gcd of the primitive parts is 1.  The
-    Laurent shift lives entirely in the numerator.  Construction always
-    normalizes, so == and hash are structural.
+    Laurent shift lives entirely in the numerator, and a denominator 1 is
+    ONE_POLY itself.  Construction always normalizes, so == and hash are
+    structural.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -276,7 +278,7 @@ class RatFunc:
             self._hash = None
             return
         # fast path: denominator already the unit polynomial
-        if den.coeffs == {0: 1}:
+        if den is ONE_POLY or den.coeffs == ONE_POLY.coeffs:
             self.num, self.den = num, ONE_POLY
             self._hash = None
             return
@@ -314,7 +316,7 @@ class RatFunc:
             nd = [-x for x in nd]
             dd = [-x for x in dd]
         self.num = _from_dense(nd).shift(shift)
-        self.den = _from_dense(dd)
+        self.den = ONE_POLY if dd == [1] else _from_dense(dd)
         self._hash = None
 
     @staticmethod
@@ -379,22 +381,24 @@ class RatFunc:
             return other
         if other is ONE:
             return self
-        if self.num.is_zero() or other.num.is_zero():
+        an, bn = self.num.coeffs, other.num.coeffs
+        if not an or not bn:
             return ZERO
-        if self.den.coeffs == {0: 1} and other.den.coeffs == {0: 1}:
-            r = object.__new__(RatFunc)
-            r.num, r.den, r._hash = self.num * other.num, ONE_POLY, None
-            return r
         # a unit monomial +-v^k shifts and signs the other numerator and
-        # leaves the canonical form intact (unit polynomials are built
-        # fresh in several places, so compare coefficients, not identity)
-        for a, m in ((self, other), (other, self)):
-            if m.den.coeffs == {0: 1} and len(m.num.coeffs) == 1:
-                ((k, s),) = m.num.coeffs.items()
-                if s == 1:
-                    return a.shift(k)
-                if s == -1:
-                    return -a.shift(k)
+        # leaves the canonical form intact; a denominator 1 is ONE_POLY
+        # itself, so one identity test rules a factor in or out
+        if other.den is ONE_POLY:
+            if len(bn) == 1 and (r := _unit_product(self, bn)) is not None:
+                return r
+            if self.den is ONE_POLY:
+                if len(an) == 1 and (r := _unit_product(other, an)) is not None:
+                    return r
+                r = object.__new__(RatFunc)
+                r.num, r.den, r._hash = self.num * other.num, ONE_POLY, None
+                return r
+        elif self.den is ONE_POLY and len(an) == 1:
+            if (r := _unit_product(other, an)) is not None:
+                return r
         return _product(self, other)
 
     def __truediv__(self, other):
@@ -411,6 +415,8 @@ class RatFunc:
         num = num.shift(-shift)
         if den.lead() < 0:
             num, den = -num, -den
+        if den == ONE_POLY:
+            den = ONE_POLY
         r.num, r.den, r._hash = num, den, None
         return r
 
@@ -426,11 +432,18 @@ class RatFunc:
             k >>= 1
         return out
 
-    def eval_at(self, x: Fraction) -> Fraction:
-        return self.num.eval_at(x) / self.den.eval_at(x)
+    def eval_at(self, x: int | Fraction) -> Fraction:
+        """The value at v = x.  At an integer point both polynomials are
+        taken times x^-low, low the least exponent (at most 0), and
+        evaluated in integers by Horner's rule, so one Fraction is built."""
+        if x.denominator != 1:
+            return self.num.eval_at(x) / self.den.eval_at(x)
+        x = int(x)
+        low = min(0, self.num.val()) if self.num.coeffs else 0
+        return Fraction(_horner(self.num, x, low), _horner(self.den, x, low))
 
     def __str__(self):
-        if self.den.coeffs == {0: 1}:
+        if self.den is ONE_POLY:
             return str(self.num)
         ns = str(self.num)
         if len(self.num.coeffs) > 1 or self.num.lead() < 0:
@@ -444,6 +457,34 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
+def _unit_product(a: RatFunc, unit: dict) -> RatFunc | None:
+    """a * s v^k for the coefficients unit = {k: s} of a one-term
+    numerator over 1, its numerator built in one pass, when s is +-1;
+    None otherwise."""
+    ((k, s),) = unit.items()
+    if s == 1:
+        if not k:
+            return a
+        num = {e + k: c for e, c in a.num.coeffs.items()}
+    elif s == -1:
+        num = {e + k: -c for e, c in a.num.coeffs.items()}
+    else:
+        return None
+    r = object.__new__(RatFunc)
+    r.num, r.den, r._hash = IntPoly._raw(num), a.den, None
+    return r
+
+
+def _horner(p: IntPoly, x: int, low: int) -> int:
+    """x^-low p(x) for an integer x, low at most the least exponent of p,
+    by Horner's rule."""
+    coeffs = p.coeffs
+    acc = 0
+    for e in range(max(coeffs, default=low), low - 1, -1):
+        acc = acc * x + coeffs.get(e, 0)
+    return acc
+
+
 @lru_cache(maxsize=1 << 13)
 def _cancelled(num: IntPoly, den: IntPoly) -> RatFunc:
     """RatFunc(num, den): one cross-cancellation of a general product."""
@@ -455,14 +496,15 @@ def _product(a: RatFunc, b: RatFunc) -> RatFunc:
     a.den, each through the memo unless that denominator is 1.  Both
     operands are reduced, so the product of what is left is reduced."""
     an, ad, bn, bd = a.num, a.den, b.num, b.den
-    if bd.coeffs != {0: 1}:
+    if bd is not ONE_POLY:
         x = _cancelled(an, bd)
         an, bd = x.num, x.den
-    if ad.coeffs != {0: 1}:
+    if ad is not ONE_POLY:
         y = _cancelled(bn, ad)
         bn, ad = y.num, y.den
     r = object.__new__(RatFunc)
-    r.num, r.den, r._hash = an * bn, ad * bd, None
+    r.num, r._hash = an * bn, None
+    r.den = bd if ad is ONE_POLY else ad if bd is ONE_POLY else ad * bd
     return r
 
 

@@ -19,7 +19,6 @@ import itertools
 import os
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import double as dbl
 from . import falgebra as fa
@@ -744,7 +743,7 @@ def _check_hall_serre(s: Session):
             if i == j:
                 continue
             rel = fa.serre_element(d, i, j)
-            at_v = ((w, c.eval_at(Fraction(v_num))) for w, c in rel.terms.items())
+            at_v = ((w, c.eval_at(v_num)) for w, c in rel.terms.items())
 
             def word(w):
                 return hall.hall_word(quiver, q, v_num, w, s.budget).terms.items()

@@ -40,6 +40,7 @@ from qhall.hall import (
     sub_quotient_reps,
     subspace_count,
 )
+from qhall.lincomb import bilinear
 from qhall.linalg import inverse
 
 Q = A2.quiver
@@ -138,6 +139,90 @@ def test_hall_product_examples():
     assert hall_product(unit, u1, 2) == u1
     with pytest.raises(ValueError):
         hall_product(u1, u2, 3)
+
+
+def _reference_hall_product(a, b, v_num, budget=hall.DEFAULT_BUDGET):
+    """The twisted product by a loop over every class of the product's
+    dimension vector, looking up each Hall number: no product memo."""
+    quiver, q = a.quiver, a.q
+    datum = load_datum(quiver)
+
+    def image(term_a, term_b):
+        (dims_a, pa), (dims_b, pb) = term_a, term_b
+        key_ab = (
+            hall.class_key(QuiverRep(quiver, q, dims_a, pa)),
+            hall.class_key(QuiverRep(quiver, q, dims_b, pb)),
+        )
+        dims_m = tuple(x + y for x, y in zip(dims_a, dims_b))
+        twist = Fraction(v_num) ** datum.euler_form(dims_a, dims_b)
+        for key_m, (rep, _size) in hall._class_table(quiver, q, dims_m, budget).items():
+            g = hall._hall_tally(quiver, q, key_m, dims_b).get(key_ab, 0)
+            if g:
+                yield (dims_m, rep), twist * g
+
+    return a._like(bilinear(a.terms.items(), b.terms.items(), image))
+
+
+def _class_elements(quiver, q, bound):
+    """One single-class element per class of every dimension vector up
+    to the bound, keyed by a point of the class table."""
+    return [
+        HallElement(quiver, q, {(dims, rep): Fraction(1)})
+        for dims in dims_upto(bound)
+        for rep, _size in hall.class_points(quiver, q, dims)
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, bound",
+    [("1->2,2->3", (2, 2, 1)), ("1->2,3->2", (2, 2, 1)), ("1->2,1->2", (1, 2))],
+)
+def test_class_products_match_the_per_call_loop(spec, bound):
+    quiver, q, vn = quiver_from_shorthand(spec), 4, 2
+    elements = _class_elements(quiver, q, bound)
+    pairs = 0
+    for x in elements:
+        dims_x = next(iter(x.terms))[0]
+        for y in elements:
+            dims_y = next(iter(y.terms))[0]
+            if any(a + b > c for a, b, c in zip(dims_x, dims_y, bound)):
+                continue
+            assert hall_product(x, y, vn) == _reference_hall_product(x, y, vn), (x, y)
+            pairs += 1
+    assert pairs > len(elements)
+    # a sum of classes with distinct coefficients meets many pairs at once
+    mixed = sum(
+        (e.scale(Fraction(k + 1, 3)) for k, e in enumerate(elements[1:6])),
+        HallElement(quiver, q),
+    )
+    assert hall_product(mixed, mixed, vn) == _reference_hall_product(mixed, mixed, vn)
+
+
+def test_class_product_memo_bounded_and_transparent():
+    memo = hall._class_product
+    assert memo.__module__ == "qhall.hall"
+    assert memo.cache_parameters()["maxsize"] is not None
+    q, vn = 4, 2
+    u = [HallElement.simple(QA3, q, i) for i in (1, 2, 3)]
+    x = hall_product(hall_product(u[0], u[1], vn), u[2], vn)
+    words = [(x, u[0]), (u[1], x), (x, x), (u[2], u[2])]
+    first = [hall_product(a, b, vn) for a, b in words]
+    before = memo.cache_info()
+    assert [hall_product(a, b, vn) for a, b in words] == first
+    after = memo.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+    memo.cache_clear()
+    assert [hall_product(a, b, vn) for a, b in words] == first
+    assert memo.cache_info().currsize > 0
+
+
+def test_class_product_keeps_the_budget():
+    # a product over the budget raises, memoized at a larger budget or not
+    u1 = HallElement.simple(Q, 4, 1)
+    two = hall_product(u1, u1, 2)
+    assert hall_product(two, two, 2, budget=10**6) == _reference_hall_product(two, two, 2)
+    with pytest.raises(BudgetExceeded):
+        hall_product(two, two, 2, budget=4)
 
 
 def test_composition_algebra_serre():
@@ -737,6 +822,73 @@ def test_orbit_of_the_identity_is_the_general_linear_group(n, q):
     so the generators reach every element of the group."""
     identity = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
     assert len(orbit_of(Q, q, (n, n), (identity,))) == gl_order(q, n)
+
+PROJECTIVE_CASES = [
+    "1->2",
+    "2->1",
+    "1->2,2->3",
+    "1->3,3->2",
+    "2->1,2->3,2->4",
+    "1->2,3->2,4->2",
+    "1->2,2->3,3->4,4->5,3->6",
+]
+
+
+def _reachable(quiver, v):
+    """The vertices with a path from v, by transitive closure."""
+    out = {v}
+    while True:
+        more = {t for s, t in quiver.arrows if s in out} - out
+        if not more:
+            return out
+        out |= more
+
+
+@pytest.mark.parametrize("spec", PROJECTIVE_CASES)
+def test_bricks_name_one_projective_per_vertex(spec):
+    quiver = quiver_from_shorthand(spec)
+    bricks = hall._bricks(quiver, 2)
+    assert len(bricks.projectives) == len(quiver.vertices)
+    assert len(set(bricks.projectives)) == len(quiver.vertices)
+    for i, (v, k) in enumerate(zip(quiver.vertices, bricks.projectives)):
+        reach = _reachable(quiver, v)
+        assert bricks.roots[k] == tuple(int(w in reach) for w in quiver.vertices)
+        assert [hom_dim(bricks.reps[k], x) for x in bricks.reps] == [
+            x.dims[i] for x in bricks.reps
+        ]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize(
+    "spec, bound", [("1->2,2->3", (2, 1, 1)), ("1->2,3->2,4->2", (1, 1, 1, 1))]
+)
+def test_hom_from_a_projective_is_the_dimension_at_its_vertex(spec, bound, q):
+    quiver = quiver_from_shorthand(spec)
+    bricks = hall._bricks(quiver, q)
+    points = 0
+    for dims in dims_upto(bound):
+        for p in all_points(quiver, q, dims):
+            x = QuiverRep(quiver, q, dims, p)
+            for i, k in enumerate(bricks.projectives):
+                assert hom_dim(bricks.reps[k], x) == dims[i], (x, i)
+            points += 1
+    assert points == sum(q ** e_v_dimension(quiver, d) for d in dims_upto(bound))
+
+
+def test_a_wrong_projective_fails_the_certification(monkeypatch):
+    # a brick taken for the projective of another vertex has a row of H
+    # that is not that vertex's dimensions, and building the bricks raises
+    # on 1->2->3 the projectives have dimensions (1,1,1), (0,1,1), (0,0,1);
+    # vertex 1 is handed the projective of vertex 2
+    wrong = {1: (0, 1, 1), 2: (0, 1, 1), 3: (0, 0, 1)}
+    monkeypatch.setattr(hall, "_path_counts", lambda quiver, v: wrong[v])
+    hall._bricks.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="projective"):
+            hall._bricks(QA3, 2)
+    finally:
+        hall._bricks.cache_clear()
+
 
 def test_hom_dimensions():
     assert hom_dim(P2, P2) == 1

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from qhall.ratfunc import (
     IntPoly,
     MINUS_ONE,
     ONE,
+    ONE_POLY,
     RatFunc,
     V,
     ZERO,
@@ -93,6 +95,39 @@ def test_evaluation_homomorphism():
     two = Fraction(2)
     for n in range(11):
         assert qint(n).eval_at(two) == (two ** n - two ** -n) / (two - Fraction(1, 2))
+
+
+def _seeded_ratfunc(rng):
+    """A RatFunc with exponents down to -4 and a non-monic denominator."""
+    num = {rng.randint(-4, 4): rng.randint(-9, 9) for _ in range(rng.randint(1, 4))}
+    den = {rng.randint(0, 4): rng.randint(-9, 9) for _ in range(rng.randint(1, 3))}
+    den[rng.randint(0, 5)] = rng.choice([-6, -3, 2, 4, 5])
+    return RatFunc(IntPoly(num), IntPoly(den))
+
+
+def test_integer_evaluation_matches_the_fraction_route(monkeypatch):
+    rng = random.Random(20)
+    values = [_seeded_ratfunc(rng) for _ in range(300)]
+    assert any(min(a.num.coeffs) < 0 for a in values if a)
+    assert any(a.den.lead() > 1 for a in values)
+    for a in values:
+        for x in (-2, -1, 1, 2, 3, 5):
+            try:
+                want = a.num.eval_at(Fraction(x)) / a.den.eval_at(Fraction(x))
+            except ZeroDivisionError:
+                for point in (x, Fraction(x)):
+                    with pytest.raises(ZeroDivisionError):
+                        a.eval_at(point)
+                continue
+            assert a.eval_at(x) == a.eval_at(Fraction(x)) == want, (a, x)
+            assert type(a.eval_at(x)) is Fraction
+    # a point off the integers takes the Fraction route
+    monkeypatch.setattr(ratfunc, "_horner", None)
+    for a in values[:20]:
+        for x in (Fraction(1, 2), Fraction(-5, 3)):
+            assert a.eval_at(x) == a.num.eval_at(x) / a.den.eval_at(x)
+    with pytest.raises(TypeError):
+        values[0].eval_at(2)
 
 
 polys = st.dictionaries(
@@ -235,6 +270,18 @@ def test_sum_products_matches_left_to_right_sums(spec):
 
 
 general_factors = st.one_of(ratfuncs, const_den_ratfuncs, shared_den_ratfuncs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(general_factors, general_factors)
+def test_a_unit_denominator_is_the_one_polynomial(a, b):
+    # products tell a denominator 1 by identity, so every route that can
+    # make one must hand back ONE_POLY itself
+    values = [a, b, a * b, b * a, _product(a, b), a + b, a - b, -a, a.shift(3)]
+    values += [RatFunc(a.num, a.den), RatFunc(a.num * b.den, IntPoly(dict(b.den.coeffs)))]
+    values += [x.inverse() for x in (a, b, a * b) if x]
+    for x in values:
+        assert (x.den is ONE_POLY) == (x.den == ONE_POLY), x
 
 
 @settings(max_examples=200, deadline=None)
