@@ -922,10 +922,7 @@ def hall_product(
         )
     quiver = a.quiver
     # each term is keyed once, not once per pair it is in
-    keys = {
-        (dims, point): class_key(QuiverRep(quiver, q, dims, point))
-        for dims, point in (*a.terms, *b.terms)
-    }
+    keys = {t: class_key(QuiverRep(quiver, q, *t)) for t in (*a.terms, *b.terms)}
 
     def image(term_a, term_b):
         return _class_product(quiver, q, v_num, keys[term_a], keys[term_b], budget)
