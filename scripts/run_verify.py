@@ -8,14 +8,14 @@ The f suite also runs on D4 with its branch vertex labelled 2 and on the
 path 1 - 3 - 2, where the alphabet order of the root words is not the
 order along the Dynkin diagram.  The ti suite runs on that path too, so
 T_i and T~_i are exercised at a middle vertex whose id is 3, and so does
-the hall suite: the middle vertex 3 is a sink there, so the projectives,
-whose Hom dimensions a class key reads off the dimension vector, are not
-those of 1->2->3, and the memoized class-pair products run end to end on
-a third orientation of A3.  The hall suite also runs on that D4, whose
-branch vertex is a source: its class tables come from Kostant
-partitions, and hall-bgp-bijection reflects at each of the three sinks.
-It also runs on D4 with its branch vertex a sink, where
-hall-bgp-bijection reflects (2,0,1,1) to (2,4,1,1): the table of
+the hall suite: the middle vertex 3 is a sink there, so its bricks,
+class tables and Hall numbers are not those of 1->2->3, and the
+memoized class-pair products run end to end on a third orientation of
+A3.  The hall suite also runs on that D4, whose branch vertex is a
+source: its class tables come from Kostant partitions, and
+hall-bgp-bijection reflects at each of the three sinks.  It also runs
+on D4 with its branch vertex a sink, where hall-bgp-bijection reflects
+(2,0,1,1) to (2,4,1,1): the table of
 that dimension vector lists its classes without walking its 3^16 points
 at q = 3, so the budget counts classes there.  The u, double and f
 suites run on the Kronecker quiver, whose a_12 = -2 puts the product and

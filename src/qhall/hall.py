@@ -6,14 +6,12 @@ arrow, entries 0..q-1), and the canonical representative of an iso-class
 is the lexicographically least point of its orbit under the product of
 general linear groups.  On Dynkin quivers classes are told apart by the
 dimensions of Hom from the indecomposables, which are built from simples
-by reflection functors; from a projective P_v that dimension is read off
-the dimension vector, dim Hom(P_v, X) = dim X_v, and the others solve a
-linear system.  The class table of a dimension vector is built from its
-Kostant partitions without enumerating any point; only `iso_classes`,
-which returns least points, walks the space.  On other quivers classes
-come from orbit search.  The Hall product is read per pair of classes
-from one memo of twisted structure constants.  Exhaustive loops check a
-configurable budget and fail fast.
+by reflection functors, and the class table of a dimension vector is
+built from its Kostant partitions without enumerating any point; only
+`iso_classes`, which returns least points, walks the space.  On other
+quivers classes come from orbit search.  The Hall product is read per
+pair of classes from one memo of twisted structure constants.
+Exhaustive loops check a configurable budget and fail fast.
 """
 
 from __future__ import annotations
@@ -458,33 +456,12 @@ def hom_dim(x: QuiverRep, m: QuiverRep) -> int:
     return nvars - mat_rank(F, rows)
 
 
-def _path_counts(quiver: Quiver, vertex: int) -> tuple:
-    """The number of paths from a vertex to each vertex, the trivial path
-    included: the dimension vector of its projective P_v (the quiver has
-    no oriented cycle)."""
-    idx = {v: i for i, v in enumerate(quiver.vertices)}
-    counts = [0] * len(idx)
-    stack = [vertex]
-    while stack:
-        s = stack.pop()
-        counts[idx[s]] += 1
-        stack.extend(t for a, t in quiver.arrows if a == s)
-    return tuple(counts)
-
-
 class _Bricks:
     """The indecomposables of Dynkin data over F_q, one per positive root
     in the order the walk of `_bricks` finds them, and H[k][l] =
-    dim Hom(X_k, X_l) with its inverse.
+    dim Hom(X_k, X_l) with its inverse."""
 
-    The projective P_v is the brick whose dimension vector counts the
-    paths from v, and Hom(P_v, X) is X_v (Yoneda), so `key` reads those
-    Hom dimensions off the dimension vector and solves the rest.  Each
-    P_v is certified on building: its row of H, solved by `hom_dim`, is
-    the column of v in the bricks' dimension vectors.  Hom is additive,
-    so the reading then holds on every direct sum of bricks."""
-
-    def __init__(self, quiver: Quiver, roots: tuple, reps: tuple):
+    def __init__(self, roots: tuple, reps: tuple):
         self.roots = roots
         self.reps = reps
         self.hom = tuple(tuple(hom_dim(a, b) for b in reps) for a in reps)
@@ -499,29 +476,9 @@ class _Bricks:
                 if h := self.hom[k][j]:
                     inv[k] = [a - h * b for a, b in zip(inv[k], inv[j])]
         self.h_inverse = tuple(map(tuple, inv))
-        at = {}  # brick index of P_v -> index of v
-        for i, v in enumerate(quiver.vertices):
-            dims = _path_counts(quiver, v)
-            if dims not in roots:
-                raise RuntimeError(f"no brick has the dimension vector {dims} of P_{v}")
-            k = roots.index(dims)
-            if self.hom[k] != tuple(b.dims[i] for b in reps):
-                raise RuntimeError(
-                    f"the Hom dimensions {self.hom[k]} from the projective "
-                    f"{reps[k]} are not the dimensions of the bricks at {v}"
-                )
-            at[k] = i
-        # the brick index of P_v per vertex, and per brick the index of
-        # its vertex when it is projective
-        self.projectives = tuple(at)
-        self._vertex = tuple(map(at.get, range(n)))
 
     def key(self, x: QuiverRep) -> tuple:
-        dims = x.dims
-        return dims, tuple(
-            hom_dim(b, x) if i is None else dims[i]
-            for b, i in zip(self.reps, self._vertex)
-        )
+        return x.dims, tuple(hom_dim(b, x) for b in self.reps)
 
     def multiplicities(self, h: tuple) -> tuple:
         """m with h = H m: how often each X_k occurs in a class."""
@@ -601,7 +558,7 @@ def _bricks(quiver: Quiver, q: int) -> _Bricks | None:
         found[beta] = x
         sinks.append(i)
         current = sigma_i(i, current)
-    return _Bricks(quiver, tuple(found), tuple(found.values()))
+    return _Bricks(tuple(found), tuple(found.values()))
 
 
 def class_key(x: QuiverRep, budget: int = DEFAULT_BUDGET) -> tuple:

@@ -433,12 +433,9 @@ class RatFunc:
         return out
 
     def eval_at(self, x: int | Fraction) -> Fraction:
-        """The value at v = x.  At an integer point both polynomials are
-        taken times x^-low, low the least exponent (at most 0), and
-        evaluated in integers by Horner's rule, so one Fraction is built."""
-        if x.denominator != 1:
-            return self.num.eval_at(x) / self.den.eval_at(x)
-        x = int(x)
+        """The value at v = x.  Both polynomials are taken times x^-low,
+        low the least exponent (at most 0), and evaluated by Horner's rule,
+        in integers at an integer point, so one Fraction is built."""
         low = min(0, self.num.val()) if self.num.coeffs else 0
         return Fraction(_horner(self.num, x, low), _horner(self.den, x, low))
 
@@ -475,9 +472,9 @@ def _unit_product(a: RatFunc, unit: dict) -> RatFunc | None:
     return r
 
 
-def _horner(p: IntPoly, x: int, low: int) -> int:
-    """x^-low p(x) for an integer x, low at most the least exponent of p,
-    by Horner's rule."""
+def _horner(p: IntPoly, x: int | Fraction, low: int) -> int | Fraction:
+    """x^-low p(x), low at most the least exponent of p, by Horner's
+    rule."""
     coeffs = p.coeffs
     acc = 0
     for e in range(max(coeffs, default=low), low - 1, -1):

@@ -823,73 +823,6 @@ def test_orbit_of_the_identity_is_the_general_linear_group(n, q):
     identity = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
     assert len(orbit_of(Q, q, (n, n), (identity,))) == gl_order(q, n)
 
-PROJECTIVE_CASES = [
-    "1->2",
-    "2->1",
-    "1->2,2->3",
-    "1->3,3->2",
-    "2->1,2->3,2->4",
-    "1->2,3->2,4->2",
-    "1->2,2->3,3->4,4->5,3->6",
-]
-
-
-def _reachable(quiver, v):
-    """The vertices with a path from v, by transitive closure."""
-    out = {v}
-    while True:
-        more = {t for s, t in quiver.arrows if s in out} - out
-        if not more:
-            return out
-        out |= more
-
-
-@pytest.mark.parametrize("spec", PROJECTIVE_CASES)
-def test_bricks_name_one_projective_per_vertex(spec):
-    quiver = quiver_from_shorthand(spec)
-    bricks = hall._bricks(quiver, 2)
-    assert len(bricks.projectives) == len(quiver.vertices)
-    assert len(set(bricks.projectives)) == len(quiver.vertices)
-    for i, (v, k) in enumerate(zip(quiver.vertices, bricks.projectives)):
-        reach = _reachable(quiver, v)
-        assert bricks.roots[k] == tuple(int(w in reach) for w in quiver.vertices)
-        assert [hom_dim(bricks.reps[k], x) for x in bricks.reps] == [
-            x.dims[i] for x in bricks.reps
-        ]
-
-
-@pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize(
-    "spec, bound", [("1->2,2->3", (2, 1, 1)), ("1->2,3->2,4->2", (1, 1, 1, 1))]
-)
-def test_hom_from_a_projective_is_the_dimension_at_its_vertex(spec, bound, q):
-    quiver = quiver_from_shorthand(spec)
-    bricks = hall._bricks(quiver, q)
-    points = 0
-    for dims in dims_upto(bound):
-        for p in all_points(quiver, q, dims):
-            x = QuiverRep(quiver, q, dims, p)
-            for i, k in enumerate(bricks.projectives):
-                assert hom_dim(bricks.reps[k], x) == dims[i], (x, i)
-            points += 1
-    assert points == sum(q ** e_v_dimension(quiver, d) for d in dims_upto(bound))
-
-
-def test_a_wrong_projective_fails_the_certification(monkeypatch):
-    # a brick taken for the projective of another vertex has a row of H
-    # that is not that vertex's dimensions, and building the bricks raises
-    # on 1->2->3 the projectives have dimensions (1,1,1), (0,1,1), (0,0,1);
-    # vertex 1 is handed the projective of vertex 2
-    wrong = {1: (0, 1, 1), 2: (0, 1, 1), 3: (0, 0, 1)}
-    monkeypatch.setattr(hall, "_path_counts", lambda quiver, v: wrong[v])
-    hall._bricks.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match="projective"):
-            hall._bricks(QA3, 2)
-    finally:
-        hall._bricks.cache_clear()
-
-
 def test_hom_dimensions():
     assert hom_dim(P2, P2) == 1
     assert hom_dim(S2, P2) == 1
