@@ -30,14 +30,12 @@ COMMANDS = [
     "u hopf-check F1*E2*K(1,0)",
     "ti apply 1 E2",
     "ti inv 1 E2",
-    "ti calibrate 1",
     "hall classes 1->2 1,1 2",
     "hall number 1->2 2 1,1:1 1,0:0 0,1:0",
     "hall strata 1->2 1,1 3 2",
     "hall strata 1->2 2,1 3 1",
     "hall compare 1->2 1,1 1,1 --q 4",
     "double mul p(th1) m(th1)",
-    "double calibrate",
     f"{A3} f dim 1,2,1",
     f"{A3} f nf th3*th2*th1*th2",
     f"{A3} f decompose 2 th1*th2*th3*th2",
@@ -47,7 +45,6 @@ COMMANDS = [
     f"{A3} u hopf-check F2*E1*K(0,1,0)",
     f"{A3} ti apply 2 E1*E3",
     f"{A3} ti inv 2 F1*K(1,0,-1)",
-    f"{A3} ti calibrate 2",
     "hall classes 1->2,2->3 1,1,1 2",
     "hall number 1->2,2->3 2 1,1,0:1 1,0,0:0 0,1,0:0",
     "hall number 1->2,2->3 3 1,2,1:0 1,1,0:0 0,1,1:0",
@@ -56,7 +53,6 @@ COMMANDS = [
     "hall strata 1->2,2->3 1,2,1 2 1",
     "hall compare 1->2,2->3 1,1,0 0,1,1 --q 4",
     f"{A3} double mul p(th1*th2) m(th2)",
-    f"{A3} double calibrate",
 ]
 
 
