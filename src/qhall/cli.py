@@ -233,28 +233,6 @@ def cmd_ti(args) -> int:
         out = fn(args.vertex, val)
         _emit(args, _element_json(out), format_element(out))
         return 0
-    if args.ti_cmd == "calibrate":
-        samples = []
-        from .verify import _basis_elements, _weights_upto
-
-        for nu in _weights_upto(d, 3):
-            if any(nu):
-                samples.extend(list(_basis_elements(d, nu))[:2])
-        report = sym.calibrate_twist(d, args.vertex, samples[:8])
-        payload = {
-            "schema": SCHEMA,
-            "vertex": args.vertex,
-            "entries": [
-                {**e, "weight": list(e["weight"])} for e in report
-            ],
-        }
-        lines = [
-            f"weight={e['weight']} r={e['level']} scalar={e['scalar']} "
-            f"euler(nu,ri)={e['euler(nu,ri)']} matches={e['matches euler(nu,ri)']}"
-            for e in report
-        ]
-        _emit(args, payload, "\n".join(lines) or "no samples")
-        return 0
     raise SystemExit(f"unknown ti subcommand {args.ti_cmd}")
 
 
@@ -357,15 +335,6 @@ def cmd_double(args) -> int:
         val = dbl.double_mul(a, b)
         _emit(args, _element_json(val), format_element(val))
         return 0
-    if args.double_cmd == "calibrate":
-        consts = dbl.calibrate_pairing(d)
-        payload = {
-            "schema": SCHEMA,
-            "constants": {str(i): str(c) for i, c in consts.items()},
-        }
-        text = "\n".join(f"c_{i} = {c}" for i, c in consts.items())
-        _emit(args, payload, text)
-        return 0
     raise SystemExit(f"unknown double subcommand {args.double_cmd}")
 
 
@@ -431,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     tin = tisubs.add_parser("inv")
     tin.add_argument("vertex", type=int)
     tin.add_argument("expr")
-    tical = tisubs.add_parser("calibrate")
-    tical.add_argument("vertex", type=int)
     ti.set_defaults(fn=cmd_ti)
 
     braid = subs.add_parser("braid", help="braid relations")
@@ -471,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     dmul = dsubs.add_parser("mul")
     dmul.add_argument("left")
     dmul.add_argument("right")
-    dsubs.add_parser("calibrate")
     dd.set_defaults(fn=cmd_double)
 
     ver = subs.add_parser("verify", help="run a verification suite")

@@ -5,9 +5,15 @@ The two halves are free modules on pairs (coweight, basis word); the
 torus sits on the left of the word in every stored term.  The pairing
 of two half elements is a v-power determined by the coweights and
 weights times the bilinear form of the quotient algebra, with the
-generator constant fixed by calibration: it is the unique scalar for
-which the double's cross relation on a (plus, minus) generator pair
-collapses to the quantum-group commutator relation.
+generator pairing in closed form,
+
+    (th_i^+, th_j^-) = delta_ij (-1)/(v - v^-1)
+
+(Lusztig, Introduction to Quantum Groups, ch. 3): the scalar for which
+the double's cross relation on a (plus, minus) generator pair collapses
+to the quantum-group commutator relation.  The verify check
+double-pairing-calibration compares the pairing with this closed form,
+and double-cross-relation the commutator it gives.
 
 The cross straightening itself is the standard one driven by iterated
 comultiplication: both orderings of the pairing-weighted products of
@@ -28,14 +34,14 @@ from .lincomb import LinComb, bilinear, linear
 from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, v_pow
 from .ualgebra import UElement
 
-# the calibrated pairing constant -1/(v - v^-1); calibrate_pairing
-# re-derives it and a test freezes the agreement
+# the generator pairing (th_i^+, th_i^-) = -1/(v - v^-1), checked against
+# that closed form by double-pairing-calibration
 PAIRING_CONSTANT = (v_pow(-1) - v_pow(1)).inverse()
 
 
 # reduced_splits, _antipode_word and _cross are bounded above the largest
-# fill measured: one scripts/run_verify.py process leaves 36, 62 and 75
-# entries in them, one symbolic-verify round 19, 34 and 37, and the
+# fill measured: one scripts/run_verify.py process leaves 36, 62 and 60
+# entries in them, one symbolic-verify round 19, 34 and 30, and the
 # u-queries stream none.
 @lru_cache(maxsize=128)
 def reduced_splits(datum: CartanDatum, word: Word) -> tuple:
@@ -257,7 +263,7 @@ class DoubleElement(LinComb):
 
 
 @lru_cache(maxsize=256)
-def _cross(datum: CartanDatum, pword: Word, mword: Word, c_gen: RatFunc) -> DoubleElement:
+def _cross(datum: CartanDatum, pword: Word, mword: Word) -> DoubleElement:
     """Triangular form of (plus word) times (minus word), driven by the
     coproduct legs and the pairing; recursion strictly reduces the plus
     weight."""
@@ -270,17 +276,17 @@ def _cross(datum: CartanDatum, pword: Word, mword: Word, c_gen: RatFunc) -> Doub
         (x1, x2), (y1, y2) = xs, ys
         wt_x1, wt_x2, wt_y1, wt_y2 = map(weight, (x1, x2, y1, y2))
         if wt_x1 == wt_y2:
-            val = word_form(datum, x1, y2, c_gen)
+            val = word_form(datum, x1, y2, PAIRING_CONSTANT)
             if val:
                 yield (y1, neg_vec(datum.coweight_of_dim(wt_y2)), x2), val
         if wt_x2 == wt_y1 and any(wt_x2):
-            val = word_form(datum, x2, y1, c_gen)
+            val = word_form(datum, x2, y1, PAIRING_CONSTANT)
             if val:
                 # k_mu (x1 y2) with mu the coweight of wt x2, k_mu moved
                 # to the torus slot past each term's minus word
                 mu = datum.coweight_of_dim(wt_x2)
                 scale = (-val).shift(-datum.sym_form(wt_x1, wt_x2))
-                for (mw, kappa, pw), c in _cross(datum, x1, y2, c_gen).terms.items():
+                for (mw, kappa, pw), c in _cross(datum, x1, y2).terms.items():
                     move = -datum.alpha_weight(weight(mw), mu)
                     yield (mw, add_vec(mu, kappa), pw), scale * c.shift(move)
 
@@ -296,7 +302,7 @@ def double_mul(x: DoubleElement, y: DoubleElement) -> DoubleElement:
 
     def image(key1, key2):
         (m1, k1, p1), (m2, k2, p2) = key1, key2
-        for (mw, kappa, pw), cc in _cross(d, p1, m2, PAIRING_CONSTANT).terms.items():
+        for (mw, kappa, pw), cc in _cross(d, p1, m2).terms.items():
             move = (
                 -d.alpha_weight(d.weight_of_word(mw), k1)
                 - d.alpha_weight(d.weight_of_word(pw), k2)
@@ -310,47 +316,6 @@ def double_mul(x: DoubleElement, y: DoubleElement) -> DoubleElement:
                     yield (bm, mu, bp), coeff * cm * cp
 
     return x._like(bilinear(x.terms.items(), y.terms.items(), image))
-
-
-def calibrate_pairing(datum: CartanDatum) -> dict:
-    """Solve for the generator pairing values that make the cross
-    relation on each (plus, minus) generator pair reduce exactly to the
-    quantum-group commutator; raises when no scalar works."""
-    target = (v_pow(1) - v_pow(-1)).inverse()
-    out = {}
-    for i in datum.vertices:
-        word = (i,)
-        probe = _cross(datum, word, word, ONE)
-        k_key = ((), datum.unit_vec(i), ())
-        slope = probe.terms.get(k_key, ZERO)
-        if not slope:
-            raise RuntimeError("cross relation has no torus term; convention bug")
-        c_i = target / slope
-        # verify: the calibrated cross relation is the commutator exactly
-        check = _cross(datum, word, word, c_i)
-        expected = DoubleElement(
-            datum,
-            {
-                (word, datum.zero_vec(), word): ONE,
-                ((), datum.unit_vec(i), ()): target,
-                ((), neg_vec(datum.unit_vec(i)), ()): -target,
-            },
-        )
-        if check != expected:
-            raise RuntimeError(
-                f"no consistent pairing constant at vertex {i}; convention bug"
-            )
-        out[i] = c_i
-    for i in datum.vertices:
-        for j in datum.vertices:
-            if i == j:
-                continue
-            probe = _cross(datum, (i,), (j,), out[i])
-            if probe != DoubleElement(
-                datum, {((j,), datum.zero_vec(), (i,)): ONE}
-            ):
-                raise RuntimeError("mixed generators fail to commute")
-    return out
 
 
 def iso_lambda(x: DoubleElement) -> UElement:

@@ -109,6 +109,8 @@ class _Parser:
                 rhs = self.factor()
                 if not isinstance(rhs, RatFunc):
                     raise ParseError("division only by scalars", pos)
+                if not rhs:
+                    raise ParseError("division by zero", pos)
                 val = _multiply(self.datum, val, rhs.inverse())
             else:
                 return val
@@ -131,6 +133,8 @@ class _Parser:
                 return _divided_power(self.datum, gen_name, expo)
             if expo < 0 and not isinstance(base, RatFunc):
                 raise ParseError("negative powers only for scalars", self.peek()[2])
+            if expo < 0 and not base:
+                raise ParseError("division by zero", pos)
             return _power(self.datum, base, expo)
         return base
 

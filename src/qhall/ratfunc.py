@@ -608,10 +608,3 @@ def qfact(n: int) -> RatFunc:
     for k in range(1, n + 1):
         out = out * qint(k)
     return out
-
-
-def parse_ratfunc(src: str) -> RatFunc:
-    """Parse the scalar sublanguage: integers, v, + - * / ^, parentheses."""
-    from .exprs import parse_scalar
-
-    return parse_scalar(src)

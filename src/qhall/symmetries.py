@@ -356,70 +356,6 @@ def t_tilde_apply(vertex: int, x: UElement) -> UElement:
     return _apply_table(vertex, x, "T~")
 
 
-def calibrate_twist(datum: CartanDatum, vertex: int, samples: list) -> list:
-    """Compare the decomposition route against closed-formula candidates.
-
-    For each homogeneous sample and each level r, the route piece is
-    divided by the uncalibrated closed shape K_-r.h x E^(r) x (moved
-    piece) on the minus side; the report lists the resulting scalar and
-    whether either Euler-form exponent candidate matches it.  Purely
-    informational: t_tilde_apply never consumes these candidates.
-    """
-    report = []
-    for sample in samples:
-        x = normal_form(sample) if isinstance(sample, FreeElement) else sample
-        weights = x.weights()
-        if len(weights) != 1:
-            raise ValueError("calibration samples must be homogeneous")
-        (nu,) = weights
-        for r, piece in i_decompose(vertex, x):
-            moved = ti_restricted(vertex, piece)
-            level = sub_vec(nu, scale_vec(r, datum.unit_vec(vertex)))
-            route = u_mul(
-                _divided_image(datum, vertex, "minus", r),
-                embed_minus(moved).scale(minus_transport(datum, vertex, level)),
-            )
-            candidate = u_mul(
-                u_mul(
-                    UElement.K(datum, scale_vec(-r, datum.unit_vec(vertex))),
-                    embed_plus(theta_divided(datum, vertex, r)),
-                ),
-                embed_minus(moved),
-            )
-            scalar = _element_ratio(route, candidate)
-            entry = {
-                "weight": nu,
-                "level": r,
-                "consistent": scalar is not None,
-                "scalar": str(scalar) if scalar is not None else None,
-            }
-            ri = scale_vec(r, datum.unit_vec(vertex))
-            for name, cand in (
-                ("euler(nu,ri)", datum.euler_form(nu, ri)),
-                ("euler(ri,nu)", datum.euler_form(ri, nu)),
-            ):
-                entry[name] = cand
-                entry[f"matches {name}"] = scalar == v_pow(cand)
-            report.append(entry)
-    return report
-
-
-def _element_ratio(a: UElement, b: UElement):
-    """The single scalar with a = scalar * b, or None."""
-    if a.is_zero() and b.is_zero():
-        return ONE
-    if set(a.terms) != set(b.terms):
-        return None
-    ratio = None
-    for k, c in a.terms.items():
-        r = c / b.terms[k]
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return None
-    return ratio
-
-
 def braid_verify(datum: CartanDatum, i: int, j: int) -> bool:
     """Braid relation on every generator: T_iT_jT_i = T_jT_iT_j when
     a_ij = -1, commutation when a_ij = 0."""

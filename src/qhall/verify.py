@@ -36,6 +36,7 @@ from .cartan import (
     kostant_count,
     load_datum,
     positive_roots,
+    scale_vec,
     sigma_E,
     sigma_i,
 )
@@ -607,14 +608,24 @@ def _check_ti_weight_transport(s: Session):
 
 
 def _check_ti_calibration(s: Session):
+    """T_i on the divided powers at i against their closed forms
+    (Lusztig, Introduction to Quantum Groups, 37.1.3), which fix the
+    twist that reassembles the decomposition route:
+    T_i(F_i^(r)) = (-1)^r v^(r(r-1)) K_(-r h_i) E_i^(r) and
+    T_i(E_i^(r)) = (-1)^r v^-(r(r-1)) F_i^(r) K_(r h_i)."""
     d = s.datum
-    samples = []
-    for nu in _weights_upto(d, min(3, s.weight_bound)):
-        if any(nu):
-            samples.extend(list(_basis_elements(d, nu))[:2])
-    for entry in sym.calibrate_twist(d, d.vertices[0], samples[:6]):
-        where = f"twist at weight {entry['weight']}, level {entry['level']}"
-        _expect(where, entry["consistent"], True)
+    for i in d.vertices:
+        h = d.unit_vec(i)
+        for r in range(s.ttilde_degree + 1):
+            power = fa.theta_divided(d, i, r)
+            sign = MINUS_ONE if r % 2 else ONE
+            k = r * (r - 1)
+            want = ua.u_mul(ua.UElement.K(d, scale_vec(-r, h)), ua.embed_plus(power))
+            got = sym._divided_image(d, i, "minus", r)
+            _expect(f"T_{i}(F{i}^({r}))", got, want.scale(sign * v_pow(k)))
+            want = ua.u_mul(ua.embed_minus(power), ua.UElement.K(d, scale_vec(r, h)))
+            got = sym._divided_image(d, i, "plus", r)
+            _expect(f"T_{i}(E{i}^({r}))", got, want.scale(sign * v_pow(-k)))
 
 
 SUITE_TI = (
@@ -806,8 +817,15 @@ def _double_generators(datum: CartanDatum):
 
 
 def _check_double_calibration(s: Session):
-    for i, c in dbl.calibrate_pairing(s.datum).items():
-        _expect(f"pairing constant at {i}", c, dbl.PAIRING_CONSTANT)
+    """The generator pairing against its closed form
+    (th_i^+, th_j^-) = delta_ij (-1)/(v - v^-1)."""
+    d = s.datum
+    c = -(v_pow(1) - v_pow(-1)).inverse()
+    for i in d.vertices:
+        plus = dbl.HalfElement.generator(d, "plus", i)
+        for j in d.vertices:
+            got = dbl.pairing_phi(plus, dbl.HalfElement.generator(d, "minus", j))
+            _expect(f"(th{i}+, th{j}-)", got, c if i == j else ZERO)
 
 
 def _check_double_cross(s: Session):

@@ -10,7 +10,6 @@ from qhall.double import (
     PAIRING_CONSTANT,
     _antipode_word,
     _cross,
-    calibrate_pairing,
     double_mul,
     half_antipode,
     half_delta,
@@ -142,18 +141,12 @@ def test_pairing_basics():
     t2m = HalfElement.generator(A2, "minus", 2)
     assert pairing_phi(t1p, t2m).is_zero()
     assert pairing_phi(t1p, t1m) == PAIRING_CONSTANT
+    assert PAIRING_CONSTANT == -(v_pow(1) - v_pow(-1)).inverse()
     ka = HalfElement.torus(A2, "plus", (1, 0))
     kb = HalfElement.torus(A2, "minus", (0, 1))
     assert pairing_phi(ka, kb) == v_pow(1)
     with pytest.raises(ValueError):
         pairing_phi(t1m, t1p)
-
-
-def test_calibration():
-    for d in (A2, A3):
-        consts = calibrate_pairing(d)
-        assert all(c == PAIRING_CONSTANT for c in consts.values())
-    assert PAIRING_CONSTANT == -(v_pow(1) - v_pow(-1)).inverse()
 
 
 def test_cross_relation_is_commutator():

@@ -31,7 +31,7 @@ from qhall.freealg import (
     words_of_weight,
 )
 from qhall.linalg import QV, rref, solve
-from qhall.ratfunc import ONE, ZERO, RatFunc, parse_ratfunc, qfact, v_pow
+from qhall.ratfunc import ONE, ZERO, RatFunc, qfact, v_pow
 
 
 def free_word(d, *letters):

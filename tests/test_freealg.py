@@ -3,6 +3,7 @@ from pathlib import Path
 
 from qhall import freealg
 from qhall.cartan import A2, A3
+from qhall.exprs import parse_scalar
 from qhall.freealg import (
     FreeElement,
     TensorElement,
@@ -14,7 +15,7 @@ from qhall.freealg import (
     twisted_tensor_mul,
     words_of_weight,
 )
-from qhall.ratfunc import ONE, ZERO, parse_ratfunc, v_pow
+from qhall.ratfunc import ONE, ZERO, v_pow
 
 
 def th(d, *letters):
@@ -81,7 +82,7 @@ def test_form_weight_orthogonality():
 
 
 def test_form_values():
-    c2 = parse_ratfunc("(1 - v^-2)^2")
+    c2 = parse_scalar("(1 - v^-2)^2")
     x, y = th(A2, 1, 2), th(A2, 2, 1)
     assert lusztig_form(x, x) == c2.inverse()
     assert lusztig_form(x, y) == v_pow(-1) * c2.inverse()

@@ -107,6 +107,41 @@ def test_a_wrong_t_tilde_word_image_fails_with_the_word_and_both_images(monkeypa
     assert r.detail == f"T~_1 vs T_1 on F(2,): got {want + f2}, want {want}"
 
 
+def test_a_wrong_divided_power_image_fails_the_twist_check(monkeypatch):
+    # T_i(F_i^(r)) and T_i(E_i^(r)) on A2 scaled by v: one consistent
+    # scalar on every piece, which the closed forms reject
+    s = Session(load_datum(load_quiver("1->2")))
+    real = verify.sym._divided_image
+
+    def wrong(datum, i, sign, r):
+        return real(datum, i, sign, r).scale(verify.v_pow(1))
+
+    real.cache_clear()
+    monkeypatch.setattr(verify.sym, "_divided_image", wrong)
+    try:
+        r = verify._run("ti-twist-calibration", verify._check_ti_calibration, s)
+    finally:
+        real.cache_clear()
+    assert r.status == "fail"
+    assert r.detail.startswith("T_1(F1^(0)): got v, want 1")
+
+
+def test_a_wrong_pairing_constant_fails_the_pairing_and_cross_checks(monkeypatch):
+    # _cross reads the constant, so its memo is cleared around the plant
+    s = Session(load_datum(load_quiver("1->2")))
+    verify.dbl._cross.cache_clear()
+    monkeypatch.setattr(verify.dbl, "PAIRING_CONSTANT", -verify.dbl.PAIRING_CONSTANT)
+    try:
+        pairing = verify._run(
+            "double-pairing-calibration", verify._check_double_calibration, s
+        )
+        cross = verify._run("double-cross-relation", verify._check_double_cross, s)
+    finally:
+        verify.dbl._cross.cache_clear()
+    assert pairing.status == "fail" and pairing.detail.startswith("(th1+, th1-): got ")
+    assert cross.status == "fail" and cross.detail.startswith("commutator of ")
+
+
 def test_a_side_is_cut_to_one_bounded_line():
     long = "x" * (2 * verify.SIDE_CHARS)
 
