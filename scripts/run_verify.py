@@ -5,29 +5,32 @@ Each row names a quiver, its suites and the Session settings that differ
 from the defaults.
 
 The f suite also runs on D4 with its branch vertex labelled 2 and on the
-path 1 - 3 - 2, where the alphabet order of the root words is not the
-order along the Dynkin diagram.  The ti suite runs on that path too, so
-T_i and T~_i are exercised at a middle vertex whose id is 3, and so does
-the hall suite: the middle vertex 3 is a sink there, so its bricks,
+path 1 - 3 - 2, where the alphabet order of the good Lyndon words is not
+the order along the Dynkin diagram.  The ti suite runs on that path too,
+so T_i and T~_i are exercised at a middle vertex whose id is 3, and so
+does the hall suite: the middle vertex 3 is a sink there, so its bricks,
 class tables and Hall numbers are not those of 1->2->3, and the
 memoized class-pair products run end to end on a third orientation of
 A3.  The hall suite also runs on that D4, whose branch vertex is a
 source: its class tables come from Kostant partitions, and
 hall-bgp-bijection reflects at each of the three sinks.  It also runs
 on D4 with its branch vertex a sink, where hall-bgp-bijection reflects
-(2,0,1,1) to (2,4,1,1): the table of
-that dimension vector lists its classes without walking its 3^16 points
-at q = 3, so the budget counts classes there.  The u, double and f
-suites run on the Kronecker quiver, whose a_12 = -2 puts the product and
-antipode twists off the simply-laced data; its ti suite is left out, as
-no budget bounds it yet.  Its hall suite classifies by orbit search, the
-route of every quiver that is not Dynkin.  The row has two skips:
-f-dims-kostant, as the root system is not finite, and
+(2,0,1,1) to (2,4,1,1): the table of that dimension vector lists its
+classes without walking its 3^16 points at q = 3, so the budget counts
+classes there.  The u, double and f suites run on the Kronecker quiver,
+whose a_12 = -2 puts the product and antipode twists off the
+simply-laced data; its ti suite is left out, as no budget bounds it
+yet.  Its f-dims-kostant compares with the Weyl-Kac dimension alone, as
+there is no Kostant count.  Its hall suite classifies by orbit search,
+the route of every quiver that is not Dynkin.  The row has one skip:
 hall-bgp-bijection, as orbit search for the class table of a reflected
 dimension vector would walk 3^16 points at q = 3, over the default
 budget.  The hall suite runs on E6 at hall bound (1,1,1,0,0,0):
 hall-orientation-independence walks all 32 of its orientations at that
-bound capped at 1 per vertex."""
+bound capped at 1 per vertex.  The E6-f row runs the f suite on E6 at
+the defaults, where the alphabet order matters most: f-dims-kostant
+compares its weight bases to weight 4 with the greedy pass, the
+Weyl-Kac dimension and the Kostant count."""
 
 import sys
 import time
@@ -45,6 +48,7 @@ DATA = [
     ("D4-centre-sink", "1->2,3->2,4->2", ("hall",), {}),
     ("Kronecker", "1->2,1->2", ("u", "double", "f", "hall"), {}),
     ("E6", "1->2,2->3,3->4,4->5,3->6", ("hall",), {"hall_bound": (1, 1, 1, 0, 0, 0)}),
+    ("E6-f", "1->2,2->3,3->4,4->5,3->6", ("f",), {}),
 ]
 
 

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 
 def _store_hash(obj, fields: tuple) -> None:
@@ -364,6 +364,33 @@ def kostant_count(roots: tuple, nu: tuple) -> int:
                 rem = sub_vec(rem, r)
         ways = after
     return ways.get((0,) * len(nu), 0)
+
+
+@lru_cache(maxsize=4096)
+def weyl_kac_dim(datum: CartanDatum, nu: tuple) -> int:
+    """dim f_nu on any datum, from the Weyl-Kac denominator identity
+    sum_w (-1)^l(w) dim f_{nu - b_w} = [nu = 0], b_w = rho - w rho
+    (Kac, Infinite Dimensional Lie Algebras, ch. 10).  The shifts are
+    walked from b_1 = 0 by b_{s_k w} = b_w + (1 - (A b_w)_k) alpha_k, a
+    step that lengthens w exactly when its coefficient is positive; only
+    the shifts <= nu are taken."""
+    if not any(nu):
+        return 1
+    signs = layer = {datum.zero_vec(): 1}
+    while layer:
+        nxt: dict = {}
+        for beta, sign in layer.items():
+            for k, row in enumerate(datum.cartan):
+                c = 1 - sum(map(mul, row, beta))
+                if 0 < c <= nu[k] - beta[k]:
+                    nxt[beta[:k] + (beta[k] + c,) + beta[k + 1 :]] = -sign
+        signs = {**signs, **nxt}
+        layer = nxt
+    return -sum(
+        sign * weyl_kac_dim(datum, sub_vec(nu, beta))
+        for beta, sign in signs.items()
+        if any(beta)
+    )
 
 
 A2 = load_datum(quiver_from_shorthand("1->2"))

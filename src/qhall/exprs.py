@@ -132,7 +132,7 @@ class _Parser:
             if divided and gen_name is not None:
                 return _divided_power(self.datum, gen_name, expo)
             if expo < 0 and not isinstance(base, RatFunc):
-                raise ParseError("negative powers only for scalars", self.peek()[2])
+                raise ParseError("negative powers only for scalars", pos)
             if expo < 0 and not base:
                 raise ParseError("division by zero", pos)
             return _power(self.datum, base, expo)

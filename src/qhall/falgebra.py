@@ -1,26 +1,21 @@
 """The quotient of the free theta algebra by the radical of the form.
 
-A weight space f_nu is presented by basis words, the inverse of their
-Gram block, and normal forms computed from the two on demand.  On Dynkin
-data the basis words are known without a pass over the words of nu: in
-the reversed alphabet order, they are the non-increasing products of the
-good Lyndon root words, one product per Kostant partition of nu (Lalonde
-and Ram 1995; Leclerc 2004).  The root words follow from Leclerc's rule
-l(g) = max{l(b1) l(b2) : b1 + b2 = g, l(b1) < l(b2)}.  Only those words
-are bordered into the inverse, and each must be independent of the ones
-before it.  Elsewhere (positive_roots is None: the symmetric Cartan
-matrix is not positive definite) the same bordering runs greedily over
-every word in lexicographic order and keeps the words independent of
-those kept before; on Dynkin data it selects the same words.  A word's
-normal form is its pairings with the basis words times the inverse,
-looked up when asked for.  The quantum Serre relations hold because
-Serre elements lie in the radical.  Pairings are the form of
-qhall.freealg at generator normalization 1, iterated twisted
+A weight space f_nu is presented by its basis words, the inverse of
+their Gram block, and normal forms computed from the two on demand.
+The basis words are the lexicographically greedy ones, found on every
+datum without a pass over the words of nu: in the reversed alphabet
+order they are the non-increasing products of good Lyndon words
+(Lalonde and Ram 1995; Leclerc 2004), the Lyndon basis words of lower
+weights and, at nu itself, Lyndon words with good standard factors.
+Bordering those candidates into the inverse in lex order keeps exactly
+the greedy words; every product must be kept, and the count must be the
+Weyl-Kac dimension of cartan.weyl_kac_dim.  The quantum Serre relations
+hold because Serre elements lie in the radical.  Pairings are the form
+of qhall.freealg at generator normalization 1, iterated twisted
 derivations with nonnegative integer coefficients, from the one memo
 that every weight and lusztig_form share; a normalization c scales f_nu
-by c^|nu| and changes no basis or coordinate.  Weight bases and normal
-forms are memoized per (datum, weight) and (datum, word); the cached
-objects are immutable.
+by c^|nu| and changes no basis or coordinate.  Bases and normal forms
+are memoized per (datum, weight) and (datum, word), and immutable.
 """
 
 from __future__ import annotations
@@ -28,10 +23,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import le, mul
+from operator import mul
 
 from . import linalg
-from .cartan import CartanDatum, kostant_partitions, positive_roots, scale_vec, sub_vec
+from .cartan import CartanDatum, add_vec, dims_upto, scale_vec, sub_vec, weyl_kac_dim
 from .freealg import FreeElement, Word, _derive_word, _form_words, words_of_weight
 from .lincomb import LinComb, bilinear, linear
 from .ratfunc import ONE, ZERO, ZERO_POLY, RatFunc, common_denominator, qfact, v_pow
@@ -67,39 +62,36 @@ def _reversed(word: Word) -> tuple:
     return tuple(-x for x in word)
 
 
-@lru_cache(maxsize=32)
-def _root_words(datum: CartanDatum):
-    """Good Lyndon word of each positive root by Leclerc's rule, in the
-    reversed alphabet order; None when the root system is not finite."""
-    roots = positive_roots(datum)
-    if roots is None:
-        return None
-    words = {datum.unit_vec(i): (i,) for i in datum.vertices}
-    for gamma in sorted(roots, key=sum):
-        if gamma in words:
-            continue
-        words[gamma] = max(
-            (
-                words[b1] + words[b2]
-                for b1 in words
-                if (b2 := sub_vec(gamma, b1)) in words
-                and _reversed(words[b1]) < _reversed(words[b2])
-            ),
-            key=_reversed,
-        )
-    return words
+def _is_lyndon(word: Word) -> bool:
+    """Whether a word is Lyndon in the reversed alphabet order: smaller
+    than each of its proper suffixes."""
+    key = _reversed(word)
+    return all(key < key[k:] for k in range(1, len(key)))
 
 
-def _lyndon_basis_words(root_words: dict, nu: tuple) -> list:
-    """The non-increasing product of root words of each Kostant partition
-    of nu, in lex order."""
-    fits = [rw for rw in root_words.items() if all(map(le, rw[0], nu))]
-    ordered = sorted(fits, key=lambda rw: _reversed(rw[1]), reverse=True)
-    roots = tuple(root for root, _word in ordered)
-    return sorted(
-        sum((word * m for (_root, word), m in zip(ordered, mults)), ())
-        for mults in kostant_partitions(roots, nu)
-    )
+def _products(good: list, nu: tuple):
+    """Every product of weight nu of the good Lyndon words (word, weight),
+    listed in non-increasing reversed order, taken non-increasingly."""
+    if not any(nu):
+        yield ()
+        return
+    for k, (word, mu) in enumerate(good):
+        rest = sub_vec(nu, mu)
+        if min(rest) >= 0:
+            yield from (word + tail for tail in _products(good[k:], rest))
+
+
+def _lyndon_candidates(good: list, nu: tuple) -> list:
+    """Each l1 l2 of weight nu with l1 < l2 good whose standard
+    factorization is (l1, l2): no longer proper suffix is Lyndon."""
+    return [
+        l1 + l2
+        for l1, m1 in good
+        for l2, m2 in good
+        if add_vec(m1, m2) == nu
+        and _reversed(l1) < _reversed(l2)
+        and not any(_is_lyndon((l1 + l2)[k:]) for k in range(1, len(l1)))
+    ]
 
 
 def _border(datum: CartanDatum, nu: tuple, candidates) -> WeightBasis:
@@ -140,23 +132,37 @@ def greedy_basis(datum: CartanDatum, nu: tuple) -> WeightBasis:
 
 
 # weight_basis, _normal_form_word, sub_if_basis and _decompose_word are
-# bounded above the largest fill measured: one scripts/run_verify.py
-# process leaves 1,249, 4,970, 1,170 and 2,142 entries in them, one
-# symbolic-verify round 168, 703, 180 and 262, and the u-queries stream
-# 51, 207, 30 and 36.
+# bounded above the largest fill measured: scripts/run_verify.py leaves
+# 1,373, 4,988, 1,170 and 2,142 entries in them before its E6-f row, one
+# symbolic-verify round 171, 703, 180 and 262, and the u-queries stream
+# 51, 184, 30 and 36.  Every lower weight of a basis is built (40 bases in
+# Kronecker ti-subalgebra-equivalence at weight bound 3).  E6-f builds
+# 8,117 bases over E6's 32 orientations in turn, evicting finished ones.
 @lru_cache(maxsize=2048)
 def weight_basis(datum: CartanDatum, nu: tuple) -> WeightBasis:
-    """The basis of f_nu: products of root words on Dynkin data, the
-    greedy basis elsewhere."""
-    root_words = _root_words(datum)
-    if root_words is None:
-        return greedy_basis(datum, nu)
-    words = _lyndon_basis_words(root_words, nu)
-    wb = _border(datum, nu, words)
-    if wb.dim != len(words):
+    """The greedy basis of f_nu, bordered over the products of lower good
+    Lyndon words and, if those fall short of the Weyl-Kac dimension, the
+    Lyndon candidates of weight nu."""
+    dim = weyl_kac_dim(datum, nu)
+    if sum(nu) <= 1:
+        products = candidates = list(words_of_weight(datum, nu))
+    else:
+        lower = (mu for mu in dims_upto(nu) if 0 < sum(mu) < sum(nu))
+        good = [
+            (w, mu)
+            for mu in lower
+            for w in weight_basis(datum, mu).basis_words
+            if _is_lyndon(w)
+        ]
+        good.sort(key=lambda wm: _reversed(wm[0]), reverse=True)
+        products = list(_products(good, nu))
+        extra = _lyndon_candidates(good, nu) if len(products) < dim else []
+        candidates = products + extra
+    wb = _border(datum, nu, sorted(candidates))
+    if wb.dim != dim or not set(products) <= set(wb.basis_words):
         raise RuntimeError(
-            f"the root-word products of weight {nu} are dependent in f; "
-            "a root word is wrong"
+            f"f_{nu} keeps {wb.dim} words, not the Weyl-Kac {dim}, "
+            "or a product of good Lyndon words is dependent"
         )
     return wb
 

@@ -5,20 +5,10 @@ tests/test_acceptance.py` (add -s to see the lines while running).
 The same checks back the CLI verify subcommand.
 """
 
-import itertools
-from fractions import Fraction
-
-import pytest
-
-from qhall import double as dbl
-from qhall import falgebra as fa
 from qhall import hall
 from qhall import symmetries as sym
-from qhall import ualgebra as ua
 from qhall import verify as vf
-from qhall.cartan import A2, A3, dims_upto, load_datum, sigma_E
-from qhall.freealg import FreeElement, words_of_weight
-from qhall.ratfunc import MINUS_ONE, ONE, v_pow
+from qhall.cartan import A2, A3, dims_upto
 
 S2 = vf.Session(datum=A2, weight_bound=4, hopf_degree=3, ttilde_degree=3)
 S3 = vf.Session(datum=A3, weight_bound=4, hall_bound=(2, 2, 1))

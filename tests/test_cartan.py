@@ -6,6 +6,7 @@ from qhall.cartan import (
     A2,
     A3,
     Quiver,
+    dims_of_height,
     dims_upto,
     is_sink,
     is_source,
@@ -16,6 +17,7 @@ from qhall.cartan import (
     quiver_from_shorthand,
     sigma_E,
     sigma_i,
+    weyl_kac_dim,
 )
 
 
@@ -148,3 +150,27 @@ def test_positive_roots_and_kostant_counts():
     assert kostant_count(roots, (0, 0, 0)) == 1
     assert kostant_count(roots, (1, 1, 1)) == 4
     assert kostant_count(positive_roots(A2), (2, 2)) == 3
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["1->2,2->3", "2->1,2->3,2->4", "1->2,2->3,3->4,4->5,3->6"],
+    ids=["A3", "D4", "E6"],
+)
+def test_weyl_kac_dim_is_the_kostant_count_on_dynkin_data(spec):
+    d = load_datum(quiver_from_shorthand(spec))
+    roots = positive_roots(d)
+    for total in range(6):
+        for nu in dims_of_height(d.rank, total):
+            assert weyl_kac_dim(d, nu) == kostant_count(roots, nu), nu
+
+
+def test_weyl_kac_dim_off_dynkin_data():
+    # the Kronecker quiver, where no Kostant count exists; these are the
+    # dimensions of the greedy bases over every word
+    kronecker = load_datum(quiver_from_shorthand("1->2,1->2"))
+    assert [weyl_kac_dim(kronecker, (n, n)) for n in range(4)] == [1, 2, 6, 14]
+    assert weyl_kac_dim(kronecker, (8, 4)) == 51
+    # two vertices with no arrow: f is the polynomial ring in two letters
+    assert weyl_kac_dim(load_datum(Quiver((1, 2), ())), (3, 2)) == 1
+    assert weyl_kac_dim.cache_parameters()["maxsize"] is not None

@@ -12,9 +12,8 @@ from qhall.cartan import A2
 from qhall.cli import main
 from qhall.double import DoubleElement
 from qhall.exprs import ParseError, format_element, parse_expr, parse_scalar
-from qhall.falgebra import normal_form
 from qhall.freealg import FreeElement
-from qhall.ratfunc import ONE, RatFunc, v_pow
+from qhall.ratfunc import RatFunc, v_pow
 from qhall.ualgebra import UElement, u_mul
 
 
@@ -232,6 +231,10 @@ def test_cli_reports_parse_errors(capsys):
     for expr, pos in (("1/0", 2), ("2/(v-v)", 2), ("(v-v)^-1*E1", 0)):
         line = _bad_input(capsys, "u", "nf", expr)
         assert line == f"qhall: division by zero (at position {pos})"
+    # a negative power of a non-scalar is reported at its base
+    for expr, pos in (("E1^-1", 0), ("E1^-1*F1", 0), ("2*E1^-1", 2)):
+        line = _bad_input(capsys, "u", "nf", expr)
+        assert line == f"qhall: negative powers only for scalars (at position {pos})"
     line = _bad_input(capsys, "--datum", "{}", "f", "dim", "1")
     assert line == "qhall: quiver JSON has no 'vertices' key"
 

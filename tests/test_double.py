@@ -20,7 +20,7 @@ from qhall.double import (
 from qhall.falgebra import FElement, normal_form
 from qhall.freealg import FreeElement
 from qhall.ratfunc import MINUS_ONE, ONE, ZERO, v_pow
-from qhall.ualgebra import UElement, antipode, delta, embed_minus, embed_plus, u_mul
+from qhall.ualgebra import UElement, antipode, embed_minus, embed_plus, u_mul
 
 
 def half_counit(a):

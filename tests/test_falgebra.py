@@ -5,7 +5,15 @@ from pathlib import Path
 import pytest
 
 from qhall import falgebra
-from qhall.cartan import A2, A3, dims_of_height, load_datum, load_quiver, positive_roots
+from qhall.cartan import (
+    A2,
+    A3,
+    dims_of_height,
+    load_datum,
+    load_quiver,
+    positive_roots,
+    weyl_kac_dim,
+)
 from qhall.falgebra import (
     FElement,
     _normal_form_word,
@@ -324,9 +332,33 @@ def test_lyndon_basis_matches_greedy_pass(spec, max_height):
             assert _normal_form_word(d, w) == greedy.coordinates(w)
 
 
+def _reversed(word):
+    return tuple(-x for x in word)
+
+
 def _is_lyndon_reversed(word):
-    key = tuple(-x for x in word)
+    key = _reversed(word)
     return all(key < key[k:] for k in range(1, len(key)))
+
+
+def _leclerc_root_words(d):
+    """Good Lyndon word of each positive root of a Dynkin datum by
+    Leclerc's rule l(g) = max{l(b1) l(b2) : b1 + b2 = g, l(b1) < l(b2)},
+    in the reversed alphabet order (Leclerc, Math. Z. 246, 2004)."""
+    words = {d.unit_vec(i): (i,) for i in d.vertices}
+    for gamma in sorted(positive_roots(d), key=sum):
+        if gamma in words:
+            continue
+        words[gamma] = max(
+            (
+                words[b1] + words[b2]
+                for b1 in words
+                if (b2 := tuple(g - b for g, b in zip(gamma, b1))) in words
+                and _reversed(words[b1]) < _reversed(words[b2])
+            ),
+            key=_reversed,
+        )
+    return words
 
 
 @pytest.mark.parametrize(
@@ -338,38 +370,52 @@ def _is_lyndon_reversed(word):
         ("1->3,3->2", 3),
         ("2->1,2->3,2->4", 5),
         ("1->2,2->3,3->4", 4),
-        # the highest root (1,2,2,1,1) alone takes a 9 s greedy pass
         ("1->2,2->3,3->4,3->5", 6),
     ],
     ids=["A2", "A3", "A3-sink", "A3-relabelled", "D4", "A4", "D5"],
 )
 def test_root_words_are_the_lyndon_words_of_the_greedy_bases(spec, max_height):
+    # weight_basis is the greedy basis; at each positive root its one
+    # Lyndon word is the root word of Leclerc's rule
     d = load_datum(load_quiver(spec))
-    root_words = falgebra._root_words(d)
-    roots = [r for r in positive_roots(d) if sum(r) <= max_height]
+    root_words = _leclerc_root_words(d)
     assert set(positive_roots(d)) == set(root_words)
-    for beta in roots:
-        words = greedy_basis(d, beta).basis_words
-        assert [w for w in words if _is_lyndon_reversed(w)] == [root_words[beta]]
+    for beta in positive_roots(d):
+        if sum(beta) <= max_height:
+            words = weight_basis(d, beta).basis_words
+            assert [w for w in words if _is_lyndon_reversed(w)] == [root_words[beta]]
 
 
-def test_a_wrong_root_word_makes_weight_basis_raise(monkeypatch):
-    d = load_datum(load_quiver("3->5"))
-    wrong = {(1, 0): (3,), (0, 1): (5,), (1, 1): (3, 5)}  # (5, 3) is right
-    monkeypatch.setattr(falgebra, "_root_words", lambda datum: wrong)
-    try:
-        assert weight_basis(d, (1, 0)).basis_words == ((3,),)
-        with pytest.raises(RuntimeError, match="root word"):
-            weight_basis(d, (1, 1))
-    finally:
-        weight_basis.cache_clear()
+@pytest.fixture
+def cold_bases():
+    weight_basis.cache_clear()
+    yield
+    weight_basis.cache_clear()
 
 
-def test_kronecker_quiver_keeps_the_greedy_pass():
-    d = load_datum(load_quiver("1->2,1->2"))
-    assert falgebra._root_words(d) is None
-    assert weight_basis(d, (3, 3)).dim == 14
-    assert weight_basis(d, (3, 3)) == greedy_basis(d, (3, 3))
+def test_a_wrong_weyl_kac_dimension_makes_weight_basis_raise(monkeypatch, cold_bases):
+    monkeypatch.setattr(falgebra, "weyl_kac_dim", lambda d, nu: weyl_kac_dim(d, nu) + 1)
+    with pytest.raises(RuntimeError, match="Weyl-Kac"):
+        weight_basis(A2, (1, 1))
+
+
+def test_missing_lyndon_candidates_make_weight_basis_raise(monkeypatch, cold_bases):
+    monkeypatch.setattr(falgebra, "_lyndon_candidates", lambda good, nu: [])
+    assert weight_basis(A2, (1, 0)).basis_words == ((1,),)
+    with pytest.raises(RuntimeError, match="Weyl-Kac"):
+        weight_basis(A2, (1, 1))
+
+
+@pytest.mark.parametrize(
+    "spec, max_height",
+    [("1->2,1->2", 6), ("1->2,1->2,1->2", 5), ("1->2,2->3,1->3", 5)],
+    ids=["Kronecker", "3-Kronecker", "affine-A2"],
+)
+def test_weight_basis_is_the_greedy_basis_off_dynkin_data(spec, max_height):
+    d = load_datum(load_quiver(spec))
+    assert positive_roots(d) is None
+    for nu in _weights(d, max_height):
+        assert weight_basis(d, nu) == greedy_basis(d, nu)
 
 
 def test_f_memos_bounded_and_transparent():

@@ -10,7 +10,6 @@ from qhall.exprs import parse_scalar
 from qhall.falgebra import (
     FElement,
     normal_form,
-    sub_if_basis,
     theta_divided,
     weight_basis,
 )

@@ -11,7 +11,6 @@ from qhall.falgebra import (
     FElement,
     _normal_form_word,
     normal_form,
-    serre_element,
     theta_divided,
     weight_basis,
 )

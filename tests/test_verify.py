@@ -204,8 +204,16 @@ def test_kostant_dims_pass_on_a_long_path():
     assert r.status == "pass", r.detail
 
 
-def test_kostant_dims_skip_without_a_finite_root_system():
+def test_kostant_dims_pass_on_the_kronecker_quiver():
+    # no Kostant count off Dynkin data: the Weyl-Kac dimension is compared
     s = Session(load_datum(load_quiver("1->2,1->2")))
     r = verify._run("f-dims-kostant", verify._check_f_dims_kostant, s)
-    assert r.status == "skip"
-    assert r.detail == "root system is not finite; no partition oracle"
+    assert r.status == "pass", r.detail
+
+
+def test_kostant_dims_fail_on_a_wrong_weyl_kac_dimension(monkeypatch):
+    monkeypatch.setattr(verify, "weyl_kac_dim", lambda d, nu: 1)
+    s = Session(load_datum(load_quiver("1->2,1->2")), weight_bound=2)
+    r = verify._run("f-dims-kostant", verify._check_f_dims_kostant, s)
+    assert r.status == "fail"
+    assert r.detail == "dim f_(1, 1): got 2, want 1"
