@@ -70,8 +70,8 @@ def _is_lyndon(word: Word) -> bool:
 
 
 def _products(good: list, nu: tuple):
-    """Every product of weight nu of the good Lyndon words (word, weight),
-    listed in non-increasing reversed order, taken non-increasingly."""
+    """Every non-increasing product of weight nu of the good Lyndon words,
+    given as (word, weight) pairs in non-increasing reversed order."""
     if not any(nu):
         yield ()
         return
