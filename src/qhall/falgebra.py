@@ -133,24 +133,27 @@ def greedy_basis(datum: CartanDatum, nu: tuple) -> WeightBasis:
 
 # weight_basis, _normal_form_word, sub_if_basis and _decompose_word are
 # bounded above the largest fill measured: scripts/run_verify.py leaves
-# 1,373, 4,988, 1,170 and 2,142 entries in them before its E6-f row, one
-# symbolic-verify round 171, 703, 180 and 262, and the u-queries stream
-# 51, 184, 30 and 36.  Every lower weight of a basis is built (40 bases in
-# Kronecker ti-subalgebra-equivalence at weight bound 3).  E6-f builds
-# 8,117 bases over E6's 32 orientations in turn, evicting finished ones.
+# 1,345, 4,988, 1,170 and 2,142 entries in them before its E6-f row, one
+# symbolic-verify round 168, 703, 180 and 262, and the u-queries stream
+# 47, 184, 30 and 36.  A basis builds those of the lower root weights (20
+# bases in Kronecker ti-subalgebra-equivalence at weight bound 3); E6-f
+# builds 6,968 over E6's 32 orientations in turn, evicting finished ones.
 @lru_cache(maxsize=2048)
 def weight_basis(datum: CartanDatum, nu: tuple) -> WeightBasis:
     """The greedy basis of f_nu, bordered over the products of lower good
     Lyndon words and, if those fall short of the Weyl-Kac dimension, the
     Lyndon candidates of weight nu."""
-    dim = weyl_kac_dim(datum, nu)
+    dim = weyl_kac_dim(datum.cartan, nu)
     if sum(nu) <= 1:
         products = candidates = list(words_of_weight(datum, nu))
     else:
         lower = (mu for mu in dims_upto(nu) if 0 < sum(mu) < sum(nu))
+        # good Lyndon words lie in root weights, and a positive root mu has
+        # (mu, mu) <= 2 (Kac, ch. 5); on Dynkin data these are the roots
         good = [
             (w, mu)
             for mu in lower
+            if datum.sym_form(mu, mu) <= 2
             for w in weight_basis(datum, mu).basis_words
             if _is_lyndon(w)
         ]

@@ -162,15 +162,15 @@ def test_weyl_kac_dim_is_the_kostant_count_on_dynkin_data(spec):
     roots = positive_roots(d)
     for total in range(6):
         for nu in dims_of_height(d.rank, total):
-            assert weyl_kac_dim(d, nu) == kostant_count(roots, nu), nu
+            assert weyl_kac_dim(d.cartan, nu) == kostant_count(roots, nu), nu
 
 
 def test_weyl_kac_dim_off_dynkin_data():
     # the Kronecker quiver, where no Kostant count exists; these are the
     # dimensions of the greedy bases over every word
     kronecker = load_datum(quiver_from_shorthand("1->2,1->2"))
-    assert [weyl_kac_dim(kronecker, (n, n)) for n in range(4)] == [1, 2, 6, 14]
-    assert weyl_kac_dim(kronecker, (8, 4)) == 51
+    assert [weyl_kac_dim(kronecker.cartan, (n, n)) for n in range(4)] == [1, 2, 6, 14]
+    assert weyl_kac_dim(kronecker.cartan, (8, 4)) == 51
     # two vertices with no arrow: f is the polynomial ring in two letters
-    assert weyl_kac_dim(load_datum(Quiver((1, 2), ())), (3, 2)) == 1
+    assert weyl_kac_dim(load_datum(Quiver((1, 2), ())).cartan, (3, 2)) == 1
     assert weyl_kac_dim.cache_parameters()["maxsize"] is not None

@@ -394,9 +394,17 @@ def cold_bases():
 
 
 def test_a_wrong_weyl_kac_dimension_makes_weight_basis_raise(monkeypatch, cold_bases):
-    monkeypatch.setattr(falgebra, "weyl_kac_dim", lambda d, nu: weyl_kac_dim(d, nu) + 1)
+    monkeypatch.setattr(falgebra, "weyl_kac_dim", lambda a, nu: weyl_kac_dim(a, nu) + 1)
     with pytest.raises(RuntimeError, match="Weyl-Kac"):
         weight_basis(A2, (1, 1))
+
+
+def test_weight_basis_builds_only_the_lower_root_weights(cold_bases):
+    # every positive root of D4 lies below the highest root, and no other
+    # weight carries a good Lyndon word, so no other basis is built
+    d = load_datum(load_quiver("2->1,2->3,2->4"))
+    assert weight_basis(d, (1, 2, 1, 1)).dim == weyl_kac_dim(d.cartan, (1, 2, 1, 1))
+    assert weight_basis.cache_info().currsize == len(positive_roots(d)) == 12
 
 
 def test_missing_lyndon_candidates_make_weight_basis_raise(monkeypatch, cold_bases):

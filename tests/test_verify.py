@@ -212,7 +212,7 @@ def test_kostant_dims_pass_on_the_kronecker_quiver():
 
 
 def test_kostant_dims_fail_on_a_wrong_weyl_kac_dimension(monkeypatch):
-    monkeypatch.setattr(verify, "weyl_kac_dim", lambda d, nu: 1)
+    monkeypatch.setattr(verify, "weyl_kac_dim", lambda a, nu: 1)
     s = Session(load_datum(load_quiver("1->2,1->2")), weight_bound=2)
     r = verify._run("f-dims-kostant", verify._check_f_dims_kostant, s)
     assert r.status == "fail"
