@@ -200,6 +200,8 @@ def pairing_phi(a: HalfElement, b: HalfElement) -> RatFunc:
     the coweights and weights times the bilinear form of the words."""
     if a.sign != "plus" or b.sign != "minus":
         raise ValueError("pairing takes a plus element and a minus element")
+    if a.datum != b.datum:
+        raise ValueError("operands live over different data")
     d = a.datum
 
     def value(k1, k2):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cartan import CartanDatum
-from .lincomb import LinComb, bilinear, linear
+from .lincomb import LinComb, bilinear, linear, merge
 from .ratfunc import ONE, ONE_POLY, IntPoly, RatFunc, ZERO, v_pow
 
 Word = tuple[int, ...]
@@ -87,20 +87,22 @@ def _concat(w1: Word, w2: Word) -> tuple:
 
 
 def twisted_tensor_mul(t1: TensorElement, t2: TensorElement) -> TensorElement:
-    """(x ⊗ y)(x' ⊗ y') = v^(|y|,|x'|) xx' ⊗ yy'."""
+    """(x ⊗ y)(x' ⊗ y') = v^(|y|,|x'|) xx' ⊗ yy', each twist computed once
+    per weight pair and applied as a shift."""
     if t1.datum != t2.datum:
         raise ValueError("operands live over different data")
     d = t1.datum
-    # each key carries the weight that the twist reads from it
-    xs = [((x, y, d.weight_of_word(y)), c) for (x, y), c in t1.terms.items()]
-    ys = [((x, y, d.weight_of_word(x)), c) for (x, y), c in t2.terms.items()]
-
-    def image(k1, k2):
-        (x1, y1, wt_y1), (x2, y2, wt_x2) = k1, k2
-        twist = d.sym_form(wt_y1, wt_x2)
-        return (((x1 + x2, y1 + y2), v_pow(twist) if twist else ONE),)
-
-    return t1._like(bilinear(xs, ys, image))
+    ys = [(x, y, d.weight_of_word(x), c) for (x, y), c in t2.terms.items()]
+    twists: dict = {}
+    out: dict = {}
+    for (x1, y1), c1 in t1.terms.items():
+        wt_y1 = d.weight_of_word(y1)
+        for x2, y2, wt_x2, c2 in ys:
+            t = twists.get((wt_y1, wt_x2))
+            if t is None:
+                t = twists[wt_y1, wt_x2] = d.sym_form(wt_y1, wt_x2)
+            merge(out, (x1 + x2, y1 + y2), (c1 * c2).shift(t))
+    return t1._like(out)
 
 
 # coproduct_word and words_of_weight are bounded above the largest fill

@@ -260,21 +260,12 @@ def ti_restricted(vertex: int, x: FElement) -> FElement:
     """The symmetry restricted to the left kernel subalgebra; the image
     must land in the positive part, which doubles as the membership
     check."""
-    return _restricted(ti_apply, vertex, x, "left")
-
-
-def ti_restricted_inverse(vertex: int, x: FElement) -> FElement:
-    """The inverse symmetry restricted to the right kernel subalgebra."""
-    return _restricted(ti_inverse_apply, vertex, x, "right")
-
-
-def _restricted(apply_fn, vertex: int, x: FElement, side: str) -> FElement:
     try:
-        return plus_part(apply_fn(vertex, embed_plus(x)))
+        return plus_part(ti_apply(vertex, embed_plus(x)))
     except ValueError:
         raise ValueError(
             "image leaves the positive part; the input is not in the "
-            f"{side} kernel subalgebra"
+            "left kernel subalgebra"
         ) from None
 
 

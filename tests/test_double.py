@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from qhall import double
-from qhall.cartan import A2, A3
+from qhall.cartan import A2, A3, load_datum, quiver_from_shorthand
 from qhall.double import (
     DoubleElement,
     HalfElement,
@@ -147,6 +147,14 @@ def test_pairing_basics():
     assert pairing_phi(ka, kb) == v_pow(1)
     with pytest.raises(ValueError):
         pairing_phi(t1m, t1p)
+
+
+def test_pairing_rejects_mixed_data():
+    kronecker = load_datum(quiver_from_shorthand("1->2,1->2"))
+    plus = HalfElement.generator(A2, "plus", 1)
+    minus = HalfElement.generator(kronecker, "minus", 1)
+    with pytest.raises(ValueError, match="operands live over different data"):
+        pairing_phi(plus, minus)
 
 
 def test_cross_relation_is_commutator():

@@ -1,8 +1,9 @@
 import itertools
+import random
 from pathlib import Path
 
 from qhall import freealg
-from qhall.cartan import A2, A3
+from qhall.cartan import A2, A3, load_datum, quiver_from_shorthand
 from qhall.exprs import parse_scalar
 from qhall.freealg import (
     FreeElement,
@@ -15,6 +16,7 @@ from qhall.freealg import (
     twisted_tensor_mul,
     words_of_weight,
 )
+from qhall.lincomb import merge
 from qhall.ratfunc import ONE, ZERO, v_pow
 
 
@@ -42,6 +44,35 @@ def test_twisted_tensor_rule():
     c = TensorElement(A2, {((), (1,)): ONE})
     d = TensorElement(A2, {((1,), ()): ONE})
     assert twisted_tensor_mul(c, d).terms == {((1,), (1,)): v_pow(2)}
+
+
+def _twisted_tensor_reference(s, t):
+    """The twisted tensor product term by term, each twist a fresh v-power."""
+    d = s.datum
+    out = {}
+    for (x1, y1), c1 in s.terms.items():
+        for (x2, y2), c2 in t.terms.items():
+            twist = d.sym_form(d.weight_of_word(y1), d.weight_of_word(x2))
+            merge(out, (x1 + x2, y1 + y2), c1 * c2 * v_pow(twist))
+    return TensorElement(d, out)
+
+
+def test_twisted_tensor_mul_matches_term_by_term_reference():
+    kronecker = load_datum(quiver_from_shorthand("1->2,1->2"))
+    scalars = [parse_scalar(c) for c in ("1", "-v^2", "v + 1", "1/(v^2 + 1)", "(v - 3)/(v + 1)")]
+    for d in (A2, A3, kronecker):
+        rng = random.Random(31)
+
+        def word():
+            return tuple(rng.choice(d.vertices) for _ in range(rng.randint(0, 2)))
+
+        def tensor():
+            n = rng.randint(1, 4)
+            return TensorElement(d, {(word(), word()): rng.choice(scalars) for _ in range(n)})
+
+        for _ in range(40):
+            s, t = tensor(), tensor()
+            assert twisted_tensor_mul(s, t) == _twisted_tensor_reference(s, t)
 
 
 def test_coproduct_generator_and_unit():

