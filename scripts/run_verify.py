@@ -30,7 +30,15 @@ hall-orientation-independence walks all 32 of its orientations at that
 bound capped at 1 per vertex.  The E6-f row runs the f suite on E6 at
 the defaults, where the alphabet order matters most: f-dims-kostant
 compares its weight bases to weight 4 with the greedy pass, the
-Weyl-Kac dimension and the Kostant count."""
+Weyl-Kac dimension and the Kostant count.
+
+Every orientation of a graph loads the same datum, its vertices and
+Cartan matrix, so rows of one graph share the symbolic memos in this one
+process: A2 and A2-reversed, D4 and D4-centre-sink, and E6 and E6-f.  A
+later row of such a pair reads the weight bases, normal forms and U and
+T_i tables the earlier one built; only its Hall side is its own.  A3 and
+1->3,3->2 do not share: the path 1 - 3 - 2 has another Cartan matrix on
+the same vertex ids."""
 
 import sys
 import time

@@ -2,13 +2,15 @@
 
 Vertices carry a total order (their input order); dimension vectors and
 coweights are tuples aligned with that order.  All values are immutable
-and hashable, which lets the heavier modules memoize on the datum.
+and hashable, which lets the heavier modules memoize on the datum.  A
+datum is its vertices and Cartan matrix: every orientation of a graph
+loads the same datum, so they all share the symbolic memos.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, neg, sub
@@ -38,6 +40,21 @@ class Quiver:
 
     def __hash__(self):
         return self._hash
+
+    def index(self, vertex: int) -> int:
+        try:
+            return self.vertices.index(vertex)
+        except ValueError:
+            raise ValueError(
+                f"unknown vertex {vertex}; the vertices are "
+                + ", ".join(map(str, self.vertices))
+            ) from None
+
+    def euler_form(self, a: tuple, b: tuple) -> int:
+        total = sum(map(mul, a, b))
+        for s, t in self.arrows:
+            total -= a[self.index(s)] * b[self.index(t)]
+        return total
 
     def reversed_arrows(self, subset: frozenset[int]) -> "Quiver":
         arrows = tuple(
@@ -119,31 +136,22 @@ def load_quiver(spec: str) -> Quiver:
 
 @dataclass(frozen=True)
 class CartanDatum:
-    quiver: Quiver
+    vertices: tuple[int, ...]
     cartan: tuple[tuple[int, ...], ...]
+    # the quiver it was loaded from, for the Hall side: not in the value
+    quiver: Quiver = field(compare=False, repr=False)
 
     def __post_init__(self):
-        _store_hash(self, (self.quiver, self.cartan))
+        _store_hash(self, (self.vertices, self.cartan))
 
     def __hash__(self):
         return self._hash
 
     @property
-    def vertices(self) -> tuple[int, ...]:
-        return self.quiver.vertices
-
-    @property
     def rank(self) -> int:
-        return len(self.quiver.vertices)
+        return len(self.vertices)
 
-    def index(self, vertex: int) -> int:
-        try:
-            return self.quiver.vertices.index(vertex)
-        except ValueError:
-            raise ValueError(
-                f"unknown vertex {vertex}; the vertices are "
-                + ", ".join(map(str, self.quiver.vertices))
-            ) from None
+    index = Quiver.index  # reads only the vertices
 
     def a(self, i: int, j: int) -> int:
         return self.cartan[self.index(i)][self.index(j)]
@@ -205,12 +213,6 @@ class CartanDatum:
         """The coweight sum nu_j h_j attached to a dimension vector."""
         return tuple(nu)
 
-    def euler_form(self, a: tuple, b: tuple) -> int:
-        total = sum(x * y for x, y in zip(a, b))
-        for s, t in self.quiver.arrows:
-            total -= a[self.index(s)] * b[self.index(t)]
-        return total
-
 
 def load_datum(quiver: Quiver) -> CartanDatum:
     """Symmetric Cartan matrix of a quiver: 2 on the diagonal, minus the
@@ -229,7 +231,7 @@ def load_datum(quiver: Quiver) -> CartanDatum:
             else:
                 row.append(-(counts[i][j] + counts[j][i]))
         cartan.append(tuple(row))
-    return CartanDatum(quiver, tuple(cartan))
+    return CartanDatum(quiver.vertices, tuple(cartan), quiver)
 
 
 def sigma_i(vertex: int, quiver: Quiver) -> Quiver:

@@ -299,9 +299,8 @@ def cmd_hall(args) -> int:
         )
         return 0
     if args.hall_cmd == "compare":
-        datum = load_datum(quiver)
         dims_a, dims_b = (_parse_dims(x, rank) for x in (args.dimA, args.dimB))
-        report = hall.specialize_compare(datum, dims_a, dims_b, args.field_q, s.budget)
+        report = hall.specialize_compare(quiver, dims_a, dims_b, args.field_q, s.budget)
         ok = all(r["match"] for r in report)
         payload = {
             "schema": SCHEMA,

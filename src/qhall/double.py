@@ -40,7 +40,7 @@ PAIRING_CONSTANT = (v_pow(-1) - v_pow(1)).inverse()
 
 
 # reduced_splits, _antipode_word and _cross are bounded above the largest
-# fill measured: one scripts/run_verify.py process leaves 36, 62 and 60
+# fill measured: one scripts/run_verify.py process leaves 29, 50 and 48
 # entries in them, one symbolic-verify round 19, 34 and 30, and the
 # u-queries stream none.
 @lru_cache(maxsize=128)

@@ -133,11 +133,11 @@ def greedy_basis(datum: CartanDatum, nu: tuple) -> WeightBasis:
 
 # weight_basis, _normal_form_word, sub_if_basis and _decompose_word are
 # bounded above the largest fill measured: scripts/run_verify.py leaves
-# 1,345, 4,988, 1,170 and 2,142 entries in them before its E6-f row, one
-# symbolic-verify round 168, 703, 180 and 262, and the u-queries stream
+# 349, 2,998, 1,110 and 2,054 entries in them before its E6-f row, one
+# symbolic-verify round 93, 572, 180 and 262, and the u-queries stream
 # 47, 184, 30 and 36.  A basis builds those of the lower root weights (20
 # bases in Kronecker ti-subalgebra-equivalence at weight bound 3); E6-f
-# builds 6,968 over E6's 32 orientations in turn, evicting finished ones.
+# adds 451 bases and fills the other three, evicting finished entries.
 @lru_cache(maxsize=2048)
 def weight_basis(datum: CartanDatum, nu: tuple) -> WeightBasis:
     """The greedy basis of f_nu, bordered over the products of lower good

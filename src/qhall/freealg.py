@@ -106,8 +106,8 @@ def twisted_tensor_mul(t1: TensorElement, t2: TensorElement) -> TensorElement:
 
 
 # coproduct_word and words_of_weight are bounded above the largest fill
-# measured: one scripts/run_verify.py process leaves 1,777 and 821 entries
-# in them, one symbolic-verify round 427 and 105, and the u-queries stream
+# measured: one scripts/run_verify.py process leaves 3,059 and 389 entries
+# in them, one symbolic-verify round 427 and 35, and the u-queries stream
 # none.
 @lru_cache(maxsize=4096)
 def coproduct_word(datum: CartanDatum, word: Word) -> tuple:
@@ -144,10 +144,10 @@ def _derive_word(datum: CartanDatum, vertex: int, word: Word, side: str) -> list
     return out
 
 
-# _form_words is shared by every weight and every caller, and bounded
-# above the largest fill measured: one scripts/run_verify.py process
-# leaves 32,232 entries in it, one symbolic-verify round 2,274, the
-# u-queries stream 601 and one hall-verify round 468.
+# _form_words is shared by every weight and every caller: one
+# scripts/run_verify.py process leaves 20,875 entries in it before its
+# E6-f row, which fills it to the bound, one symbolic-verify round 2,045,
+# the u-queries stream 601 and one hall-verify round 372.
 @lru_cache(maxsize=1 << 16)
 def _form_words(datum: CartanDatum, w: Word, u: Word) -> IntPoly:
     """The form (w, u) at generator normalization 1, for words w and u of

@@ -24,7 +24,6 @@ from math import isqrt
 from types import MappingProxyType
 
 from .cartan import (
-    CartanDatum,
     Quiver,
     is_sink,
     is_source,
@@ -900,7 +899,7 @@ def _class_product(
     dims_a, dims_b = key_a[0], key_b[0]
     dims_m = tuple(x + y for x, y in zip(dims_a, dims_b))
     _require_subspaces(q, dims_m, dims_b, budget)
-    twist = Fraction(v_num) ** load_datum(quiver).euler_form(dims_a, dims_b)
+    twist = Fraction(v_num) ** quiver.euler_form(dims_a, dims_b)
     rows = []
     for key_m, (rep, _size) in _class_table(quiver, q, dims_m, budget).items():
         if g := _hall_tally(quiver, q, key_m, dims_b).get((key_a, key_b), 0):
@@ -953,7 +952,7 @@ def stratum_index(x: QuiverRep, vertex: int) -> int:
 def stratum_counts(
     quiver: Quiver, dims: tuple, q: int, vertex: int, budget: int = DEFAULT_BUDGET
 ) -> list[int]:
-    ni = dims[load_datum(quiver).index(vertex)]
+    ni = dims[quiver.index(vertex)]
     if not (is_sink(vertex, quiver) or is_source(vertex, quiver)):
         raise ValueError(f"vertex {vertex} is neither a sink nor a source")
     counts = [0] * (ni + 1)
@@ -1003,7 +1002,7 @@ def bgp_reflect(vertex: int, x: QuiverRep) -> QuiverRep:
 
 
 def specialize_compare(
-    datum: CartanDatum,
+    quiver: Quiver,
     nu_a: tuple,
     nu_b: tuple,
     q: int,
@@ -1014,12 +1013,12 @@ def specialize_compare(
     match the symbolic structure constants evaluated at v = sqrt(q).
 
     images maps each theta-word to its Hall function; a caller comparing
-    several weights on the same datum and q can pass one dict to every
+    several weights on the same quiver and q can pass one dict to every
     call, so that no word's function is computed twice."""
     v_num = isqrt(q)
     if v_num * v_num != q:
         raise ValueError("comparison needs a perfect-square q")
-    quiver = datum.quiver
+    datum = load_datum(quiver)
     if images is None:
         images = {}
 

@@ -95,7 +95,7 @@ def _sigma(x: UElement) -> UElement:
 
 # _table, _certified, _word_image, _pair_image, _divided_image and
 # _t_tilde_word are bounded above the largest fill measured: one
-# scripts/run_verify.py process leaves 22, 11, 1,226, 742, 88 and 460
+# scripts/run_verify.py process leaves 18, 9, 1,102, 664, 72 and 408
 # entries in them, one symbolic-verify round 10, 5, 370, 280, 34 and 124,
 # and the u-queries stream 6, 3, 363, 856, 18 and 72.  The rows of
 # _pair_image hold shared keys, coefficients and pairing vectors

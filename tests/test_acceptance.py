@@ -88,7 +88,7 @@ def test_criterion_09_hall_oracle_agreement():
                 continue
             if not any(nu_a) or not any(nu_b):
                 continue
-            report = hall.specialize_compare(A2, nu_a, nu_b, 4)
+            report = hall.specialize_compare(A2.quiver, nu_a, nu_b, 4)
             ok = ok and all(r["match"] for r in report)
     record(9, "hall-oracle-agreement", ok)
 

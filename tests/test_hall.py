@@ -145,7 +145,6 @@ def _reference_hall_product(a, b, v_num, budget=hall.DEFAULT_BUDGET):
     """The twisted product by a loop over every class of the product's
     dimension vector, looking up each Hall number: no product memo."""
     quiver, q = a.quiver, a.q
-    datum = load_datum(quiver)
 
     def image(term_a, term_b):
         (dims_a, pa), (dims_b, pb) = term_a, term_b
@@ -154,7 +153,7 @@ def _reference_hall_product(a, b, v_num, budget=hall.DEFAULT_BUDGET):
             hall.class_key(QuiverRep(quiver, q, dims_b, pb)),
         )
         dims_m = tuple(x + y for x, y in zip(dims_a, dims_b))
-        twist = Fraction(v_num) ** datum.euler_form(dims_a, dims_b)
+        twist = Fraction(v_num) ** quiver.euler_form(dims_a, dims_b)
         for key_m, (rep, _size) in hall._class_table(quiver, q, dims_m, budget).items():
             g = hall._hall_tally(quiver, q, key_m, dims_b).get(key_ab, 0)
             if g:
@@ -443,13 +442,13 @@ def test_graded_subreps_match_stable_spans(spec, bound, q):
 
 def test_specialize_compare():
     for nu_a, nu_b in [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (1, 1)), ((2, 0), (0, 1))]:
-        report = specialize_compare(A2, nu_a, nu_b, 4)
+        report = specialize_compare(Q, nu_a, nu_b, 4)
         assert report and all(r["match"] for r in report)
 
 
 def test_specialize_compare_needs_square_q():
     with pytest.raises(ValueError):
-        specialize_compare(A2, (1, 0), (0, 1), 3)
+        specialize_compare(Q, (1, 0), (0, 1), 3)
 
 
 def test_hall_word_unit():
@@ -458,10 +457,10 @@ def test_hall_word_unit():
 
 
 def test_orientation_independence_of_composition_constants():
-    rev = load_datum(quiver_from_shorthand("2->1"))
+    rev = quiver_from_shorthand("2->1")
     for nu_a, nu_b in [((1, 0), (0, 1)), ((1, 1), (1, 0)), ((1, 1), (1, 1))]:
-        for datum in (A2, rev):
-            report = specialize_compare(datum, nu_a, nu_b, 4)
+        for quiver in (Q, rev):
+            report = specialize_compare(quiver, nu_a, nu_b, 4)
             assert all(r["match"] for r in report)
 
 

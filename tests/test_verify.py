@@ -2,7 +2,7 @@ import importlib.util
 import pathlib
 
 from qhall import verify
-from qhall.cartan import load_datum, load_quiver
+from qhall.cartan import CartanDatum, Quiver, load_datum, load_quiver
 from qhall.verify import CheckResult, Session
 
 SCRIPT = pathlib.Path(__file__).parent.parent / "scripts" / "run_verify.py"
@@ -72,6 +72,26 @@ def test_hall_orientation_check_keeps_the_hall_bound(monkeypatch):
     assert calls and all(bound == (1, 1, 0) for bound in calls)
 
 
+def test_orientation_check_fails_on_an_orientation_dependent_matrix(monkeypatch):
+    # a stand-in that counts only the arrows i -> j with i < j, so that
+    # reversing 1 -> 2 loses the edge between 1 and 2
+    real = verify.load_datum
+
+    def lopsided(quiver):
+        kept = tuple((s, t) for s, t in quiver.arrows if s < t)
+        d = real(Quiver(quiver.vertices, kept))
+        return CartanDatum(d.vertices, d.cartan, quiver)
+
+    s = Session(load_datum(load_quiver("1->2,2->3")))
+    monkeypatch.setattr(verify, "load_datum", lopsided)
+    r = verify._run("f-orientation-independence", verify._check_f_orientation, s)
+    assert r.status == "fail"
+    assert r.detail == (
+        "Cartan matrix of ((2, 1), (2, 3)): got ((2, 0, 0), (0, 2, -1), (0, -1, 2)), "
+        "want ((2, -1, 0), (-1, 2, -1), (0, -1, 2))"
+    )
+
+
 def test_a_wrong_generator_image_fails_with_its_counterexample(monkeypatch):
     # T_1(E2) on A2 is E1*E2 - v^-1*E2*E1; make it off by E2
     d = load_datum(load_quiver("1->2"))
@@ -85,8 +105,9 @@ def test_a_wrong_generator_image_fails_with_its_counterexample(monkeypatch):
     monkeypatch.setattr(verify.sym, "ti_apply", wrong)
     r = verify._run("ti-generator-formulas", verify._check_ti_tables, Session(d))
     assert r.status == "fail" and not r.ok
-    want = real(1, e2)
-    assert r.detail == f"T_1(E2): got {want + e2}, want {want}"
+    (key,) = e2.terms
+    assert key not in real(1, e2).terms
+    assert r.detail == f"T_1(E2): differ at {key}: got 1, want 0"
 
 
 def test_a_wrong_t_tilde_word_image_fails_with_the_word_and_both_images(monkeypatch):
@@ -103,8 +124,9 @@ def test_a_wrong_t_tilde_word_image_fails_with_the_word_and_both_images(monkeypa
     monkeypatch.setattr(verify.sym, "_t_tilde_word", wrong)
     r = verify._run("ti-decomposition-route", verify._check_ti_ttilde, Session(d))
     assert r.status == "fail"
-    want = verify.sym.ti_apply(1, f2)
-    assert r.detail == f"T~_1 vs T_1 on F(2,): got {want + f2}, want {want}"
+    (key,) = f2.terms
+    assert key not in verify.sym.ti_apply(1, f2).terms
+    assert r.detail == f"T~_1 vs T_1 on F(2,): differ at {key}: got 1, want 0"
 
 
 def test_a_wrong_divided_power_image_fails_the_twist_check(monkeypatch):
@@ -123,7 +145,7 @@ def test_a_wrong_divided_power_image_fails_the_twist_check(monkeypatch):
     finally:
         real.cache_clear()
     assert r.status == "fail"
-    assert r.detail.startswith("T_1(F1^(0)): got v, want 1")
+    assert r.detail.startswith("T_1(F1^(0)): differ at ((), (0, 0), ()): got v, want 1")
 
 
 def test_a_wrong_pairing_constant_fails_the_pairing_and_cross_checks(monkeypatch):
@@ -168,6 +190,22 @@ def test_sides_that_print_alike_name_their_data():
     # sides that print apart keep the short form
     r = verify._run("ints", verify._expect, "int", 1, 2)
     assert r.detail == "int: got 1, want 2"
+
+
+def test_a_wrong_coefficient_is_the_only_key_in_the_detail():
+    # six words of weight (2, 2) print longer than one side may, and the
+    # planted key sorts last, so printing whole sides would cut it off
+    d = load_datum(load_quiver("1->2"))
+    words = sorted(verify.words_of_weight(d, (2, 2)))
+    want = verify.FreeElement(d, {w: verify.v_pow(k) for k, w in enumerate(words)})
+    key = words[-1]
+    got = want._like({**want.terms, key: verify.ONE})
+    detail = f"planted: differ at {key}: got 1, want {verify.v_pow(len(words) - 1)}"
+    for sides in ((got, want), (got.terms, want.terms)):
+        r = verify._run("planted", verify._expect, "planted", *sides)
+        assert r.status == "fail"
+        assert r.detail == detail
+        assert not any(str(w) in r.detail for w in words[:-1])
 
 
 def test_elements_are_printed_only_on_failure():
