@@ -53,6 +53,8 @@ COMMANDS = [
     "hall strata 1->2,2->3 1,2,1 2 1",
     "hall compare 1->2,2->3 1,1,0 0,1,1 --q 4",
     f"{A3} double mul p(th1*th2) m(th2)",
+    "braid verify 1 2",
+    "--datum 1->2,2->3 braid verify 1 3",
 ]
 
 
