@@ -19,8 +19,9 @@ on D4 with its branch vertex a sink, where hall-bgp-bijection reflects
 classes without walking its 3^16 points at q = 3, so the budget counts
 classes there.  The u, double and f suites run on the Kronecker quiver,
 whose a_12 = -2 puts the product and antipode twists off the
-simply-laced data; its ti suite is left out, as no budget bounds it
-yet.  Its f-dims-kostant compares with the Weyl-Kac dimension alone, as
+simply-laced data; its ti suite is left out for its time: it passes,
+but ti-subalgebra-equivalence alone takes minutes, as no budget bounds
+it yet.  Its f-dims-kostant compares with the Weyl-Kac dimension alone, as
 there is no Kostant count.  Its hall suite classifies by orbit search,
 the route of every quiver that is not Dynkin.  The row has one skip:
 hall-bgp-bijection, as orbit search for the class table of a reflected

@@ -181,14 +181,6 @@ class CartanDatum:
         col = self.index(vertex)
         return sum(m * row[col] for m, row in zip(mu, self.cartan))
 
-    def alpha_weight(self, nu: tuple, mu: tuple) -> int:
-        """Linear extension sum_j nu_j alpha_j(mu)."""
-        total = 0
-        for j, nj in enumerate(nu):
-            if nj:
-                total += nj * sum(mu[k] * self.cartan[k][j] for k in range(self.rank))
-        return total
-
     def reflect_dim(self, vertex: int, nu: tuple) -> tuple:
         i = self.index(vertex)
         drop = sum(self.cartan[i][j] * nu[j] for j in range(self.rank))
@@ -208,10 +200,6 @@ class CartanDatum:
         for letter in word:
             out[self.index(letter)] += 1
         return tuple(out)
-
-    def coweight_of_dim(self, nu: tuple) -> tuple:
-        """The coweight sum nu_j h_j attached to a dimension vector."""
-        return tuple(nu)
 
 
 def load_datum(quiver: Quiver) -> CartanDatum:

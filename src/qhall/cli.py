@@ -6,11 +6,11 @@ and verify.  Global flags pick the quiver, the enumeration budget, and
 JSON output; the hall subcommands take the field size as an argument.
 
 Exit codes: 0 when every requested check passed, 1 when a check
-failed, 2 on bad input or an enumeration past the budget, with one
-line on stderr, and 141 (128 + SIGPIPE, as a shell reports a writer
-killed by a closed pipe) when the reader of standard output closes it
-early, as `qhall --json verify ti | head -c 100` does; nothing is printed
-then.
+failed, 2 on bad input, input too deep or too long for the interpreter's
+stack, or an enumeration past the budget, with one line on stderr, and
+141 (128 + SIGPIPE, as a shell reports a writer killed by a closed pipe)
+when the reader of standard output closes it early, as
+`qhall --json verify ti | head -c 100` does; nothing is printed then.
 
 `python -m qhall` runs the same command line from a source checkout.
 """
@@ -218,7 +218,7 @@ def cmd_u(args) -> int:
         return 0
     if args.u_cmd == "hopf-check":
         val = _as_u(d, parse_expr(d, args.expr))
-        ok = ua.hopf_axiom_check(val)
+        ok = all(got == want for _name, got, want in ua.hopf_sides(val))
         _emit(args, {"schema": SCHEMA, "hopf": ok}, "pass" if ok else "fail")
         return 0 if ok else 1
     raise SystemExit(f"unknown u subcommand {args.u_cmd}")
@@ -238,7 +238,8 @@ def cmd_ti(args) -> int:
 
 def cmd_braid(args) -> int:
     s = _session(args)
-    ok = sym.braid_verify(s.datum, args.i, args.j)
+    sides = sym.braid_sides(s.datum, args.i, args.j)
+    ok = all(lhs == rhs for _g, lhs, rhs in sides)
     _emit(args, {"schema": SCHEMA, "braid": ok}, "pass" if ok else "fail")
     return 0 if ok else 1
 
@@ -301,22 +302,19 @@ def cmd_hall(args) -> int:
     if args.hall_cmd == "compare":
         dims_a, dims_b = (_parse_dims(x, rank) for x in (args.dimA, args.dimB))
         report = hall.specialize_compare(quiver, dims_a, dims_b, args.field_q, s.budget)
-        ok = all(r["match"] for r in report)
-        payload = {
-            "schema": SCHEMA,
-            "q": args.field_q,
-            "checks": [
-                {
-                    "left": "*".join(f"th{i}" for i in r["left"]) or "1",
-                    "right": "*".join(f"th{i}" for i in r["right"]) or "1",
-                    "match": r["match"],
-                }
-                for r in report
-            ],
-        }
+        checks = [
+            {
+                "left": "*".join(f"th{i}" for i in w1) or "1",
+                "right": "*".join(f"th{i}" for i in w2) or "1",
+                "match": lhs == rhs,
+            }
+            for w1, w2, lhs, rhs in report
+        ]
+        ok = all(c["match"] for c in checks)
+        payload = {"schema": SCHEMA, "q": args.field_q, "checks": checks}
         text = "\n".join(
             f"{c['left']} . {c['right']}: {'ok' if c['match'] else 'MISMATCH'}"
-            for c in payload["checks"]
+            for c in checks
         )
         _emit(args, payload, text)
         return 0 if ok else 1
@@ -469,6 +467,9 @@ def main(argv=None) -> int:
         return code
     except (ValueError, hall.BudgetExceeded) as e:  # bad input, or too big
         print(f"qhall: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:  # past the interpreter's stack, as too big
+        print("qhall: input too deeply nested or too long", file=sys.stderr)
         return 2
     except BrokenPipeError:
         _stdout_to_devnull()

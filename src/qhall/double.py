@@ -107,7 +107,7 @@ def half_mul(sign: str, a: HalfElement, b: HalfElement) -> HalfElement:
     def image(k1, k2):
         (m1, w1), (m2, w2) = k1, k2
         mu = add_vec(m1, m2)
-        move = eps * d.alpha_weight(d.weight_of_word(w1), m2)
+        move = eps * d.sym_form(d.weight_of_word(w1), m2)
         return (((mu, bw), cw.shift(move)) for bw, cw in _normal_form_word(d, w1 + w2))
 
     return a._like(bilinear(a.terms.items(), b.terms.items(), image))
@@ -132,12 +132,11 @@ def half_delta(sign: str, a: HalfElement) -> HalfTensor:
         for (w1, w2), cc in reduced_splits(d, word):
             nu1 = d.weight_of_word(w1)
             nu2 = d.weight_of_word(w2)
-            mu2 = d.coweight_of_dim(nu2)
             move = -d.sym_form(nu1, nu2)
             if sign == "plus":
-                key = ((add_vec(mu, mu2), w1), (mu, w2))
+                key = ((add_vec(mu, nu2), w1), (mu, w2))
             else:
-                key = ((mu, w2), (sub_vec(mu, mu2), w1))
+                key = ((mu, w2), (sub_vec(mu, nu2), w1))
             yield key, cc.shift(move)
 
     return HalfTensor(d, sign)._like(linear(a.terms.items(), image))
@@ -151,10 +150,9 @@ def _antipode_word(datum: CartanDatum, sign: str, word: Word) -> HalfElement:
     if not word:
         return HalfElement.unit(datum, sign)
     nu = datum.weight_of_word(word)
-    mu_nu = datum.coweight_of_dim(nu)
     bare = HalfElement.of_f(datum, sign, FElement(datum, {word: ONE}))
     if sign == "plus":
-        lead = half_mul(sign, HalfElement.torus(datum, sign, neg_vec(mu_nu)), bare)
+        lead = half_mul(sign, HalfElement.torus(datum, sign, neg_vec(nu)), bare)
     else:
         lead = bare
 
@@ -163,7 +161,7 @@ def _antipode_word(datum: CartanDatum, sign: str, word: Word) -> HalfElement:
         if not w1 or not w2:
             return ()
         nu2 = datum.weight_of_word(w2)
-        k_neg2 = HalfElement.torus(datum, sign, neg_vec(datum.coweight_of_dim(nu2)))
+        k_neg2 = HalfElement.torus(datum, sign, neg_vec(nu2))
         first = HalfElement.of_f(datum, sign, FElement(datum, {w1: ONE}))
         second = HalfElement.of_f(datum, sign, FElement(datum, {w2: ONE}))
         if sign == "plus":
@@ -180,7 +178,7 @@ def _antipode_word(datum: CartanDatum, sign: str, word: Word) -> HalfElement:
     acc = lead + lead._like(linear(reduced_splits(datum, word), piece))
     if sign == "plus":
         return acc.scale(MINUS_ONE)
-    return half_mul(sign, acc, HalfElement.torus(datum, sign, mu_nu)).scale(MINUS_ONE)
+    return half_mul(sign, acc, HalfElement.torus(datum, sign, nu)).scale(MINUS_ONE)
 
 
 def half_antipode(sign: str, a: HalfElement) -> HalfElement:
@@ -209,7 +207,7 @@ def pairing_phi(a: HalfElement, b: HalfElement) -> RatFunc:
         nu = d.weight_of_word(w1)
         if nu != d.weight_of_word(w2):
             return ZERO
-        expo = d.alpha_weight(nu, alpha) - d.alpha_weight(nu, beta)
+        expo = d.sym_form(nu, alpha) - d.sym_form(nu, beta)
         val = word_form(d, w1, w2, PAIRING_CONSTANT)
         return val.shift(expo - d.sym_form(alpha, beta))
 
@@ -280,17 +278,16 @@ def _cross(datum: CartanDatum, pword: Word, mword: Word) -> DoubleElement:
         if wt_x1 == wt_y2:
             val = word_form(datum, x1, y2, PAIRING_CONSTANT)
             if val:
-                yield (y1, neg_vec(datum.coweight_of_dim(wt_y2)), x2), val
+                yield (y1, neg_vec(wt_y2), x2), val
         if wt_x2 == wt_y1 and any(wt_x2):
             val = word_form(datum, x2, y1, PAIRING_CONSTANT)
             if val:
-                # k_mu (x1 y2) with mu the coweight of wt x2, k_mu moved
+                # k_mu (x1 y2) with mu = wt x2 as a coweight, k_mu moved
                 # to the torus slot past each term's minus word
-                mu = datum.coweight_of_dim(wt_x2)
                 scale = (-val).shift(-datum.sym_form(wt_x1, wt_x2))
                 for (mw, kappa, pw), c in _cross(datum, x1, y2).terms.items():
-                    move = -datum.alpha_weight(weight(mw), mu)
-                    yield (mw, add_vec(mu, kappa), pw), scale * c.shift(move)
+                    move = -datum.sym_form(weight(mw), wt_x2)
+                    yield (mw, add_vec(wt_x2, kappa), pw), scale * c.shift(move)
 
     splits = (reduced_splits(datum, pword), reduced_splits(datum, mword))
     return DoubleElement(datum)._like(bilinear(*splits, image))
@@ -306,8 +303,8 @@ def double_mul(x: DoubleElement, y: DoubleElement) -> DoubleElement:
         (m1, k1, p1), (m2, k2, p2) = key1, key2
         for (mw, kappa, pw), cc in _cross(d, p1, m2).terms.items():
             move = (
-                -d.alpha_weight(d.weight_of_word(mw), k1)
-                - d.alpha_weight(d.weight_of_word(pw), k2)
+                -d.sym_form(d.weight_of_word(mw), k1)
+                - d.sym_form(d.weight_of_word(pw), k2)
             )
             mu = add_vec(add_vec(k1, kappa), k2)
             coeff = cc.shift(move)

@@ -338,18 +338,3 @@ def _i_decompose_side(vertex: int, x: FElement, side: str) -> list:
     for (t, w), c in rows.items():
         pieces.setdefault(t, {})[w] = c
     return [(t, x._like(p)) for t, p in sorted(pieces.items())]
-
-
-def dim_decomposition_check(datum: CartanDatum, vertex: int, nu: tuple) -> bool:
-    """dim f_nu equals the sum over t of the kernel-subspace dimensions."""
-    idx = datum.index(vertex)
-    total = 0
-    for t in range(nu[idx] + 1):
-        level = sub_vec(nu, scale_vec(t, datum.unit_vec(vertex)))
-        total += len(sub_if_basis(datum, vertex, level, "left"))
-    return total == weight_basis(datum, nu).dim
-
-
-def in_kernel(vertex: int, side: str, x: FElement) -> bool:
-    return i_r_component(vertex, side, x).is_zero()
-

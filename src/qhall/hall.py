@@ -1008,9 +1008,11 @@ def specialize_compare(
     q: int,
     budget: int = DEFAULT_BUDGET,
     images: dict | None = None,
-) -> list[dict]:
-    """Check that composition-algebra products of theta-word functions
-    match the symbolic structure constants evaluated at v = sqrt(q).
+) -> list[tuple]:
+    """(left word, right word, Hall product, symbolic product at
+    v = sqrt(q)) for every pair of theta-words of weights nu_a and nu_b:
+    the composition-algebra product of their functions, and their
+    symbolic product in f with each basis word replaced by its function.
 
     images maps each theta-word to its Hall function; a caller comparing
     several weights on the same quiver and q can pass one dict to every
@@ -1035,11 +1037,5 @@ def specialize_compare(
             prod = normal_form(FreeElement(datum, {w1 + w2: RF_ONE}))
             at_v = ((w, c.eval_at(v_num)) for w, c in prod.terms.items())
             rhs = lhs._like(linear(at_v, lambda word: image(word).terms.items()))
-            report.append(
-                {
-                    "left": w1,
-                    "right": w2,
-                    "match": lhs == rhs,
-                }
-            )
+            report.append((w1, w2, lhs, rhs))
     return report

@@ -98,11 +98,3 @@ def inverse(F, rows: list) -> list:
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
     return [row[n:] for row in red]
-
-
-def same_span(F, rows_a: list, rows_b: list) -> bool:
-    """Exact equality of two row spans: their canonical bases, the
-    nonzero rows of the rref, agree."""
-    red_a, pivots_a = rref(F, rows_a)
-    red_b, pivots_b = rref(F, rows_b)
-    return red_a[: len(pivots_a)] == red_b[: len(pivots_b)]

@@ -591,7 +591,7 @@ def v_pow(k: int) -> RatFunc:
 
 # The q-number memos are bounded far above what the verify suites use:
 # scripts/run_verify.py and the symbolic-verify benchmark leave 4 quantum
-# integers, 5 factorials and no binomials in them (u-queries 2, 2 and 0).
+# integers and 5 factorials in them (u-queries 2 and 2).
 # Divided powers up to theta^(31) stay cached whole.
 @lru_cache(maxsize=32)
 def qint(n: int) -> RatFunc:

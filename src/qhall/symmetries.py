@@ -173,7 +173,7 @@ def _pair_rows(f_img: UElement, e_img: UElement) -> tuple:
     """f_img e_img as rows for _twisted at twist and shift lam, with e_img
     homogeneous of U-degree delta.  Moving K_lam from between the two
     images to the right of a term with E-word e costs
-    v^alpha_weight(delta - wt(e), lam), so the row keeps the pairing vector
+    v^sym_form(delta - wt(e), lam), so the row keeps the pairing vector
     of delta - wt(e)."""
     d = f_img.datum
     delta = u_degree(d, next(iter(e_img.terms)))
@@ -221,7 +221,7 @@ def _apply_inverse(vertex: int, x: UElement) -> UElement:
     """T_i^-1(x) with x = sum_a F_a Y_a grouped by F-word a: each
     T_i^-1(Y_a) = sum c K_lam T_i^-1(E_b), lam = s_i mu, is read off the
     word images, K_lam moved past each term's F-word f at
-    v^-alpha_weight(wt f, lam), and reduced once; then
+    v^-sym_form(wt f, lam), and reduced once; then
     T_i^-1(F_a) T_i^-1(Y_a) goes through u_mul's term-pair loop, and the
     whole result is reduced once.  In a group of one term every key has
     one product, which ratfunc.sum_products takes as it is."""
@@ -269,35 +269,31 @@ def ti_restricted(vertex: int, x: FElement) -> FElement:
         ) from None
 
 
-def if_membership_crosscheck(datum: CartanDatum, vertex: int, nu: tuple) -> bool:
-    """The kernel-computed subspaces coincide with the symmetry-image
-    characterizations on f_nu, on both sides."""
+def subalgebra_sides(datum: CartanDatum, vertex: int, nu: tuple):
+    """(side, T-side, kernel) on f_nu for side "left", whose T-side is the
+    x with T_i(x) in the positive part, and "right", with T_i^-1.  The
+    kernel is sub_if_basis of that side.  Both are tuples of FElements
+    built from linalg.nullspace in basis-word coordinates, and
+    nullspace(A) depends only on ker A: the rref of A is fixed by the row
+    space (ker A)^perp.  So the two bases are equal exactly when the two
+    subspaces are."""
     wb = weight_basis(datum, nu)
     n = wb.dim
+    zero_mu = datum.zero_vec()
     for side, apply_fn in (("left", ti_apply), ("right", ti_inverse_apply)):
         bad_rows: dict = {}
-        zero_mu = datum.zero_vec()
-        images = []
-        for w in wb.basis_words:
+        for col, w in enumerate(wb.basis_words):
             img = apply_fn(vertex, embed_plus(FElement(datum, {w: ONE})))
-            images.append(img)
-            for key in img.terms:
+            for key, c in img.terms.items():
                 fw, mu, _ew = key
                 if fw or mu != zero_mu:
-                    bad_rows.setdefault(key, [ZERO] * n)
-        for col, img in enumerate(images):
-            for key, c in img.terms.items():
-                if key in bad_rows:
-                    bad_rows[key][col] = c
+                    bad_rows.setdefault(key, [ZERO] * n)[col] = c
         rows = [bad_rows[k] for k in sorted(bad_rows)]
-        t_side = linalg.nullspace(linalg.QV, rows, n)
-        kernel = [
-            [b.terms.get(w, ZERO) for w in wb.basis_words]
-            for b in sub_if_basis(datum, vertex, nu, side)
-        ]
-        if not linalg.same_span(linalg.QV, t_side, kernel):
-            return False
-    return True
+        t_side = tuple(
+            FElement(datum, dict(zip(wb.basis_words, vec)))
+            for vec in linalg.nullspace(linalg.QV, rows, n)
+        )
+        yield side, t_side, sub_if_basis(datum, vertex, nu, side)
 
 
 def minus_transport(datum: CartanDatum, vertex: int, nu: tuple) -> RatFunc:
@@ -347,9 +343,11 @@ def t_tilde_apply(vertex: int, x: UElement) -> UElement:
     return _apply_table(vertex, x, "T~")
 
 
-def braid_verify(datum: CartanDatum, i: int, j: int) -> bool:
-    """Braid relation on every generator: T_iT_jT_i = T_jT_iT_j when
-    a_ij = -1, commutation when a_ij = 0."""
+def braid_sides(datum: CartanDatum, i: int, j: int):
+    """(generator, lhs, rhs) of the braid relation T_iT_jT_i = T_jT_iT_j
+    when a_ij = -1, and of T_iT_j = T_jT_i when a_ij = 0, on every
+    generator and two mixed monomials.  Other a_ij, or i == j, raise
+    ValueError on the first step."""
     if i == j:
         raise ValueError("braid relation needs distinct vertices")
     a = datum.a(i, j)
@@ -374,6 +372,4 @@ def braid_verify(datum: CartanDatum, i: int, j: int) -> bool:
         else:
             lhs = ti_apply(i, ti_apply(j, g))
             rhs = ti_apply(j, ti_apply(i, g))
-        if lhs != rhs:
-            return False
-    return True
+        yield g, lhs, rhs

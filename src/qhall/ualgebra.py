@@ -13,7 +13,7 @@ total word length on one side of the recursion.
 The product, coproduct and antipode of terms are memoized on their words
 alone; the torus costs nothing extra (Lusztig, Introduction to Quantum
 Groups, 3.1.4).  Moving K_mu past an F- or E-word of weight nu costs
-v^(+-alpha_weight(nu, mu)), a linear function of mu, so a torus-free memo
+v^(+-sym_form(nu, mu)), a linear function of mu, so a torus-free memo
 keeps rows (key, coefficient, pairing vector), and one torus twist,
 _twisted, moves the rows to a torus element: each key's coweight is
 shifted, and its v-exponent is the pairing vector dotted with the twist.
@@ -146,7 +146,7 @@ def _straighten(datum: CartanDatum, ew: Word, fw: Word) -> "UElement":
         return left
     # E_head K_+-a F_tail = v^-+alpha(wt F_tail, h) (E_head F_tail) K_+-a
     h = datum.unit_vec(a)
-    k = datum.alpha_weight(datum.weight_of_word(fw_tail), h)
+    k = datum.sym_form(datum.weight_of_word(fw_tail), h)
     denom = (v_pow(1) - v_pow(-1)).inverse()
     plus = UElement.K(datum, h).scale(denom.shift(-k))
     minus = UElement.K(datum, neg_vec(h)).scale(denom.shift(k))
@@ -154,7 +154,7 @@ def _straighten(datum: CartanDatum, ew: Word, fw: Word) -> "UElement":
 
 
 def _pairing(datum: CartanDatum, nu: tuple) -> tuple:
-    """The vector p with alpha_weight(nu, mu) == p . mu for every mu."""
+    """The vector p with sym_form(nu, mu) == p . mu for every mu."""
     return tuple(sum(map(mul, row, nu)) for row in datum.cartan)
 
 
@@ -397,11 +397,6 @@ def hopf_sides(x: UElement):
     eps = UElement.unit(d).scale(counit(x))
     yield "m(S x 1)Delta = eps", x._like(sum_products(left)), eps
     yield "m(1 x S)Delta = eps", x._like(sum_products(right)), eps
-
-
-def hopf_axiom_check(x: UElement) -> bool:
-    """Coassociativity plus both antipode identities, all exact."""
-    return all(got == want for _name, got, want in hopf_sides(x))
 
 
 def u_degree(datum: CartanDatum, key: UKey) -> tuple:

@@ -206,6 +206,14 @@ def test_cli_rejects_dimension_vector_of_wrong_length(capsys):
     assert "3 entries" in _bad_input(capsys, "hall", "classes", "1->2", "1,1,1", "2")
 
 
+def test_cli_rejects_input_past_the_recursion_limit(capsys):
+    deep = "(" * 400 + "th1" + ")" * 400
+    long = "*".join(["th1"] * 1501)
+    for expr in (deep, long):
+        line = _bad_input(capsys, "f", "nf", expr)
+        assert line == "qhall: input too deeply nested or too long"
+
+
 def test_cli_rejects_unknown_vertex(capsys):
     assert "unknown vertex 7" in _bad_input(capsys, "ti", "apply", "7", "E1")
     line = _bad_input(capsys, "hall", "strata", "1->2", "1,1", "2", "7")

@@ -443,7 +443,7 @@ def test_graded_subreps_match_stable_spans(spec, bound, q):
 def test_specialize_compare():
     for nu_a, nu_b in [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (1, 1)), ((2, 0), (0, 1))]:
         report = specialize_compare(Q, nu_a, nu_b, 4)
-        assert report and all(r["match"] for r in report)
+        assert report and all(lhs == rhs for _w1, _w2, lhs, rhs in report)
 
 
 def test_specialize_compare_needs_square_q():
@@ -461,7 +461,7 @@ def test_orientation_independence_of_composition_constants():
     for nu_a, nu_b in [((1, 0), (0, 1)), ((1, 1), (1, 0)), ((1, 1), (1, 1))]:
         for quiver in (Q, rev):
             report = specialize_compare(quiver, nu_a, nu_b, 4)
-            assert all(r["match"] for r in report)
+            assert all(lhs == rhs for _w1, _w2, lhs, rhs in report)
 
 
 @pytest.mark.parametrize("q", [2, 3])

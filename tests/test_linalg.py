@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from qhall.hall import field, mat_rank
-from qhall.linalg import QQ, inverse, nullspace
+from qhall.linalg import QQ, inverse, nullspace, rref
 
 
 def mat_mul(F, a, b):
@@ -73,3 +73,36 @@ def test_rational_inverse_and_singular_matrix():
     assert inverse(QQ, a) == [[1, -1], [-1, 2]]
     with pytest.raises(ValueError, match="singular"):
         inverse(QQ, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+
+
+def _row_space(F, rows):
+    """The nonzero rows of the rref: one basis per row space."""
+    red, pivots = rref(F, rows)
+    return red[: len(pivots)]
+
+
+def _matrix(rng, nrows, ncols):
+    return [[Fraction(rng.randint(-1, 1)) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def test_rational_nullspace_is_fixed_by_the_kernel():
+    # the rref of A is fixed by its row space (ker A)^perp, so nullspace(A)
+    # depends only on ker A; B = M A has ker B containing ker A, equal
+    # exactly when the row spaces are
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        a = _matrix(rng, rng.randint(0, 3), n)
+        if rng.random() < 0.5:
+            m = _matrix(rng, rng.randint(0, 3), len(a))
+            b = [
+                [sum((c * r[j] for c, r in zip(row, a)), Fraction(0)) for j in range(n)]
+                for row in m
+            ]
+        else:
+            b = _matrix(rng, rng.randint(0, 3), n)
+        same = nullspace(QQ, a, n) == nullspace(QQ, b, n)
+        assert same == (_row_space(QQ, a) == _row_space(QQ, b)), (a, b)
+        seen.add(same)
+    assert seen == {True, False}

@@ -35,7 +35,6 @@ from qhall.ualgebra import (
     delta,
     embed_minus,
     embed_plus,
-    hopf_axiom_check,
     hopf_sides,
     plus_part,
     u_degree,
@@ -55,6 +54,10 @@ def F(d, i):
 
 def K(d, mu):
     return UElement.K(d, mu)
+
+
+def hopf_axiom_check(x):
+    return all(got == want for _name, got, want in hopf_sides(x))
 
 
 def test_embed_generators():
@@ -194,8 +197,8 @@ def _u_mul_reference(x, y):
         for (f2, m2, e2), c2 in y.terms.items():
             for (fw, kappa, ew), cc in _straighten_reference(d, e1, f2).terms.items():
                 shift = v_pow(
-                    -d.alpha_weight(d.weight_of_word(fw), m1)
-                    - d.alpha_weight(d.weight_of_word(ew), m2)
+                    -d.sym_form(d.weight_of_word(fw), m1)
+                    - d.sym_form(d.weight_of_word(ew), m2)
                 )
                 mu = add_vec(add_vec(m1, kappa), m2)
                 coeff = c1 * c2 * cc * shift

@@ -1,5 +1,6 @@
 import importlib.util
 import pathlib
+from fractions import Fraction
 
 from qhall import verify
 from qhall.cartan import CartanDatum, Quiver, load_datum, load_quiver
@@ -127,6 +128,81 @@ def test_a_wrong_t_tilde_word_image_fails_with_the_word_and_both_images(monkeypa
     (key,) = f2.terms
     assert key not in verify.sym.ti_apply(1, f2).terms
     assert r.detail == f"T~_1 vs T_1 on F(2,): differ at {key}: got 1, want 0"
+
+
+def test_a_scaled_symmetry_fails_the_braid_row_with_both_sides(monkeypatch):
+    # T_3 scaled by v on A3: T_2 T_3 T_2 and T_3 T_2 T_3 differ by a power of v
+    d = load_datum(load_quiver("1->2,2->3"))
+    real = verify.sym.ti_apply
+
+    def scaled(i, x):
+        return real(i, x).scale(verify.v_pow(1)) if i == 3 else real(i, x)
+
+    monkeypatch.setattr(verify.sym, "ti_apply", scaled)
+    r = verify._run("braid-2-3", verify._check_braid, Session(d), 2, 3)
+    assert r.status == "fail"
+    assert r.detail.startswith(
+        "braid relation of T_2, T_3 on E1: differ at ((), (0, 0, 0), (1, 2, 3)): "
+        "got v^-1, want 1; "
+    )
+
+
+def test_a_swapped_kernel_fails_the_subalgebra_row_with_both_bases(monkeypatch):
+    # the left kernel read from the right side: T_1 keeps the left one in f
+    d = load_datum(load_quiver("1->2"))
+    real = verify.sym.sub_if_basis
+
+    def swapped(datum, i, nu, side):
+        return real(datum, i, nu, "right" if side == "left" else "left")
+
+    monkeypatch.setattr(verify.sym, "sub_if_basis", swapped)
+    r = verify._run("ti-subalgebra-equivalence", verify._check_ti_subalgebra, Session(d))
+    assert r.status == "fail"
+    assert r.detail == (
+        "left 1-subalgebra of f_(1, 1) by T_1 and as a kernel: "
+        "got (FElement(-v^-1*th1*th2 + th2*th1),), want (FElement(-v*th1*th2 + th2*th1),)"
+    )
+
+
+def test_a_short_kernel_fails_the_decomposition_row_with_both_counts(monkeypatch):
+    d = load_datum(load_quiver("1->2"))
+    real = verify.fa.sub_if_basis
+
+    def short(datum, i, nu, side):
+        basis = real(datum, i, nu, side)
+        return basis[:-1] if nu == (1, 1) else basis
+
+    monkeypatch.setattr(verify.fa, "sub_if_basis", short)
+    r = verify._run("f-decomposition", verify._check_f_decomposition, Session(d))
+    assert r.status == "fail"
+    assert r.detail == "dims of the 1-decomposition of f_(1, 1): got 1, want 2"
+
+
+def test_a_piece_outside_the_kernel_fails_with_its_component(monkeypatch):
+    # x = th^(0) x rebuilds x, but x is not in the kernel unless r_i x = 0
+    d = load_datum(load_quiver("1->2"))
+    monkeypatch.setattr(verify.fa, "i_decompose", lambda i, x: [(0, x)])
+    r = verify._run("f-decomposition", verify._check_f_decomposition, Session(d))
+    assert r.status == "fail"
+    assert r.detail == "left 2-piece 0 in the kernel for th2: differ at (): got 1, want 0"
+
+
+def test_doubled_simple_products_fail_the_hall_row_with_both_sides(monkeypatch):
+    d = load_datum(load_quiver("1->2"))
+    real = verify.hall.hall_product
+    simples = {verify.hall.HallElement.simple(d.quiver, 4, i) for i in d.vertices}
+
+    def doubled(a, b, v_num, budget=verify.hall.DEFAULT_BUDGET):
+        out = real(a, b, v_num, budget)
+        return out.scale(Fraction(2)) if a != b and {a, b} <= simples else out
+
+    monkeypatch.setattr(verify.hall, "hall_product", doubled)
+    r = verify._run("hall-structure-agreement", verify._check_hall_agreement, Session(d))
+    assert r.status == "fail"
+    assert r.detail == (
+        "th(1,) th(1, 2) on ((1, 2),): differ at ((2, 1), (((0, 0),),)): got 5, "
+        "want 5/2; ((2, 1), (((1, 0),),)): got 5, want 5/2"
+    )
 
 
 def test_a_wrong_divided_power_image_fails_the_twist_check(monkeypatch):
