@@ -340,7 +340,9 @@ def kostant_partitions(roots: tuple, nu: tuple):
     return rec(0, nu)
 
 
-# the Hall class budget asks per case: A3 `verify all` fills 38 entries
+# the Hall class budgets and tables ask per orientation and dimension
+# vector: A3 `verify all` fills 90 entries, and E6 `verify hall` at hall
+# bound (1,1,1,0,0,0) all 256, recomputing none it evicts
 @lru_cache(maxsize=256)
 def kostant_count(roots: tuple, nu: tuple) -> int:
     """Number of Kostant partitions of nu over the given roots, counted

@@ -136,8 +136,11 @@ def greedy_basis(datum: CartanDatum, nu: tuple) -> WeightBasis:
 # 349, 2,998, 1,110 and 2,054 entries in them before its E6-f row, one
 # symbolic-verify round 93, 572, 180 and 262, and the u-queries stream
 # 47, 184, 30 and 36.  A basis builds those of the lower root weights (20
-# bases in Kronecker ti-subalgebra-equivalence at weight bound 3); E6-f
-# adds 451 bases and fills the other three, evicting finished entries.
+# bases in Kronecker ti-subalgebra-equivalence at weight bound 3).  E6-f
+# adds 451 bases and leaves 12,311 and 3,630 entries in the next two,
+# which at bounds of 8,192 and 2,048 recomputed 3,136 and 276 entries
+# they had evicted; it fills _decompose_word past its bound (4,860
+# misses) but asks for no entry twice.
 @lru_cache(maxsize=2048)
 def weight_basis(datum: CartanDatum, nu: tuple) -> WeightBasis:
     """The greedy basis of f_nu, bordered over the products of lower good
@@ -204,7 +207,7 @@ class FElement(LinComb):
         return f"FElement({self})"
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=1 << 14)
 def _normal_form_word(datum: CartanDatum, word: Word) -> tuple:
     """Coordinates of a word on the basis of its weight."""
     return weight_basis(datum, datum.weight_of_word(word)).coordinates(word)
@@ -265,7 +268,7 @@ def i_r_component(vertex: int, side: str, x: FElement) -> FElement:
     return normal_form(FreeElement(d)._like(linear(x.terms.items(), image)))
 
 
-@lru_cache(maxsize=2048)
+@lru_cache(maxsize=4096)
 def sub_if_basis(
     datum: CartanDatum, vertex: int, nu: tuple, side: str
 ) -> tuple[FElement, ...]:

@@ -9,9 +9,15 @@ dimensions of Hom from the indecomposables, which are built from simples
 by reflection functors, and the class table of a dimension vector is
 built from its Kostant partitions without enumerating any point; only
 `iso_classes`, which returns least points, walks the space.  On other
-quivers classes come from orbit search.  The Hall product is read per
-pair of classes from one memo of twisted structure constants.
-Exhaustive loops check a configurable budget and fail fast.
+quivers classes come from orbit search.  Hall elements are keyed by
+class key, and their product is read per pair of classes from one memo
+of twisted structure constants at v = sqrt(q).
+
+Every public function that takes a budget checks the size of each
+enumeration its call can reach (points, orbit searches, class tables and
+graded subspaces) before it reads any memo, and fails fast.  The memos
+depend on the quiver, q and class data alone, and build unchecked below
+that check.
 """
 
 from __future__ import annotations
@@ -19,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import isqrt
 from types import MappingProxyType
 
 from .cartan import (
     Quiver,
+    add_vec,
     is_sink,
     is_source,
     kostant_count,
@@ -32,6 +39,7 @@ from .cartan import (
     load_datum,
     positive_roots,
     sigma_i,
+    sub_vec,
 )
 from .falgebra import normal_form
 from .freealg import FreeElement, words_of_weight
@@ -54,17 +62,6 @@ class BudgetExceeded(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # the field
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 def _poly_mul_mod(a, b, p):
@@ -101,18 +98,11 @@ def _find_irreducible(p: int, d: int):
 
 
 def _irreducible(f, p):
-    d = len(f) - 1
-    # x^(p^k) == x mod f has gcd checks; small d, so trial division works
-    for code in range(p, p ** ((d // 2) + 1)):
-        g = []
-        c = code
-        while c:
-            g.append(c % p)
-            c //= p
-        if len(g) < 2 or g[-1] == 0:
-            continue
-        if len(_poly_rem(f, g, p)) == 0:
-            return False
+    """Trial division by every monic polynomial of degree 1 to deg f / 2."""
+    for k in range(1, (len(f) - 1) // 2 + 1):
+        for code in range(p ** k):
+            if not _poly_rem(f, [(code // p ** j) % p for j in range(k)] + [1], p):
+                return False
     return True
 
 
@@ -126,18 +116,10 @@ class Fq:
     def __init__(self, q: int):
         if q < 2 or q > 256:
             raise ValueError("field size must be between 2 and 256")
-        p, d = q, 1
-        for cand in range(2, q + 1):
-            if _is_prime(cand):
-                k, power = 0, 1
-                while power < q:
-                    power *= cand
-                    k += 1
-                if power == q:
-                    p, d = cand, k
-                    break
-        else:
-            raise ValueError(f"{q} is not a prime power")
+        p = next(k for k in range(2, q + 1) if q % k == 0)  # least prime factor
+        d = 1
+        while p ** d < q:
+            d += 1
         if p ** d != q:
             raise ValueError(f"{q} is not a prime power")
         self.p, self.d, self.q = p, d, q
@@ -167,17 +149,8 @@ class Fq:
     def _mul_slow(self, a, b):
         if self.d == 1:
             return (a * b) % self.p
-        pa = [c for c in self._digits(a)]
-        pb = [c for c in self._digits(b)]
-        while pa and pa[-1] == 0:
-            pa.pop()
-        while pb and pb[-1] == 0:
-            pb.pop()
-        if not pa or not pb:
-            return 0
-        prod = _poly_mul_mod(pa, pb, self.p)
-        rem = _poly_rem(prod, self.modulus, self.p)
-        return self._undigits(rem + [0] * (self.d - len(rem)))
+        prod = _poly_mul_mod(self._digits(a), self._digits(b), self.p)
+        return self._undigits(_poly_rem(prod, self.modulus, self.p))
 
     def _find_generator(self):
         for g in range(1, self.q):
@@ -302,28 +275,27 @@ def require_class_budget(quiver: Quiver, q: int, dims: tuple, budget: int) -> No
     """Raise BudgetExceeded when building the class table of dims would
     pass the budget: on Dynkin data it counts the classes, one per Kostant
     partition, elsewhere the q^dim(E_V) points orbit search walks."""
-    roots = positive_roots(load_datum(quiver))
-    if roots is None:
+    bricks = _bricks(quiver, q)
+    if bricks is None:
         require_budget(quiver, q, dims, budget)
-    elif (needed := kostant_count(roots, dims)) > budget:
+    elif (needed := kostant_count(bricks.roots, dims)) > budget:
         raise BudgetExceeded(needed, budget, "classes")
 
 
-def all_points(quiver: Quiver, q: int, dims: tuple, budget: int = DEFAULT_BUDGET):
+def _points(quiver: Quiver, q: int, dims: tuple):
     """Every point of the representation space, in the order of `<` on
-    points: arrows in order, each matrix row-major."""
-    require_budget(quiver, q, dims, budget)
+    points: arrows in order, each matrix row by row."""
     shapes = _arrow_shapes(quiver, dims)
-    total_entries = sum(r * c for r, c in shapes)
-    for flat in product(range(q), repeat=total_entries):
-        mats = []
-        pos = 0
-        for rows, cols in shapes:
-            mats.append(
-                tuple(flat[pos + r * cols : pos + (r + 1) * cols] for r in range(rows))
-            )
-            pos += rows * cols
-        yield tuple(mats)
+    rows = [product(range(q), repeat=c) for r, c in shapes for _ in range(r)]
+    for flat in product(*rows):
+        it = iter(flat)
+        yield tuple(tuple(islice(it, r)) for r, _c in shapes)
+
+
+def all_points(quiver: Quiver, q: int, dims: tuple, budget: int = DEFAULT_BUDGET):
+    """`_points` once the budget is met."""
+    require_budget(quiver, q, dims, budget)
+    return _points(quiver, q, dims)
 
 
 # one entry per (quiver, q, dims) the orbit route searches: 58 in the
@@ -380,11 +352,8 @@ def _act(F: Fq, into: list, out_of: list, gen, point):
 # orbit search, with class key (dims, least point of the orbit).
 
 
-def orbit_of(
-    quiver: Quiver, q: int, dims: tuple, point: tuple, budget: int = DEFAULT_BUDGET
-) -> set:
+def _orbit(quiver: Quiver, q: int, dims: tuple, point: tuple) -> set:
     """The GL-orbit of a point, by breadth-first search over generators."""
-    require_budget(quiver, q, dims, budget)
     F = field(q)
     gens = _group_generators(quiver, q, dims)
     idx = {v: i for i, v in enumerate(quiver.vertices)}
@@ -406,27 +375,12 @@ def orbit_of(
     return seen
 
 
-def orbit_canonical_point(
+def orbit_of(
     quiver: Quiver, q: int, dims: tuple, point: tuple, budget: int = DEFAULT_BUDGET
-) -> tuple:
-    """The least point of the orbit, found by orbit search."""
-    return min(orbit_of(quiver, q, dims, point, budget))
-
-
-def orbit_classes(
-    quiver: Quiver, q: int, dims: tuple, budget: int = DEFAULT_BUDGET
-) -> tuple:
-    """Iso-classes by orbit search over every point: a sorted tuple of
-    (least point of the orbit, orbit size)."""
-    seen: set = set()
-    out = []
-    for p in all_points(quiver, q, dims, budget):
-        if p in seen:
-            continue
-        orb = orbit_of(quiver, q, dims, p, budget)
-        seen.update(orb)
-        out.append((min(orb), len(orb)))
-    return tuple(sorted(out))
+) -> set:
+    """`_orbit` once the budget is met."""
+    require_budget(quiver, q, dims, budget)
+    return _orbit(quiver, q, dims, point)
 
 
 def hom_dim(x: QuiverRep, m: QuiverRep) -> int:
@@ -562,12 +516,11 @@ def _bricks(quiver: Quiver, q: int) -> _Bricks | None:
 
 def class_key(x: QuiverRep, budget: int = DEFAULT_BUDGET) -> tuple:
     """A complete isomorphism invariant: (dims, Hom dimensions from the
-    bricks) on Dynkin data, (dims, least orbit point) otherwise.  Only the
-    orbit search reads the budget, so a Dynkin point is keyed once
-    whatever budget its callers pass."""
-    if _bricks(x.quiver, x.q) is not None:
-        budget = None
-    return _point_key(x.quiver, x.q, x.dims, x.mats, budget)
+    bricks) on Dynkin data, (dims, least orbit point) otherwise; only
+    the orbit search enumerates."""
+    if _bricks(x.quiver, x.q) is None:
+        require_budget(x.quiver, x.q, x.dims, budget)
+    return _point_key(x)
 
 
 # the one class-key memo of both routes; one `verify hall` per process
@@ -575,36 +528,41 @@ def class_key(x: QuiverRep, budget: int = DEFAULT_BUDGET) -> tuple:
 # hall bound (1,1,1,0,0,0), 1,395 on D4 centre-sink and 2,154 on D4, and
 # `scripts/run_verify.py`, Kronecker `hall` row included, to 4,750
 @lru_cache(maxsize=1 << 13)
-def _point_key(
-    quiver: Quiver, q: int, dims: tuple, point: tuple, budget: int | None
-) -> tuple:
-    """class_key of a point; budget is None on Dynkin data."""
-    bricks = _bricks(quiver, q)
+def _point_key(x: QuiverRep) -> tuple:
+    """class_key of a point, by orbit search with no budget."""
+    bricks = _bricks(x.quiver, x.q)
     if bricks is None:
-        return dims, orbit_canonical_point(quiver, q, dims, point, budget)
-    return bricks.key(QuiverRep(quiver, q, dims, point))
+        return x.dims, min(_orbit(x.quiver, x.q, x.dims, x.mats))
+    return bricks.key(x)
 
 
-@lru_cache(maxsize=256)
-def _class_table(
-    quiver: Quiver, q: int, dims: tuple, budget: int
-) -> MappingProxyType:
+# one `verify hall` per process fills it to 121 entries on A3, 55 on the
+# Kronecker quiver, 305 on D4 centre-sink, 355 on E6 at hall bound
+# (1,1,1,0,0,0) and 444 on D4; at 256 the D4 rows of
+# `scripts/run_verify.py` rebuilt 114 tables they had evicted
+@lru_cache(maxsize=1024)
+def _class_table(quiver: Quiver, q: int, dims: tuple) -> MappingProxyType:
     """Class key -> (a point of the class, orbit size); read-only, since
     every caller shares it.  On Dynkin data there is one class per
     Kostant partition m of dims (Gabriel): its key is (dims, H m), its
     point the direct sum of bricks, and no point of E_V is enumerated.
-    Otherwise the classes come from orbit search, each with the least
-    point of its orbit, in the order of the points."""
-    require_class_budget(quiver, q, dims, budget)
+    Otherwise the classes come from orbit search over every point, each
+    with the least point of its orbit, in the order of the points: the
+    first point met of an orbit is its least."""
     bricks = _bricks(quiver, q)
-    if bricks is None:
-        classes = orbit_classes(quiver, q, dims, budget)
-        return MappingProxyType({(dims, rep): (rep, size) for rep, size in classes})
     table = {}
+    if bricks is None:
+        seen: set = set()
+        for p in _points(quiver, q, dims):
+            if p not in seen:
+                orbit = _orbit(quiver, q, dims, p)
+                seen.update(orbit)
+                table[dims, p] = (p, len(orbit))
+        return MappingProxyType(table)
     for m in kostant_partitions(bricks.roots, dims):
         h = tuple(sum(a * b for a, b in zip(row, m)) for row in bricks.hom)
         point = bricks.direct_sum(quiver, q, dims, h)
-        key = class_key(QuiverRep(quiver, q, dims, point), budget)
+        key = _point_key(QuiverRep(quiver, q, dims, point))
         if key != (dims, h):
             raise RuntimeError(
                 f"the direct sum {point} of bricks with multiplicities {m} has "
@@ -620,22 +578,21 @@ def class_points(
     """One (point, orbit size) per iso-class: the direct sum of bricks on
     Dynkin data, the least point of the orbit otherwise.  Callers that
     only need some point of each class read this, not `iso_classes`."""
-    return tuple(_class_table(quiver, q, dims, budget).values())
+    require_class_budget(quiver, q, dims, budget)
+    return tuple(_class_table(quiver, q, dims).values())
 
 
 @lru_cache(maxsize=256)
-def _least_points(
-    quiver: Quiver, q: int, dims: tuple, budget: int
-) -> MappingProxyType:
+def _least_points(quiver: Quiver, q: int, dims: tuple) -> MappingProxyType:
     """Class key -> least point of the class on Dynkin data, in the order
     of the points.  Walking in the order of `<`, the first point with a
     key is the least point of its class; Gabriel's theorem says how many
     classes to expect, and each must be a class of the table."""
     bricks = _bricks(quiver, q)
-    table = _class_table(quiver, q, dims, budget)
+    table = _class_table(quiver, q, dims)
     want = kostant_count(bricks.roots, dims)
     least = {}
-    for p in all_points(quiver, q, dims, budget):
+    for p in _points(quiver, q, dims):
         key = bricks.key(QuiverRep(quiver, q, dims, p))
         if key not in least:
             if key not in table:
@@ -655,10 +612,13 @@ def iso_classes(
     """G-orbit decomposition of the representation space: a sorted tuple
     of (canonical representative, orbit size), the representative being
     the least point of the orbit."""
-    table = _class_table(quiver, q, dims, budget)
+    # the class table, then on Dynkin data a walk over every point
+    require_class_budget(quiver, q, dims, budget)
+    require_budget(quiver, q, dims, budget)
+    table = _class_table(quiver, q, dims)
     if _bricks(quiver, q) is None:
         return tuple(table.values())
-    least = _least_points(quiver, q, dims, budget)
+    least = _least_points(quiver, q, dims)
     return tuple((p, table[key][1]) for key, p in least.items())
 
 
@@ -682,11 +642,6 @@ def group_order(q: int, dims: tuple) -> int:
 
 def _subspaces(F: Fq, n: int, k: int):
     """All k-dimensional subspaces of F^n as rref basis-row matrices."""
-    if k == 0:
-        yield ()
-        return
-    if k > n:
-        return
     for pivots in combinations(range(n), k):
         free_positions = [
             (r, c)
@@ -728,9 +683,14 @@ def _require_subspaces(q: int, dims: tuple, sub_dims: tuple, budget: int) -> Non
 
 
 def graded_subreps(M: QuiverRep, sub_dims: tuple, budget: int = DEFAULT_BUDGET):
+    """`_subreps` once the budget is met."""
+    _require_subspaces(M.q, M.dims, sub_dims, budget)
+    return _subreps(M, sub_dims)
+
+
+def _subreps(M: QuiverRep, sub_dims: tuple):
     """All arrow-stable graded subspaces of the given dimension vector,
     as tuples of basis-row matrices per vertex."""
-    _require_subspaces(M.q, M.dims, sub_dims, budget)
     F = field(M.q)
     quiver = M.quiver
     idx = {v: i for i, v in enumerate(quiver.vertices)}
@@ -812,9 +772,11 @@ def hall_number(
     quotient isomorphic to N."""
     if tuple(a + b for a, b in zip(N.dims, L.dims)) != M.dims:
         raise ValueError("dimension vectors of quotient and sub must add up")
+    # the tally walks the subspaces of M and keys its quotients and subs,
+    # whose orbit searches are bounded by that of M
     _require_subspaces(M.q, M.dims, L.dims, budget)
-    tally = _hall_tally(M.quiver, M.q, class_key(M), L.dims)
-    return tally.get((class_key(N), class_key(L)), 0)
+    tally = _hall_tally(M.quiver, M.q, class_key(M, budget), L.dims)
+    return tally.get((_point_key(N), _point_key(L)), 0)
 
 
 @lru_cache(maxsize=4096)
@@ -830,9 +792,9 @@ def _hall_tally(
     point = inv if bricks is None else bricks.direct_sum(quiver, q, dims, inv)
     M = QuiverRep(quiver, q, dims, point)
     tally: dict = {}
-    for sub_basis in graded_subreps(M, sub_dims):
+    for sub_basis in _subreps(M, sub_dims):
         sub, quo = sub_quotient_reps(M, sub_basis)
-        key = (class_key(quo), class_key(sub))
+        key = (_point_key(quo), _point_key(sub))
         tally[key] = tally.get(key, 0) + 1
     return MappingProxyType(tally)
 
@@ -842,80 +804,118 @@ def _hall_tally(
 
 
 class HallElement(LinComb):
-    """Linear combination of iso-classes with exact rational coefficients.
-    Keys are (dims, point of the class table): the direct sum of bricks on
-    Dynkin data, the least point of the orbit otherwise."""
+    """Linear combination of iso-classes with exact rational coefficients,
+    keyed by class key."""
 
     __slots__ = SPACE = ("quiver", "q")
 
     @staticmethod
     def unit(quiver: Quiver, q: int) -> "HallElement":
-        dims = (0,) * len(quiver.vertices)
-        return HallElement(quiver, q, {(dims, _zero_point(quiver, dims)): Fraction(1)})
+        return HallElement._zero_class(quiver, q, (0,) * len(quiver.vertices))
 
     @staticmethod
     def simple(quiver: Quiver, q: int, vertex: int) -> "HallElement":
-        dims = tuple(1 if v == vertex else 0 for v in quiver.vertices)
         # without loops the space of a simple is one point: its own class
-        return HallElement(quiver, q, {(dims, _zero_point(quiver, dims)): Fraction(1)})
+        dims = tuple(1 if v == vertex else 0 for v in quiver.vertices)
+        return HallElement._zero_class(quiver, q, dims)
+
+    @staticmethod
+    def _zero_class(quiver: Quiver, q: int, dims: tuple) -> "HallElement":
+        # the zero point is its own orbit, so keying it needs no budget
+        x = QuiverRep(quiver, q, dims, _zero_point(quiver, dims))
+        return HallElement(quiver, q, {_point_key(x): Fraction(1)})
 
     def __repr__(self):
         return f"HallElement({self.terms})"
 
 
+def _sqrt_q(q: int) -> int:
+    """v = sqrt(q), whose powers twist the Hall product."""
+    v = isqrt(q)
+    if v * v != q:
+        raise ValueError("comparison needs a perfect-square q")
+    return v
+
+
+def _require_products(quiver: Quiver, q: int, pairs, budget: int) -> None:
+    """Raise BudgetExceeded when a product of classes of dims_a and dims_b,
+    for some (dims_a, dims_b) in pairs, would pass the budget: it walks the
+    graded subspaces of dims_b in dims_m = dims_a + dims_b and builds the
+    class table of dims_m, whose orbit search bounds those of the factors.
+    Each distinct pair is checked once, in order."""
+    for dims_a, dims_b in dict.fromkeys(pairs):
+        dims_m = add_vec(dims_a, dims_b)
+        _require_subspaces(q, dims_m, dims_b, budget)
+        require_class_budget(quiver, q, dims_m, budget)
+
+
 def hall_product(
-    a: HallElement, b: HallElement, v_num: int, budget: int = DEFAULT_BUDGET
+    a: HallElement, b: HallElement, budget: int = DEFAULT_BUDGET
 ) -> HallElement:
-    """Twisted composition product: the Euler-form power of v times the
-    Hall-number sum, with the left factor the quotient side."""
+    """Twisted composition product: the Euler-form power of v = sqrt(q)
+    times the Hall-number sum, with the left factor the quotient side."""
     if (a.quiver, a.q) != (b.quiver, b.q):
         raise ValueError("operands live over different Hall algebras")
-    q = a.q
-    if v_num * v_num != q:
-        raise ValueError(
-            "the evaluation parameter must square to q exactly; use a "
-            "perfect-square q such as 4"
-        )
-    quiver = a.quiver
-    # each term is keyed once, not once per pair it is in
-    keys = {t: class_key(QuiverRep(quiver, q, *t)) for t in (*a.terms, *b.terms)}
+    _sqrt_q(a.q)
+    dims_a, dims_b = (dict.fromkeys(key[0] for key in x.terms) for x in (a, b))
+    _require_products(a.quiver, a.q, product(dims_a, dims_b), budget)
+    return _product(a, b)
 
-    def image(term_a, term_b):
-        return _class_product(quiver, q, v_num, keys[term_a], keys[term_b], budget)
+
+def _product(a: HallElement, b: HallElement) -> HallElement:
+    """hall_product with no check."""
+
+    def image(key_a, key_b):
+        return _class_product(a.quiver, a.q, key_a, key_b)
 
     return a._like(bilinear(a.terms.items(), b.terms.items(), image))
 
 
-# one entry per pair of classes multiplied, where a cold A3 `verify hall`
-# meets 1,179 pairs of terms: it fills the memo to 237 entries, and one
+# one entry per pair of classes multiplied: a cold A3 `verify hall` reads
+# it for 883 pairs of terms and fills it to 237 entries, one
 # `scripts/run_verify.py` process to 4,008
 @lru_cache(maxsize=1 << 13)
-def _class_product(
-    quiver: Quiver, q: int, v_num: int, key_a: tuple, key_b: tuple, budget: int
-) -> tuple:
-    """The product of the classes of two keys, as rows ((dims, point of
-    the class table), v^<a,b> g^M_ab), one per class M whose Hall number
-    is nonzero."""
+def _class_product(quiver: Quiver, q: int, key_a: tuple, key_b: tuple) -> tuple:
+    """The product of the classes of two keys, as rows (class key of M,
+    v^<a,b> g^M_ab), one per class M whose Hall number is nonzero."""
     dims_a, dims_b = key_a[0], key_b[0]
-    dims_m = tuple(x + y for x, y in zip(dims_a, dims_b))
-    _require_subspaces(q, dims_m, dims_b, budget)
-    twist = Fraction(v_num) ** quiver.euler_form(dims_a, dims_b)
+    dims_m = add_vec(dims_a, dims_b)
+    twist = Fraction(_sqrt_q(q)) ** quiver.euler_form(dims_a, dims_b)
     rows = []
-    for key_m, (rep, _size) in _class_table(quiver, q, dims_m, budget).items():
+    for key_m in _class_table(quiver, q, dims_m):
         if g := _hall_tally(quiver, q, key_m, dims_b).get((key_a, key_b), 0):
-            rows.append(((dims_m, rep), twist * g))
+            rows.append((key_m, twist * g))
     return tuple(rows)
 
 
 def hall_word(
-    quiver: Quiver, q: int, v_num: int, word: tuple, budget: int = DEFAULT_BUDGET
+    quiver: Quiver, q: int, word: tuple, budget: int = DEFAULT_BUDGET
 ) -> HallElement:
     """Image of a theta-word: the ordered product of simple-class
     generators."""
-    out = HallElement.unit(quiver, q)
-    for letter in word:
-        out = hall_product(out, HallElement.simple(quiver, q, letter), v_num, budget)
-    return out
+    _sqrt_q(q)
+    _require_products(quiver, q, _word_steps(quiver, word), budget)
+    return _hall_word(quiver, q, word)
+
+
+def _word_steps(quiver: Quiver, word: tuple) -> list:
+    """(dims of the prefix, dims of the letter) for each letter of a word:
+    the products that build its image."""
+    dims = [tuple(map(word[:k].count, quiver.vertices)) for k in range(len(word) + 1)]
+    return [(a, sub_vec(b, a)) for a, b in zip(dims, dims[1:])]
+
+
+# the one memo of word images, each built on that of its prefix: one
+# `verify hall` per process fills it to 113 entries on A3, 86 on the
+# Kronecker quiver, 511 on E6 at hall bound (1,1,1,0,0,0) and 714 on D4,
+# and `scripts/run_verify.py` to 1,894
+@lru_cache(maxsize=1 << 12)
+def _hall_word(quiver: Quiver, q: int, word: tuple) -> HallElement:
+    """hall_word with no check."""
+    if not word:
+        return HallElement.unit(quiver, q)
+    simple = HallElement.simple(quiver, q, word[-1])
+    return _product(_hall_word(quiver, q, word[:-1]), simple)
 
 
 # ---------------------------------------------------------------------------
@@ -1002,40 +1002,31 @@ def bgp_reflect(vertex: int, x: QuiverRep) -> QuiverRep:
 
 
 def specialize_compare(
-    quiver: Quiver,
-    nu_a: tuple,
-    nu_b: tuple,
-    q: int,
-    budget: int = DEFAULT_BUDGET,
-    images: dict | None = None,
+    quiver: Quiver, nu_a: tuple, nu_b: tuple, q: int, budget: int = DEFAULT_BUDGET
 ) -> list[tuple]:
     """(left word, right word, Hall product, symbolic product at
     v = sqrt(q)) for every pair of theta-words of weights nu_a and nu_b:
     the composition-algebra product of their functions, and their
-    symbolic product in f with each basis word replaced by its function.
-
-    images maps each theta-word to its Hall function; a caller comparing
-    several weights on the same quiver and q can pass one dict to every
-    call, so that no word's function is computed twice."""
-    v_num = isqrt(q)
-    if v_num * v_num != q:
-        raise ValueError("comparison needs a perfect-square q")
+    symbolic product in f with each basis word replaced by its function."""
+    v = _sqrt_q(q)
     datum = load_datum(quiver)
-    if images is None:
-        images = {}
+    words_a, words_b = words_of_weight(datum, nu_a), words_of_weight(datum, nu_b)
+    # the estimates only grow along a word, and every word of a weight
+    # meets the largest for each letter, so the first word of each weight
+    # bounds the others; a word of weight nu_a + nu_b, on the symbolic
+    # side, is bounded by those two and their product
+    first = (*_word_steps(quiver, words_a[0]), *_word_steps(quiver, words_b[0]))
+    _require_products(quiver, q, (*first, (nu_a, nu_b)), budget)
 
     def image(word):
-        if word not in images:
-            images[word] = hall_word(quiver, q, v_num, word, budget)
-        return images[word]
+        return _hall_word(quiver, q, word).terms.items()
 
     report = []
-    for w1 in words_of_weight(datum, nu_a):
-        h1 = image(w1)
-        for w2 in words_of_weight(datum, nu_b):
-            lhs = hall_product(h1, image(w2), v_num, budget)
+    for w1 in words_a:
+        h1 = _hall_word(quiver, q, w1)
+        for w2 in words_b:
+            lhs = _product(h1, _hall_word(quiver, q, w2))
             prod = normal_form(FreeElement(datum, {w1 + w2: RF_ONE}))
-            at_v = ((w, c.eval_at(v_num)) for w, c in prod.terms.items())
-            rhs = lhs._like(linear(at_v, lambda word: image(word).terms.items()))
-            report.append((w1, w2, lhs, rhs))
+            at_v = ((w, c.eval_at(v)) for w, c in prod.terms.items())
+            report.append((w1, w2, lhs, lhs._like(linear(at_v, image))))
     return report

@@ -737,17 +737,12 @@ def _check_hall_bgp(s: Session):
 def _check_hall_assoc(s: Session):
     quiver = s.datum.quiver
     q = 4
-    v_num = 2
     simples = {i: hall.HallElement.simple(quiver, q, i) for i in quiver.vertices}
     for i, a in simples.items():
         for j, b in simples.items():
             for k, c in simples.items():
-                lhs = hall.hall_product(
-                    hall.hall_product(a, b, v_num, s.budget), c, v_num, s.budget
-                )
-                rhs = hall.hall_product(
-                    a, hall.hall_product(b, c, v_num, s.budget), v_num, s.budget
-                )
+                lhs = hall.hall_product(hall.hall_product(a, b, s.budget), c, s.budget)
+                rhs = hall.hall_product(a, hall.hall_product(b, c, s.budget), s.budget)
                 _expect(f"(S{i} S{j}) S{k} at q={q}", lhs, rhs)
 
 
@@ -764,7 +759,7 @@ def _check_hall_serre(s: Session):
             at_v = ((w, c.eval_at(v_num)) for w, c in rel.terms.items())
 
             def word(w):
-                return hall.hall_word(quiver, q, v_num, w, s.budget).terms.items()
+                return hall.hall_word(quiver, q, w, s.budget).terms.items()
 
             zero = hall.HallElement(quiver, q)
             _expect(f"serre({i},{j}) at q={q}", zero._like(linear(at_v, word)), zero)
@@ -772,9 +767,7 @@ def _check_hall_serre(s: Session):
 
 def _hall_agreement(quiver: Quiver, bound: tuple, budget: int) -> None:
     """Both sides of specialize_compare on every pair of nonzero weights
-    whose sum stays within bound, with one theta-word -> Hall function
-    dict for them all."""
-    images: dict = {}
+    whose sum stays within bound."""
     arrows = quiver.arrows
     for nu_a in dims_upto(bound):
         for nu_b in dims_upto(bound):
@@ -783,7 +776,7 @@ def _hall_agreement(quiver: Quiver, bound: tuple, budget: int) -> None:
                 continue
             if not any(nu_a) or not any(nu_b):
                 continue
-            report = hall.specialize_compare(quiver, nu_a, nu_b, 4, budget, images)
+            report = hall.specialize_compare(quiver, nu_a, nu_b, 4, budget)
             for w1, w2, lhs, rhs in report:
                 _expect(f"th{w1} th{w2} on {arrows}", lhs, rhs)
 

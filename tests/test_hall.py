@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -56,9 +57,9 @@ def canonical_point(quiver, q, dims, point):
     point of its class key from the walk of `iso_classes`, otherwise by
     orbit search."""
     if hall._bricks(quiver, q) is None:
-        return hall.orbit_canonical_point(quiver, q, dims, point)
+        return min(orbit_of(quiver, q, dims, point))
     key = hall.class_key(QuiverRep(quiver, q, dims, point))
-    return hall._least_points(quiver, q, dims, hall.DEFAULT_BUDGET)[key]
+    return hall._least_points(quiver, q, dims)[key]
 
 
 P2 = rep((1, 1), (((1,),),))
@@ -126,49 +127,45 @@ def test_hall_product_examples():
     q = 4
     u1 = HallElement.simple(Q, q, 1)
     u2 = HallElement.simple(Q, q, 2)
-    p = hall_product(u1, u2, 2)
-    zero_class = ((1, 1), (((0,),),))
-    nonzero_class = ((1, 1), (((1,),),))
+    p = hall_product(u1, u2)
+    zero_class = hall.class_key(rep((1, 1), (((0,),),), q))
+    nonzero_class = hall.class_key(rep((1, 1), (((1,),),), q))
     assert p.terms == {
         zero_class: Fraction(1, 2),
         nonzero_class: Fraction(1, 2),
     }
-    p = hall_product(u2, u1, 2)
+    p = hall_product(u2, u1)
     assert p.terms == {zero_class: Fraction(1)}
     unit = HallElement.unit(Q, q)
-    assert hall_product(unit, u1, 2) == u1
-    with pytest.raises(ValueError):
-        hall_product(u1, u2, 3)
+    assert hall_product(unit, u1) == u1
+    with pytest.raises(ValueError, match="perfect-square"):
+        hall_product(HallElement.simple(Q, 3, 1), HallElement.simple(Q, 3, 2))
 
 
-def _reference_hall_product(a, b, v_num, budget=hall.DEFAULT_BUDGET):
+def _reference_hall_product(a, b):
     """The twisted product by a loop over every class of the product's
     dimension vector, looking up each Hall number: no product memo."""
     quiver, q = a.quiver, a.q
 
-    def image(term_a, term_b):
-        (dims_a, pa), (dims_b, pb) = term_a, term_b
-        key_ab = (
-            hall.class_key(QuiverRep(quiver, q, dims_a, pa)),
-            hall.class_key(QuiverRep(quiver, q, dims_b, pb)),
-        )
+    def image(key_a, key_b):
+        dims_a, dims_b = key_a[0], key_b[0]
         dims_m = tuple(x + y for x, y in zip(dims_a, dims_b))
-        twist = Fraction(v_num) ** quiver.euler_form(dims_a, dims_b)
-        for key_m, (rep, _size) in hall._class_table(quiver, q, dims_m, budget).items():
-            g = hall._hall_tally(quiver, q, key_m, dims_b).get(key_ab, 0)
+        twist = Fraction(isqrt(q)) ** quiver.euler_form(dims_a, dims_b)
+        for key_m in hall._class_table(quiver, q, dims_m):
+            g = hall._hall_tally(quiver, q, key_m, dims_b).get((key_a, key_b), 0)
             if g:
-                yield (dims_m, rep), twist * g
+                yield key_m, twist * g
 
     return a._like(bilinear(a.terms.items(), b.terms.items(), image))
 
 
 def _class_elements(quiver, q, bound):
     """One single-class element per class of every dimension vector up
-    to the bound, keyed by a point of the class table."""
+    to the bound."""
     return [
-        HallElement(quiver, q, {(dims, rep): Fraction(1)})
+        HallElement(quiver, q, {key: Fraction(1)})
         for dims in dims_upto(bound)
-        for rep, _size in hall.class_points(quiver, q, dims)
+        for key in hall._class_table(quiver, q, dims)
     ]
 
 
@@ -177,7 +174,7 @@ def _class_elements(quiver, q, bound):
     [("1->2,2->3", (2, 2, 1)), ("1->2,3->2", (2, 2, 1)), ("1->2,1->2", (1, 2))],
 )
 def test_class_products_match_the_per_call_loop(spec, bound):
-    quiver, q, vn = quiver_from_shorthand(spec), 4, 2
+    quiver, q = quiver_from_shorthand(spec), 4
     elements = _class_elements(quiver, q, bound)
     pairs = 0
     for x in elements:
@@ -186,7 +183,7 @@ def test_class_products_match_the_per_call_loop(spec, bound):
             dims_y = next(iter(y.terms))[0]
             if any(a + b > c for a, b, c in zip(dims_x, dims_y, bound)):
                 continue
-            assert hall_product(x, y, vn) == _reference_hall_product(x, y, vn), (x, y)
+            assert hall_product(x, y) == _reference_hall_product(x, y), (x, y)
             pairs += 1
     assert pairs > len(elements)
     # a sum of classes with distinct coefficients meets many pairs at once
@@ -194,45 +191,45 @@ def test_class_products_match_the_per_call_loop(spec, bound):
         (e.scale(Fraction(k + 1, 3)) for k, e in enumerate(elements[1:6])),
         HallElement(quiver, q),
     )
-    assert hall_product(mixed, mixed, vn) == _reference_hall_product(mixed, mixed, vn)
+    assert hall_product(mixed, mixed) == _reference_hall_product(mixed, mixed)
 
 
 def test_class_product_memo_bounded_and_transparent():
     memo = hall._class_product
     assert memo.__module__ == "qhall.hall"
     assert memo.cache_parameters()["maxsize"] is not None
-    q, vn = 4, 2
+    q = 4
     u = [HallElement.simple(QA3, q, i) for i in (1, 2, 3)]
-    x = hall_product(hall_product(u[0], u[1], vn), u[2], vn)
+    x = hall_product(hall_product(u[0], u[1]), u[2])
     words = [(x, u[0]), (u[1], x), (x, x), (u[2], u[2])]
-    first = [hall_product(a, b, vn) for a, b in words]
+    first = [hall_product(a, b) for a, b in words]
     before = memo.cache_info()
-    assert [hall_product(a, b, vn) for a, b in words] == first
+    assert [hall_product(a, b) for a, b in words] == first
     after = memo.cache_info()
     assert after.misses == before.misses and after.hits > before.hits
     memo.cache_clear()
-    assert [hall_product(a, b, vn) for a, b in words] == first
+    assert [hall_product(a, b) for a, b in words] == first
     assert memo.cache_info().currsize > 0
 
 
 def test_class_product_keeps_the_budget():
     # a product over the budget raises, memoized at a larger budget or not
     u1 = HallElement.simple(Q, 4, 1)
-    two = hall_product(u1, u1, 2)
-    assert hall_product(two, two, 2, budget=10**6) == _reference_hall_product(two, two, 2)
+    two = hall_product(u1, u1)
+    assert hall_product(two, two, budget=10**6) == _reference_hall_product(two, two)
     with pytest.raises(BudgetExceeded):
-        hall_product(two, two, 2, budget=4)
+        hall_product(two, two, budget=4)
 
 
 def test_composition_algebra_serre():
-    q, vn = 4, 2
+    q = 4
     u1 = HallElement.simple(Q, q, 1)
     u2 = HallElement.simple(Q, q, 2)
-    two = hall_product(u1, u1, vn)
+    two = hall_product(u1, u1)
     lhs = (
-        hall_product(two, u2, vn)
-        + hall_product(u2, two, vn)
-        + hall_product(hall_product(u1, u2, vn), u1, vn).scale(Fraction(-5, 2))
+        hall_product(two, u2)
+        + hall_product(u2, two)
+        + hall_product(hall_product(u1, u2), u1).scale(Fraction(-5, 2))
     )
     assert lhs.is_zero()
 
@@ -452,7 +449,7 @@ def test_specialize_compare_needs_square_q():
 
 
 def test_hall_word_unit():
-    u = hall_word(Q, 4, 2, ())
+    u = hall_word(Q, 4, ())
     assert u == HallElement.unit(Q, 4)
 
 
@@ -482,7 +479,7 @@ def test_hall_numbers_match_subrep_tally(spec, bound, q):
     quiver = quiver_from_shorthand(spec)
 
     def least(dims, mats):
-        return hall.orbit_canonical_point(quiver, q, dims, mats)
+        return min(orbit_of(quiver, q, dims, mats))
 
     for dims in dims_upto(bound):
         for point, _size in iso_classes(quiver, q, dims):
@@ -666,7 +663,7 @@ def test_kostant_table_matches_the_walk(spec, bound, q):
     quiver = quiver_from_shorthand(spec)
     assert hall._bricks(quiver, q) is not None
     for dims in dims_upto(bound):
-        table = hall._class_table(quiver, q, dims, hall.DEFAULT_BUDGET)
+        table = hall._class_table(quiver, q, dims)
         least, count = _walk(quiver, q, dims)
         assert table.keys() == least.keys(), dims
         for key, (point, size) in table.items():
@@ -689,7 +686,7 @@ def test_kronecker_takes_the_orbit_route(q):
         assert canonical_point(kronecker, q, (1, 1), p) == least
     # the class table the Hall checks read is the orbit table
     for dims in dims_upto((2, 2)):
-        orbits = hall.orbit_classes(kronecker, q, dims)
+        orbits = tuple(sorted(Counter(_orbit_canon(kronecker, q, dims).values()).items()))
         assert hall.class_points(kronecker, q, dims) == orbits
         assert iso_classes(kronecker, q, dims) == orbits
 
@@ -699,15 +696,14 @@ def test_one_bounded_class_key_memo_serves_both_routes():
     assert memo.__module__ == "qhall.hall"
     assert memo.cache_parameters()["maxsize"] is not None
     assert not hasattr(hall, "_term_key")
-    assert not hasattr(hall.orbit_canonical_point, "cache_info")
-    q, vn = 4, 2
+    q = 4
     u1, u3 = HallElement.simple(QA3, q, 1), HallElement.simple(QA3, q, 3)
-    x = hall_product(hall_product(u1, HallElement.simple(QA3, q, 2), vn), u3, vn)
-    first = hall_product(x, u1, vn)
+    x = hall_product(hall_product(u1, HallElement.simple(QA3, q, 2)), u3)
+    first = hall_product(x, u1)
+    # the terms are class keys already, so a memoized product keys nothing
     before = memo.cache_info()
-    assert hall_product(x, u1, vn) == first
-    after = memo.cache_info()
-    assert after.misses == before.misses and after.hits > before.hits
+    assert hall_product(x, u1) == first
+    assert memo.cache_info() == before
     # an orbit-route key is searched once, then read from the memo
     kronecker = quiver_from_shorthand("1->2,1->2")
     y = QuiverRep(kronecker, 3, (1, 2), (((1,), (2,)), ((0,), (1,))))
@@ -804,7 +800,7 @@ def test_e6_bricks_build_and_tables_cover_the_points():
     for x, root in zip(bricks.reps, bricks.roots):
         assert x.dims == root and hom_dim(x, x) == 1, x
     for dims in [(1, 1, 1, 1, 1, 1), (0, 1, 2, 1, 0, 1), (1, 1, 2, 1, 1, 1)]:
-        table = hall._class_table(e6, q, dims, hall.DEFAULT_BUDGET)
+        table = hall._class_table(e6, q, dims)
         assert len(table) == kostant_count(roots, dims), dims
         sizes = [size for _point, size in table.values()]
         assert sum(sizes) == q ** e_v_dimension(e6, dims), dims
@@ -851,3 +847,42 @@ def test_graded_subreps_budget():
     assert len(list(graded_subreps(M, (1, 0), budget=7))) == 7
     with pytest.raises(BudgetExceeded):
         next(graded_subreps(M, (1, 0), budget=6))
+
+
+def _zero_rep(quiver, q, dims):
+    return QuiverRep(quiver, q, dims, hall._zero_point(quiver, dims))
+
+
+def test_hall_number_reads_a_budget_above_the_default():
+    # keying M searches the orbit of a point in a space of 2^32 points,
+    # past the default budget but within this one
+    kronecker, q = quiver_from_shorthand("1->2,1->2"), 2
+    M, N, L = (_zero_rep(kronecker, q, dims) for dims in [(4, 4), (3, 4), (1, 0)])
+    assert hall_number(M, N, L, budget=2**33) == subspace_count(q, 4, 1)
+
+
+def test_hall_number_checks_its_orbit_searches():
+    # 9 graded subspaces, but keying M, its quotients and subs searches
+    # orbits in a space of 2^8 points
+    kronecker, q = quiver_from_shorthand("1->2,1->2"), 2
+    M, N, L = (_zero_rep(kronecker, q, dims) for dims in [(2, 2), (1, 1), (1, 1)])
+    with pytest.raises(BudgetExceeded, match="needs about 256 points"):
+        hall_number(M, N, L, budget=100)
+
+
+def test_no_memo_takes_a_budget():
+    import importlib
+    import inspect
+    import pkgutil
+
+    import qhall
+
+    memos = []
+    for info in pkgutil.iter_modules(qhall.__path__):
+        module = importlib.import_module(f"qhall.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                memos.append(f"{info.name}.{name}")
+                params = inspect.signature(obj.__wrapped__).parameters
+                assert "budget" not in params, f"{info.name}.{name}"
+    assert "hall._hall_word" in memos and "hall._class_table" in memos

@@ -189,19 +189,26 @@ def test_a_piece_outside_the_kernel_fails_with_its_component(monkeypatch):
 
 def test_doubled_simple_products_fail_the_hall_row_with_both_sides(monkeypatch):
     d = load_datum(load_quiver("1->2"))
-    real = verify.hall.hall_product
+    s = Session(d)
+    real = verify.hall._product
     simples = {verify.hall.HallElement.simple(d.quiver, 4, i) for i in d.vertices}
 
-    def doubled(a, b, v_num, budget=verify.hall.DEFAULT_BUDGET):
-        out = real(a, b, v_num, budget)
+    def doubled(a, b):
+        out = real(a, b)
         return out.scale(Fraction(2)) if a != b and {a, b} <= simples else out
 
-    monkeypatch.setattr(verify.hall, "hall_product", doubled)
-    r = verify._run("hall-structure-agreement", verify._check_hall_agreement, Session(d))
+    # word images are memoized through the product, so none may be kept
+    # from before the fault or after it
+    verify.hall._hall_word.cache_clear()
+    monkeypatch.setattr(verify.hall, "_product", doubled)
+    try:
+        r = verify._run("hall-structure-agreement", verify._check_hall_agreement, s)
+    finally:
+        verify.hall._hall_word.cache_clear()
     assert r.status == "fail"
     assert r.detail == (
-        "th(1,) th(1, 2) on ((1, 2),): differ at ((2, 1), (((0, 0),),)): got 5, "
-        "want 5/2; ((2, 1), (((1, 0),),)): got 5, want 5/2"
+        "th(1,) th(1, 2) on ((1, 2),): differ at ((2, 1), (1, 2, 1)): got 5, "
+        "want 5/2; ((2, 1), (1, 2, 2)): got 5, want 5/2"
     )
 
 
