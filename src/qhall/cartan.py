@@ -28,6 +28,8 @@ class Quiver:
     arrows: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if not self.vertices:
+            raise ValueError("quiver has no vertices")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
         vs = set(self.vertices)

@@ -7,11 +7,19 @@ immutable and can be shared freely between threads, so an operation may
 return an operand as it is: a sum with zero and a product with ONE do.
 
 The canonical form keeps the Laurent shift in the numerator, so a product
-by a unit monomial +-v^k only moves (and signs) the numerator's exponents
-and runs no reduction; RatFunc.shift(k) is the product by v^k, and the
-torus twists of the algebras above call it rather than multiplying by
-v_pow(k).  A denominator 1 is always the one object ONE_POLY, so products
-tell it by identity.
+by a monomial c v^k over 1 only moves the other numerator's exponents and
+scales its coefficients by c, and runs no reduction unless c shares a
+factor with the content of the other denominator; RatFunc.shift(k) is the
+product by v^k, and the torus twists of the algebras above call it rather
+than multiplying by v_pow(k).  A denominator 1 is always the one object
+ONE_POLY, so products tell it by identity.
+
+sum_products, into which the algebras above collect their products
+a * b * v^k, folds such a unit factor the same way: a factor whose
+numerator is one term c v^e adds e to the twist k and scales by c, in one
+pass over the other numerator, with no IntPoly product and no second
+pass for the shift.  A denominator pair with a side 1 is the other side
+itself, so denominators 1 keep their identity there too.
 
 A general product a * b cancels a.num against b.den and b.num against
 a.den, and multiplies what is left.  The two cancellations are memoized,
@@ -331,7 +339,7 @@ class RatFunc:
         return self.num.is_zero()
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.num.coeffs)
 
     def __eq__(self, other):
         return (
@@ -384,15 +392,15 @@ class RatFunc:
         an, bn = self.num.coeffs, other.num.coeffs
         if not an or not bn:
             return ZERO
-        # a unit monomial +-v^k shifts and signs the other numerator and
+        # a unit monomial c v^k moves (and scales) the other numerator and
         # leaves the canonical form intact; a denominator 1 is ONE_POLY
         # itself, so one identity test rules a factor in or out
         if other.den is ONE_POLY:
             if len(bn) == 1 and (r := _unit_product(self, bn)) is not None:
                 return r
             if self.den is ONE_POLY:
-                if len(an) == 1 and (r := _unit_product(other, an)) is not None:
-                    return r
+                if len(an) == 1:
+                    return _unit_product(other, an)
                 r = object.__new__(RatFunc)
                 r.num, r.den, r._hash = self.num * other.num, ONE_POLY, None
                 return r
@@ -454,19 +462,24 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def _unit_product(a: RatFunc, unit: dict) -> RatFunc | None:
-    """a * s v^k for the coefficients unit = {k: s} of a one-term
-    numerator over 1, its numerator built in one pass, when s is +-1;
-    None otherwise."""
-    ((k, s),) = unit.items()
-    if s == 1:
+def _unit_product(a: RatFunc, unit: dict, shift: int = 0) -> RatFunc | None:
+    """a * c v^k * v^shift for the coefficients unit = {k: c} of a one-term
+    numerator over 1, its numerator built in one pass: a's exponents move
+    by k + shift and its coefficients are scaled by c.  a's denominator
+    stays as it is, so when |c| > 1 the result is reduced only if c is
+    prime to the content of that denominator; None otherwise."""
+    ((k, c),) = unit.items()
+    k += shift
+    if c == 1:
         if not k:
             return a
-        num = {e + k: c for e, c in a.num.coeffs.items()}
-    elif s == -1:
-        num = {e + k: -c for e, c in a.num.coeffs.items()}
+        num = {e + k: x for e, x in a.num.coeffs.items()}
+    elif c == -1:
+        num = {e + k: -x for e, x in a.num.coeffs.items()}
     else:
-        return None
+        if a.den is not ONE_POLY and gcd(c, _gcd_many(a.den.coeffs.values())) > 1:
+            return None
+        num = {e + k: c * x for e, x in a.num.coeffs.items()}
     r = object.__new__(RatFunc)
     r.num, r.den, r._hash = IntPoly._raw(num), a.den, None
     return r
@@ -532,29 +545,47 @@ def common_denominator(values) -> tuple[IntPoly, list[IntPoly]]:
 
 
 def sum_products(groups: dict) -> dict:
-    """key -> the sum of a * b * v^k over the key's (a, b, k) triples,
-    with the keys whose sum is zero left out.
+    """key -> the sum of a * b * v^k over the key's (a, b, k) triples of
+    nonzero values, with the keys whose sum is zero left out.
 
-    A key with one triple is that product.  A longer sum is taken over
-    one common denominator as integer Laurent polynomials and reduced
-    once; a zero numerator is dropped before any gcd.  Each denominator
-    pair (a.den, b.den) is multiplied out once per call, and each distinct
-    set of such products gets its common denominator and cofactors once
-    per call."""
+    A factor whose numerator is one term c v^e is folded in rather than
+    multiplied: the other numerator's exponents move by e + k and its
+    coefficients are scaled by c, in one pass.  A key with one triple is
+    that product, folded when the unit factor's denominator is 1 (and c
+    is prime to the content of the other's).  A longer sum is taken over
+    one common denominator as integer Laurent polynomials, folding each
+    unit numerator the same way, and reduced once; a zero numerator is
+    dropped before any gcd.  A denominator pair with a side 1 is the other
+    side itself, so a denominator 1 stays ONE_POLY; each other pair
+    (a.den, b.den) is multiplied out once per call, and each distinct set
+    of such products gets its common denominator and cofactors once per
+    call."""
     pair_dens: dict = {}  # (a.den, b.den) -> a.den * b.den
     lcms: dict = {}  # a key's distinct pair products -> (den, cofactors)
     out = {}
     for key, triples in groups.items():
         if len(triples) == 1:
             ((a, b, k),) = triples
-            out[key] = (a * b).shift(k)
+            an, bn = a.num.coeffs, b.num.coeffs
+            r = None
+            if len(an) == 1 and a.den is ONE_POLY:
+                r = _unit_product(b, an, k)
+            elif len(bn) == 1 and b.den is ONE_POLY:
+                r = _unit_product(a, bn, k)
+            out[key] = (a * b).shift(k) if r is None else r
             continue
         prods = []
         for a, b, _k in triples:
-            pair = (a.den, b.den)
-            p = pair_dens.get(pair)
-            if p is None:
-                p = pair_dens[pair] = a.den * b.den
+            ad, bd = a.den, b.den
+            if ad is ONE_POLY:
+                p = bd
+            elif bd is ONE_POLY:
+                p = ad
+            else:
+                pair = (ad, bd)
+                p = pair_dens.get(pair)
+                if p is None:
+                    p = pair_dens[pair] = ad * bd
             prods.append(p)
         shape = tuple(dict.fromkeys(prods))
         found = lcms.get(shape)
@@ -563,13 +594,22 @@ def sum_products(groups: dict) -> dict:
         den, cof = found
         num: dict = {}
         for (a, b, k), p in zip(triples, prods):
-            term = a.num * b.num
+            an, bn = a.num.coeffs, b.num.coeffs
+            if len(an) == 1:
+                ((e, c),) = an.items()
+                term = b.num
+            elif len(bn) == 1:
+                ((e, c),) = bn.items()
+                term = a.num
+            else:
+                e, c, term = 0, 1, a.num * b.num
             factor = cof[p]
             if factor is not ONE_POLY:
                 term = term * factor
-            for e, c in term.coeffs.items():
+            k += e
+            for e, x in term.coeffs.items():
                 e += k
-                s = num.get(e, 0) + c
+                s = num.get(e, 0) + c * x
                 if s:
                     num[e] = s
                 else:

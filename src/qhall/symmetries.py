@@ -67,13 +67,12 @@ from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, sum_products, v_pow
 from .ualgebra import (
     UElement,
     _collect_products,
-    _pairing,
     _share,
     _twisted,
+    _word_pairing,
     embed_minus,
     embed_plus,
     plus_part,
-    u_degree,
     u_mul,
     u_product,
 )
@@ -93,13 +92,13 @@ def _sigma(x: UElement) -> UElement:
     return x._like(linear(x.terms.items(), image))
 
 
-# _table, _certified, _word_image, _pair_image, _divided_image and
-# _t_tilde_word are bounded above the largest fill measured: one
-# scripts/run_verify.py process leaves 18, 9, 1,102, 664, 72 and 408
-# entries in them, one symbolic-verify round 10, 5, 370, 280, 34 and 124,
-# and the u-queries stream 6, 3, 363, 856, 18 and 72.  The rows of
-# _pair_image hold shared keys, coefficients and pairing vectors
-# (ualgebra._shared).
+# _table, _certified, _word_image, _pair_image, _divided_image,
+# _t_tilde_word and _reflected are bounded above the largest fill
+# measured: one scripts/run_verify.py process leaves 18, 9, 1,102, 664,
+# 72, 408 and 105 entries in them, one symbolic-verify round 10, 5, 370,
+# 280, 34, 124 and 62, and the u-queries stream 6, 3, 363, 856, 18, 72
+# and 189.  The rows of _pair_image hold shared keys, coefficients and
+# pairing vectors (ualgebra._shared).
 @lru_cache(maxsize=64)
 def _table(datum: CartanDatum, vertex: int, inverse: bool) -> dict:
     """Generator images of T_i; for T_i^-1 = sigma T_i sigma, since sigma
@@ -176,11 +175,13 @@ def _pair_rows(f_img: UElement, e_img: UElement) -> tuple:
     v^sym_form(delta - wt(e), lam), so the row keeps the pairing vector
     of delta - wt(e)."""
     d = f_img.datum
-    delta = u_degree(d, next(iter(e_img.terms)))
+    # the pairing vector of delta, from any term of e_img
+    fw, _mu, ew = next(iter(e_img.terms))
+    p_delta = sub_vec(_word_pairing(d, ew), _word_pairing(d, fw))
     prod = u_mul(f_img, e_img).terms
     # many rows share an E-word, so each pairing vector is computed once
     ewords = {e for _f, _kappa, e in prod}
-    pairing = {e: _pairing(d, sub_vec(delta, d.weight_of_word(e))) for e in ewords}
+    pairing = {e: sub_vec(p_delta, _word_pairing(d, e)) for e in ewords}
     return _share((key, c, pairing[key[2]]) for key, c in prod.items())
 
 
@@ -203,6 +204,13 @@ def _pair_image(
     )
 
 
+@lru_cache(maxsize=1 << 10)
+def _reflected(datum: CartanDatum, vertex: int, mu: tuple) -> tuple:
+    """The coweight s_i mu; the inputs of T_i and T_i^-1 meet few
+    coweights."""
+    return datum.reflect_coweight(vertex, mu)
+
+
 def _apply_table(vertex: int, x: UElement, route: str) -> UElement:
     """T(F_a K_mu E_b) = v^alpha_delta(lam) T(F_a) T(E_b) K_lam with
     lam = s_i mu: one pair image of (a, b) on the route per term, twisted
@@ -211,7 +219,7 @@ def _apply_table(vertex: int, x: UElement, route: str) -> UElement:
     d = x.datum
     groups: dict = {}
     for (fw, mu, ew), c in x.terms.items():
-        lam = d.reflect_coweight(vertex, mu)
+        lam = _reflected(d, vertex, mu)
         for key, pc, k in _twisted(_pair_image(d, vertex, route, fw, ew), lam, lam):
             groups.setdefault(key, []).append((c, pc, k))
     return x._like(sum_products(groups))
@@ -228,17 +236,13 @@ def _apply_inverse(vertex: int, x: UElement) -> UElement:
     d = x.datum
     by_fword: dict = {}
     for (fw, mu, ew), c in x.terms.items():
-        by_fword.setdefault(fw, []).append((c, d.reflect_coweight(vertex, mu), ew))
-    pairing: dict = {}  # F-word -> pairing vector of minus its weight
+        by_fword.setdefault(fw, []).append((c, _reflected(d, vertex, mu), ew))
     groups: dict = {}
     for fw, parts in by_fword.items():
         y: dict = {}
         for c, lam, ew in parts:
             for (f, kappa, e), pc in _word_image(d, vertex, "E", ew, True).terms.items():
-                p = pairing.get(f)
-                if p is None:
-                    p = pairing[f] = _pairing(d, neg_vec(d.weight_of_word(f)))
-                k = sum(map(mul, p, lam))
+                k = -sum(map(mul, _word_pairing(d, f), lam))
                 y.setdefault((f, add_vec(kappa, lam), e), []).append((c, pc, k))
         f_image = _word_image(d, vertex, "F", fw, True).terms.items()
         _collect_products(d, f_image, sum_products(y).items(), groups)

@@ -42,6 +42,12 @@ u_mul, the antipode and the symmetries read their memos through it:
   a . c S(b)) through _collect_products and reduces each key once.  The
   product of UTensor, which _delta_words builds on, collects its row
   pairs the same way.
+
+Every pairing vector is read from one bounded memo, _word_pairing, of the
+pairing vector of each word's weight.  The pairing is linear in the
+weight, p(a - b) = p(a) - p(b), so the product table, the antipode, and
+the pair rows and T_i^-1 of symmetries add or subtract memoized vectors
+rather than weigh each row's words and pair the result.
 """
 
 from __future__ import annotations
@@ -153,11 +159,6 @@ def _straighten(datum: CartanDatum, ew: Word, fw: Word) -> "UElement":
     return left + u_mul(_straighten(datum, ew_head, fw_tail), plus - minus)
 
 
-def _pairing(datum: CartanDatum, nu: tuple) -> tuple:
-    """The vector p with sym_form(nu, mu) == p . mu for every mu."""
-    return tuple(sum(map(mul, row, nu)) for row in datum.cartan)
-
-
 def _twisted(rows, twist: tuple, shift: tuple):
     """Rows (key, coefficient, pairing vector) of a torus-free memo at one
     torus element: each key's coweight moved by shift, with v-exponent
@@ -172,9 +173,11 @@ def _twisted(rows, twist: tuple, shift: tuple):
 
 # The rows of _product_table, _antipode_words and symmetries._pair_rows
 # repeat a few keys, coefficients and pairing vectors, so each distinct
-# value is stored once.  _shared is bounded above the largest fill
-# measured: 4,771 entries after the u-queries stream, 1,487 after one
-# symbolic-verify round and 2,827 after one scripts/run_verify.py process.
+# value is stored once, and each word's pairing vector is computed once.
+# _shared and _word_pairing are bounded above the largest fill measured:
+# 4,771 and 102 entries after the u-queries stream, 1,487 and 151 after
+# one symbolic-verify round and 2,827 and 477 after one
+# scripts/run_verify.py process.
 @lru_cache(maxsize=1 << 14)
 def _shared(value):
     """The first stored object equal to value.  Only tuples and RatFuncs
@@ -187,6 +190,15 @@ def _share(rows) -> tuple:
     its shared copy; the values are immutable and canonical, so an equal
     object stands in for each."""
     return tuple((_shared(key), _shared(c), _shared(p)) for key, c, p in rows)
+
+
+@lru_cache(maxsize=1 << 11)
+def _word_pairing(datum: CartanDatum, word: Word) -> tuple:
+    """The pairing vector p of the word's weight nu: sym_form(nu, mu) ==
+    p . mu for every mu.  It is linear in nu, so the pairing vector of a
+    difference of word weights is the difference of theirs."""
+    nu = datum.weight_of_word(word)
+    return tuple(sum(map(mul, row, nu)) for row in datum.cartan)
 
 
 @lru_cache(maxsize=1 << 13)
@@ -207,13 +219,13 @@ def _product_table(
         return (((bf, kappa, be), cf * ce) for bf, cf in ftotal for be, ce in etotal)
 
     out = linear(_straighten(datum, e1, f2).terms.items(), image)
-    wf1, we2 = datum.weight_of_word(f1), datum.weight_of_word(e2)
+    pf1, pe2 = _word_pairing(datum, f1), _word_pairing(datum, e2)
     return _share(
         (
             key,
             c,
-            _pairing(datum, sub_vec(wf1, datum.weight_of_word(key[0])))
-            + _pairing(datum, sub_vec(we2, datum.weight_of_word(key[2]))),
+            sub_vec(pf1, _word_pairing(datum, key[0]))
+            + sub_vec(pe2, _word_pairing(datum, key[2])),
         )
         for key, c in out.items()
     )
@@ -349,9 +361,9 @@ def _antipode_words(datum: CartanDatum, fw: Word, ew: Word) -> tuple:
         factors.append(
             u_mul(UElement.F(datum, letter), UElement.K(datum, h)).scale(MINUS_ONE)
         )
-    wew = datum.weight_of_word(ew)
+    pew = _word_pairing(datum, ew)
     return _share(
-        (key, c, _pairing(datum, add_vec(wew, datum.weight_of_word(key[0]))))
+        (key, c, add_vec(pew, _word_pairing(datum, key[0])))
         for key, c in u_product(factors).terms.items()
     )
 

@@ -276,6 +276,19 @@ def test_cli_rejects_malformed_quiver_json(capsys, tmp_path):
     assert bad("{bad") == f"qhall: {decoder}"
 
 
+def test_cli_rejects_a_quiver_with_no_vertices(capsys, tmp_path):
+    # in shorthand (empty, or arrows left out) and in JSON, inline or in a file
+    for datum in ("", ",", '{"vertices": [], "arrows": []}'):
+        line = _bad_input(capsys, "--datum", datum, "verify", "all")
+        assert line == "qhall: quiver has no vertices"
+    path = tmp_path / "empty.json"
+    path.write_text('{"vertices": [], "arrows": []}')
+    line = _bad_input(capsys, "--datum", str(path), "verify", "all")
+    assert line == f"qhall: quiver file {path}: quiver has no vertices"
+    line = _bad_input(capsys, "hall", "classes", "", "1", "2")
+    assert line == "qhall: quiver has no vertices"
+
+
 def test_cli_rejects_unreadable_quiver_file(capsys, tmp_path):
     missing = tmp_path / "nosuch.json"
     line = _bad_input(capsys, "--datum", str(missing), "verify", "f")

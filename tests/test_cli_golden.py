@@ -2,7 +2,8 @@
 
 `tests/data/cli_golden.json` maps each argument list to the exit code
 and the exact standard output `qhall` gave for it, in text and `--json`
-form, on A2 and A3.  Any change to a canonical printed form shows up
+form, on A2 and A3, and on two quivers with no vertices, which are
+rejected.  Any change to a canonical printed form shows up
 here as a byte difference.  Regenerate the file (only when a printed
 form is meant to change) with
 
@@ -55,6 +56,8 @@ COMMANDS = [
     f"{A3} double mul p(th1*th2) m(th2)",
     "braid verify 1 2",
     "--datum 1->2,2->3 braid verify 1 3",
+    '--datum "" verify all',
+    """--datum '{"vertices": [], "arrows": []}' verify all""",
 ]
 
 

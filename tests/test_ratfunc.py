@@ -3,7 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from qhall import ratfunc
@@ -191,15 +191,17 @@ def test_laurent_rendering():
 @given(st.one_of(ratfuncs, const_den_ratfuncs))
 def test_unit_monomial_products(a):
     _cancelled.cache_clear()
-    for k in range(-3, 4):
-        for s in (1, -1):
+    for s in (1, -1, 2, -3, 6):
+        for k in range(-3, 4):
             m = RatFunc(IntPoly({k: s}))
             want = RatFunc(a.num * m.num, a.den * m.den)
             for got in (a * m, m * a):
                 assert got == want and hash(got) == hash(want)
                 assert str(got) == str(want)
-    # the shift never reaches the general product's cancellation memo
-    assert _cancelled.cache_info().currsize == 0
+        if s in (1, -1):
+            # a signed shift never reaches the general product's
+            # cancellation memo
+            assert _cancelled.cache_info().currsize == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -234,16 +236,26 @@ shared_den_ratfuncs = st.builds(
          poly({0: -1, 2: 1}), poly({0: 1, 2: -2, 4: 1}), poly({0: 3})]
     ),
 )
+# c v^e over 1, which sum_products folds into the other factor: c = +-1,
+# and |c| > 1, which shares a factor with some denominators above
+unit_monomials = st.builds(
+    lambda c, e: RatFunc(IntPoly({e: c})),
+    st.sampled_from([1, -1, 2, -2, 3, -6]),
+    st.integers(-4, 4),
+)
+laurent_polys = st.builds(RatFunc, nonzero_polys)
 coefficients = st.one_of(
-    ratfuncs, const_den_ratfuncs, shared_den_ratfuncs
+    ratfuncs, const_den_ratfuncs, shared_den_ratfuncs, unit_monomials, laurent_polys
 ).filter(bool)
 triples = st.tuples(coefficients, coefficients, st.integers(-4, 4))
 # per key: its triples, and whether to append their negatives
 key_sums = st.tuples(st.lists(triples, min_size=1, max_size=4), st.booleans())
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.lists(key_sums, max_size=4))
+# a unit factor 3v that shares its 3 with the other factor's denominator
+@example([([(parse_scalar("3v"), parse_scalar("1/(3v + 3)"), 1)], False)])
 def test_sum_products_matches_left_to_right_sums(spec):
     groups = {}
     for key, (ts, cancel) in enumerate(spec):
@@ -252,7 +264,9 @@ def test_sum_products_matches_left_to_right_sums(spec):
     for key, ts in groups.items():
         total = ZERO
         for a, b, k in ts:
-            total = total + a * b * v_pow(k)
+            # each product through the normalizing constructor, which
+            # folds no unit factor
+            total = total + RatFunc((a.num * b.num).shift(k), a.den * b.den)
         if total:
             want[key] = total
     got = sum_products(groups)
@@ -261,9 +275,13 @@ def test_sum_products_matches_left_to_right_sums(spec):
     for key, total in want.items():
         assert got[key] == total and hash(got[key]) == hash(total)
         assert str(got[key]) == str(total)
+        # a denominator 1 is ONE_POLY itself, whichever route made it
+        assert (got[key].den is ONE_POLY) == (got[key].den == ONE_POLY)
 
 
-general_factors = st.one_of(ratfuncs, const_den_ratfuncs, shared_den_ratfuncs)
+general_factors = st.one_of(
+    ratfuncs, const_den_ratfuncs, shared_den_ratfuncs, unit_monomials
+)
 
 
 @settings(max_examples=150, deadline=None)

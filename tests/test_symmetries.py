@@ -346,6 +346,7 @@ def test_word_memos_bounded_and_transparent():
         "_pair_image",
         "_divided_image",
         "_t_tilde_word",
+        "_reflected",
     )
     memos = [getattr(symmetries, name) for name in names]
     for memo in memos:

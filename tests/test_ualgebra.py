@@ -30,6 +30,7 @@ from qhall.ualgebra import (
     _shared,
     _straighten,
     _twisted,
+    _word_pairing,
     antipode,
     counit,
     delta,
@@ -441,9 +442,17 @@ def test_u_mul_reduces_once_per_key():
 
 
 def test_term_memos_bounded_and_transparent():
-    memos = (_product_table, _delta_words, _antipode_words, _straighten, _shared)
+    memos = (
+        _product_table,
+        _delta_words,
+        _antipode_words,
+        _straighten,
+        _shared,
+        _word_pairing,
+    )
     for memo in memos:
         assert memo.cache_parameters()["maxsize"] is not None
+        assert memo.__module__ == "qhall.ualgebra"
     src = Path(ualgebra.__file__).read_text()
     assert src.count("maxsize=None") == 0
     d = A3
@@ -456,6 +465,19 @@ def test_term_memos_bounded_and_transparent():
         memo.cache_clear()
     assert (u_mul(x, y), delta(x), antipode(x), hopf_axiom_check(x)) == before
     assert before[3]
+
+
+@pytest.mark.parametrize("spec", ["1->2,2->3", "2->1,2->3,2->4", "1->2,1->2"])
+def test_word_pairing_is_the_form_against_every_coweight(spec):
+    # every word up to height 4, against every coweight with entries -1..1
+    d = load_datum(quiver_from_shorthand(spec))
+    coweights = list(itertools.product((-1, 0, 1), repeat=d.rank))
+    for n in range(5):
+        for word in itertools.product(d.vertices, repeat=n):
+            p = _word_pairing(d, word)
+            nu = d.weight_of_word(word)
+            for mu in coweights:
+                assert sum(a * b for a, b in zip(p, mu)) == d.sym_form(nu, mu)
 
 
 def _seeded_tensor(d, rng, n):
