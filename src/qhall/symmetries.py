@@ -60,7 +60,7 @@ from .falgebra import (
     theta_divided,
     weight_basis,
 )
-from .freealg import FreeElement, Word
+from .freealg import FreeElement, Word, _word_pairing
 from . import linalg
 from .lincomb import linear
 from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, sum_products, v_pow
@@ -69,7 +69,6 @@ from .ualgebra import (
     _collect_products,
     _share,
     _twisted,
-    _word_pairing,
     embed_minus,
     embed_plus,
     plus_part,

@@ -12,11 +12,16 @@ total word length on one side of the recursion.
 
 The product, coproduct and antipode of terms are memoized on their words
 alone; the torus costs nothing extra (Lusztig, Introduction to Quantum
-Groups, 3.1.4).  Moving K_mu past an F- or E-word of weight nu costs
-v^(+-sym_form(nu, mu)), a linear function of mu, so a torus-free memo
-keeps rows (key, coefficient, pairing vector), and one torus twist,
-_twisted, moves the rows to a torus element: each key's coweight is
-shifted, and its v-exponent is the pairing vector dotted with the twist.
+Groups, 3.1.4).  The coproduct and antipode of a word pair are built from
+the memoized pair less its last letter, by one product with that letter:
+Delta(prefix) Delta(last) and S(last) S(prefix).  Two small memos keep the
+coproduct and antipode of the last terms read, torus included, since the
+Hopf identities read the factors of the terms of Delta x again and again.
+Moving K_mu past an F- or E-word of weight nu costs v^(+-sym_form(nu,
+mu)), a linear function of mu, so a torus-free memo keeps rows (key,
+coefficient, pairing vector), and one torus twist, _twisted, moves the
+rows to a torus element: each key's coweight is shifted, and its
+v-exponent is the pairing vector dotted with the twist.
 Each memo stores its pairing vectors with the sign its identity needs,
 and its rows through _share, so that equal keys, coefficients and pairing
 vectors across all rows are one object.
@@ -38,13 +43,14 @@ u_mul, the antipode and the symmetries read their memos through it:
   torus element then an E-word.
 - Each Hopf identity on x is one pass over the terms c a x b of Delta x
   (hopf_sides): both sides of coassociativity merge _delta_key rows in
-  place, and each antipode side collects every product c S(a) . b (or
+  place, each counit side merges the terms whose a (or b) is a torus
+  element, and each antipode side collects every product c S(a) . b (or
   a . c S(b)) through _collect_products and reduces each key once.  The
   product of UTensor, which _delta_words builds on, collects its row
   pairs the same way.
 
-Every pairing vector is read from one bounded memo, _word_pairing, of the
-pairing vector of each word's weight.  The pairing is linear in the
+Every pairing vector is read from one bounded memo, freealg._word_pairing,
+of the pairing vector of each word's weight.  The pairing is linear in the
 weight, p(a - b) = p(a) - p(b), so the product table, the antipode, and
 the pair rows and T_i^-1 of symmetries add or subtract memoized vectors
 rather than weigh each row's words and pair the result.
@@ -57,7 +63,7 @@ from operator import mul
 
 from .cartan import CartanDatum, add_vec, neg_vec, sub_vec
 from .falgebra import FElement, _normal_form_word
-from .freealg import Word
+from .freealg import Word, _word_pairing
 from .lincomb import LinComb, linear, merge
 from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, sum_products, v_pow
 
@@ -173,11 +179,9 @@ def _twisted(rows, twist: tuple, shift: tuple):
 
 # The rows of _product_table, _antipode_words and symmetries._pair_rows
 # repeat a few keys, coefficients and pairing vectors, so each distinct
-# value is stored once, and each word's pairing vector is computed once.
-# _shared and _word_pairing are bounded above the largest fill measured:
-# 4,771 and 102 entries after the u-queries stream, 1,487 and 151 after
-# one symbolic-verify round and 2,827 and 477 after one
-# scripts/run_verify.py process.
+# value is stored once.  _shared is bounded above the largest fill
+# measured: 4,771 entries after the u-queries stream, 1,487 after one
+# symbolic-verify round and 2,827 after one scripts/run_verify.py process.
 @lru_cache(maxsize=1 << 14)
 def _shared(value):
     """The first stored object equal to value.  Only tuples and RatFuncs
@@ -190,15 +194,6 @@ def _share(rows) -> tuple:
     its shared copy; the values are immutable and canonical, so an equal
     object stands in for each."""
     return tuple((_shared(key), _shared(c), _shared(p)) for key, c, p in rows)
-
-
-@lru_cache(maxsize=1 << 11)
-def _word_pairing(datum: CartanDatum, word: Word) -> tuple:
-    """The pairing vector p of the word's weight nu: sym_form(nu, mu) ==
-    p . mu for every mu.  It is linear in nu, so the pairing vector of a
-    difference of word weights is the difference of theirs."""
-    nu = datum.weight_of_word(word)
-    return tuple(sum(map(mul, row, nu)) for row in datum.cartan)
 
 
 @lru_cache(maxsize=1 << 13)
@@ -317,15 +312,32 @@ def _delta_generator(datum: CartanDatum, kind: str, vertex: int) -> UTensor:
 
 @lru_cache(maxsize=1 << 10)
 def _delta_words(datum: CartanDatum, fw: Word, ew: Word) -> tuple:
-    """Delta(F_fw E_ew) as ((left key, right key), coefficient) pairs."""
-    t = UTensor.unit(datum)
-    for letter in fw:
-        t = t * _delta_generator(datum, "F", letter)
-    for letter in ew:
-        t = t * _delta_generator(datum, "E", letter)
-    return tuple(t.terms.items())
+    """Delta(F_fw E_ew) as ((left key, right key), coefficient) pairs: the
+    memoized Delta of the words less their last letter times Delta of that
+    letter."""
+    if ew:
+        head, last = (fw, ew[:-1]), _delta_generator(datum, "E", ew[-1])
+    elif fw:
+        head, last = (fw[:-1], ()), _delta_generator(datum, "F", fw[-1])
+    else:
+        return tuple(UTensor.unit(datum).terms.items())
+    prefix = UTensor(datum, dict(_delta_words(datum, *head)))
+    return tuple((prefix * last).terms.items())
 
 
+# The per-term memos keep the rows of the last terms read: hopf_sides meets
+# the factors of the terms of Delta x again and again.  Both fill to their
+# bound.  One symbolic-verify round reads _delta_key 10,054 times and
+# _antipode_key 9,244 times, with 3,361 misses each; one
+# scripts/run_verify.py process 15,837 and 14,512 times, with 4,653 misses
+# each; the u-queries stream not at all.  At 256 entries the round was no
+# faster and its peak RSS 0.4 MB higher; at 64 it was slower.  Their rows
+# are lists, which their callers only read: a tuple of up to 20 items that
+# an eviction frees stays on CPython's tuple free list, and tuples held the
+# round's peak RSS 0.3 MB higher.  _delta_words and _antipode_words hold
+# 159 word pairs each after one symbolic-verify round, 218 after one
+# scripts/run_verify.py process and none after the u-queries stream.
+@lru_cache(maxsize=128)
 def _delta_key(datum: CartanDatum, key: UKey) -> list:
     """Delta of one term: Delta(F_fw E_ew) with mu added to both
     coweights."""
@@ -345,29 +357,28 @@ def delta(x: UElement) -> UTensor:
 
 @lru_cache(maxsize=1 << 10)
 def _antipode_words(datum: CartanDatum, fw: Word, ew: Word) -> tuple:
-    """S(F_fw E_ew) = S(E_ew) S(F_fw) as rows for _twisted at twist mu and
-    shift -mu: the pairing vector is that of wt(ew) + wt(F-word of the
-    key)."""
-    factors = [UElement.unit(datum)]
-    for letter in reversed(ew):
-        h = datum.unit_vec(letter)
-        factors.append(
-            u_mul(UElement.K(datum, neg_vec(h)), UElement.E(datum, letter)).scale(
-                MINUS_ONE
-            )
-        )
-    for letter in reversed(fw):
-        h = datum.unit_vec(letter)
-        factors.append(
-            u_mul(UElement.F(datum, letter), UElement.K(datum, h)).scale(MINUS_ONE)
-        )
+    """S(F_fw E_ew) as rows for _twisted at twist mu and shift -mu: the
+    pairing vector is that of wt(ew) + wt(F-word of the key).  With x the
+    last letter, S(prefix . x) = S(x) S(prefix), the prefix read from this
+    memo; S(E_i) = -K_-i E_i and S(F_i) = -F_i K_i."""
+    if ew:
+        head, last = (fw, ew[:-1]), ((), neg_vec(datum.unit_vec(ew[-1])), ew[-1:])
+    elif fw:
+        head, last = (fw[:-1], ()), (fw[-1:], datum.unit_vec(fw[-1]), ())
+    else:
+        zero = datum.zero_vec()
+        return _share(((((), zero, ()), ONE, zero),))
+    groups: dict = {}
+    prefix = ((key, c) for key, c, _p in _antipode_words(datum, *head))
+    _collect_products(datum, ((last, MINUS_ONE),), prefix, groups)
     pew = _word_pairing(datum, ew)
     return _share(
         (key, c, add_vec(pew, _word_pairing(datum, key[0])))
-        for key, c in u_product(factors).terms.items()
+        for key, c in sum_products(groups).items()
     )
 
 
+@lru_cache(maxsize=128)
 def _antipode_key(datum: CartanDatum, key: UKey) -> list:
     """S of one term as (key, coefficient) pairs: S(F_fw E_ew) with K_-mu
     moved in from between S(E_ew) and S(F_fw)."""
@@ -387,10 +398,12 @@ def antipode(x: UElement) -> UElement:
 
 
 def hopf_sides(x: UElement):
-    """(identity, got, want) for coassociativity, m(S x 1)Delta = eps and
-    m(1 x S)Delta = eps on x, in that order; the antipode sides are built
-    only once coassociativity has been read.  Each antipode side collects
-    the products c S(a) . b (or a . c S(b)) over the terms c a x b of
+    """(identity, got, want) for coassociativity, (eps x 1)Delta = id,
+    (1 x eps)Delta = id, m(S x 1)Delta = eps and m(1 x S)Delta = eps on x,
+    in that order; each side is built only once the ones before it have
+    been read.  The counit sides keep the terms c a x b of Delta x whose
+    a (or b) is a torus element, where eps is 1.  Each antipode side
+    collects the products c S(a) . b (or a . c S(b)) over the terms of
     Delta x and reduces each key once."""
     d = x.datum
     dx = delta(x).terms.items()
@@ -402,6 +415,14 @@ def hopf_sides(x: UElement):
         for (b1, b2), cb in _delta_key(d, b):
             merge(right, (a, b1, b2), c * cb)
     yield "coassociativity", left, right
+    left, right = {}, {}
+    for (a, b), c in dx:
+        if not a[0] and not a[2]:
+            merge(left, b, c)
+        if not b[0] and not b[2]:
+            merge(right, a, c)
+    yield "(eps x 1)Delta = id", x._like(left), x
+    yield "(1 x eps)Delta = id", x._like(right), x
     left, right = {}, {}
     for (a, b), c in dx:
         _collect_products(d, _antipode_key(d, a), ((b, c),), left)

@@ -217,16 +217,16 @@ def _check_f_coproduct_hom(s: Session):
     words = [()]
     for ln in range(1, min(4, s.weight_bound) + 1):
         words.extend(itertools.product(d.vertices, repeat=ln))
-    sample = [w for w in words if len(w) <= 4][:40]
-    for w1 in sample:
-        x = FreeElement.word(d, w1)
-        for w2 in sample:
+    sample = []
+    for w in [w for w in words if len(w) <= 4][:40]:
+        x = FreeElement.word(d, w)
+        sample.append((w, x, coproduct_r(x)))
+    for w1, x, rx in sample:
+        for w2, y, ry in sample:
             if len(w1) + len(w2) > 5:
                 continue
-            y = FreeElement.word(d, w2)
             lhs = coproduct_r(free_mul(x, y))
-            rhs = twisted_tensor_mul(coproduct_r(x), coproduct_r(y))
-            _expect(f"r(th{w1} th{w2})", lhs, rhs)
+            _expect(f"r(th{w1} th{w2})", lhs, twisted_tensor_mul(rx, ry))
 
 
 def _check_f_form_symmetric(s: Session):

@@ -9,6 +9,8 @@ from qhall.freealg import (
     FreeElement,
     TensorElement,
     _form_words,
+    _word_pairing,
+    _word_weight,
     coproduct_r,
     coproduct_word,
     free_mul,
@@ -59,7 +61,16 @@ def _twisted_tensor_reference(s, t):
 
 def test_twisted_tensor_mul_matches_term_by_term_reference():
     kronecker = load_datum(quiver_from_shorthand("1->2,1->2"))
-    scalars = [parse_scalar(c) for c in ("1", "-v^2", "v + 1", "1/(v^2 + 1)", "(v - 3)/(v + 1)")]
+    # unit monomials c v^e with c = 1, 2, -1, -3, mixed with non-units; the
+    # denominators with content 2 and 3 keep a factor 2 or -3 from being
+    # folded into their numerators
+    scalars = [
+        parse_scalar(c)
+        for c in (
+            "1", "-v^2", "2", "2v^3", "-v^-1", "-3", "-3v^2", "v + 1",
+            "1/(v^2 + 1)", "(v - 3)/(v + 1)", "1/(2v^2 + 2)", "v/(3v + 3)",
+        )
+    ]
     for d in (A2, A3, kronecker):
         rng = random.Random(31)
 
@@ -150,7 +161,7 @@ def test_words_of_weight_order():
 
 
 def test_memos_bounded_and_transparent():
-    memos = (coproduct_word, _form_words, words_of_weight)
+    memos = (coproduct_word, _form_words, words_of_weight, _word_weight, _word_pairing)
     for memo in memos:
         assert memo.cache_parameters()["maxsize"] is not None
     assert Path(freealg.__file__).read_text().count("maxsize=None") == 0

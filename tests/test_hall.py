@@ -870,19 +870,10 @@ def test_hall_number_checks_its_orbit_searches():
         hall_number(M, N, L, budget=100)
 
 
-def test_no_memo_takes_a_budget():
-    import importlib
+def test_no_memo_takes_a_budget(qhall_memos):
     import inspect
-    import pkgutil
 
-    import qhall
-
-    memos = []
-    for info in pkgutil.iter_modules(qhall.__path__):
-        module = importlib.import_module(f"qhall.{info.name}")
-        for name, obj in vars(module).items():
-            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
-                memos.append(f"{info.name}.{name}")
-                params = inspect.signature(obj.__wrapped__).parameters
-                assert "budget" not in params, f"{info.name}.{name}"
-    assert "hall._hall_word" in memos and "hall._class_table" in memos
+    for name, memo in qhall_memos.items():
+        params = inspect.signature(memo.__wrapped__).parameters
+        assert "budget" not in params, name
+    assert "hall._hall_word" in qhall_memos and "hall._class_table" in qhall_memos

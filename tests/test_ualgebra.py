@@ -16,21 +16,22 @@ from qhall.falgebra import (
     theta_divided,
     weight_basis,
 )
-from qhall.freealg import FreeElement
+from qhall.freealg import FreeElement, _word_pairing
 from qhall.lincomb import merge
 from qhall.ratfunc import MINUS_ONE, ONE, ONE_POLY, IntPoly, RatFunc, v_pow
 from qhall.symmetries import ti_apply
 from qhall.ualgebra import (
     UElement,
     UTensor,
+    _antipode_key,
     _antipode_words,
     _delta_generator,
+    _delta_key,
     _delta_words,
     _product_table,
     _shared,
     _straighten,
     _twisted,
-    _word_pairing,
     antipode,
     counit,
     delta,
@@ -333,6 +334,50 @@ def test_twists_match_reference_a3_sample():
         assert u_mul(x, y) == _u_mul_reference(x, y)
 
 
+def _delta_words_by_letters(d, fw, ew):
+    """Delta(F_fw E_ew) as the product of the generators' coproducts, from
+    the unit, one letter at a time."""
+    t = UTensor.unit(d)
+    for letter in fw:
+        t = t * _delta_generator(d, "F", letter)
+    for letter in ew:
+        t = t * _delta_generator(d, "E", letter)
+    return t
+
+
+def _antipode_words_by_letters(d, fw, ew):
+    """S(F_fw E_ew) as the reversed product of the generators' antipodes,
+    from the unit, one letter at a time."""
+    out = UElement.unit(d)
+    for letter in reversed(ew):
+        s_e = u_mul(K(d, neg_vec(d.unit_vec(letter))), E(d, letter))
+        out = u_mul(out, s_e.scale(MINUS_ONE))
+    for letter in reversed(fw):
+        s_f = u_mul(F(d, letter), K(d, d.unit_vec(letter)))
+        out = u_mul(out, s_f.scale(MINUS_ONE))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["1->2,2->3", "2->1,2->3,2->4", "1->2,1->2"])
+def test_prefix_built_word_tables_match_letter_products(spec, cold_memos):
+    # every pair of basis words of total length at most 4
+    d = load_datum(quiver_from_shorthand(spec))
+    words = _basis_words(d, 4)
+    for fw in words:
+        for ew in words:
+            if len(fw) + len(ew) > 4:
+                continue
+            rows = _delta_words(d, fw, ew)
+            assert UTensor(d, dict(rows)) == _delta_words_by_letters(d, fw, ew)
+            rows = _antipode_words(d, fw, ew)
+            assert UElement(d, {key: c for key, c, _p in rows}) == (
+                _antipode_words_by_letters(d, fw, ew)
+            )
+            pew = _word_pairing(d, ew)
+            for key, _c, p in rows:
+                assert p == add_vec(pew, _word_pairing(d, key[0]))
+
+
 def _scaled_at_two(got, x, m):
     """got == x.scale(m), read off at v = 2 so that no product by m is
     taken: a shift the wrong way round on both sides still shows."""
@@ -445,10 +490,11 @@ def test_term_memos_bounded_and_transparent():
     memos = (
         _product_table,
         _delta_words,
+        _delta_key,
         _antipode_words,
+        _antipode_key,
         _straighten,
         _shared,
-        _word_pairing,
     )
     for memo in memos:
         assert memo.cache_parameters()["maxsize"] is not None
@@ -530,20 +576,6 @@ def test_hopf_axiom_check_reduces_once_per_antipode_side(monkeypatch):
     assert calls == {"sum_products": 2, "u_mul": 0}
 
 
-MEMOS = (_product_table, _delta_words, _antipode_words, _straighten, _shared)
-
-
-@pytest.fixture
-def cold_memos():
-    """Empty memos before and after, so that no planted row outlives its
-    test."""
-    for memo in MEMOS:
-        memo.cache_clear()
-    yield
-    for memo in MEMOS:
-        memo.cache_clear()
-
-
 def _at_words(real, words, change):
     """real(datum, fw, ew) with change applied to the rows of one word
     pair."""
@@ -567,6 +599,12 @@ def _flip_first(rows):
     return ((key, -c, p), *rest)
 
 
+def _torus_left_dropped(rows):
+    """The rows whose left factor is not a torus element: Delta(E_i) loses
+    K_i x E_i and is left as E_i x 1, which is still coassociative."""
+    return tuple(((a, b), c) for (a, b), c in rows if a[0] or a[2])
+
+
 # fault -> (ualgebra name, planted replacement of it, a term it breaks,
 # the first identity that fails there)
 PLANTED = {
@@ -581,6 +619,12 @@ PLANTED = {
         lambda real: _at_words(real, ((2,), (1,)), lambda rows: rows[1:]),
         ((2,), (1, 0), (1,)),
         "coassociativity",
+    ),
+    "delta-torus-row-dropped": (
+        "_delta_words",
+        lambda real: _at_words(real, ((), (1,)), _torus_left_dropped),
+        ((), (0, 0), (1,)),
+        "(eps x 1)Delta = id",
     ),
     "antipode-shift-plus-mu": (
         "_antipode_key",
