@@ -25,7 +25,7 @@ from functools import lru_cache
 from operator import mul
 
 from .cartan import CartanDatum
-from .lincomb import LinComb, bilinear, linear, merge
+from .lincomb import LinComb, _share, bilinear, linear, merge
 from .ratfunc import ONE, ONE_POLY, IntPoly, RatFunc, ZERO, _unit_product, v_pow
 
 Word = tuple[int, ...]
@@ -150,7 +150,8 @@ def _word_pairing(datum: CartanDatum, word: Word) -> tuple:
 # none.
 @lru_cache(maxsize=4096)
 def coproduct_word(datum: CartanDatum, word: Word) -> tuple:
-    """Coproduct of a single word as a tuple of ((w1, w2), coeff)."""
+    """Coproduct of a single word as a tuple of ((w1, w2), coeff), each
+    word pair and coefficient shared with every other row (lincomb._share)."""
     if not word:
         return ((((), ()), ONE),)
     head, rest = word[0], word[1:]
@@ -158,7 +159,7 @@ def coproduct_word(datum: CartanDatum, word: Word) -> tuple:
         datum, {((head,), ()): ONE, ((), (head,)): ONE}
     )
     tail = TensorElement(datum, dict(coproduct_word(datum, rest)))
-    return tuple(twisted_tensor_mul(gen, tail).terms.items())
+    return _share(twisted_tensor_mul(gen, tail).terms.items())
 
 
 def coproduct_r(x: FreeElement) -> TensorElement:

@@ -11,24 +11,36 @@ by a monomial c v^k over 1 only moves the other numerator's exponents and
 scales its coefficients by c, and runs no reduction unless c shares a
 factor with the content of the other denominator; RatFunc.shift(k) is the
 product by v^k, and the torus twists of the algebras above call it rather
-than multiplying by v_pow(k).  A denominator 1 is always the one object
-ONE_POLY, so products tell it by identity.
+than multiplying by v_pow(k).
+
+Every denominator is one shared object per value, handed out by the
+bounded memo _den: the normalizing constructor, inverse, the products of
+denominator pairs and the common denominators of sums all build theirs
+through it, so equal denominators are the same object while the memo
+holds them, and a denominator 1 is always ONE_POLY.  Products tell a
+denominator 1 by identity, the memos keyed by a denominator match it by
+identity, and no cached value holds a copy of its own.  The constructor
+reads both polynomials into dense lists at their least exponents, reduces
+them there, and writes the numerator once, with the shift between them.
 
 sum_products, into which the algebras above collect their products
 a * b * v^k, folds such a unit factor the same way: a factor whose
 numerator is one term c v^e adds e to the twist k and scales by c, in one
 pass over the other numerator, with no IntPoly product and no second
 pass for the shift.  A denominator pair with a side 1 is the other side
-itself, so denominators 1 keep their identity there too.
+itself; any other pair is multiplied out once (_den_product), and each
+set of pair products gets its common denominator and cofactors once
+(_lcm_cofactors).
 
-A general product a * b cancels a.num against b.den and b.num against
-a.den, and multiplies what is left.  The two cancellations are memoized,
-not the products: whole products are seldom met twice, while the
-numerators of product-table rows and the few denominators in play recur.
-On one run of the u-queries benchmark stream (seed 1) a memo of whole
-products ran full at 16,384 entries with 68% of its lookups missing; the
-cancellation memo ends at 5,289 entries with 89% of them hitting, and the
-normalizations that take a polynomial gcd fall from 77,532 to 32,957.
+A general product a * b * v^k cancels a.num against b.den and b.num
+against a.den, and multiplies what is left, with the twist, in one pass
+over the term pairs.  The two cancellations are memoized, not the
+products: whole products are seldom met twice, while the numerators of
+product-table rows and the few denominators in play recur.  On one run
+of the u-queries benchmark stream (seed 1, 30 rounds) the cancellation
+memo ends at 5,124 entries with 91% of its lookups hitting, and 23,639
+normalizations take a polynomial gcd, against 53,283 when every general
+product is normalized whole.
 """
 
 from __future__ import annotations
@@ -83,7 +95,9 @@ class IntPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
+        return self is other or (
+            isinstance(other, IntPoly) and self.coeffs == other.coeffs
+        )
 
     def __hash__(self):
         if self._hash is None:
@@ -107,18 +121,7 @@ class IntPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return ZERO_POLY
-        d = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = d.get(e, 0) + c1 * c2
-                if s:
-                    d[e] = s
-                else:
-                    d.pop(e, None)
-        return IntPoly._raw(d)
+        return _poly_product(self.coeffs, other.coeffs, 0)
 
     def scale(self, n: int) -> "IntPoly":
         if n == 0:
@@ -135,14 +138,8 @@ class IntPoly:
         """Lowest exponent; only valid on nonzero polynomials."""
         return min(self.coeffs)
 
-    def deg(self) -> int:
-        return max(self.coeffs)
-
     def lead(self) -> int:
         return self.coeffs[max(self.coeffs)]
-
-    def content(self) -> int:
-        return _gcd_many(self.coeffs.values())
 
     def eval_at(self, x: Fraction) -> Fraction:
         total = Fraction(0)
@@ -174,6 +171,24 @@ class IntPoly:
         return f"IntPoly({self})"
 
 
+def _poly_product(a: dict, b: dict, k: int) -> IntPoly:
+    """The product of the Laurent polynomials with coefficients a and b,
+    times v^k, in one pass over the term pairs."""
+    if not a or not b:
+        return ZERO_POLY
+    d: dict = {}
+    for e1, c1 in a.items():
+        e1 += k
+        for e2, c2 in b.items():
+            e = e1 + e2
+            s = d.get(e, 0) + c1 * c2
+            if s:
+                d[e] = s
+            else:
+                d.pop(e, None)
+    return IntPoly._raw(d)
+
+
 ZERO_POLY = IntPoly()
 ONE_POLY = IntPoly({0: 1})
 V_POLY = IntPoly({1: 1})
@@ -181,15 +196,44 @@ V_POLY = IntPoly({1: 1})
 
 # -- ordinary (val >= 0) polynomial helpers on dense coefficient lists --
 
-def _to_dense(p: IntPoly) -> list:
-    d = [0] * (p.deg() + 1)
-    for e, c in p.coeffs.items():
-        d[e] = c
+def _dense(coeffs: dict, low: int) -> list:
+    """The coefficients of v^-low p, p = sum coeffs[e] v^e nonzero and low
+    its least exponent, as a dense list."""
+    d = [0] * (max(coeffs) - low + 1)
+    for e, c in coeffs.items():
+        d[e - low] = c
     return d
 
 
 def _from_dense(d: list) -> IntPoly:
-    return IntPoly({e: c for e, c in enumerate(d) if c})
+    return IntPoly._raw({e: c for e, c in enumerate(d) if c})
+
+
+# The one object per denominator.  _den is bounded above the largest fill
+# measured: one scripts/run_verify.py process leaves 189 entries in it, one
+# symbolic-verify round 54 and the u-queries stream 76.
+@lru_cache(maxsize=1 << 12)
+def _den(dense: tuple) -> IntPoly:
+    """The one IntPoly sum dense[e] v^e, for the trimmed coefficients of an
+    ordinary polynomial with a nonzero constant term; (1,) is ONE_POLY."""
+    if dense == (1,):
+        return ONE_POLY
+    return _from_dense(dense)
+
+
+def _shared_den(p: IntPoly) -> IntPoly:
+    """The one object equal to p, an ordinary polynomial with a nonzero
+    constant term."""
+    return p if p is ONE_POLY else _den(tuple(_dense(p.coeffs, 0)))
+
+
+# _den_product is bounded above the largest fill measured: one
+# scripts/run_verify.py process leaves 23 entries in it, one
+# symbolic-verify round 6 and the u-queries stream 99.
+@lru_cache(maxsize=1 << 10)
+def _den_product(ad: IntPoly, bd: IntPoly) -> IntPoly:
+    """ad * bd for two shared denominators, itself shared."""
+    return _shared_den(ad * bd)
 
 
 def _dense_trim(d):
@@ -256,12 +300,14 @@ def _dense_exact_div(a, b):
     for k in range(len(a) - len(b), -1, -1):
         top = rem[k + len(b) - 1]
         q, r = divmod(top, lb)
-        assert r == 0, "non-exact polynomial division"
+        if r:
+            raise ArithmeticError("non-exact polynomial division")
         out[k] = q
         if q:
             for j, y in enumerate(b):
                 rem[k + j] -= q * y
-    assert all(x == 0 for x in rem), "non-exact polynomial division"
+    if any(rem):
+        raise ArithmeticError("non-exact polynomial division")
     return _dense_trim(out)
 
 
@@ -271,43 +317,40 @@ class RatFunc:
     Canonical form: the denominator is an ordinary polynomial with nonzero
     constant term and positive leading coefficient, gcd of the two integer
     contents is 1, and the polynomial gcd of the primitive parts is 1.  The
-    Laurent shift lives entirely in the numerator, and a denominator 1 is
-    ONE_POLY itself.  Construction always normalizes, so == and hash are
-    structural.
+    Laurent shift lives entirely in the numerator, and the denominator is
+    the shared object of its value (_den), ONE_POLY for 1.  Construction
+    always normalizes, so == and hash are structural.
     """
 
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: IntPoly, den: IntPoly = ONE_POLY):
-        if den.is_zero():
+        self._hash = None
+        nc, dc = num.coeffs, den.coeffs
+        if not dc:
             raise ZeroDivisionError("zero denominator in Q(v)")
-        if num.is_zero():
+        if not nc:
             self.num, self.den = ZERO_POLY, ONE_POLY
-            self._hash = None
             return
         # fast path: denominator already the unit polynomial
-        if den is ONE_POLY or den.coeffs == ONE_POLY.coeffs:
+        if den is ONE_POLY:
             self.num, self.den = num, ONE_POLY
-            self._hash = None
             return
-        if len(den.coeffs) == 1:
-            # monomial denominator: shift into the numerator, then only
-            # integer content is left to reduce
-            (e, c), = den.coeffs.items()
-            num = num.shift(-e)
+        if len(dc) == 1:
+            # monomial denominator c v^e: the numerator is moved by -e,
+            # and only integer content is left to reduce, in one pass
+            ((e, c),) = dc.items()
+            g = gcd(_gcd_many(nc.values()), c)
             if c < 0:
-                num, c = -num, -c
-            g = gcd(num.content(), c)
-            if g > 1:
-                num = IntPoly({k: x // g for k, x in num.coeffs.items()})
-                c //= g
-            self.num = num
-            self.den = ONE_POLY if c == 1 else IntPoly({0: c})
-            self._hash = None
+                g = -g
+            if g != 1 or e:
+                num = IntPoly._raw({k - e: x // g for k, x in nc.items()})
+            self.num, self.den = num, _den((c // g,))
             return
-        shift = num.val() - den.val()
-        nd = _to_dense(num.shift(-num.val()))
-        dd = _to_dense(den.shift(-den.val()))
+        # the dense coefficients of both at their least exponents, reduced,
+        # and the numerator written once with the shift between them
+        nlow, dlow = min(nc), min(dc)
+        nd, dd = _dense(nc, nlow), _dense(dc, dlow)
         cn, cd = _gcd_many(nd), _gcd_many(dd)
         g = gcd(cn, cd)
         if g > 1:
@@ -323,9 +366,10 @@ class RatFunc:
         if dd[-1] < 0:
             nd = [-x for x in nd]
             dd = [-x for x in dd]
-        self.num = _from_dense(nd).shift(shift)
-        self.den = ONE_POLY if dd == [1] else _from_dense(dd)
-        self._hash = None
+        self.num = IntPoly._raw(
+            {e: x for e, x in enumerate(nd, nlow - dlow) if x}
+        )
+        self.den = _den(tuple(dd))
 
     @staticmethod
     def const(n: int) -> "RatFunc":
@@ -360,11 +404,10 @@ class RatFunc:
             return other
         if other.num.is_zero():
             return self
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        sd, od = self.den, other.den
+        if sd is od or sd == od:
+            return RatFunc(self.num + other.num, sd)
+        return RatFunc(self.num * od + other.num * sd, sd * od)
 
     def __neg__(self):
         r = object.__new__(RatFunc)
@@ -415,17 +458,16 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.num.is_zero():
             raise ZeroDivisionError("division by zero in Q(v)")
-        num, den = self.den, self.num
         # restore canonical form: move the Laurent shift and the sign
+        coeffs = self.num.coeffs
+        low = min(coeffs)
+        dense = _dense(coeffs, low)
+        sign = -1 if dense[-1] < 0 else 1
+        if sign < 0:
+            dense = [-x for x in dense]
         r = object.__new__(RatFunc)
-        shift = den.val()
-        den = den.shift(-shift)
-        num = num.shift(-shift)
-        if den.lead() < 0:
-            num, den = -num, -den
-        if den == ONE_POLY:
-            den = ONE_POLY
-        r.num, r.den, r._hash = num, den, None
+        r.num = IntPoly._raw({e - low: sign * x for e, x in self.den.coeffs.items()})
+        r.den, r._hash = _den(tuple(dense)), None
         return r
 
     def __pow__(self, k: int):
@@ -495,16 +537,20 @@ def _horner(p: IntPoly, x: int | Fraction, low: int) -> int | Fraction:
     return acc
 
 
+# _cancelled is bounded above the largest fill measured: one
+# scripts/run_verify.py process leaves 624 entries in it, one
+# symbolic-verify round 166 and the u-queries stream 5,124.
 @lru_cache(maxsize=1 << 13)
 def _cancelled(num: IntPoly, den: IntPoly) -> RatFunc:
     """RatFunc(num, den): one cross-cancellation of a general product."""
     return RatFunc(num, den)
 
 
-def _product(a: RatFunc, b: RatFunc) -> RatFunc:
-    """a * b by cross-cancellation: a.num against b.den and b.num against
-    a.den, each through the memo unless that denominator is 1.  Both
-    operands are reduced, so the product of what is left is reduced."""
+def _product(a: RatFunc, b: RatFunc, k: int = 0) -> RatFunc:
+    """a * b * v^k by cross-cancellation: a.num against b.den and b.num
+    against a.den, each through the memo unless that denominator is 1.
+    Both operands are reduced, so the product of what is left, with v^k
+    folded into the same pass, is reduced."""
     an, ad, bn, bd = a.num, a.den, b.num, b.den
     if bd is not ONE_POLY:
         x = _cancelled(an, bd)
@@ -513,34 +559,40 @@ def _product(a: RatFunc, b: RatFunc) -> RatFunc:
         y = _cancelled(bn, ad)
         bn, ad = y.num, y.den
     r = object.__new__(RatFunc)
-    r.num, r._hash = an * bn, None
-    r.den = bd if ad is ONE_POLY else ad if bd is ONE_POLY else ad * bd
+    r.num, r._hash = _poly_product(an.coeffs, bn.coeffs, k), None
+    r.den = bd if ad is ONE_POLY else ad if bd is ONE_POLY else _den_product(ad, bd)
     return r
 
 
-def _lcm_cofactors(dens) -> tuple[IntPoly, dict]:
-    """A common multiple of ordinary polynomials (the lcm up to integer
-    content) and, for each distinct one, its cofactor: den == d * cof[d]."""
-    distinct = dict.fromkeys(dens)
-    rest = iter(distinct)
+# _lcm_cofactors is bounded above the largest fill measured: one
+# scripts/run_verify.py process leaves 638 entries in it, one
+# symbolic-verify round 97 and the u-queries stream 114.
+@lru_cache(maxsize=1 << 11)
+def _lcm_cofactors(dens: tuple) -> tuple[IntPoly, dict]:
+    """A common multiple of distinct ordinary polynomials (the lcm up to
+    integer content), as the shared denominator of its value, and for
+    each one its cofactor: den == d * cof[d]."""
+    rest = iter(dens)
     den = next(rest, ONE_POLY)
     for d in rest:
         if d != den:
-            g = _dense_gcd(_to_dense(den), _to_dense(d))
-            den = den * _from_dense(_dense_exact_div(_to_dense(d), g))
-    dense = _to_dense(den)
+            dense = _dense(d.coeffs, 0)
+            g = _dense_gcd(_dense(den.coeffs, 0), dense)
+            den = den * _from_dense(_dense_exact_div(dense, g))
+    den = _shared_den(den)
+    dense = _dense(den.coeffs, 0)
     return den, {
         d: ONE_POLY
         if d == den
-        else _from_dense(_dense_exact_div(dense, _to_dense(d)))
-        for d in distinct
+        else _from_dense(_dense_exact_div(dense, _dense(d.coeffs, 0)))
+        for d in dens
     }
 
 
 def common_denominator(values) -> tuple[IntPoly, list[IntPoly]]:
     """One denominator for a list of Q(v) values, with the numerators
     over it: values[k] == RatFunc(nums[k], den)."""
-    den, cof = _lcm_cofactors([x.den for x in values])
+    den, cof = _lcm_cofactors(tuple(dict.fromkeys(x.den for x in values)))
     return den, [x.num * cof[x.den] for x in values]
 
 
@@ -557,11 +609,10 @@ def sum_products(groups: dict) -> dict:
     unit numerator the same way, and reduced once; a zero numerator is
     dropped before any gcd.  A denominator pair with a side 1 is the other
     side itself, so a denominator 1 stays ONE_POLY; each other pair
-    (a.den, b.den) is multiplied out once per call, and each distinct set
-    of such products gets its common denominator and cofactors once per
-    call."""
-    pair_dens: dict = {}  # (a.den, b.den) -> a.den * b.den
-    lcms: dict = {}  # a key's distinct pair products -> (den, cofactors)
+    (a.den, b.den) is multiplied out through the memo _den_product, and
+    each distinct set of such products gets its common denominator and
+    cofactors through the memo _lcm_cofactors.  A key with one general
+    product is _product with the twist folded in."""
     out = {}
     for key, triples in groups.items():
         if len(triples) == 1:
@@ -572,26 +623,15 @@ def sum_products(groups: dict) -> dict:
                 r = _unit_product(b, an, k)
             elif len(bn) == 1 and b.den is ONE_POLY:
                 r = _unit_product(a, bn, k)
-            out[key] = (a * b).shift(k) if r is None else r
+            out[key] = _product(a, b, k) if r is None else r
             continue
         prods = []
         for a, b, _k in triples:
             ad, bd = a.den, b.den
-            if ad is ONE_POLY:
-                p = bd
-            elif bd is ONE_POLY:
-                p = ad
-            else:
-                pair = (ad, bd)
-                p = pair_dens.get(pair)
-                if p is None:
-                    p = pair_dens[pair] = ad * bd
-            prods.append(p)
-        shape = tuple(dict.fromkeys(prods))
-        found = lcms.get(shape)
-        if found is None:
-            found = lcms[shape] = _lcm_cofactors(shape)
-        den, cof = found
+            prods.append(
+                bd if ad is ONE_POLY else ad if bd is ONE_POLY else _den_product(ad, bd)
+            )
+        den, cof = _lcm_cofactors(tuple(dict.fromkeys(prods)))
         num: dict = {}
         for (a, b, k), p in zip(triples, prods):
             an, bn = a.num.coeffs, b.num.coeffs

@@ -62,12 +62,11 @@ from .falgebra import (
 )
 from .freealg import FreeElement, Word, _word_pairing
 from . import linalg
-from .lincomb import linear
+from .lincomb import _share, linear
 from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, sum_products, v_pow
 from .ualgebra import (
     UElement,
     _collect_products,
-    _share,
     _twisted,
     embed_minus,
     embed_plus,
@@ -97,7 +96,7 @@ def _sigma(x: UElement) -> UElement:
 # 72, 408 and 105 entries in them, one symbolic-verify round 10, 5, 370,
 # 280, 34, 124 and 62, and the u-queries stream 6, 3, 363, 856, 18, 72
 # and 189.  The rows of _pair_image hold shared keys, coefficients and
-# pairing vectors (ualgebra._shared).
+# pairing vectors (lincomb._shared).
 @lru_cache(maxsize=64)
 def _table(datum: CartanDatum, vertex: int, inverse: bool) -> dict:
     """Generator images of T_i; for T_i^-1 = sigma T_i sigma, since sigma

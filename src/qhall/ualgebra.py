@@ -23,8 +23,8 @@ coefficient, pairing vector), and one torus twist, _twisted, moves the
 rows to a torus element: each key's coweight is shifted, and its
 v-exponent is the pairing vector dotted with the twist.
 Each memo stores its pairing vectors with the sign its identity needs,
-and its rows through _share, so that equal keys, coefficients and pairing
-vectors across all rows are one object.
+and its rows through lincomb._share, so that equal keys, coefficients and
+pairing vectors across all rows are one object.
 u_mul, the antipode and the symmetries read their memos through it:
 
 - F_f1 K_m1 E_e1 . F_f2 K_m2 E_e2: the normal form of F_f1 (E_e1 F_f2)
@@ -64,7 +64,7 @@ from operator import mul
 from .cartan import CartanDatum, add_vec, neg_vec, sub_vec
 from .falgebra import FElement, _normal_form_word
 from .freealg import Word, _word_pairing
-from .lincomb import LinComb, linear, merge
+from .lincomb import LinComb, _share, linear, merge
 from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, sum_products, v_pow
 
 UKey = tuple[Word, tuple, Word]
@@ -175,25 +175,6 @@ def _twisted(rows, twist: tuple, shift: tuple):
         ((fw, add_vec(kappa, shift), ew), c, sum(map(mul, p, twist)))
         for (fw, kappa, ew), c, p in rows
     )
-
-
-# The rows of _product_table, _antipode_words and symmetries._pair_rows
-# repeat a few keys, coefficients and pairing vectors, so each distinct
-# value is stored once.  _shared is bounded above the largest fill
-# measured: 4,771 entries after the u-queries stream, 1,487 after one
-# symbolic-verify round and 2,827 after one scripts/run_verify.py process.
-@lru_cache(maxsize=1 << 14)
-def _shared(value):
-    """The first stored object equal to value.  Only tuples and RatFuncs
-    are passed: lru_cache keys the scalars 1 and True alike."""
-    return value
-
-
-def _share(rows) -> tuple:
-    """Rows (key, coefficient, pairing vector) with every part replaced by
-    its shared copy; the values are immutable and canonical, so an equal
-    object stands in for each."""
-    return tuple((_shared(key), _shared(c), _shared(p)) for key, c, p in rows)
 
 
 @lru_cache(maxsize=1 << 13)

@@ -7,7 +7,8 @@ from qhall.double import DoubleElement, HalfElement
 from qhall.falgebra import FElement
 from qhall.freealg import FreeElement
 from qhall.hall import HallElement
-from qhall.lincomb import bilinear, linear, merge
+from qhall.freealg import coproduct_word
+from qhall.lincomb import _shared, bilinear, linear, merge
 from qhall.ratfunc import MINUS_ONE, ONE, ZERO, v_pow
 from qhall.ualgebra import UElement
 
@@ -131,3 +132,26 @@ def test_halves_of_opposite_sign_are_rejected():
 def test_elements_of_different_types_are_rejected():
     with pytest.raises(ValueError):
         FreeElement.generator(A2, 1) + FElement.generator(A2, 1)
+
+
+def test_shared_memo_bounded_and_transparent():
+    # the word coproducts store each word pair and coefficient once across
+    # their rows, and equal the rows rebuilt once the memos are cleared
+    assert _shared.cache_parameters()["maxsize"] is not None
+    words = [(1, 2, 3, 2), (2, 3, 2, 1), (3, 2, 1, 2)]
+
+    def rows():
+        return [coproduct_word(A3, w) for w in words]
+
+    for memo in (coproduct_word, _shared):
+        memo.cache_clear()
+    before = rows()
+    parts = [part for table in before for row in table for part in row]
+    first: dict = {}
+    for part in parts:
+        assert first.setdefault((type(part), part), part) is part
+    assert len(first) < len(parts)
+    assert _shared.cache_info().hits > 0
+    for memo in (coproduct_word, _shared):
+        memo.cache_clear()
+    assert rows() == before

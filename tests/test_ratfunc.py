@@ -13,6 +13,7 @@ from qhall.ratfunc import (
     MINUS_ONE,
     ONE,
     ONE_POLY,
+    ZERO_POLY,
     RatFunc,
     V,
     ZERO,
@@ -22,6 +23,7 @@ from qhall.ratfunc import (
     sum_products,
     v_pow,
     _cancelled,
+    _dense_exact_div,
     _product,
 )
 
@@ -327,3 +329,100 @@ def test_cancellation_memo_bounded_and_transparent():
 def test_common_denominator(values):
     den, nums = common_denominator(values)
     assert [RatFunc(n, den) for n in nums] == values
+
+
+def test_exact_division_raises_on_a_non_dividing_pair():
+    # the check is a raise, not an assert, so python -O keeps it
+    assert _dense_exact_div([-1, 0, 1], [1, 1]) == [-1, 1]
+    for a, b in (([1, 0, 1], [1, 1]), ([1, 2], [0, 2]), ([3], [1, 1])):
+        with pytest.raises(ArithmeticError):
+            _dense_exact_div(a, b)
+
+
+def _is_shared(p):
+    """p is the one object the denominator memo holds for its value."""
+    return p is ratfunc._den(tuple(ratfunc._dense(p.coeffs, 0)))
+
+
+def _same_value(got, want):
+    assert got == want and hash(got) == hash(want), (got, want)
+    assert str(got) == str(want)
+    assert _is_shared(got.den), got
+
+
+# nonzero, as sum_products takes them, and with a denominator other than 1
+# in most draws
+fraction_factors = st.one_of(
+    ratfuncs, const_den_ratfuncs, shared_den_ratfuncs
+).filter(bool)
+nonzero_factors = general_factors.filter(bool)
+twists = st.integers(-6, 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonzero_factors, fraction_factors, twists)
+def test_every_route_matches_the_normalizing_constructor(a, b, k):
+    # each result equals the constructor's reduction of the same fraction,
+    # and holds the one shared object for its denominator
+    for x, y in ((a, b), (b, a)):
+        want = RatFunc((x.num * y.num).shift(k), x.den * y.den)
+        for got in (
+            _product(x, y, k),
+            (x * y).shift(k),
+            sum_products({0: [(x, y, k)]}).get(0, ZERO),
+        ):
+            _same_value(got, want)
+    cross = (a.num * b.den, b.num * a.den)
+    _same_value(a + b, RatFunc(cross[0] + cross[1], a.den * b.den))
+    _same_value(a - b, RatFunc(cross[0] - cross[1], a.den * b.den))
+    _same_value(a.shift(k), RatFunc(a.num.shift(k), a.den))
+    for x in (a, b):
+        _same_value(x.inverse(), RatFunc(x.den, x.num))
+    den, nums = common_denominator([a, b, a * b])
+    assert _is_shared(den)
+    assert [RatFunc(n, den) for n in nums] == [a, b, a * b]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(nonzero_factors, fraction_factors, twists), min_size=1, max_size=8))
+def test_sum_products_matches_one_normalized_fraction(triples):
+    # the reference puts every product over the product of all their
+    # denominators and reduces once, in the constructor
+    nums = [(a.num * b.num).shift(k) for a, b, k in triples]
+    dens = [a.den * b.den for a, b, _k in triples]
+    total, den = ZERO_POLY, ONE_POLY
+    for n, d in zip(nums, dens):
+        total, den = total * d + n * den, den * d
+    got = sum_products({"key": triples})
+    if not total:
+        assert got == {}
+    else:
+        _same_value(got["key"], RatFunc(total, den))
+
+
+def test_denominator_memos_bounded_and_transparent():
+    memos = (ratfunc._den, ratfunc._den_product, ratfunc._lcm_cofactors)
+    for memo in memos:
+        assert memo.cache_parameters()["maxsize"] is not None
+        assert memo.__module__ == "qhall.ratfunc"
+    a = parse_scalar("(v^2 - 1)/(v^2 + v + 1)")
+    b = parse_scalar("(v^3 + 2)/(3v + 3)")
+    c = parse_scalar("v/(v^2 + 1)")
+
+    def values():
+        return (
+            a * b,
+            b * c,
+            sum_products({0: [(a, b, 1), (c, b, -2), (a, c, 0)]}),
+            common_denominator([a, b, c]),
+            c.inverse(),
+        )
+
+    before = values()
+    assert all(memo.cache_info().currsize for memo in memos)
+    for memo in memos:
+        memo.cache_clear()
+    assert values() == before
+    # equal denominators built on different routes are one object
+    assert (a * c).den is (c * a).den is ratfunc._den_product(a.den, c.den)
+    assert ratfunc._den((1,)) is ONE_POLY

@@ -15,7 +15,7 @@ from qhall.falgebra import (
     weight_basis,
 )
 from qhall.freealg import FreeElement
-from qhall.lincomb import merge
+from qhall.lincomb import _shared, merge
 from qhall.ratfunc import MINUS_ONE, ONE, v_pow
 from qhall.symmetries import (
     _pair_image,
@@ -32,7 +32,6 @@ from qhall.symmetries import (
 from qhall.ualgebra import (
     UElement,
     _product_table,
-    _shared,
     embed_minus,
     embed_plus,
     plus_part,

@@ -29,7 +29,6 @@ from qhall.ualgebra import (
     _delta_key,
     _delta_words,
     _product_table,
-    _shared,
     _straighten,
     _twisted,
     antipode,
@@ -494,7 +493,6 @@ def test_term_memos_bounded_and_transparent():
         _antipode_words,
         _antipode_key,
         _straighten,
-        _shared,
     )
     for memo in memos:
         assert memo.cache_parameters()["maxsize"] is not None
