@@ -13,8 +13,8 @@ or ``bilinear``, which use only ``+``, ``*`` and truth values and return
 zero-free dicts for ``_like``.
 
 The memos that keep rows of elements (the word coproducts of the free
-algebra, the product table and antipode of U, the pair rows of the
-symmetries) store each part through ``_share``, so that equal keys,
+algebra, the straightened word pairs and antipode of U, the pair rows of
+the symmetries) store each part through ``_share``, so that equal keys,
 coefficients and pairing vectors across all their rows are one object.
 """
 
@@ -39,9 +39,9 @@ def merge(dst: dict, key, coeff) -> None:
 
 
 # _shared is bounded above the largest fill measured: one
-# scripts/run_verify.py process leaves 14,108 entries in it, one
-# symbolic-verify round 3,526 and the u-queries stream 4,771.
-@lru_cache(maxsize=1 << 15)
+# scripts/run_verify.py process leaves 13,988 entries in it, one
+# symbolic-verify round 3,196 and the u-queries stream 1,528.
+@lru_cache(maxsize=1 << 14)
 def _shared(value):
     """The first stored object equal to value.  Only tuples and RatFuncs
     are passed: lru_cache keys the scalars 1 and True alike."""

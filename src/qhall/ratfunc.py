@@ -36,7 +36,8 @@ A general product a * b * v^k cancels a.num against b.den and b.num
 against a.den, and multiplies what is left, with the twist, in one pass
 over the term pairs.  The two cancellations are memoized, not the
 products: whole products are seldom met twice, while the numerators of
-product-table rows and the few denominators in play recur.  On one run
+straightening and normal-form coefficients and the few denominators in
+play recur.  On one run
 of the u-queries benchmark stream (seed 1, 30 rounds) the cancellation
 memo ends at 5,124 entries with 91% of its lookups hitting, and 23,639
 normalizations take a polynomial gcd, against 53,283 when every general

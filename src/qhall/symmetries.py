@@ -23,8 +23,8 @@ T_i(E_b), since K_lam Y = v^alpha_delta(lam) Y K_lam for homogeneous Y
 of degree delta, and K_lam then moves past each term's E-word.  So the
 word-pair product T_i(F_a) T_i(E_b) does not depend on the coweight: it
 is kept as torus-free rows in a bounded cache, and the one torus twist of
-ualgebra (_twisted, which u_mul and the antipode read too) moves each
-row to lam.  The products c * pc * v^k (a coefficient of x, a row's
+ualgebra (_twisted, which the antipode reads too) moves each row to
+lam.  The products c * pc * v^k (a coefficient of x, a row's
 coefficient, the twist) are collected per output key and each key is
 reduced once (ratfunc.sum_products).
 

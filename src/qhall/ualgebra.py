@@ -10,10 +10,11 @@ Straightening of (E-word, F-word) pairs is memoized per datum,
 letter-local, and terminates because each step strictly shrinks the
 total word length on one side of the recursion.
 
-The product, coproduct and antipode of terms are memoized on their words
-alone; the torus costs nothing extra (Lusztig, Introduction to Quantum
-Groups, 3.1.4).  The coproduct and antipode of a word pair are built from
-the memoized pair less its last letter, by one product with that letter:
+The product of two terms reads memos keyed by one or two words, and the
+coproduct and antipode of terms are memoized on their words alone; the
+torus costs nothing extra (Lusztig, Introduction to Quantum Groups,
+3.1.4).  The coproduct and antipode of a word pair are built from the
+memoized pair less its last letter, by one product with that letter:
 Delta(prefix) Delta(last) and S(last) S(prefix).  Two small memos keep the
 coproduct and antipode of the last terms read, torus included, since the
 Hopf identities read the factors of the terms of Delta x again and again.
@@ -25,12 +26,17 @@ v-exponent is the pairing vector dotted with the twist.
 Each memo stores its pairing vectors with the sign its identity needs,
 and its rows through lincomb._share, so that equal keys, coefficients and
 pairing vectors across all rows are one object.
-u_mul, the antipode and the symmetries read their memos through it:
+u_mul, the antipode and the symmetries read their memos so:
 
-- F_f1 K_m1 E_e1 . F_f2 K_m2 E_e2: the normal form of F_f1 (E_e1 F_f2)
-  E_e2 at twist m1 + m2 (concatenated) and shift m1 + m2, so each row
-  gets v^-(alpha(wt fw, m1) + alpha(wt ew, m2)), where fw, ew are the
-  words of the straightened middle term.  _collect_products, which u_mul
+- F_f1 K_m1 E_e1 . F_f2 K_m2 E_e2 (_product_rows): each straightened
+  middle term F_fw K_kappa E_ew of E_e1 F_f2, read from _straighten with
+  the pairing vectors pf and pe of -wt fw and -wt ew, gets
+  v^(pf . m1 + pe . m2) and coweight kappa + m1 + m2, and its outer words
+  are renormalized by the word normal forms of f1 fw and ew e2
+  (falgebra._normal_form_word): one row per pair of their basis words.
+  No memo holds whole products: a stream of products meets the pair
+  (e1, f2) and the concatenations again and again, and the quadruple
+  (f1, e1, f2, e2) seldom.  _collect_products, which u_mul, the antipode
   and symmetries._apply_inverse share, collects the products
   c2 (c1 c) v^k per output key, and each key is reduced once
   (ratfunc.sum_products), as symmetries._apply_table does.
@@ -46,14 +52,14 @@ u_mul, the antipode and the symmetries read their memos through it:
   place, each counit side merges the terms whose a (or b) is a torus
   element, and each antipode side collects every product c S(a) . b (or
   a . c S(b)) through _collect_products and reduces each key once.  The
-  product of UTensor, which _delta_words builds on, collects its row
-  pairs the same way.
+  product of UTensor, which _delta_words builds on, collects the
+  _product_rows pairs of both factors the same way.
 
 Every pairing vector is read from one bounded memo, freealg._word_pairing,
 of the pairing vector of each word's weight.  The pairing is linear in the
-weight, p(a - b) = p(a) - p(b), so the product table, the antipode, and
-the pair rows and T_i^-1 of symmetries add or subtract memoized vectors
-rather than weigh each row's words and pair the result.
+weight, p(a - b) = p(a) - p(b), so the straightening memo, the antipode,
+and the pair rows and T_i^-1 of symmetries negate, add or subtract
+memoized vectors rather than weigh each row's words and pair the result.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .cartan import CartanDatum, add_vec, neg_vec, sub_vec
+from .cartan import CartanDatum, add_vec, neg_vec
 from .falgebra import FElement, _normal_form_word
 from .freealg import Word, _word_pairing
 from .lincomb import LinComb, _share, linear, merge
@@ -133,36 +139,62 @@ def plus_part(x: UElement) -> FElement:
     return FElement(x.datum, out)
 
 
+# _straighten is bounded above the largest fill measured: one
+# scripts/run_verify.py process leaves 936 entries in it, one
+# symbolic-verify round 300 and the u-queries stream 232.  The stream's
+# 30 timed rounds miss it 18 times, while their products alone meet
+# 3,000 distinct word quadruples (f1, e1, f2, e2).
 @lru_cache(maxsize=1 << 10)
-def _straighten(datum: CartanDatum, ew: Word, fw: Word) -> "UElement":
-    """Normal form of (E-word).(F-word)."""
+def _straighten(datum: CartanDatum, ew: Word, fw: Word) -> tuple:
+    """Normal form of (E-word).(F-word), as rows (key, coefficient, pf,
+    pe): pf and pe are the pairing vectors of -wt of the key's F-word and
+    of -wt of its E-word, so that K_m1 moved in from the left and K_m2
+    from the right cost v^(pf . m1 + pe . m2).  With a the last letter of
+    ew and b the first of fw, E_a F_b = F_b E_a + delta_ab (K_a -
+    K_-a)/(v - v^-1), and each part is a product of shorter pairs."""
     zero = datum.zero_vec()
-    if not ew or not fw:
-        out: dict = {}
-        if not ew and not fw:
-            return UElement.unit(datum)
-        if not ew:
-            for bw, c in _normal_form_word(datum, fw):
-                out[(bw, zero, ())] = c
-        else:
-            for bw, c in _normal_form_word(datum, ew):
-                out[((), zero, bw)] = c
-        return UElement(datum, out)
-    a, b = ew[-1], fw[0]
-    ew_head, fw_tail = ew[:-1], fw[1:]
-    # E_a F_b = F_b E_a + delta_ab (K_a - K_-a)/(v - v^-1)
-    left = u_mul(
-        _straighten(datum, ew_head, (b,)), _straighten(datum, (a,), fw_tail)
+    if not ew and not fw:
+        terms = ((((), zero, ()), ONE),)
+    elif not ew:
+        terms = (((bw, zero, ()), c) for bw, c in _normal_form_word(datum, fw))
+    elif not fw:
+        terms = ((((), zero, bw), c) for bw, c in _normal_form_word(datum, ew))
+    else:
+        a, b = ew[-1], fw[0]
+        ew_head, fw_tail = ew[:-1], fw[1:]
+        groups: dict = {}
+        _collect_products(
+            datum,
+            _middle(datum, ew_head, (b,)),
+            _middle(datum, (a,), fw_tail),
+            groups,
+        )
+        if a == b:
+            # E_head K_+-a F_tail
+            #   = v^-+alpha(wt F_tail, h) (E_head F_tail) K_+-a
+            h = datum.unit_vec(a)
+            k = datum.sym_form(datum.weight_of_word(fw_tail), h)
+            denom = (v_pow(1) - v_pow(-1)).inverse()
+            torus = (
+                (((), h, ()), denom.shift(-k)),
+                (((), neg_vec(h), ()), -denom.shift(k)),
+            )
+            _collect_products(datum, _middle(datum, ew_head, fw_tail), torus, groups)
+        terms = sum_products(groups).items()
+    return _share(
+        (
+            key,
+            c,
+            neg_vec(_word_pairing(datum, key[0])),
+            neg_vec(_word_pairing(datum, key[2])),
+        )
+        for key, c in terms
     )
-    if a != b:
-        return left
-    # E_head K_+-a F_tail = v^-+alpha(wt F_tail, h) (E_head F_tail) K_+-a
-    h = datum.unit_vec(a)
-    k = datum.sym_form(datum.weight_of_word(fw_tail), h)
-    denom = (v_pow(1) - v_pow(-1)).inverse()
-    plus = UElement.K(datum, h).scale(denom.shift(-k))
-    minus = UElement.K(datum, neg_vec(h)).scale(denom.shift(k))
-    return left + u_mul(_straighten(datum, ew_head, fw_tail), plus - minus)
+
+
+def _middle(datum: CartanDatum, ew: Word, fw: Word) -> tuple:
+    """E_ew F_fw as (key, coefficient) pairs."""
+    return tuple((key, c) for key, c, _pf, _pe in _straighten(datum, ew, fw))
 
 
 def _twisted(rows, twist: tuple, shift: tuple):
@@ -177,48 +209,41 @@ def _twisted(rows, twist: tuple, shift: tuple):
     )
 
 
-@lru_cache(maxsize=1 << 13)
-def _product_table(
-    datum: CartanDatum, f1: Word, e1: Word, f2: Word, e2: Word
-) -> tuple:
-    """F_f1 (E_e1 F_f2) E_e2 in normal form, as rows for _twisted at twist
-    m1 + m2 (concatenated) and shift m1 + m2.  With fw, ew the words of a
-    straightened middle term of E_e1 F_f2, the pairing vector is that of
-    -wt fw followed by that of -wt ew.  Middle terms merged onto one key
-    share it: wt fw and wt ew are the weights of the key's F- and E-word
-    less wt f1 and wt e2."""
-
-    def image(key):
-        fw, kappa, ew = key
-        ftotal = ((fw, ONE),) if not f1 else _normal_form_word(datum, f1 + fw)
-        etotal = ((ew, ONE),) if not e2 else _normal_form_word(datum, ew + e2)
-        return (((bf, kappa, be), cf * ce) for bf, cf in ftotal for be, ce in etotal)
-
-    out = linear(_straighten(datum, e1, f2).terms.items(), image)
-    pf1, pe2 = _word_pairing(datum, f1), _word_pairing(datum, e2)
-    return _share(
-        (
-            key,
-            c,
-            sub_vec(pf1, _word_pairing(datum, key[0]))
-            + sub_vec(pe2, _word_pairing(datum, key[2])),
-        )
-        for key, c in out.items()
-    )
+def _product_rows(datum: CartanDatum, t1: UKey, t2: UKey):
+    """F_f1 K_m1 E_e1 . F_f2 K_m2 E_e2 as rows (key, coefficient,
+    exponent), one per straightened middle term (fw, kappa, ew) of
+    E_e1 F_f2 and per pair of basis words of the normal forms of f1 fw
+    and ew e2: K_m1 moves right past F_fw and K_m2 left past E_ew, at
+    v^(pf . m1 + pe . m2) from the middle row's pairing vectors, and both
+    join kappa.  Rows of one middle term share that exponent; the rows
+    are not merged per key."""
+    (f1, m1, e1), (f2, m2, e2) = t1, t2
+    twisted = any(m1) or any(m2)
+    shift = add_vec(m1, m2)
+    for (fw, kappa, ew), c, pf, pe in _straighten(datum, e1, f2):
+        k = 0
+        if twisted:
+            k = sum(map(mul, pf, m1)) + sum(map(mul, pe, m2))
+            kappa = add_vec(kappa, shift)
+        ftotal = _normal_form_word(datum, f1 + fw) if f1 else ((fw, ONE),)
+        etotal = _normal_form_word(datum, ew + e2) if e2 else ((ew, ONE),)
+        for bf, cf in ftotal:
+            cf = c * cf
+            for be, ce in etotal:
+                yield (bf, kappa, be), cf * ce, k
 
 
 def _collect_products(datum: CartanDatum, xs, ys, groups: dict) -> None:
     """Every pair of terms F_f1 K_m1 E_e1 of xs and F_f2 K_m2 E_e2 of ys
-    ((key, coefficient) pairs) reads the product table of
-    (f1, e1, f2, e2) twisted by (m1, m2); the triples
-    (c2, c1 * row coefficient, exponent) are appended to groups per
-    output key, for ratfunc.sum_products.  Row coefficients are mostly
-    Laurent polynomials, so with c1 one too (as in T_i^-1(F_a)) that
-    product needs no gcd and the triples keep the denominators of ys."""
-    for (f1, m1, e1), c1 in xs:
-        for (f2, m2, e2), c2 in ys:
-            rows = _product_table(datum, f1, e1, f2, e2)
-            for key, c, k in _twisted(rows, m1 + m2, add_vec(m1, m2)):
+    ((key, coefficient) pairs; ys is read once per term of xs) is
+    multiplied out by _product_rows; the triples (c2, c1 * row
+    coefficient, exponent) are appended to groups per output key, for
+    ratfunc.sum_products.  Row coefficients are mostly Laurent
+    polynomials, so with c1 one too (as in T_i^-1(F_a)) that product needs
+    no gcd and the triples keep the denominators of ys."""
+    for t1, c1 in xs:
+        for t2, c2 in ys:
+            for key, c, k in _product_rows(datum, t1, t2):
                 groups.setdefault(key, []).append((c2, c1 * c, k))
 
 
@@ -264,15 +289,10 @@ class UTensor(LinComb):
             raise ValueError("operands live over different data")
         d, groups = self.datum, {}
 
-        def rows(t1, t2):
-            (f1, m1, e1), (f2, m2, e2) = t1, t2
-            table = _product_table(d, f1, e1, f2, e2)
-            return _twisted(table, m1 + m2, add_vec(m1, m2))
-
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
-                right = [(kb, c2 * cb, j) for kb, cb, j in rows(b1, b2)]
-                for ka, ca, i in rows(a1, a2):
+                right = [(kb, c2 * cb, j) for kb, cb, j in _product_rows(d, b1, b2)]
+                for ka, ca, i in _product_rows(d, a1, a2):
                     ca = c1 * ca
                     for kb, cb, j in right:
                         groups.setdefault((ka, kb), []).append((ca, cb, i + j))
@@ -310,13 +330,13 @@ def _delta_words(datum: CartanDatum, fw: Word, ew: Word) -> tuple:
 # the factors of the terms of Delta x again and again.  Both fill to their
 # bound.  One symbolic-verify round reads _delta_key 10,054 times and
 # _antipode_key 9,244 times, with 3,361 misses each; one
-# scripts/run_verify.py process 15,837 and 14,512 times, with 4,653 misses
-# each; the u-queries stream not at all.  At 256 entries the round was no
-# faster and its peak RSS 0.4 MB higher; at 64 it was slower.  Their rows
-# are lists, which their callers only read: a tuple of up to 20 items that
-# an eviction frees stays on CPython's tuple free list, and tuples held the
-# round's peak RSS 0.3 MB higher.  _delta_words and _antipode_words hold
-# 159 word pairs each after one symbolic-verify round, 218 after one
+# scripts/run_verify.py process 31,264 and 28,802 times, with 11,357
+# misses each; the u-queries stream not at all.  At 256 entries the round
+# was no faster and its peak RSS 0.4 MB higher; at 64 it was slower.
+# Their rows are lists, which their callers only read: a tuple of up to 20
+# items that an eviction frees stays on CPython's tuple free list, and
+# tuples held the round's peak RSS 0.3 MB higher.  _delta_words and _antipode_words hold
+# 159 word pairs each after one symbolic-verify round, 443 after one
 # scripts/run_verify.py process and none after the u-queries stream.
 @lru_cache(maxsize=128)
 def _delta_key(datum: CartanDatum, key: UKey) -> list:

@@ -31,7 +31,7 @@ from qhall.symmetries import (
 )
 from qhall.ualgebra import (
     UElement,
-    _product_table,
+    _straighten,
     embed_minus,
     embed_plus,
     plus_part,
@@ -305,25 +305,23 @@ def test_route_is_part_of_the_pair_memo_key():
 
 def test_memo_rows_share_equal_values():
     # equal keys, coefficients and pairing vectors stored by different
-    # entries of the product table and the pair memo are one object, and
-    # the rows equal those rebuilt once the intern memo is cleared
+    # entries of the straightening memo and the pair memo are one object,
+    # and the rows equal those rebuilt once the intern memo is cleared
     for d in (A2, A3):
-        words = _basis_words(d, 1)
+        words, letters = _basis_words(d, 2), _basis_words(d, 1)
 
         def tables():
-            products = [
-                _product_table(d, *ws) for ws in itertools.product(words, repeat=4)
-            ]
+            middles = [_straighten(d, ew, fw) for ew in words for fw in words]
             pairs = [
                 _pair_image(d, i, route, fw, ew)
                 for i in d.vertices
                 for route in ("T", "T~")
-                for fw in words
-                for ew in words
+                for fw in letters
+                for ew in letters
             ]
-            return products + pairs
+            return middles + pairs
 
-        for memo in (_product_table, _pair_image, _shared):
+        for memo in (_straighten, _pair_image, _shared):
             memo.cache_clear()
         before = tables()
         parts = [part for rows in before for row in rows for part in row]
@@ -332,7 +330,7 @@ def test_memo_rows_share_equal_values():
             assert first.setdefault((type(part), part), part) is part
         assert len(first) < len(parts)
         assert _shared.cache_info().hits > 0
-        for memo in (_product_table, _pair_image, _shared):
+        for memo in (_straighten, _pair_image, _shared):
             memo.cache_clear()
         assert tables() == before
 

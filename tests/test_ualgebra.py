@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -28,7 +29,6 @@ from qhall.ualgebra import (
     _delta_generator,
     _delta_key,
     _delta_words,
-    _product_table,
     _straighten,
     _twisted,
     antipode,
@@ -413,19 +413,30 @@ def test_unit_monomial_scalars_pass_through_the_twists_a2():
 
 
 def _u_mul_merge_reference(x, y):
-    """x y from the same product tables and twist as u_mul, with every
-    product c1 c2 c v^k reduced and merged into its key one at a time."""
+    """x y from the straightened middles that u_mul reads, with K_m1 and
+    K_m2 moved past each middle term by v_pow of the form, the outer words
+    renormalized by falgebra.normal_form, and every product reduced and
+    merged into its key one at a time."""
     d = x.datum
     out = {}
     for (f1, m1, e1), c1 in x.terms.items():
         for (f2, m2, e2), c2 in y.terms.items():
-            rows = _product_table(d, f1, e1, f2, e2)
-            for key, c, k in _twisted(rows, m1 + m2, add_vec(m1, m2)):
-                merge(out, key, c1 * c2 * c * v_pow(k))
+            for (fw, kappa, ew), c, _pf, _pe in _straighten(d, e1, f2):
+                twist = v_pow(
+                    -d.sym_form(d.weight_of_word(fw), m1)
+                    - d.sym_form(d.weight_of_word(ew), m2)
+                )
+                mu = add_vec(add_vec(m1, kappa), m2)
+                left = normal_form(FreeElement(d, {f1 + fw: ONE})).terms
+                right = normal_form(FreeElement(d, {ew + e2: ONE})).terms
+                for bf, cf in left.items():
+                    for be, ce in right.items():
+                        merge(out, (bf, mu, be), c1 * c2 * c * twist * cf * ce)
     return UElement(d, out)
 
 
 KRONECKER = load_datum(quiver_from_shorthand("1->2,1->2"))
+D4 = load_datum(quiver_from_shorthand("2->1,2->3,2->4"))
 # 3, v + 1, v^2 - 1, v^2 + 1 and v^2 + v + 1: the third shares the
 # factor v + 1 with the second, the others are coprime
 DENOMINATORS = [
@@ -446,6 +457,15 @@ def _coefficient(rng):
             return c
 
 
+def _seeded_element(d, rng, words, coweights, n):
+    """n terms with seeded keys and coefficients from _coefficient."""
+    keys = [
+        (rng.choice(words), rng.choice(coweights), rng.choice(words))
+        for _ in range(n)
+    ]
+    return UElement(d, {key: _coefficient(rng) for key in keys})
+
+
 def test_u_mul_reduces_once_per_key():
     for d in (A3, KRONECKER):
         rng = random.Random(23)
@@ -455,11 +475,7 @@ def test_u_mul_reduces_once_per_key():
         ]
 
         def element(n):
-            keys = [
-                (rng.choice(words), rng.choice(coweights), rng.choice(words))
-                for _ in range(n)
-            ]
-            return UElement(d, {key: _coefficient(rng) for key in keys})
+            return _seeded_element(d, rng, words, coweights, n)
 
         for _ in range(60):
             x, y = element(rng.randint(1, 3)), element(rng.randint(1, 3))
@@ -485,16 +501,50 @@ def test_u_mul_reduces_once_per_key():
             assert met not in got.terms
 
 
-def test_term_memos_bounded_and_transparent():
-    memos = (
-        _product_table,
-        _delta_words,
-        _delta_key,
-        _antipode_words,
-        _antipode_key,
-        _straighten,
-    )
-    for memo in memos:
+def _several_term_forms(x, y) -> int:
+    """How many concatenations f1 fw and ew e2 of the products of x and y
+    have normal forms of several terms."""
+    d = x.datum
+    count = 0
+    for f1, _m1, e1 in x.terms:
+        for f2, _m2, e2 in y.terms:
+            for (fw, _kappa, ew), *_rest in _straighten(d, e1, f2):
+                for word in (f1 + fw, ew + e2):
+                    count += len(normal_form(FreeElement(d, {word: ONE})).terms) > 1
+    return count
+
+
+@pytest.mark.parametrize(
+    "d", [A2, A3, D4, KRONECKER], ids=["A2", "A3", "D4", "Kronecker"]
+)
+def test_u_mul_matches_merge_reference_on_several_term_normal_forms(d):
+    # outer words of height 3 meet the middle words in concatenations off
+    # the basis, so the normal forms of f1 fw and ew e2 have several terms
+    rng = random.Random(37)
+    words = _basis_words(d, 3)
+    coweights = list(itertools.product(range(-1, 2), repeat=d.rank))
+    several = 0
+    for _ in range(25):
+        x = _seeded_element(d, rng, words, coweights, rng.randint(1, 3))
+        y = _seeded_element(d, rng, words, coweights, rng.randint(1, 3))
+        assert u_mul(x, y) == _u_mul_merge_reference(x, y)
+        several += _several_term_forms(x, y)
+    assert several >= 10
+
+
+UALGEBRA_MEMOS = (
+    _delta_words,
+    _delta_key,
+    _antipode_words,
+    _antipode_key,
+    _straighten,
+)
+
+
+def test_term_memos_bounded_and_transparent(qhall_memos):
+    memos = {m for name, m in qhall_memos.items() if name.startswith("ualgebra.")}
+    assert memos == set(UALGEBRA_MEMOS)
+    for memo in UALGEBRA_MEMOS:
         assert memo.cache_parameters()["maxsize"] is not None
         assert memo.__module__ == "qhall.ualgebra"
     src = Path(ualgebra.__file__).read_text()
@@ -505,10 +555,41 @@ def test_term_memos_bounded_and_transparent():
     )
     y = UElement(d, {((3,), (-1, 0, 2), (1, 2)): ONE})
     before = (u_mul(x, y), delta(x), antipode(x), hopf_axiom_check(x))
-    for memo in memos:
+    for memo in UALGEBRA_MEMOS:
         memo.cache_clear()
     assert (u_mul(x, y), delta(x), antipode(x), hopf_axiom_check(x)) == before
     assert before[3]
+
+
+# words in a memo argument of each annotation; the datum holds none
+WORDS_IN = {"CartanDatum": 0, "Word": 1, "UKey": 2}
+
+
+def test_u_mul_reads_only_middles_and_word_normal_forms(qhall_memos):
+    # once _straighten holds every (E-word of x, F-word of y) pair and
+    # _normal_form_word every concatenation, a product fills no memo of
+    # ualgebra, and none of them is keyed by more than two words
+    memos = {n: m for n, m in qhall_memos.items() if n.startswith("ualgebra.")}
+    for name, memo in memos.items():
+        params = inspect.signature(memo.__wrapped__).parameters.values()
+        assert sum(WORDS_IN[p.annotation] for p in params) <= 2, name
+    memos["falgebra._normal_form_word"] = _normal_form_word
+    for d in (A3, D4, KRONECKER):
+        rng = random.Random(41)
+        words = _basis_words(d, 3)
+        coweights = list(itertools.product(range(-1, 2), repeat=d.rank))
+        for _ in range(10):
+            x = _seeded_element(d, rng, words, coweights, rng.randint(1, 3))
+            y = _seeded_element(d, rng, words, coweights, rng.randint(1, 3))
+            # reads _straighten at every (e1, f2) and _normal_form_word at
+            # every concatenation
+            _several_term_forms(x, y)
+            before = {name: m.cache_info() for name, m in memos.items()}
+            u_mul(x, y)
+            after = {name: m.cache_info() for name, m in memos.items()}
+            for name in memos:
+                assert after[name].misses == before[name].misses, name
+                assert after[name].currsize == before[name].currsize, name
 
 
 @pytest.mark.parametrize("spec", ["1->2,2->3", "2->1,2->3,2->4", "1->2,1->2"])
