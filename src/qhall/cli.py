@@ -355,8 +355,22 @@ def cmd_verify(args) -> int:
     return _report(args, run_suite(_session(args), args.suite))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument that starts with one '-' and names no option is read as
+    a positional, so that printed elements such as -th1 and dimension
+    vectors such as -1,2 read back as they are."""
+
+    def _parse_optional(self, arg_string):
+        parsed = super()._parse_optional(arg_string)
+        if arg_string.startswith("--") or parsed is None:
+            return parsed
+        # one (action, ...) tuple, or a list of them on newer Pythons
+        tuples = parsed if isinstance(parsed, list) else [parsed]
+        return None if all(t[0] is None for t in tuples) else parsed
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="qhall",
         description="exact quantum groups, braid symmetries, and a "
         "finite-field Hall oracle",

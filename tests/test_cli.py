@@ -206,6 +206,35 @@ def test_cli_rejects_dimension_vector_of_wrong_length(capsys):
     assert "3 entries" in _bad_input(capsys, "hall", "classes", "1->2", "1,1,1", "2")
 
 
+def test_cli_reads_positionals_that_start_with_a_minus(capsys):
+    # printed forms such as -th1 read back; a negative dimension entry
+    # gets its own line wherever it stands; an unknown long option and a
+    # known short one are still options
+    for argv, want in (
+        (["f", "nf", "-th1"], "-th1"),
+        (["f", "nf", "-v*th1"], "-v*th1"),
+        (["u", "nf", "-E1"], "-E1"),
+        (["u", "mul", "-E1", "-F1"], format_element(u_mul(*(
+            UElement.E(A2, 1).scale(RatFunc.const(-1)),
+            UElement.F(A2, 1).scale(RatFunc.const(-1)),
+        )))),
+        (["ti", "apply", "1", "-E1"], "F1*K(1,0)"),
+    ):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want + "\n"
+    for nu in ("-1,2", "0,-1"):
+        line = _bad_input(capsys, "f", "dim", nu)
+        assert line == f"qhall: dimension vector '{nu}' has a negative entry"
+    with pytest.raises(SystemExit) as exc:
+        main(["f", "nf", "--th1"])
+    assert exc.value.code == 2
+    assert "required: expr" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["f", "nf", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qhall f nf")
+
+
 def test_cli_rejects_input_past_the_recursion_limit(capsys):
     deep = "(" * 400 + "th1" + ")" * 400
     long = "*".join(["th1"] * 1501)

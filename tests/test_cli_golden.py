@@ -3,8 +3,8 @@
 `tests/data/cli_golden.json` maps each argument list to the exit code
 and the exact standard output `qhall` gave for it, in text and `--json`
 form, on A2 and A3, and on two quivers with no vertices, which are
-rejected.  Any change to a canonical printed form shows up
-here as a byte difference.  Regenerate the file (only when a printed
+rejected; a run that wrote to standard error also records that.  Any
+change to a canonical printed form shows up here as a byte difference.  Regenerate the file (only when a printed
 form is meant to change) with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -58,6 +58,14 @@ COMMANDS = [
     "--datum 1->2,2->3 braid verify 1 3",
     '--datum "" verify all',
     """--datum '{"vertices": [], "arrows": []}' verify all""",
+    # printed forms that start with a minus read back as arguments, and a
+    # negative dimension entry is rejected wherever it stands
+    "f nf (-1)*th1",
+    "f nf -th1",
+    "u nf -E1",
+    "ti apply 1 -E1",
+    "f dim -1,2",
+    "f dim 0,-1",
 ]
 
 
@@ -69,10 +77,13 @@ def _argvs():
 
 
 def _run(argv) -> dict:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return {"argv": argv, "exit": code, "stdout": buf.getvalue()}
+    case = {"argv": argv, "exit": code, "stdout": out.getvalue()}
+    if err.getvalue():
+        case["stderr"] = err.getvalue()
+    return case
 
 
 def record() -> None:
