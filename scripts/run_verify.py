@@ -42,8 +42,13 @@ process: A2 and A2-reversed, D4 and D4-centre-sink, and E6 and E6-f.  A
 later row of such a pair reads the weight bases, normal forms and U and
 T_i tables the earlier one built; only its Hall side is its own.  A3 and
 1->3,3->2 do not share: the path 1 - 3 - 2 has another Cartan matrix on
-the same vertex ids."""
+the same vertex ids.
 
+After the rows the script prints the peak resident set size of its
+process, so a CI log shows the memory the whole verification set
+takes."""
+
+import resource
 import sys
 import time
 
@@ -80,6 +85,9 @@ def main() -> int:
         )
         for r in bad:
             print(f"    {r.status.upper()} {r.name}: {r.detail}")
+    # ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS {peak:.1f} MB")
     return 1 if failures else 0
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 from operator import mul
 
 from .cartan import CartanDatum
-from .lincomb import LinComb, _share, bilinear, linear, merge
+from .lincomb import LinComb, _share, _shared, bilinear, linear, merge
 from .ratfunc import ONE, ONE_POLY, IntPoly, RatFunc, ZERO, _unit_product, v_pow
 
 Word = tuple[int, ...]
@@ -186,7 +186,9 @@ def _derive_word(datum: CartanDatum, vertex: int, word: Word, side: str) -> list
 # _form_words is shared by every weight and every caller: one
 # scripts/run_verify.py process leaves 20,875 entries in it before its
 # E6-f row, which fills it to the bound, one symbolic-verify round 2,045,
-# the u-queries stream 601 and one hall-verify round 372.
+# the u-queries stream 582 and one hall-verify round 372.  Its values are
+# stored through lincomb._shared: the 2,045 pairings of the round are 240
+# objects, one per value.
 @lru_cache(maxsize=1 << 16)
 def _form_words(datum: CartanDatum, w: Word, u: Word) -> IntPoly:
     """The form (w, u) at generator normalization 1, for words w and u of
@@ -194,12 +196,12 @@ def _form_words(datum: CartanDatum, w: Word, u: Word) -> IntPoly:
     over (w', e) in i_r w, i = u[0].  Its coefficients are nonnegative
     integers."""
     if not u:
-        return ONE_POLY
+        return _shared(ONE_POLY)
     acc: dict = {}
     for sub, e in _derive_word(datum, u[0], w, "left"):
         for x, c in _form_words(datum, sub, u[1:]).coeffs.items():
             acc[x + e] = acc.get(x + e, 0) + c
-    return IntPoly(acc)
+    return _shared(IntPoly(acc))
 
 
 def word_form(datum: CartanDatum, w1: Word, w2: Word, c_gen: RatFunc) -> RatFunc:

@@ -12,15 +12,24 @@ Every map on elements is given on basis keys and extended by ``linear``
 or ``bilinear``, which use only ``+``, ``*`` and truth values and return
 zero-free dicts for ``_like``.
 
-The memos that keep rows of elements (the word coproducts of the free
-algebra, the straightened word pairs and antipode of U, the pair rows of
-the symmetries) store each part through ``_share``, so that equal keys,
-coefficients and pairing vectors across all their rows are one object.
+The memos that keep rows of elements store each part through ``_share``,
+so that equal keys, coefficients and pairing vectors across all their
+rows are one object: the word coproducts and the word forms of the free
+algebra, the Gram inverse numerators, kernel bases and
+divided-power decompositions of f, the straightened word pairs and the
+word-pair coproducts and antipodes of U, and the word images, T~ word
+images and pair rows of the symmetries.  A memo of whole elements stores
+them through ``_share_terms``.  The word normal forms of f keep their
+own coefficients: on the symbolic-verify benchmark, sharing them as well
+made run_s 2% slower (lower in 6 of 24 interleaved pairs) and left peak
+RSS where it was.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+from .ratfunc import ONE, RatFunc
 
 
 def merge(dst: dict, key, coeff) -> None:
@@ -39,13 +48,15 @@ def merge(dst: dict, key, coeff) -> None:
 
 
 # _shared is bounded above the largest fill measured: one
-# scripts/run_verify.py process leaves 13,988 entries in it, one
-# symbolic-verify round 3,196 and the u-queries stream 1,528.
-@lru_cache(maxsize=1 << 14)
+# scripts/run_verify.py process leaves 20,052 entries in it, one
+# symbolic-verify round 4,680 and the u-queries stream 2,285.
+@lru_cache(maxsize=1 << 15)
 def _shared(value):
-    """The first stored object equal to value.  Only tuples and RatFuncs
-    are passed: lru_cache keys the scalars 1 and True alike."""
-    return value
+    """The first stored object equal to value, and ONE itself for a value
+    equal to it, as products tell a factor ONE by identity.  Only tuples,
+    IntPolys and RatFuncs are passed: lru_cache keys the scalars 1 and
+    True alike."""
+    return ONE if type(value) is RatFunc and value == ONE else value
 
 
 def _share(rows) -> tuple:
@@ -53,6 +64,11 @@ def _share(rows) -> tuple:
     values are immutable and canonical, so an equal object stands in for
     each."""
     return tuple(tuple(map(_shared, row)) for row in rows)
+
+
+def _share_terms(x):
+    """x with every key and coefficient replaced by its shared copy."""
+    return x._like({_shared(k): _shared(c) for k, c in x.terms.items()})
 
 
 def linear(pairs, image) -> dict:

@@ -62,7 +62,7 @@ from .falgebra import (
 )
 from .freealg import FreeElement, Word, _word_pairing
 from . import linalg
-from .lincomb import _share, linear
+from .lincomb import _share, _share_terms, linear
 from .ratfunc import MINUS_ONE, ONE, RatFunc, ZERO, sum_products, v_pow
 from .ualgebra import (
     UElement,
@@ -96,7 +96,9 @@ def _sigma(x: UElement) -> UElement:
 # 72, 408 and 105 entries in them, one symbolic-verify round 10, 5, 370,
 # 280, 34, 124 and 62, and the u-queries stream 6, 3, 363, 856, 18, 72
 # and 189.  The rows of _pair_image hold shared keys, coefficients and
-# pairing vectors (lincomb._shared).
+# pairing vectors (lincomb._shared), and so do the terms of _word_image
+# and _t_tilde_word (lincomb._share_terms): the 1,145 coefficients of
+# _word_image after the u-queries stream are 254 objects.
 @lru_cache(maxsize=64)
 def _table(datum: CartanDatum, vertex: int, inverse: bool) -> dict:
     """Generator images of T_i; for T_i^-1 = sigma T_i sigma, since sigma
@@ -163,7 +165,7 @@ def _word_image(
         return UElement.unit(datum)
     table = _table(datum, vertex, inverse)
     head = table[(kind, word[0])]
-    return u_mul(head, _word_image(datum, vertex, kind, word[1:], inverse))
+    return _share_terms(u_mul(head, _word_image(datum, vertex, kind, word[1:], inverse)))
 
 
 def _pair_rows(f_img: UElement, e_img: UElement) -> tuple:
@@ -336,7 +338,7 @@ def _t_tilde_word(
         return u_mul(_divided_image(datum, vertex, sign, r), moved).terms.items()
 
     terms = linear(((r, transport(r)) for r in pieces), image)
-    return UElement(datum)._like(terms)
+    return _share_terms(UElement(datum)._like(terms))
 
 
 def t_tilde_apply(vertex: int, x: UElement) -> UElement:

@@ -321,9 +321,9 @@ def _delta_words(datum: CartanDatum, fw: Word, ew: Word) -> tuple:
     elif fw:
         head, last = (fw[:-1], ()), _delta_generator(datum, "F", fw[-1])
     else:
-        return tuple(UTensor.unit(datum).terms.items())
+        return _share(UTensor.unit(datum).terms.items())
     prefix = UTensor(datum, dict(_delta_words(datum, *head)))
-    return tuple((prefix * last).terms.items())
+    return _share((prefix * last).terms.items())
 
 
 # The per-term memos keep the rows of the last terms read: hopf_sides meets
@@ -337,7 +337,9 @@ def _delta_words(datum: CartanDatum, fw: Word, ew: Word) -> tuple:
 # items that an eviction frees stays on CPython's tuple free list, and
 # tuples held the round's peak RSS 0.3 MB higher.  _delta_words and _antipode_words hold
 # 159 word pairs each after one symbolic-verify round, 443 after one
-# scripts/run_verify.py process and none after the u-queries stream.
+# scripts/run_verify.py process and none after the u-queries stream; both
+# store their rows through lincomb._share, and the 916 coefficients of
+# _delta_words after the round are 10 objects.
 @lru_cache(maxsize=128)
 def _delta_key(datum: CartanDatum, key: UKey) -> list:
     """Delta of one term: Delta(F_fw E_ew) with mu added to both

@@ -2,15 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from qhall.cartan import A2, A3
+from qhall.cartan import A2, A3, dims_upto
 from qhall.double import DoubleElement, HalfElement
-from qhall.falgebra import FElement
-from qhall.freealg import FreeElement
+from qhall.falgebra import (
+    FElement,
+    _decompose_word,
+    sub_if_basis,
+    weight_basis,
+)
+from qhall.freealg import FreeElement, _form_words, words_of_weight
 from qhall.hall import HallElement
 from qhall.freealg import coproduct_word
 from qhall.lincomb import _shared, bilinear, linear, merge
 from qhall.ratfunc import MINUS_ONE, ONE, ZERO, v_pow
-from qhall.ualgebra import UElement
+from qhall.ualgebra import UElement, _delta_words
 
 
 def test_merge_keeps_dict_zero_free():
@@ -134,7 +139,47 @@ def test_elements_of_different_types_are_rejected():
         FreeElement.generator(A2, 1) + FElement.generator(A2, 1)
 
 
-def test_shared_memo_bounded_and_transparent():
+def test_shared_memo_bounded_and_transparent(
+    cold_a3_verify, one_object_per_coefficient
+):
+    # after a cold A3 verify of f, u and ti, the pairings, Gram inverse
+    # numerators, kernel bases, decompositions and word-pair
+    # coproducts hold each coefficient value as one object, and equal the
+    # rows rebuilt once every memo is cleared
+    d = cold_a3_verify
+    weights = [nu for nu in dims_upto((3, 3, 3)) if 0 < sum(nu) <= 3]
+    low = [w for nu in weights if sum(nu) <= 2 for w in weight_basis(d, nu).basis_words]
+
+    def tables():
+        words = {nu: words_of_weight(d, nu) for nu in weights}
+        bases = [weight_basis(d, nu) for nu in weights]
+        sides = [(i, side) for i in d.vertices for side in ("left", "right")]
+        return [
+            [_form_words(d, w, u) for ws in words.values() for w in ws for u in ws],
+            [n for wb in bases for _den, nums in wb.inv_rows for n in nums],
+            [sub_if_basis(d, i, nu, side) for i, side in sides for nu in weights],
+            [
+                _decompose_word(d, i, w, side)
+                for i, side in sides
+                for wb in bases
+                for w in wb.basis_words
+            ],
+            [_delta_words(d, fw, ew) for fw in low for ew in low],
+        ]
+
+    before = tables()
+    one_object_per_coefficient(before)
+    for memo in (
+        _form_words,
+        weight_basis,
+        sub_if_basis,
+        _decompose_word,
+        _delta_words,
+        _shared,
+    ):
+        memo.cache_clear()
+    assert tables() == before
+
     # the word coproducts store each word pair and coefficient once across
     # their rows, and equal the rows rebuilt once the memos are cleared
     assert _shared.cache_parameters()["maxsize"] is not None

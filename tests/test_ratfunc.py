@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -398,6 +399,94 @@ def test_sum_products_matches_one_normalized_fraction(triples):
         assert got == {}
     else:
         _same_value(got["key"], RatFunc(total, den))
+
+
+def _reference_reduction(num, den):
+    """num/den reduced by Euclid's algorithm over Q, with no code from
+    qhall.ratfunc, as (numerator, denominator, what changed): the shift
+    that makes the denominator an ordinary polynomial with a nonzero
+    constant term, a polynomial gcd, a common integer content, or the
+    sign of the denominator's leading coefficient."""
+
+    def dense(p, low):
+        out = [Fraction(0)] * (max(p.coeffs) - low + 1)
+        for e, c in p.coeffs.items():
+            out[e - low] = Fraction(c)
+        return out
+
+    def trim(a):
+        while a and not a[-1]:
+            a.pop()
+        return a
+
+    def divmod_q(a, b):
+        a, q = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+        while len(trim(a)) >= len(b):
+            k, c = len(a) - len(b), a[-1] / b[-1]
+            q[k] = c
+            for j, y in enumerate(b):
+                a[k + j] -= c * y
+        return trim(q), a
+
+    nlow, dlow = min(num.coeffs), min(den.coeffs)
+    n, d = dense(num, nlow), dense(den, dlow)
+    a, b = n, d
+    while b:
+        a, b = b, divmod_q(a, b)[1]
+    n, d = divmod_q(n, a)[0], divmod_q(d, a)[0]
+    ints = [x * math.lcm(*(y.denominator for y in n + d)) for x in n + d]
+    content = math.gcd(*(int(x) for x in ints))
+    sign = -1 if ints[-1] < 0 else 1
+    ints = [int(x) // (sign * content) for x in ints]
+    top, bottom = ints[: len(n)], ints[len(n):]
+    size = math.gcd(*(int(x) for x in dense(num, nlow) + dense(den, dlow)))
+    changed = {
+        "shift": dlow != 0,
+        "gcd": len(a) > 1,
+        "content": size != 1,
+        "sign": den.coeffs[max(den.coeffs)] < 0,
+    }
+    return (
+        IntPoly({e + nlow - dlow: c for e, c in enumerate(top)}),
+        IntPoly(dict(enumerate(bottom))),
+        {k for k, v in changed.items() if v},
+    )
+
+
+@st.composite
+def fractions_to_reduce(draw):
+    """A numerator and a denominator that share, in some draws, a
+    polynomial factor, an integer factor or a sign, and have an ordinary
+    denominator in others."""
+    num = draw(nonzero_polys)
+    den = draw(st.one_of(nonzero_polys, ordinary_polys))
+    factor = draw(st.one_of(st.just(ONE_POLY), nonzero_polys, ordinary_polys))
+    scale = draw(st.sampled_from([1, 1, 1, -1, 2, -3, 6]))
+    return (num * factor).scale(scale), (den * factor).scale(scale)
+
+
+ordinary_polys = st.dictionaries(
+    st.integers(1, 4), st.integers(-9, 9), max_size=3
+).flatmap(
+    lambda d: st.integers(1, 9).map(lambda c: IntPoly({**d, 0: c}))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fractions_to_reduce())
+@example((poly({0: 1, 1: 2}), poly({0: 1, 2: 1})))  # nothing to reduce
+@example((poly({0: 2, 1: 4}), poly({0: 2, 2: 6})))  # content 2
+@example((poly({0: 1, 1: 2}), poly({0: 3, 2: 1})))  # content 1, not 1 each
+@example((poly({0: -1, 2: 1}), poly({0: 1, 1: 1})))  # gcd v + 1
+@example((poly({0: 1, 1: 2}), poly({0: -1, 2: -1})))  # sign
+@example((poly({0: 1, 1: 2}), poly({1: 1, 3: 1})))  # shift
+@example((poly({0: 5}), poly({0: 1, 1: 1})))  # one-term numerator
+def test_constructor_keeps_a_numerator_that_nothing_reduces(pair):
+    num, den = pair
+    want_num, want_den, changed = _reference_reduction(num, den)
+    got = RatFunc(num, den)
+    assert got.num == want_num and got.den == want_den, (num, den, changed)
+    assert (got.num is num) == (not changed), (num, den, changed)
 
 
 def test_denominator_memos_bounded_and_transparent():

@@ -303,7 +303,36 @@ def test_route_is_part_of_the_pair_memo_key():
     assert _t_tilde_word.cache_info().misses > 0
 
 
-def test_memo_rows_share_equal_values():
+def test_memo_rows_share_equal_values(cold_a3_verify, one_object_per_coefficient):
+    # after a cold A3 verify of f, u and ti, the middles, pair rows, word
+    # images and T~ word images hold each coefficient value as one object
+    d = cold_a3_verify
+    words = _basis_words(d, 2)
+    one_object_per_coefficient(
+        [
+            [_straighten(d, ew, fw) for ew in words for fw in words],
+            [
+                _pair_image(d, i, route, fw, ew)
+                for i in d.vertices
+                for route in ("T", "T~")
+                for fw in words[:4]
+                for ew in words[:4]
+            ],
+            [
+                _word_image(d, i, kind, w, inverse)
+                for i in d.vertices
+                for kind in ("E", "F")
+                for w in words
+                for inverse in (False, True)
+            ],
+            [
+                _t_tilde_word(d, i, sign, w)
+                for i in d.vertices
+                for sign in ("minus", "plus")
+                for w in words
+            ],
+        ]
+    )
     # equal keys, coefficients and pairing vectors stored by different
     # entries of the straightening memo and the pair memo are one object,
     # and the rows equal those rebuilt once the intern memo is cleared

@@ -45,6 +45,7 @@ def test_run_verify_counts_errors_as_failures(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "1 failed" in out
     assert "ERROR boom: ZeroDivisionError: division by zero" in out
+    assert out.splitlines()[-1].startswith("peak RSS ")
 
 
 def test_hall_bgp_skips_before_any_enumeration(monkeypatch):
