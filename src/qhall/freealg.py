@@ -187,7 +187,7 @@ def _derive_word(datum: CartanDatum, vertex: int, word: Word, side: str) -> list
 # scripts/run_verify.py process leaves 20,875 entries in it before its
 # E6-f row, which fills it to the bound, one symbolic-verify round 2,045,
 # the u-queries stream 582 and one hall-verify round 372.  Its values are
-# stored through lincomb._shared: the 2,045 pairings of the round are 240
+# stored through lincomb._shared: the 2,045 forms of the round are 240
 # objects, one per value.
 @lru_cache(maxsize=1 << 16)
 def _form_words(datum: CartanDatum, w: Word, u: Word) -> IntPoly:
