@@ -31,6 +31,8 @@ COMMANDS = [
     "u hopf-check F1*E2*K(1,0)",
     "ti apply 1 E2",
     "ti inv 1 E2",
+    # T_i-images whose F-word groups share terms of T_i^-1(F_a)
+    'ti inv 1 "-v^-3*F1*F1*F1*F2*K(2,0) + v^-4*F1*F1*F2*F1*K(2,0)"',
     "hall classes 1->2 1,1 2",
     "hall number 1->2 2 1,1:1 1,0:0 0,1:0",
     "hall strata 1->2 1,1 3 2",
@@ -46,6 +48,8 @@ COMMANDS = [
     f"{A3} u hopf-check F2*E1*K(0,1,0)",
     f"{A3} ti apply 2 E1*E3",
     f"{A3} ti inv 2 F1*K(1,0,-1)",
+    f'{A3} ti inv 2 "F1*F2*F2*F2*F3*K(0,1,0) - v^-1*F1*F2*F2*F3*F2*K(0,1,0)'
+    ' - v*F2*F1*F2*F2*F3*K(0,1,0) + F2*F1*F2*F3*F2*K(0,1,0)"',
     "hall classes 1->2,2->3 1,1,1 2",
     "hall number 1->2,2->3 2 1,1,0:1 1,0,0:0 0,1,0:0",
     "hall number 1->2,2->3 3 1,2,1:0 1,1,0:0 0,1,1:0",
