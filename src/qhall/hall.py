@@ -106,6 +106,20 @@ def _irreducible(f, p):
     return True
 
 
+def _prime_power(q: int) -> tuple:
+    """(p, d) with q = p^d, for a field size q the tables of Fq can hold;
+    ValueError for any other q."""
+    if q < 2 or q > 256:
+        raise ValueError("field size must be between 2 and 256")
+    p = next(k for k in range(2, q + 1) if q % k == 0)  # least prime factor
+    d = 1
+    while p ** d < q:
+        d += 1
+    if p ** d != q:
+        raise ValueError(f"{q} is not a prime power")
+    return p, d
+
+
 class Fq:
     """The field with q = p^d elements; elements are ints 0..q-1 encoding
     polynomial residues base p.  Multiplication runs on log/antilog
@@ -114,14 +128,7 @@ class Fq:
     zero, one = 0, 1
 
     def __init__(self, q: int):
-        if q < 2 or q > 256:
-            raise ValueError("field size must be between 2 and 256")
-        p = next(k for k in range(2, q + 1) if q % k == 0)  # least prime factor
-        d = 1
-        while p ** d < q:
-            d += 1
-        if p ** d != q:
-            raise ValueError(f"{q} is not a prime power")
+        p, d = _prime_power(q)
         self.p, self.d, self.q = p, d, q
         self.modulus = _find_irreducible(p, d) if d > 1 else None
         self._add = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
@@ -830,10 +837,12 @@ class HallElement(LinComb):
 
 
 def _sqrt_q(q: int) -> int:
-    """v = sqrt(q), whose powers twist the Hall product."""
+    """v = sqrt(q), whose powers twist the Hall product.  q must be a
+    field size too: the budget checks that follow divide by q^k - 1."""
     v = isqrt(q)
     if v * v != q:
         raise ValueError("comparison needs a perfect-square q")
+    _prime_power(q)
     return v
 
 

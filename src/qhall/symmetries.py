@@ -41,9 +41,12 @@ ti-decomposition-route compares.
 T_i^-1 reads no pair rows.  Its inputs are mostly images of T_i, whose
 terms share few F-words and whose pair products are large and rarely
 met twice, so it writes x = sum_a F_a Y_a by F-word, builds each
-T_i^-1(Y_a) from the word images of the E-words, and multiplies by
-T_i^-1(F_a) through u_mul's term-pair loop.  Both twists are checked
-against products that carry every K_mu through the computation.
+R_a = T_i^-1(Y_a) from the word images of the E-words, and multiplies by
+T_i^-1(F_a) through u_mul's term-pair loop.  The F-words of such an image
+often share a weight, and then their images T_i^-1(F_a) share terms: a
+shared term t is multiplied once, by the sum of c_(a,t) R_a over the
+groups that have it.  Both twists are checked against products that
+carry every K_mu through the computation.
 """
 
 from __future__ import annotations
@@ -227,25 +230,48 @@ def _apply_table(vertex: int, x: UElement, route: str) -> UElement:
 
 def _apply_inverse(vertex: int, x: UElement) -> UElement:
     """T_i^-1(x) with x = sum_a F_a Y_a grouped by F-word a: each
-    T_i^-1(Y_a) = sum c K_lam T_i^-1(E_b), lam = s_i mu, is read off the
-    word images, K_lam moved past each term's F-word f at
-    v^-sym_form(wt f, lam), and reduced once; then
-    T_i^-1(F_a) T_i^-1(Y_a) goes through u_mul's term-pair loop, and the
-    whole result is reduced once.  In a group of one term every key has
-    one product, which ratfunc.sum_products takes as it is."""
+    R_a = T_i^-1(Y_a) = sum c K_lam T_i^-1(E_b), lam = s_i mu, is read
+    off the word images, K_lam moved past each term's F-word f at
+    v^-sym_form(wt f, lam), and reduced once.  Each term t of
+    T_i^-1(F_a) that no other group has is multiplied by R_a.  A term
+    that two or more groups share is multiplied once, by
+    Z_t = sum_a c_(a,t) R_a reduced once, since
+    t R_a + t R_b = t (c_a R_a + c_b R_b).  The products go through
+    u_mul's term-pair loop, and the whole result is reduced once.  In a
+    group of one term every key has one product, which
+    ratfunc.sum_products takes as it is."""
     d = x.datum
     by_fword: dict = {}
     for (fw, mu, ew), c in x.terms.items():
         by_fword.setdefault(fw, []).append((c, _reflected(d, vertex, mu), ew))
+    # T_i^-1(F_a) is homogeneous of degree s_i(-wt a), so two groups can
+    # share a term only if their F-words have one weight, so one length
+    n = len(by_fword)
+    merge = n > 1 and len(set(map(len, by_fword))) < n
     groups: dict = {}
+    lefts: dict = {}
     for fw, parts in by_fword.items():
         y: dict = {}
         for c, lam, ew in parts:
             for (f, kappa, e), pc in _word_image(d, vertex, "E", ew, True).terms.items():
                 k = -sum(map(mul, _word_pairing(d, f), lam))
                 y.setdefault((f, add_vec(kappa, lam), e), []).append((c, pc, k))
-        f_image = _word_image(d, vertex, "F", fw, True).terms.items()
-        _collect_products(d, f_image, sum_products(y).items(), groups)
+        right = sum_products(y).items()
+        left = _word_image(d, vertex, "F", fw, True).terms.items()
+        if not merge:
+            _collect_products(d, left, right, groups)
+            continue
+        for t, c in left:
+            lefts.setdefault(t, []).append((c, right))
+    for t, factors in lefts.items():
+        if len(factors) > 1:
+            z: dict = {}
+            for c, right in factors:
+                for key, r in right:
+                    z.setdefault(key, []).append((c, r, 0))
+            factors = ((ONE, sum_products(z).items()),)
+        for c, right in factors:
+            _collect_products(d, ((t, c),), right, groups)
     return x._like(sum_products(groups))
 
 

@@ -240,7 +240,9 @@ def _collect_products(datum: CartanDatum, xs, ys, groups: dict) -> None:
     coefficient, exponent) are appended to groups per output key, for
     ratfunc.sum_products.  Row coefficients are mostly Laurent
     polynomials, so with c1 one too (as in T_i^-1(F_a)) that product needs
-    no gcd and the triples keep the denominators of ys."""
+    no gcd and the triples keep the denominators of ys.  c1 is ONE for a
+    term of T_i^-1(F_a) that several F-word groups share, whose
+    coefficients symmetries._apply_inverse has summed into ys."""
     for t1, c1 in xs:
         for t2, c2 in ys:
             for key, c, k in _product_rows(datum, t1, t2):

@@ -206,6 +206,14 @@ def test_cli_rejects_dimension_vector_of_wrong_length(capsys):
     assert "3 entries" in _bad_input(capsys, "hall", "classes", "1->2", "1,1,1", "2")
 
 
+def test_cli_hall_compare_rejects_a_field_size_below_two(capsys):
+    # q = 1 is a perfect square, so it reaches the field-size check only
+    # because the comparison checks q as a field size before any budget
+    for q in ("0", "1"):
+        line = _bad_input(capsys, "hall", "compare", "1->2", "1,0", "0,1", "--q", q)
+        assert line == "qhall: field size must be between 2 and 256", q
+
+
 def test_cli_reads_positionals_that_start_with_a_minus(capsys):
     # printed forms such as -th1 read back; a negative dimension entry
     # gets its own line wherever it stands; an unknown long option and a

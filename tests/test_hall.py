@@ -448,6 +448,16 @@ def test_specialize_compare_needs_square_q():
         specialize_compare(Q, (1, 0), (0, 1), 3)
 
 
+def test_square_q_must_be_a_field_size():
+    # q = 1 = 1^2 would make the budget checks divide by q^k - 1 = 0
+    for call in (
+        lambda: hall_word(Q, 1, (1, 2)),
+        lambda: specialize_compare(Q, (1, 0), (0, 1), 1),
+    ):
+        with pytest.raises(ValueError, match="field size must be between 2 and 256"):
+            call()
+
+
 def test_hall_word_unit():
     u = hall_word(Q, 4, ())
     assert u == HallElement.unit(Q, 4)

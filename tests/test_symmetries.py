@@ -449,13 +449,27 @@ def test_reduce_once_matches_per_product_sums():
         assert ti_apply(i, ti_inverse_apply(i, x)) == x
 
 
+def _shared_left_terms(d, i, x) -> int:
+    """The number of terms of T_i^-1(F_a) that two or more F-word groups
+    a of x share."""
+    seen: dict = {}
+    for fw in {fw for fw, _mu, _ew in x.terms}:
+        for t in _word_image(d, i, "F", fw, True).terms:
+            seen[t] = seen.get(t, 0) + 1
+    return sum(n > 1 for n in seen.values())
+
+
 def test_grouped_inverse_matches_two_plain_products():
-    # the inputs are T_i-images of seeded 1-3-term A3 elements, the
-    # inverse's traffic: their terms share F-words, so T_i^-1 sums several
-    # terms into one F-word group before it multiplies by T_i^-1(F_a)
+    # the inputs are seeded 1-3-term A3 elements and their T_i-images, the
+    # inverse's traffic.  The images' terms share F-words, so T_i^-1 sums
+    # several terms into one F-word group before it multiplies by
+    # T_i^-1(F_a).  Many images' groups also share terms of T_i^-1(F_a),
+    # which T_i^-1 multiplies once by the sum of the groups' right
+    # factors; most seeded elements' groups share none.
     rng = random.Random(5)
     words = _basis_words(A3, 2)
     sizes = set()
+    shared = []
     for _ in range(45):
         terms = {}
         for _ in range(rng.randint(1, 3)):
@@ -466,10 +480,17 @@ def test_grouped_inverse_matches_two_plain_products():
         y = ti_apply(i, x)
         fwords = [fw for fw, _mu, _ew in y.terms]
         sizes.update(fwords.count(fw) for fw in fwords)
-        assert ti_inverse_apply(i, y) == _untwisted_reference(A3, i, y, True), x
+        for z in (y, x):
+            shared.append(_shared_left_terms(A3, i, z))
+            assert ti_inverse_apply(i, z) == _untwisted_reference(A3, i, z, True), z
         assert ti_inverse_apply(i, y) == x
+        assert ti_apply(i, ti_inverse_apply(i, x)) == x
     # groups of one term and of several both occur
     assert 1 in sizes and max(sizes) >= 3
+    # inputs with shared left terms, up to several in one input, and
+    # inputs without any both occur
+    assert sum(n > 0 for n in shared) >= 10 and max(shared) >= 4
+    assert shared.count(0) >= 10
 
 
 def _expected_inverse_table(d, i):
