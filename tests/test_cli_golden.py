@@ -70,6 +70,14 @@ COMMANDS = [
     "ti apply 1 -E1",
     "f dim -1,2",
     "f dim 0,-1",
+    # coefficients whose numerator has several terms and a negative
+    # leading coefficient, zero and scalar inputs, and a scalar decomposed
+    "u nf (-v-1)*E1",
+    "f decompose 1 th2*th1*th1",
+    "f nf 0",
+    "u nf 0",
+    "u nf 2*v",
+    "f decompose 1 2",
 ]
 
 
