@@ -27,10 +27,9 @@ from . import falgebra as fa
 from . import hall
 from . import symmetries as sym
 from . import ualgebra as ua
-from .cartan import CartanDatum, load_datum, load_quiver
-from .exprs import format_element, parse_expr
-from .freealg import FreeElement
-from .ratfunc import ONE, RatFunc
+from .cartan import load_datum, load_quiver
+from .exprs import as_f, as_u, element_json, format_element, parse_expr
+from .ratfunc import ONE
 from .ualgebra import UElement
 from .verify import Session, run_suite
 
@@ -67,41 +66,8 @@ def _emit(args, payload: dict, text: str):
         print(text)
 
 
-def _u_terms_json(x: UElement) -> list:
-    out = []
-    for (fw, mu, ew), c in x.sorted_terms():
-        out.append(
-            {
-                "F": "*".join(f"F{i}" for i in fw) or "1",
-                "K": ",".join(str(m) for m in mu),
-                "E": "*".join(f"E{i}" for i in ew) or "1",
-                "c": str(c),
-            }
-        )
-    return out
-
-
-def _element_json(x) -> dict:
-    if isinstance(x, UElement):
-        return {"schema": SCHEMA, "type": "u", "terms": _u_terms_json(x)}
-    if isinstance(x, dbl.DoubleElement):
-        terms = [
-            {
-                "minus": "*".join(f"th{i}" for i in mw) or "1",
-                "k": ",".join(str(m) for m in mu),
-                "plus": "*".join(f"th{i}" for i in pw) or "1",
-                "c": str(c),
-            }
-            for (mw, mu, pw), c in x.sorted_terms()
-        ]
-        return {"schema": SCHEMA, "type": "double", "terms": terms}
-    if isinstance(x, (FreeElement, fa.FElement)):
-        terms = [
-            {"word": "*".join(f"th{i}" for i in w) or "1", "c": str(c)}
-            for w, c in sorted(x.terms.items(), key=lambda t: (len(t[0]), t[0]))
-        ]
-        return {"schema": SCHEMA, "type": "f", "terms": terms}
-    return {"schema": SCHEMA, "type": "scalar", "value": str(x)}
+def _emit_element(args, x) -> None:
+    _emit(args, {"schema": SCHEMA, **element_json(x)}, format_element(x))
 
 
 def _hex_width(q: int) -> int:
@@ -142,27 +108,15 @@ def cmd_f(args) -> int:
         )
         return 0
     if args.f_cmd == "nf":
-        val = parse_expr(d, args.expr)
-        if isinstance(val, RatFunc):
-            val = fa.FElement.unit(d).scale(val)
-        elif isinstance(val, FreeElement):
-            val = fa.normal_form(val)
-        else:
-            raise ValueError("f nf expects a theta expression")
-        _emit(args, _element_json(val), format_element(val))
+        _emit_element(args, as_f(d, parse_expr(d, args.expr)))
         return 0
     if args.f_cmd == "decompose":
-        val = parse_expr(d, args.expr)
-        if isinstance(val, FreeElement):
-            val = fa.normal_form(val)
-        if not isinstance(val, fa.FElement):
-            raise ValueError("f decompose expects a theta expression")
-        pieces = fa.i_decompose(args.vertex, val)
+        pieces = fa.i_decompose(args.vertex, as_f(d, parse_expr(d, args.expr)))
         payload = {
             "schema": SCHEMA,
             "vertex": args.vertex,
             "pieces": [
-                {"t": t, "element": _element_json(p)["terms"]} for t, p in pieces
+                {"t": t, "element": element_json(p)["terms"]} for t, p in pieces
             ],
         }
         text = "\n".join(
@@ -173,40 +127,26 @@ def cmd_f(args) -> int:
     raise SystemExit(f"unknown f subcommand {args.f_cmd}")
 
 
-def _as_u(d: CartanDatum, val) -> UElement:
-    if isinstance(val, RatFunc):
-        return UElement.unit(d).scale(val)
-    if isinstance(val, FreeElement):
-        return ua.embed_plus(fa.normal_form(val))
-    if isinstance(val, fa.FElement):
-        return ua.embed_plus(val)
-    if isinstance(val, UElement):
-        return val
-    raise ValueError("expected a quantum-group expression")
-
-
 def cmd_u(args) -> int:
     s = _session(args)
     d = s.datum
     if args.u_cmd == "nf":
-        val = _as_u(d, parse_expr(d, args.expr))
-        _emit(args, _element_json(val), format_element(val))
+        _emit_element(args, as_u(d, parse_expr(d, args.expr)))
         return 0
     if args.u_cmd == "mul":
-        a = _as_u(d, parse_expr(d, args.left))
-        b = _as_u(d, parse_expr(d, args.right))
-        val = ua.u_mul(a, b)
-        _emit(args, _element_json(val), format_element(val))
+        a = as_u(d, parse_expr(d, args.left))
+        b = as_u(d, parse_expr(d, args.right))
+        _emit_element(args, a * b)
         return 0
     if args.u_cmd == "delta":
-        val = _as_u(d, parse_expr(d, args.expr))
+        val = as_u(d, parse_expr(d, args.expr))
         t = ua.delta(val)
         terms = []
         for (k1, k2), c in sorted(t.terms.items()):
             terms.append(
                 {
-                    "left": _u_terms_json(UElement(d, {k1: ONE})),
-                    "right": _u_terms_json(UElement(d, {k2: ONE})),
+                    "left": element_json(UElement(d, {k1: ONE}))["terms"],
+                    "right": element_json(UElement(d, {k2: ONE}))["terms"],
                     "c": str(c),
                 }
             )
@@ -217,7 +157,7 @@ def cmd_u(args) -> int:
         _emit(args, {"schema": SCHEMA, "type": "u-tensor", "terms": terms}, text or "0")
         return 0
     if args.u_cmd == "hopf-check":
-        val = _as_u(d, parse_expr(d, args.expr))
+        val = as_u(d, parse_expr(d, args.expr))
         ok = all(got == want for _name, got, want in ua.hopf_sides(val))
         _emit(args, {"schema": SCHEMA, "hopf": ok}, "pass" if ok else "fail")
         return 0 if ok else 1
@@ -228,10 +168,9 @@ def cmd_ti(args) -> int:
     s = _session(args)
     d = s.datum
     if args.ti_cmd in ("apply", "inv"):
-        val = _as_u(d, parse_expr(d, args.expr))
+        val = as_u(d, parse_expr(d, args.expr))
         fn = sym.ti_apply if args.ti_cmd == "apply" else sym.ti_inverse_apply
-        out = fn(args.vertex, val)
-        _emit(args, _element_json(out), format_element(out))
+        _emit_element(args, fn(args.vertex, val))
         return 0
     raise SystemExit(f"unknown ti subcommand {args.ti_cmd}")
 
@@ -329,8 +268,7 @@ def cmd_double(args) -> int:
         b = parse_expr(d, args.right)
         if not isinstance(a, dbl.DoubleElement) or not isinstance(b, dbl.DoubleElement):
             raise ValueError("double mul expects p(...)/m(...)/k(...) expressions")
-        val = dbl.double_mul(a, b)
-        _emit(args, _element_json(val), format_element(val))
+        _emit_element(args, a * b)
         return 0
     raise SystemExit(f"unknown double subcommand {args.double_cmd}")
 

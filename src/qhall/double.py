@@ -246,17 +246,10 @@ class DoubleElement(LinComb):
     def __mul__(self, other):
         return double_mul(self, other)
 
-    def sorted_terms(self):
-        def key(item):
-            (mw, mu, pw), _ = item
-            return (len(mw), mw, mu, len(pw), pw)
-
-        return sorted(self.terms.items(), key=key)
-
     def __str__(self):
-        from .exprs import format_double
+        from .exprs import format_element
 
-        return format_double(self)
+        return format_element(self)
 
     def __repr__(self):
         return f"DoubleElement({self})"

@@ -1,4 +1,5 @@
-"""Shared expression grammar and canonical printing.
+"""Shared expression grammar, the coercions into f and U, and the one
+element printer.
 
 Grammar (all commands use it):
 
@@ -9,21 +10,30 @@ Grammar (all commands use it):
 
 Generators: th<i>, E<i>, F<i>, K(c1,...,cn), k(c1,...,cn), p(expr),
 m(expr).  A parenthesized exponent on a single generator is a divided
-power; elsewhere it is a plain power.  Printing sorts terms by weight,
-then word, then coweight, and the canonical output reparses to the same
-element.
+power; elsewhere it is a plain power.  The parser multiplies elements
+with their classes' own `*`, and a scalar beside an element becomes a
+multiple of that class's `unit(datum)`.
+
+Each element kind (f, u, double) has one slot table in SLOTS: the slots
+of its term keys in order, each a word of generators with their letter
+or the coweight.  That table fixes the term order, slot by slot, a word
+by its length and then its letters and a coweight by its entries, so a
+U term sorts by its F-word, then its coweight, then its E-word.  The
+text form and the JSON terms read the same walk, and the text reparses
+to the same element.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 from .cartan import CartanDatum
+from .double import DoubleElement
 from .falgebra import FElement, normal_form, theta_divided
-from .freealg import FreeElement, free_mul
-from .ratfunc import ONE, RatFunc, qfact, v_pow
-from .ualgebra import UElement, embed_minus, embed_plus, u_mul
-from .double import DoubleElement, double_mul
+from .freealg import FreeElement
+from .ratfunc import ONE, ONE_POLY, RatFunc, qfact, v_pow
+from .ualgebra import UElement, embed_minus, embed_plus
 
 
 class ParseError(ValueError):
@@ -175,14 +185,15 @@ class _Parser:
             return UElement.K(self.datum, self._coweight()), None
         if kind == "ksmall":
             return DoubleElement.torus(self.datum, self._coweight()), None
-        if kind == "plus_wrap":
+        if kind in ("plus_wrap", "minus_wrap"):
             inner = self.expr()
             self.expect_op(")")
-            return DoubleElement.plus_of(self.datum, _to_f(self.datum, inner, pos)), None
-        if kind == "minus_wrap":
-            inner = self.expr()
-            self.expect_op(")")
-            return DoubleElement.minus_of(self.datum, _to_f(self.datum, inner, pos)), None
+            try:
+                half = as_f(self.datum, inner)
+            except ValueError:
+                raise ParseError("wrapped expression must be a theta expression", pos) from None
+            wrap = DoubleElement.plus_of if kind == "plus_wrap" else DoubleElement.minus_of
+            return wrap(self.datum, half), None
         if kind == "op" and val == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -220,14 +231,23 @@ class _Parser:
         return tuple(coords)
 
 
-def _to_f(datum, value, pos) -> FElement:
+def as_f(datum: CartanDatum, value) -> FElement:
+    """A parsed scalar or theta expression as an element of f."""
     if isinstance(value, RatFunc):
         return FElement.unit(datum).scale(value)
-    if isinstance(value, FreeElement):
+    if isinstance(value, (FreeElement, FElement)):
         return normal_form(value)
-    if isinstance(value, FElement):
+    raise ValueError("expected a theta expression")
+
+
+def as_u(datum: CartanDatum, value) -> UElement:
+    """A parsed scalar, theta or quantum-group expression as an element of
+    U; theta expressions land in U+."""
+    if isinstance(value, UElement):
         return value
-    raise ParseError("wrapped expression must be a theta expression", pos)
+    if isinstance(value, (RatFunc, FreeElement, FElement)):
+        return embed_plus(as_f(datum, value))
+    raise ValueError("expected a quantum-group expression")
 
 
 def _negate(value):
@@ -236,49 +256,26 @@ def _negate(value):
     return value.scale(-ONE)
 
 
+def _operands(datum, a, b):
+    """a and b as values of one kind: a scalar beside an element becomes
+    that multiple of the element's unit."""
+    if isinstance(a, RatFunc) and not isinstance(b, RatFunc):
+        a = type(b).unit(datum).scale(a)
+    elif isinstance(b, RatFunc) and not isinstance(a, RatFunc):
+        b = type(a).unit(datum).scale(b)
+    elif type(a) is not type(b):
+        raise ValueError(f"cannot combine {type(a).__name__} with {type(b).__name__}")
+    return a, b
+
+
 def _add(datum, a, b):
-    if isinstance(a, RatFunc) and isinstance(b, RatFunc):
-        return a + b
-    a, b = _coerce_pair(datum, a, b)
+    a, b = _operands(datum, a, b)
     return a + b
 
 
 def _multiply(datum, a, b):
-    if isinstance(a, RatFunc) and isinstance(b, RatFunc):
-        return a * b
-    if isinstance(a, RatFunc):
-        return b.scale(a)
-    if isinstance(b, RatFunc):
-        return a.scale(b)
-    a, b = _coerce_pair(datum, a, b)
-    if isinstance(a, FreeElement):
-        return free_mul(a, b)
-    if isinstance(a, UElement):
-        return u_mul(a, b)
-    return double_mul(a, b)
-
-
-def _coerce_pair(datum, a, b):
-    kinds = {type(a), type(b)}
-    if RatFunc in kinds:
-        scalar, other = (a, b) if isinstance(a, RatFunc) else (b, a)
-        unit = _unit_like(datum, other)
-        return (unit.scale(scalar), other) if other is b else (other, unit.scale(scalar))
-    if type(a) is type(b):
-        return a, b
-    raise ValueError(
-        f"cannot combine {type(a).__name__} with {type(b).__name__}"
-    )
-
-
-def _unit_like(datum, x):
-    if isinstance(x, FreeElement):
-        return FreeElement.unit(datum)
-    if isinstance(x, UElement):
-        return UElement.unit(datum)
-    if isinstance(x, DoubleElement):
-        return DoubleElement.unit(datum)
-    raise ValueError("no unit for this value")
+    a, b = _operands(datum, a, b)
+    return a * b
 
 
 def _divided_power(datum, gen_name, n):
@@ -286,8 +283,7 @@ def _divided_power(datum, gen_name, n):
         raise ValueError("divided powers need a nonnegative exponent")
     if gen_name.startswith("th"):
         vertex = int(gen_name[2:])
-        out = FreeElement(datum, {(vertex,) * n: qfact(n).inverse()})
-        return out
+        return FreeElement(datum, {(vertex,) * n: qfact(n).inverse()})
     vertex = int(gen_name[1:])
     if gen_name[0] == "E":
         return embed_plus(theta_divided(datum, vertex, n))
@@ -298,10 +294,10 @@ def _power(datum, base, n):
     if isinstance(base, RatFunc):
         return base ** n
     if n == 0:
-        return _unit_like(datum, base)
+        return type(base).unit(datum)
     out = base
     for _ in range(n - 1):
-        out = _multiply(datum, out, base)
+        out = out * base
     return out
 
 
@@ -311,112 +307,126 @@ def parse_expr(datum: CartanDatum, src: str):
     return _Parser(datum, _tokenize(src), src).parse()
 
 
-def parse_scalar(src: str) -> RatFunc:
-    from .cartan import A2
-
-    val = parse_expr(A2, src)
-    if not isinstance(val, RatFunc):
-        raise ValueError("expected a scalar expression")
-    return val
-
-
 # ---------------------------------------------------------------------------
-# canonical printing
+# the one element printer
+
+
+class Slot(NamedTuple):
+    """One slot of a term key: a word of generators <letter><vertex>, or
+    the coweight where letter is None.  The text form leaves out an empty
+    word and a zero coweight, and wraps the others as <wrap>(...) when
+    wrap is given."""
+
+    name: str  # its field in a JSON term
+    letter: str | None
+    wrap: str = ""
+
+
+SLOTS = {
+    "f": (Slot("word", "th"),),
+    "u": (Slot("F", "F"), Slot("K", None, "K"), Slot("E", "E")),
+    "double": (Slot("minus", "th", "m"), Slot("k", None, "k"), Slot("plus", "th", "p")),
+}
+
+
+def _by_length(word) -> tuple:
+    return len(word), word
+
+
+def _slot_walker(slot: Slot):
+    """The sort key, JSON string and text factor of one slot's value."""
+    if slot.letter is None:
+        def json(mu):
+            return ",".join(map(str, mu))
+
+        def text(mu):
+            return f"{slot.wrap}({','.join(map(str, mu))})" if any(mu) else ""
+
+        return tuple, json, text
+    letter, sep = slot.letter, "*" + slot.letter
+
+    def json(word):
+        return letter + sep.join(map(str, word)) if word else "1"
+
+    if slot.wrap:
+        def text(word):
+            return f"{slot.wrap}({json(word)})" if word else ""
+    else:
+        def text(word):
+            return letter + sep.join(map(str, word)) if word else ""
+
+    return _by_length, json, text
+
+
+class _Layout:
+    """One kind's slot table, compiled once into the term order and the
+    walkers of each slot."""
+
+    def __init__(self, kind: str):
+        slots = SLOTS[kind]
+        self.kind = kind
+        self.names = tuple(s.name for s in slots)
+        orders, self.jsons, self.texts = zip(*map(_slot_walker, slots))
+        # an f key is its one word; the other keys are tuples of their slots
+        self.single = len(slots) == 1
+        if self.single:
+            self.order = lambda item: _by_length(item[0])
+        else:
+            self.order = lambda item: [f(p) for f, p in zip(orders, item[0])]
+
+    def walk(self, x):
+        """x's (slot values, coefficient) pairs in the term order."""
+        items = x.terms.items()
+        if len(items) > 1:
+            items = sorted(items, key=self.order)
+        return [((k,), c) for k, c in items] if self.single else items
+
+
+_f = _Layout("f")
+_LAYOUTS = {FreeElement: _f, FElement: _f, UElement: _Layout("u"), DoubleElement: _Layout("double")}
 
 
 def _coeff_prefix(c: RatFunc) -> tuple[str, str]:
-    """(sign, body) for a coefficient used as a multiplier."""
+    """(sign, body) for a coefficient used as a multiplier.  A coefficient
+    over 1 with a negative leading coefficient prints as minus the body of
+    -c; a fraction keeps its sign inside its parentheses.  The body is
+    empty for 1."""
+    sign = "+"
+    if c.den is ONE_POLY and c.num.lead() < 0:
+        sign, c = "-", -c
     s = str(c)
-    if s.startswith("-"):
-        sign = "-"
-        s_abs = s[1:]
-        c_abs = -c
-    else:
-        sign = "+"
-        s_abs = s
-        c_abs = c
-    if c_abs == ONE:
+    if s == "1":
         return sign, ""
-    simple = len(c_abs.num.coeffs) == 1 and c_abs.den.coeffs == {0: 1}
-    return sign, s_abs if simple else f"({s_abs})"
-
-
-def _join_terms(pieces: list[tuple[str, str]]) -> str:
-    if not pieces:
-        return "0"
-    out = []
-    for i, (sign, body) in enumerate(pieces):
-        if i == 0:
-            out.append(("-" if sign == "-" else "") + body)
-        else:
-            out.append(("- " if sign == "-" else "+ ") + body)
-    return " ".join(out)
-
-
-def _word_str(word, prefix: str) -> str:
-    if not word:
-        return "1"
-    return "*".join(f"{prefix}{i}" for i in word)
-
-
-def format_free(x) -> str:
-    pieces = []
-    for w, c in sorted(x.terms.items(), key=lambda t: (len(t[0]), t[0])):
-        sign, coeff = _coeff_prefix(c)
-        body = _word_str(w, "th")
-        if coeff:
-            body = f"{coeff}*{body}" if w else coeff
-        elif not w:
-            body = "1"
-        pieces.append((sign, body))
-    return _join_terms(pieces)
-
-
-def _mixed_term(coeff_part: str, factors: list[str]) -> str:
-    factors = [f for f in factors if f]
-    if not factors:
-        return coeff_part or "1"
-    body = "*".join(factors)
-    return f"{coeff_part}*{body}" if coeff_part else body
-
-
-def format_u(x) -> str:
-    pieces = []
-    for (fw, mu, ew), c in x.sorted_terms():
-        sign, coeff = _coeff_prefix(c)
-        factors = []
-        if fw:
-            factors.append(_word_str(fw, "F"))
-        if any(mu):
-            factors.append("K(" + ",".join(str(m) for m in mu) + ")")
-        if ew:
-            factors.append(_word_str(ew, "E"))
-        pieces.append((sign, _mixed_term(coeff, factors)))
-    return _join_terms(pieces)
-
-
-def format_double(x) -> str:
-    pieces = []
-    for (mw, mu, pw), c in x.sorted_terms():
-        sign, coeff = _coeff_prefix(c)
-        factors = []
-        if mw:
-            factors.append(f"m({_word_str(mw, 'th')})")
-        if any(mu):
-            factors.append("k(" + ",".join(str(m) for m in mu) + ")")
-        if pw:
-            factors.append(f"p({_word_str(pw, 'th')})")
-        pieces.append((sign, _mixed_term(coeff, factors)))
-    return _join_terms(pieces)
+    simple = c.den is ONE_POLY and len(c.num.coeffs) == 1
+    return sign, s if simple else f"({s})"
 
 
 def format_element(x) -> str:
-    if isinstance(x, RatFunc):
-        return str(x)
-    if isinstance(x, (FreeElement, FElement)):
-        return format_free(x)
-    if isinstance(x, UElement):
-        return format_u(x)
-    if isinstance(x, DoubleElement):
-        return format_double(x)
-    raise TypeError(f"cannot format {type(x).__name__}")
+    """The canonical text of an element of f, U or the double."""
+    layout = _LAYOUTS[type(x)]
+    texts = layout.texts
+    out = []
+    for parts, c in layout.walk(x):
+        sign, coeff = _coeff_prefix(c)
+        body = "*".join([t for f, p in zip(texts, parts) if (t := f(p))])
+        if coeff:
+            body = f"{coeff}*{body}" if body else coeff
+        body = body or "1"
+        if out:
+            out.append(f"{sign} {body}")
+        else:
+            out.append(f"-{body}" if sign == "-" else body)
+    return " ".join(out) or "0"
+
+
+def element_json(x) -> dict:
+    """The kind of an element of f, U or the double and its terms in the
+    text's order: one object per term, its slots by name and its
+    coefficient as "c"."""
+    layout = _LAYOUTS[type(x)]
+    terms = []
+    for parts, c in layout.walk(x):
+        term = {n: f(p) for n, f, p in zip(layout.names, layout.jsons, parts)}
+        term["c"] = str(c)
+        terms.append(term)
+    return {"type": layout.kind, "terms": terms}

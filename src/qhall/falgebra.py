@@ -203,9 +203,9 @@ class FElement(LinComb):
         return {self.datum.weight_of_word(w) for w in self.terms}
 
     def __str__(self):
-        from .exprs import format_free
+        from .exprs import format_element
 
-        return format_free(self)
+        return format_element(self)
 
     def __repr__(self):
         return f"FElement({self})"
@@ -339,6 +339,7 @@ def i_decompose_right(vertex: int, x: FElement) -> list:
 
 
 def _i_decompose_side(vertex: int, x: FElement, side: str) -> list:
+    x.datum.index(vertex)  # an unknown vertex fails on every input, zero too
     if len(x.weights()) > 1:
         raise ValueError("decomposition needs a homogeneous element")
     d = x.datum

@@ -56,15 +56,10 @@ class FreeElement(LinComb):
     def __mul__(self, other: "FreeElement") -> "FreeElement":
         return free_mul(self, other)
 
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda wc: (len(wc[0]), wc[0])
-        )
-
     def __str__(self):
-        from .exprs import format_free
+        from .exprs import format_element
 
-        return format_free(self)
+        return format_element(self)
 
     def __repr__(self):
         return f"FreeElement({self})"

@@ -299,12 +299,6 @@ def _points(quiver: Quiver, q: int, dims: tuple):
         yield tuple(tuple(islice(it, r)) for r, _c in shapes)
 
 
-def all_points(quiver: Quiver, q: int, dims: tuple, budget: int = DEFAULT_BUDGET):
-    """`_points` once the budget is met."""
-    require_budget(quiver, q, dims, budget)
-    return _points(quiver, q, dims)
-
-
 # one entry per (quiver, q, dims) the orbit route searches: 58 in the
 # Kronecker `verify hall`, none on Dynkin data
 @lru_cache(maxsize=128)

@@ -1,16 +1,14 @@
 """Dense exact linear algebra over any field.
 
 A field is an object with `zero`, `one`, `inv`, `mul`, `sub` and `neg`:
-`hall.Fq` is one, and `QV` (Q(v)) and `QQ` (Q) adapt the Python operators
-of `RatFunc` and `Fraction`.  Matrices are lists of rows.  Pivoting is
-first-nonzero, so echelon forms, kernels, inverses and solutions are
-deterministic.
+`hall.Fq` is one, and `QV` (Q(v)) adapts the Python operators of
+`RatFunc`.  Matrices are lists of rows.  Pivoting is first-nonzero, so
+echelon forms, kernels and solutions are deterministic.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 
 from .ratfunc import ONE, ZERO
 
@@ -26,7 +24,6 @@ class OperatorField:
 
 
 QV = OperatorField(ZERO, ONE, operator.methodcaller("inverse"))
-QQ = OperatorField(Fraction(0), Fraction(1), lambda x: 1 / x)
 
 
 def rref(F, rows: list) -> tuple[list, list[int]]:
@@ -86,15 +83,3 @@ def solve(F, rows: list, rhs: list):
         x[pc] = red[r][ncols]
     return x
 
-
-def inverse(F, rows: list) -> list:
-    """Inverse of a square matrix; ValueError when it is singular."""
-    n = len(rows)
-    aug = [
-        [*r, *(F.one if i == j else F.zero for j in range(n))]
-        for i, r in enumerate(rows)
-    ]
-    red, pivots = rref(F, aug)
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n:] for row in red]

@@ -199,7 +199,6 @@ def _poly_product(a: dict, b: dict, k: int) -> IntPoly:
 
 ZERO_POLY = IntPoly()
 ONE_POLY = IntPoly({0: 1})
-V_POLY = IntPoly({1: 1})
 
 
 # -- ordinary (val >= 0) polynomial helpers on dense coefficient lists --
@@ -675,7 +674,6 @@ def sum_products(groups: dict) -> dict:
 
 ZERO = RatFunc(ZERO_POLY)
 ONE = RatFunc(ONE_POLY)
-V = RatFunc(V_POLY)
 MINUS_ONE = RatFunc(IntPoly({0: -1}))
 
 

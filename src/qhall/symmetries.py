@@ -277,11 +277,13 @@ def _apply_inverse(vertex: int, x: UElement) -> UElement:
 
 def ti_apply(vertex: int, x: UElement) -> UElement:
     """Lusztig's symmetry at the given vertex."""
+    x.datum.index(vertex)  # an unknown vertex fails on every input, zero too
     return _apply_table(vertex, x, "T")
 
 
 def ti_inverse_apply(vertex: int, x: UElement) -> UElement:
     """The inverse symmetry; the table is certified on first use."""
+    x.datum.index(vertex)
     _certified(x.datum, vertex)
     return _apply_inverse(vertex, x)
 
@@ -370,6 +372,7 @@ def _t_tilde_word(
 def t_tilde_apply(vertex: int, x: UElement) -> UElement:
     """Symmetry computed through the direct-sum decomposition of each
     triangular slot; agrees exactly with ti_apply."""
+    x.datum.index(vertex)
     return _apply_table(vertex, x, "T~")
 
 

@@ -102,17 +102,10 @@ class UElement(LinComb):
     def __mul__(self, other: "UElement") -> "UElement":
         return u_mul(self, other)
 
-    def sorted_terms(self):
-        def key(item):
-            (fw, mu, ew), _ = item
-            return (len(fw), fw, mu, len(ew), ew)
-
-        return sorted(self.terms.items(), key=key)
-
     def __str__(self):
-        from .exprs import format_u
+        from .exprs import format_element
 
-        return format_u(self)
+        return format_element(self)
 
     def __repr__(self):
         return f"UElement({self})"

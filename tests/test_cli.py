@@ -1,20 +1,27 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 import qhall
-from qhall.cartan import A2
+from qhall.cartan import A2, A3
 from qhall.cli import main
 from qhall.double import DoubleElement
-from qhall.exprs import ParseError, format_element, parse_expr, parse_scalar
+from qhall.exprs import ParseError, element_json, format_element, parse_expr
+from qhall.falgebra import FElement, weight_basis
 from qhall.freealg import FreeElement
 from qhall.ratfunc import RatFunc, v_pow
 from qhall.ualgebra import UElement, u_mul
+
+from helpers import const_den_ratfuncs, laurent_polys, parse_scalar, ratfuncs
 
 
 def test_parse_u_product():
@@ -62,21 +69,99 @@ def test_parse_errors():
         parse_expr(A2, "th1*E1")
 
 
-def test_print_parse_round_trip_idempotent():
-    sources = [
-        "E1*F1",
-        "th1*th2 - v*th2*th1",
-        "K(1,0)*E1*E2",
-        "p(th1*th2)*k(0,1)",
-        "m(th2)*p(th1)",
-        "(v+v^-1)*F2",
+def _basis_words(datum, height=3) -> list:
+    return [
+        w
+        for nu in product(range(height + 1), repeat=datum.rank)
+        if sum(nu) <= height
+        for w in weight_basis(datum, nu).basis_words
     ]
-    for src in sources:
-        val = parse_expr(A2, src)
-        canon = format_element(val)
-        val2 = parse_expr(A2, canon)
-        assert format_element(val2) == canon
-        assert type(val2) is type(val)
+
+
+BASIS_WORDS = {d: _basis_words(d) for d in (A2, A3)}
+ELEMENT_KINDS = {"f": FElement, "u": UElement, "double": DoubleElement}
+
+
+@st.composite
+def printable_elements(draw):
+    """An element of f, U or the double on A2 or A3: basis words up to
+    height 3, coweights with negative entries, Laurent and Q(v)
+    coefficients, and no terms at all (zero) among them."""
+    datum = draw(st.sampled_from([A2, A3]))
+    kind = draw(st.sampled_from(sorted(ELEMENT_KINDS)))
+    word = st.sampled_from(BASIS_WORDS[datum])
+    coweight = st.tuples(*[st.integers(-2, 2)] * datum.rank)
+    key = word if kind == "f" else st.tuples(word, coweight, word)
+    coefficient = st.one_of(laurent_polys, ratfuncs, const_den_ratfuncs).filter(bool)
+    terms = draw(st.dictionaries(key, coefficient, max_size=4))
+    return ELEMENT_KINDS[kind](datum, terms)
+
+
+def _reference_order(x) -> list:
+    """The keys of x in the documented term order: slot by slot, a word by
+    its length and then its letters, a coweight by its entries."""
+    if type(x) is FElement:  # an f key is its one word
+        return sorted(x.terms, key=lambda w: (len(w), w))
+    return sorted(x.terms, key=lambda k: (len(k[0]), k[0], k[1], len(k[2]), k[2]))
+
+
+def _json_key(term: dict):
+    """The term key that a JSON term names."""
+    def word(text):
+        return () if text == "1" else tuple(int(g) for g in re.findall(r"\d+", text))
+
+    if "word" in term:
+        return word(term["word"])
+    mid = term.get("K", term.get("k"))
+    outer = (term["F"], term["E"]) if "F" in term else (term["minus"], term["plus"])
+    return (word(outer[0]), tuple(int(m) for m in mid.split(",")), word(outer[1]))
+
+
+def _text_terms(text: str) -> list:
+    """The text cut into its signed terms at the + and - between them,
+    outside every pair of parentheses."""
+    pieces, depth, start = [], 0, 0
+    for k, ch in enumerate(text):
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        if depth == 0 and text[k:k + 3] in (" + ", " - "):
+            pieces.append(text[start:k])
+            start = k + 1
+    return pieces + [text[start:]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(printable_elements())
+@example(UElement(A2, {((), (0, 0), (1,)): parse_scalar("-v - 1")}))
+@example(parse_expr(A2, "E1*F1"))
+@example(parse_expr(A2, "K(1,0)*E1*E2"))
+@example(parse_expr(A2, "p(th1*th2)*k(0,1)"))
+@example(parse_expr(A2, "m(th2)*p(th1)"))
+@example(parse_expr(A2, "(v+v^-1)*F2"))
+def test_print_parse_round_trip_idempotent(x):
+    """The text reparses to an equal element and prints alike again; the
+    JSON lists one object per term, in the text's order, each with its
+    coefficient as str(c)."""
+    datum = x.datum
+    text = format_element(x)
+    # the parser returns theta expressions in the free algebra, and a
+    # scalar as a scalar
+    kind = FreeElement if type(x) is FElement else type(x)
+
+    def reparse(src):
+        y = parse_expr(datum, src)
+        return kind.unit(datum).scale(y) if isinstance(y, RatFunc) else y
+
+    y = reparse(text)
+    assert type(y) is kind
+    assert y.terms == x.terms, text
+    assert format_element(y) == text
+    order = _reference_order(x)
+    if x.terms:
+        printed = [next(iter(reparse(t.lstrip("+ ")).terms)) for t in _text_terms(text)]
+        assert printed == order, text
+    terms = element_json(x)["terms"]
+    assert [_json_key(t) for t in terms] == order
+    assert [t["c"] for t in terms] == [str(x.terms[k]) for k in order]
 
 
 def run_cli(capsys, *argv):
@@ -255,6 +340,12 @@ def test_cli_rejects_unknown_vertex(capsys):
     assert "unknown vertex 7" in _bad_input(capsys, "ti", "apply", "7", "E1")
     line = _bad_input(capsys, "hall", "strata", "1->2", "1,1", "2", "7")
     assert line == "qhall: unknown vertex 7; the vertices are 1, 2"
+
+
+def test_cli_rejects_an_unknown_vertex_on_zero(capsys):
+    for argv in (("ti", "apply"), ("ti", "inv"), ("f", "decompose")):
+        line = _bad_input(capsys, *argv, "9", "0")
+        assert line == "qhall: unknown vertex 9; the vertices are 1, 2", argv
 
 
 def test_cli_rejects_budget_overrun_and_nonpositive_budget(capsys):

@@ -148,6 +148,12 @@ def test_sub_if_basis():
     assert sub_if_basis(A2, 1, (1, 0), "left") == ()
 
 
+def test_decompositions_reject_an_unknown_vertex_on_zero():
+    for decompose in (i_decompose, i_decompose_right):
+        with pytest.raises(ValueError, match="unknown vertex 9"):
+            decompose(9, FElement(A2, {}))
+
+
 def test_i_decompose_examples():
     pieces = i_decompose(1, felt(A2, 1, 2))
     assert pieces == [(1, felt(A2, 2))]

@@ -4,7 +4,6 @@ from pathlib import Path
 
 from qhall import freealg
 from qhall.cartan import A2, A3, load_datum, quiver_from_shorthand
-from qhall.exprs import parse_scalar
 from qhall.freealg import (
     FreeElement,
     TensorElement,
@@ -20,6 +19,8 @@ from qhall.freealg import (
 )
 from qhall.lincomb import merge
 from qhall.ratfunc import ONE, ZERO, v_pow
+
+from helpers import parse_scalar
 
 
 def th(d, *letters):

@@ -22,7 +22,6 @@ from qhall.hall import (
     BudgetExceeded,
     HallElement,
     QuiverRep,
-    all_points,
     bgp_reflect,
     e_v_dimension,
     field,
@@ -42,7 +41,8 @@ from qhall.hall import (
     subspace_count,
 )
 from qhall.lincomb import bilinear
-from qhall.linalg import inverse
+
+from helpers import inverse
 
 Q = A2.quiver
 QA3 = A3.quiver
@@ -50,6 +50,13 @@ QA3 = A3.quiver
 
 def rep(dims, mats, q=2, quiver=Q):
     return QuiverRep(quiver, q, dims, mats)
+
+
+def all_points(quiver, q, dims):
+    """Every point of the representation space, once the default budget
+    is met."""
+    hall.require_budget(quiver, q, dims, hall.DEFAULT_BUDGET)
+    return hall._points(quiver, q, dims)
 
 
 def canonical_point(quiver, q, dims, point):

@@ -8,7 +8,9 @@ from itertools import product
 import pytest
 
 from qhall.hall import field, mat_rank
-from qhall.linalg import QQ, inverse, nullspace, rref
+from qhall.linalg import nullspace, rref
+
+from helpers import QQ, inverse
 
 
 def mat_mul(F, a, b):

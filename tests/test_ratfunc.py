@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from qhall import ratfunc
-from qhall.exprs import parse_scalar
 from qhall.ratfunc import (
     IntPoly,
     MINUS_ONE,
@@ -16,7 +15,6 @@ from qhall.ratfunc import (
     ONE_POLY,
     ZERO_POLY,
     RatFunc,
-    V,
     ZERO,
     common_denominator,
     qfact,
@@ -27,6 +25,16 @@ from qhall.ratfunc import (
     _dense_exact_div,
     _product,
 )
+
+from helpers import (
+    const_den_ratfuncs,
+    laurent_polys,
+    nonzero_polys,
+    parse_scalar,
+    ratfuncs,
+)
+
+V = v_pow(1)
 
 
 def poly(d):
@@ -125,18 +133,6 @@ def test_horner_evaluation_matches_the_term_by_term_value():
                 continue
             assert a.eval_at(x) == a.eval_at(Fraction(x)) == want, (a, x)
             assert type(a.eval_at(x)) is Fraction
-
-
-polys = st.dictionaries(
-    st.integers(-4, 4), st.integers(-9, 9), max_size=4
-).map(IntPoly)
-nonzero_polys = polys.filter(lambda p: not p.is_zero())
-ratfuncs = st.builds(RatFunc, polys, nonzero_polys)
-# constant denominators such as 1/2 keep a non-unit denominator through
-# the unit-monomial product
-const_den_ratfuncs = st.builds(
-    RatFunc, polys, st.integers(-6, 6).filter(bool).map(IntPoly.const)
-)
 
 
 @settings(max_examples=200, deadline=None)
@@ -246,7 +242,6 @@ unit_monomials = st.builds(
     st.sampled_from([1, -1, 2, -2, 3, -6]),
     st.integers(-4, 4),
 )
-laurent_polys = st.builds(RatFunc, nonzero_polys)
 coefficients = st.one_of(
     ratfuncs, const_den_ratfuncs, shared_den_ratfuncs, unit_monomials, laurent_polys
 ).filter(bool)

@@ -6,7 +6,6 @@ import pytest
 
 from qhall import symmetries
 from qhall.cartan import A2, A3, add_vec, load_datum, quiver_from_shorthand
-from qhall.exprs import parse_scalar
 from qhall.falgebra import (
     FElement,
     i_r_component,
@@ -39,6 +38,8 @@ from qhall.ualgebra import (
     u_product,
 )
 
+from helpers import parse_scalar
+
 
 def felt(d, *letters):
     return normal_form(FreeElement.word(d, tuple(letters)))
@@ -64,6 +65,12 @@ def test_generator_images():
     assert got == want
     assert ti_apply(1, UElement.K(A2, (1, 0))) == UElement.K(A2, (-1, 0))
     assert ti_apply(1, UElement.K(A2, (0, 1))) == UElement.K(A2, (1, 1))
+
+
+def test_symmetries_reject_an_unknown_vertex_on_zero():
+    for symmetry in (ti_apply, ti_inverse_apply, t_tilde_apply):
+        with pytest.raises(ValueError, match="unknown vertex 9"):
+            symmetry(9, UElement(A2, {}))
 
 
 def test_inverse_certified_round_trip():

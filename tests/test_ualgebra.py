@@ -9,7 +9,6 @@ import pytest
 
 from qhall import ualgebra, verify
 from qhall.cartan import A2, A3, add_vec, load_datum, neg_vec, quiver_from_shorthand
-from qhall.exprs import parse_scalar
 from qhall.falgebra import (
     FElement,
     _normal_form_word,
@@ -43,6 +42,8 @@ from qhall.ualgebra import (
     u_product,
 )
 from qhall.verify import _mu_samples, _u_monomial_keys
+
+from helpers import parse_scalar
 
 
 def E(d, i):
