@@ -340,7 +340,7 @@ def _slot_walker(slot: Slot):
             return ",".join(map(str, mu))
 
         def text(mu):
-            return f"{slot.wrap}({','.join(map(str, mu))})" if any(mu) else ""
+            return f"{slot.wrap}({json(mu)})" if any(mu) else ""
 
         return tuple, json, text
     letter, sep = slot.letter, "*" + slot.letter
@@ -382,8 +382,13 @@ class _Layout:
         return [((k,), c) for k, c in items] if self.single else items
 
 
-_f = _Layout("f")
-_LAYOUTS = {FreeElement: _f, FElement: _f, UElement: _Layout("u"), DoubleElement: _Layout("double")}
+_F_LAYOUT = _Layout("f")
+_LAYOUTS = {
+    FreeElement: _F_LAYOUT,
+    FElement: _F_LAYOUT,
+    UElement: _Layout("u"),
+    DoubleElement: _Layout("double"),
+}
 
 
 def _coeff_prefix(c: RatFunc) -> tuple[str, str]:

@@ -100,7 +100,7 @@ def printable_elements(draw):
 def _reference_order(x) -> list:
     """The keys of x in the documented term order: slot by slot, a word by
     its length and then its letters, a coweight by its entries."""
-    if type(x) is FElement:  # an f key is its one word
+    if isinstance(x, (FreeElement, FElement)):  # an f key is its one word
         return sorted(x.terms, key=lambda w: (len(w), w))
     return sorted(x.terms, key=lambda k: (len(k[0]), k[0], k[1], len(k[2]), k[2]))
 
@@ -131,8 +131,9 @@ def _text_terms(text: str) -> list:
 
 @settings(max_examples=150, deadline=None)
 @given(printable_elements())
-@example(UElement(A2, {((), (0, 0), (1,)): parse_scalar("-v - 1")}))
+@example(parse_expr(A2, "(-v-1)*E1"))
 @example(parse_expr(A2, "E1*F1"))
+@example(parse_expr(A2, "th1*th2 - v*th2*th1"))
 @example(parse_expr(A2, "K(1,0)*E1*E2"))
 @example(parse_expr(A2, "p(th1*th2)*k(0,1)"))
 @example(parse_expr(A2, "m(th2)*p(th1)"))
