@@ -78,6 +78,9 @@ COMMANDS = [
     "u nf 0",
     "u nf 2*v",
     "f decompose 1 2",
+    # a scalar operand of the double's product
+    "double mul 2 p(th1)",
+    "double mul p(th1) 2*v",
 ]
 
 
