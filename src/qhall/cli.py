@@ -22,13 +22,12 @@ import json
 import os
 import sys
 
-from . import double as dbl
 from . import falgebra as fa
 from . import hall
 from . import symmetries as sym
 from . import ualgebra as ua
 from .cartan import load_datum, load_quiver
-from .exprs import as_f, as_u, element_json, format_element, parse_expr
+from .exprs import as_double, as_f, as_u, element_json, format_element, parse_expr
 from .ratfunc import ONE
 from .ualgebra import UElement
 from .verify import Session, run_suite
@@ -82,7 +81,7 @@ def _mat_hex(m: tuple, q: int) -> str:
     return "".join(f"{entry:0{width}x}" for row in m for entry in row)
 
 
-def _class_json(quiver, q, dims, point) -> dict:
+def _class_json(q, dims, point) -> dict:
     return {
         "dims": list(dims),
         "mats": [_mat_hex(m, q) for m in point],
@@ -94,37 +93,37 @@ def cmd_f(args) -> int:
     d = s.datum
     if args.f_cmd == "dim":
         nu = _parse_dims(args.nu, d.rank)
-        dim = fa.weight_basis(d, nu).dim
-        words = fa.weight_basis(d, nu).basis_words
+        basis = fa.weight_basis(d, nu)
         _emit(
             args,
             {
                 "schema": SCHEMA,
                 "weight": list(nu),
-                "dim": dim,
-                "basis": ["*".join(f"th{i}" for i in w) or "1" for w in words],
+                "dim": basis.dim,
+                "basis": [
+                    "*".join(f"th{i}" for i in w) or "1" for w in basis.basis_words
+                ],
             },
-            f"dim f_{nu} = {dim}",
+            f"dim f_{nu} = {basis.dim}",
         )
         return 0
     if args.f_cmd == "nf":
         _emit_element(args, as_f(d, parse_expr(d, args.expr)))
         return 0
-    if args.f_cmd == "decompose":
-        pieces = fa.i_decompose(args.vertex, as_f(d, parse_expr(d, args.expr)))
-        payload = {
-            "schema": SCHEMA,
-            "vertex": args.vertex,
-            "pieces": [
-                {"t": t, "element": element_json(p)["terms"]} for t, p in pieces
-            ],
-        }
-        text = "\n".join(
-            f"t={t}: {format_element(p)}" for t, p in pieces
-        ) or "0"
-        _emit(args, payload, text)
-        return 0
-    raise SystemExit(f"unknown f subcommand {args.f_cmd}")
+    # decompose, the one subcommand left
+    pieces = fa.i_decompose(args.vertex, as_f(d, parse_expr(d, args.expr)))
+    payload = {
+        "schema": SCHEMA,
+        "vertex": args.vertex,
+        "pieces": [
+            {"t": t, "element": element_json(p)["terms"]} for t, p in pieces
+        ],
+    }
+    text = "\n".join(
+        f"t={t}: {format_element(p)}" for t, p in pieces
+    ) or "0"
+    _emit(args, payload, text)
+    return 0
 
 
 def cmd_u(args) -> int:
@@ -156,23 +155,20 @@ def cmd_u(args) -> int:
         )
         _emit(args, {"schema": SCHEMA, "type": "u-tensor", "terms": terms}, text or "0")
         return 0
-    if args.u_cmd == "hopf-check":
-        val = as_u(d, parse_expr(d, args.expr))
-        ok = all(got == want for _name, got, want in ua.hopf_sides(val))
-        _emit(args, {"schema": SCHEMA, "hopf": ok}, "pass" if ok else "fail")
-        return 0 if ok else 1
-    raise SystemExit(f"unknown u subcommand {args.u_cmd}")
+    # hopf-check, the one subcommand left
+    val = as_u(d, parse_expr(d, args.expr))
+    ok = all(got == want for _name, got, want in ua.hopf_sides(val))
+    _emit(args, {"schema": SCHEMA, "hopf": ok}, "pass" if ok else "fail")
+    return 0 if ok else 1
 
 
 def cmd_ti(args) -> int:
     s = _session(args)
     d = s.datum
-    if args.ti_cmd in ("apply", "inv"):
-        val = as_u(d, parse_expr(d, args.expr))
-        fn = sym.ti_apply if args.ti_cmd == "apply" else sym.ti_inverse_apply
-        _emit_element(args, fn(args.vertex, val))
-        return 0
-    raise SystemExit(f"unknown ti subcommand {args.ti_cmd}")
+    val = as_u(d, parse_expr(d, args.expr))
+    fn = sym.ti_apply if args.ti_cmd == "apply" else sym.ti_inverse_apply
+    _emit_element(args, fn(args.vertex, val))
+    return 0
 
 
 def cmd_braid(args) -> int:
@@ -195,7 +191,7 @@ def cmd_hall(args) -> int:
             "q": args.field_q,
             "dims": list(dims),
             "classes": [
-                {**_class_json(quiver, args.field_q, dims, rep), "orbit": size}
+                {**_class_json(args.field_q, dims, rep), "orbit": size}
                 for rep, size in classes
             ],
         }
@@ -238,39 +234,34 @@ def cmd_hall(args) -> int:
             " ".join(f"r={r}:{c}" for r, c in enumerate(counts)),
         )
         return 0
-    if args.hall_cmd == "compare":
-        dims_a, dims_b = (_parse_dims(x, rank) for x in (args.dimA, args.dimB))
-        report = hall.specialize_compare(quiver, dims_a, dims_b, args.field_q, s.budget)
-        checks = [
-            {
-                "left": "*".join(f"th{i}" for i in w1) or "1",
-                "right": "*".join(f"th{i}" for i in w2) or "1",
-                "match": lhs == rhs,
-            }
-            for w1, w2, lhs, rhs in report
-        ]
-        ok = all(c["match"] for c in checks)
-        payload = {"schema": SCHEMA, "q": args.field_q, "checks": checks}
-        text = "\n".join(
-            f"{c['left']} . {c['right']}: {'ok' if c['match'] else 'MISMATCH'}"
-            for c in checks
-        )
-        _emit(args, payload, text)
-        return 0 if ok else 1
-    raise SystemExit(f"unknown hall subcommand {args.hall_cmd}")
+    # compare, the one subcommand left
+    dims_a, dims_b = (_parse_dims(x, rank) for x in (args.dimA, args.dimB))
+    report = hall.specialize_compare(quiver, dims_a, dims_b, args.field_q, s.budget)
+    checks = [
+        {
+            "left": "*".join(f"th{i}" for i in w1) or "1",
+            "right": "*".join(f"th{i}" for i in w2) or "1",
+            "match": lhs == rhs,
+        }
+        for w1, w2, lhs, rhs in report
+    ]
+    ok = all(c["match"] for c in checks)
+    payload = {"schema": SCHEMA, "q": args.field_q, "checks": checks}
+    text = "\n".join(
+        f"{c['left']} . {c['right']}: {'ok' if c['match'] else 'MISMATCH'}"
+        for c in checks
+    )
+    _emit(args, payload, text)
+    return 0 if ok else 1
 
 
 def cmd_double(args) -> int:
     s = _session(args)
     d = s.datum
-    if args.double_cmd == "mul":
-        a = parse_expr(d, args.left)
-        b = parse_expr(d, args.right)
-        if not isinstance(a, dbl.DoubleElement) or not isinstance(b, dbl.DoubleElement):
-            raise ValueError("double mul expects p(...)/m(...)/k(...) expressions")
-        _emit_element(args, a * b)
-        return 0
-    raise SystemExit(f"unknown double subcommand {args.double_cmd}")
+    a = as_double(d, parse_expr(d, args.left))
+    b = as_double(d, parse_expr(d, args.right))
+    _emit_element(args, a * b)
+    return 0
 
 
 def _report(args, results) -> int:

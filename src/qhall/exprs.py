@@ -250,6 +250,15 @@ def as_u(datum: CartanDatum, value) -> UElement:
     raise ValueError("expected a quantum-group expression")
 
 
+def as_double(datum: CartanDatum, value) -> DoubleElement:
+    """A parsed scalar or double expression as an element of the double."""
+    if isinstance(value, DoubleElement):
+        return value
+    if isinstance(value, RatFunc):
+        return DoubleElement.unit(datum).scale(value)
+    raise ValueError("double mul expects p(...)/m(...)/k(...) expressions")
+
+
 def _negate(value):
     if isinstance(value, RatFunc):
         return -value

@@ -14,9 +14,8 @@ caches; cached values are pure, so an evicted entry is recomputed alike.
 So are each word's weight and pairing vector p, with sym_form(wt w, mu)
 == p . mu for every mu: the twisted tensor product reads its twist
 v^(|y|,|x'|) as p(y) . wt(x'), and the quantum group and the symmetries
-read the same memo for their torus twists.  A coefficient c v^e over 1,
-as most rows of a word's coproduct have, is folded into the other
-coefficient together with the twist, in one pass over its numerator.
+read the same memo for their torus twists.  Each term pair's two
+coefficients and twist make one product, RatFunc.times.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from operator import mul
 
 from .cartan import CartanDatum
 from .lincomb import LinComb, _share, _shared, bilinear, linear, merge
-from .ratfunc import ONE, ONE_POLY, IntPoly, RatFunc, ZERO, _unit_product, v_pow
+from .ratfunc import ONE, ONE_POLY, IntPoly, RatFunc, ZERO, v_pow
 
 Word = tuple[int, ...]
 
@@ -90,35 +89,18 @@ def _concat(w1: Word, w2: Word) -> tuple:
 
 def twisted_tensor_mul(t1: TensorElement, t2: TensorElement) -> TensorElement:
     """(x ⊗ y)(x' ⊗ y') = v^(|y|,|x'|) xx' ⊗ yy', the twist p(y) . wt(x')
-    read off the word memos.  A unit coefficient c v^e over 1 on either
-    side is folded into the other with the twist in one pass."""
+    read off the word memos and taken into the coefficient product
+    (RatFunc.times)."""
     if t1.datum != t2.datum:
         raise ValueError("operands live over different data")
     d = t1.datum
-    ys = [
-        (x, y, _word_weight(d, x), c, _unit(c)) for (x, y), c in t2.terms.items()
-    ]
+    ys = [(x, y, _word_weight(d, x), c) for (x, y), c in t2.terms.items()]
     out: dict = {}
     for (x1, y1), c1 in t1.terms.items():
         p = _word_pairing(d, y1)
-        u1 = _unit(c1)
-        for x2, y2, wt_x2, c2, u2 in ys:
-            t = sum(map(mul, p, wt_x2))
-            # folding c v^e into ONE would copy it, so ONE is the side
-            # folded into only when both are ONE
-            r = None
-            if u1 is not None and c2 is not ONE:
-                r = _unit_product(c2, u1, t)
-            elif u2 is not None:
-                r = _unit_product(c1, u2, t)
-            merge(out, (x1 + x2, y1 + y2), (c1 * c2).shift(t) if r is None else r)
+        for x2, y2, wt_x2, c2 in ys:
+            merge(out, (x1 + x2, y1 + y2), c1.times(c2, sum(map(mul, p, wt_x2))))
     return t1._like(out)
-
-
-def _unit(c: RatFunc) -> dict | None:
-    """The numerator coefficients {e: c} of a unit monomial c v^e over 1,
-    else None."""
-    return c.num.coeffs if c.den is ONE_POLY and len(c.num.coeffs) == 1 else None
 
 
 # _word_weight and _word_pairing are bounded above the largest fill

@@ -6,10 +6,14 @@ form, so equality is structural and values are hashable.  All values are
 immutable and can be shared freely between threads, so an operation may
 return an operand as it is: a sum with zero and a product with ONE do.
 
-The canonical form keeps the Laurent shift in the numerator, so a product
-by a monomial c v^k over 1 only moves the other numerator's exponents and
-scales its coefficients by c, and runs no reduction unless c shares a
-factor with the content of the other denominator; RatFunc.shift(k) is the
+RatFunc.times is the one product a * b * v^k, and * is the same method
+at k = 0; sum_products and the free algebra's twisted tensor product call
+it for each single product.  The canonical form keeps the Laurent shift
+in the numerator, so a factor whose numerator is one term c v^e over 1 is
+folded into the other: its exponents move by e + k and its coefficients
+are scaled by c, in one pass, and no reduction runs unless c shares a
+factor with the content of its denominator (_unit_product).  Any other
+pair is cross-cancelled (_product, below).  RatFunc.shift(k) is the
 product by v^k, and the torus twists of the algebras above call it rather
 than multiplying by v_pow(k).
 
@@ -29,13 +33,11 @@ exponents, reduces them there, and writes the numerator once, with the
 shift between them.
 
 sum_products, into which the algebras above collect their products
-a * b * v^k, folds such a unit factor the same way: a factor whose
-numerator is one term c v^e adds e to the twist k and scales by c, in one
-pass over the other numerator, with no IntPoly product and no second
-pass for the shift.  A denominator pair with a side 1 is the other side
-itself; any other pair is multiplied out once (_den_product), and each
-set of pair products gets its common denominator and cofactors once
-(_lcm_cofactors).
+a * b * v^k, adds a longer sum over one common denominator, folding each
+unit numerator c v^e the same way.  A denominator pair with a side 1 is
+the other side itself; any other pair is multiplied out once
+(_den_product), and each set of pair products gets its common
+denominator and cofactors once (_lcm_cofactors).
 
 A general product a * b * v^k cancels a.num against b.den and b.num
 against a.den, and multiplies what is left, with the twist, in one pass
@@ -131,29 +133,14 @@ class IntPoly:
     def __mul__(self, other):
         return _poly_product(self.coeffs, other.coeffs, 0)
 
-    def scale(self, n: int) -> "IntPoly":
-        if n == 0:
-            return ZERO_POLY
-        return IntPoly._raw({e: n * c for e, c in self.coeffs.items()})
-
     def shift(self, k: int) -> "IntPoly":
         """Multiply by v^k."""
         if k == 0:
             return self
         return IntPoly._raw({e + k: c for e, c in self.coeffs.items()})
 
-    def val(self) -> int:
-        """Lowest exponent; only valid on nonzero polynomials."""
-        return min(self.coeffs)
-
     def lead(self) -> int:
         return self.coeffs[max(self.coeffs)]
-
-    def eval_at(self, x: Fraction) -> Fraction:
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            total += c * (x ** e)
-        return total
 
     def __str__(self):
         if not self.coeffs:
@@ -386,10 +373,6 @@ class RatFunc:
     def const(n: int) -> "RatFunc":
         return RatFunc(IntPoly.const(n))
 
-    @staticmethod
-    def v_power(k: int) -> "RatFunc":
-        return RatFunc(IntPoly({k: 1}))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -437,31 +420,31 @@ class RatFunc:
         r.num, r.den, r._hash = self.num.shift(k), self.den, None
         return r
 
-    def __mul__(self, other):
-        # values are immutable, so a factor ONE returns the other operand
-        if self is ONE:
-            return other
-        if other is ONE:
-            return self
+    def times(self, other: "RatFunc", k: int = 0) -> "RatFunc":
+        """self * other * v^k, the one product of Q(v); * is this method
+        at k = 0.  A factor ONE returns the other operand at k = 0, a unit
+        monomial c v^e over 1 on either side is folded into the other
+        (_unit_product), and any other pair is cross-cancelled
+        (_product)."""
+        if not k:
+            if self is ONE:
+                return other
+            if other is ONE:
+                return self
         an, bn = self.num.coeffs, other.num.coeffs
         if not an or not bn:
             return ZERO
-        # a unit monomial c v^k moves (and scales) the other numerator and
-        # leaves the canonical form intact; a denominator 1 is ONE_POLY
-        # itself, so one identity test rules a factor in or out
-        if other.den is ONE_POLY:
-            if len(bn) == 1 and (r := _unit_product(self, bn)) is not None:
+        # a denominator 1 is ONE_POLY itself, so one identity test rules a
+        # unit factor in or out
+        if other.den is ONE_POLY and len(bn) == 1:
+            if (r := _unit_product(self, bn, k)) is not None:
                 return r
-            if self.den is ONE_POLY:
-                if len(an) == 1:
-                    return _unit_product(other, an)
-                r = object.__new__(RatFunc)
-                r.num, r.den, r._hash = self.num * other.num, ONE_POLY, None
+        if self.den is ONE_POLY and len(an) == 1:
+            if (r := _unit_product(other, an, k)) is not None:
                 return r
-        elif self.den is ONE_POLY and len(an) == 1:
-            if (r := _unit_product(other, an)) is not None:
-                return r
-        return _product(self, other)
+        return _product(self, other, k)
+
+    __mul__ = times
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -497,7 +480,7 @@ class RatFunc:
         """The value at v = x.  Both polynomials are taken times x^-low,
         low the least exponent (at most 0), and evaluated by Horner's rule,
         in integers at an integer point, so one Fraction is built."""
-        low = min(0, self.num.val()) if self.num.coeffs else 0
+        low = min(0, min(self.num.coeffs, default=0))
         return Fraction(_horner(self.num, x, low), _horner(self.den, x, low))
 
     def __str__(self):
@@ -515,7 +498,7 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def _unit_product(a: RatFunc, unit: dict, shift: int = 0) -> RatFunc | None:
+def _unit_product(a: RatFunc, unit: dict, shift: int) -> RatFunc | None:
     """a * c v^k * v^shift for the coefficients unit = {k: c} of a one-term
     numerator over 1, its numerator built in one pass: a's exponents move
     by k + shift and its coefficients are scaled by c.  a's denominator
@@ -613,30 +596,20 @@ def sum_products(groups: dict) -> dict:
     """key -> the sum of a * b * v^k over the key's (a, b, k) triples of
     nonzero values, with the keys whose sum is zero left out.
 
-    A factor whose numerator is one term c v^e is folded in rather than
-    multiplied: the other numerator's exponents move by e + k and its
-    coefficients are scaled by c, in one pass.  A key with one triple is
-    that product, folded when the unit factor's denominator is 1 (and c
-    is prime to the content of the other's).  A longer sum is taken over
-    one common denominator as integer Laurent polynomials, folding each
-    unit numerator the same way, and reduced once; a zero numerator is
-    dropped before any gcd.  A denominator pair with a side 1 is the other
-    side itself, so a denominator 1 stays ONE_POLY; each other pair
-    (a.den, b.den) is multiplied out through the memo _den_product, and
-    each distinct set of such products gets its common denominator and
-    cofactors through the memo _lcm_cofactors.  A key with one general
-    product is _product with the twist folded in."""
+    A key with one triple is that product, RatFunc.times.  A longer sum
+    is taken over one common denominator as integer Laurent polynomials,
+    folding a one-term numerator c v^e into the other as times does, and
+    reduced once; a zero numerator is dropped before any gcd.  A
+    denominator pair with a side 1 is the other side itself, so a
+    denominator 1 stays ONE_POLY; each other pair (a.den, b.den) is
+    multiplied out through the memo _den_product, and each distinct set
+    of such products gets its common denominator and cofactors through
+    the memo _lcm_cofactors."""
     out = {}
     for key, triples in groups.items():
         if len(triples) == 1:
             ((a, b, k),) = triples
-            an, bn = a.num.coeffs, b.num.coeffs
-            r = None
-            if len(an) == 1 and a.den is ONE_POLY:
-                r = _unit_product(b, an, k)
-            elif len(bn) == 1 and b.den is ONE_POLY:
-                r = _unit_product(a, bn, k)
-            out[key] = _product(a, b, k) if r is None else r
+            out[key] = a.times(b, k)
             continue
         prods = []
         for a, b, _k in triples:
@@ -678,7 +651,7 @@ MINUS_ONE = RatFunc(IntPoly({0: -1}))
 
 
 def v_pow(k: int) -> RatFunc:
-    return RatFunc.v_power(k)
+    return RatFunc(IntPoly({k: 1}))
 
 
 # The q-number memos are bounded far above what the verify suites use:

@@ -436,6 +436,15 @@ def test_cli_double_has_no_verify_subcommand(capsys):
     assert "invalid choice: 'verify'" in capsys.readouterr().err
 
 
+def test_cli_double_mul_takes_scalars_and_rejects_other_kinds(capsys):
+    # a scalar is that multiple of the double's unit, as in u mul
+    assert run_cli(capsys, "double", "mul", "2", "p(th1)") == (0, "2*p(th1)\n")
+    assert run_cli(capsys, "double", "mul", "v", "3") == (0, "3v\n")
+    for other in ("E1", "th1"):
+        line = _bad_input(capsys, "double", "mul", other, "p(th1)")
+        assert line == "qhall: double mul expects p(...)/m(...)/k(...) expressions"
+
+
 def test_cli_rejects_non_integer_vertex_in_shorthand(capsys):
     line = _bad_input(capsys, "--datum", "1->x", "f", "dim", "1,1")
     assert line == (

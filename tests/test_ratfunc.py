@@ -116,6 +116,11 @@ def _seeded_ratfunc(rng):
     return RatFunc(IntPoly(num), IntPoly(den))
 
 
+def _term_by_term(p, x):
+    """p(x) summed one term c x^e at a time, in Fractions."""
+    return sum((c * x ** e for e, c in p.coeffs.items()), Fraction(0))
+
+
 def test_horner_evaluation_matches_the_term_by_term_value():
     rng = random.Random(20)
     values = [_seeded_ratfunc(rng) for _ in range(300)]
@@ -125,7 +130,7 @@ def test_horner_evaluation_matches_the_term_by_term_value():
     for a in values:
         for x in points:
             try:
-                want = a.num.eval_at(Fraction(x)) / a.den.eval_at(Fraction(x))
+                want = _term_by_term(a.num, Fraction(x)) / _term_by_term(a.den, Fraction(x))
             except ZeroDivisionError:
                 for point in (x, Fraction(x)):
                     with pytest.raises(ZeroDivisionError):
@@ -223,6 +228,13 @@ def test_shift_is_the_product_by_a_v_power(a):
 def test_one_factor_returns_the_other_operand(a):
     assert ONE * a == a == a * ONE
     assert ONE * a is a and a * ONE is a
+    assert ONE.times(a, 0) is a and a.times(ONE, 0) is a
+    # with a twist, ONE is a unit monomial like any other
+    for k in (-3, -1, 1, 2):
+        want = a.shift(k)
+        for got in (ONE.times(a, k), a.times(ONE, k)):
+            assert got == want and hash(got) == hash(want)
+            assert str(got) == str(want)
 
 
 # a few fixed denominators, so that sums meet equal, coprime and
@@ -364,6 +376,7 @@ def test_every_route_matches_the_normalizing_constructor(a, b, k):
         want = RatFunc((x.num * y.num).shift(k), x.den * y.den)
         for got in (
             _product(x, y, k),
+            x.times(y, k),
             (x * y).shift(k),
             sum_products({0: [(x, y, k)]}).get(0, ZERO),
         ):
@@ -457,7 +470,8 @@ def fractions_to_reduce(draw):
     den = draw(st.one_of(nonzero_polys, ordinary_polys))
     factor = draw(st.one_of(st.just(ONE_POLY), nonzero_polys, ordinary_polys))
     scale = draw(st.sampled_from([1, 1, 1, -1, 2, -3, 6]))
-    return (num * factor).scale(scale), (den * factor).scale(scale)
+    scale = IntPoly.const(scale)
+    return num * factor * scale, den * factor * scale
 
 
 ordinary_polys = st.dictionaries(
