@@ -11,12 +11,14 @@ so T_i and T~_i are exercised at a middle vertex whose id is 3, and so
 does the hall suite: the middle vertex 3 is a sink there, so its bricks,
 class tables and Hall numbers are not those of 1->2->3, and the
 memoized class-pair products run end to end on a third orientation of
-A3.  The u suite runs on that D4 too: words through the branch vertex 2
+A3.  Every suite runs on that D4 too: words through the branch vertex 2
 concatenate into words off the weight bases, so the products and
-antipodes there meet normal forms of several terms.  The hall suite
-also runs on that D4, whose branch vertex is a source: its class tables
-come from Kostant partitions, and hall-bgp-bijection reflects at each
-of the three sinks.  It also runs
+antipodes there meet normal forms of several terms; T_i, T~_i, the
+braid relations and the double run at a branch vertex, and T~_i reads
+the divided-power decomposition on D4's larger weight spaces.  Its
+branch vertex is a source, so its class tables come from Kostant
+partitions, and hall-bgp-bijection reflects at each of the three
+sinks.  It also runs
 on D4 with its branch vertex a sink, where hall-bgp-bijection reflects
 (2,0,1,1) to (2,4,1,1): the table of that dimension vector lists its
 classes without walking its 3^16 points at q = 3, so the budget counts
@@ -61,7 +63,7 @@ DATA = [
     ("A2-reversed", "2->1", ("all",), {}),
     ("A3", "1->2,2->3", ("all",), {}),
     ("A3-1->3,3->2", "1->3,3->2", ("f", "ti", "hall"), {}),
-    ("D4", "2->1,2->3,2->4", ("f", "u", "hall"), {}),
+    ("D4", "2->1,2->3,2->4", ("all",), {}),
     ("D4-centre-sink", "1->2,3->2,4->2", ("hall",), {}),
     ("Kronecker", "1->2,1->2", ("u", "double", "f", "hall"), {}),
     ("E6", "1->2,2->3,3->4,4->5,3->6", ("hall",), {"hall_bound": (1, 1, 1, 0, 0, 0)}),

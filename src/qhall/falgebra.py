@@ -15,7 +15,8 @@ of qhall.freealg at generator normalization 1, iterated twisted
 derivations with nonnegative integer coefficients, from the one memo
 that every weight and lusztig_form share; a normalization c scales f_nu
 by c^|nu| and changes no basis or coordinate.  Bases and normal forms
-are memoized per (datum, weight) and (datum, word), and immutable.
+and the divided-power decompositions are memoized per (datum, weight),
+(datum, word) and (datum, vertex, weight, side), and immutable.
 """
 
 from __future__ import annotations
@@ -131,18 +132,17 @@ def greedy_basis(datum: CartanDatum, nu: tuple) -> WeightBasis:
     return _border(datum, nu, words_of_weight(datum, nu))
 
 
-# weight_basis, _normal_form_word, sub_if_basis and _decompose_word are
+# weight_basis, _normal_form_word, sub_if_basis and _decomposition are
 # bounded above the largest fill measured: scripts/run_verify.py leaves
-# 349, 2,998, 1,110 and 2,054 entries in them before its E6-f row, one
-# symbolic-verify round 93, 572, 180 and 262, and the u-queries stream
-# 47, 184, 30 and 36.  A basis builds those of the lower root weights (20
+# 385, 3,545, 1,110 and 1,110 entries in them before its E6-f row, one
+# symbolic-verify round 93, 572, 180 and 180, and the u-queries stream
+# 47, 183, 30 and 30.  A basis builds those of the lower root weights (20
 # bases in Kronecker ti-subalgebra-equivalence at weight bound 3).  E6-f
-# adds 451 bases and leaves 12,311 and 3,630 entries in the next two,
-# which at bounds of 8,192 and 2,048 recomputed 3,136 and 276 entries
-# they had evicted; it fills _decompose_word past its bound (4,860
-# misses) but asks for no entry twice.  The Gram inverse numerators of
+# adds 451 bases and leaves 12,858, 3,630 and 3,630 entries in the other
+# three; at bounds of 8,192 and 2,048 the next two recomputed 3,136 and
+# 276 entries they had evicted.  The Gram inverse numerators of
 # weight_basis, the kernel bases of sub_if_basis and the rows of
-# _decompose_word are stored through lincomb._shared: after the round
+# _decomposition are stored through lincomb._shared: after the round
 # they hold 229, 8 and 35 objects for 910, 188 and 448 values.  The
 # coefficients of _normal_form_word are not (see lincomb).
 @lru_cache(maxsize=2048)
@@ -296,26 +296,24 @@ def sub_if_basis(
 
 
 @lru_cache(maxsize=4096)
-def _decompose_word(datum: CartanDatum, vertex: int, word: Word, side: str) -> tuple:
-    """Coordinates of a basis word in the divided-power decomposition
-    f_nu = sum_t th^(t) (kernel part), as ((t, basis word), coefficient)
-    rows: the piece at level t is the sum of the rows with that t."""
-    nu = datum.weight_of_word(word)
-    idx = datum.index(vertex)
+def _decomposition(datum: CartanDatum, vertex: int, nu: tuple, side: str) -> dict:
+    """Basis word of f_nu -> its ((t, basis word), coefficient) rows in the
+    divided-power decomposition f_nu = sum_t th^(t) (kernel part): the
+    piece at level t is the sum of the rows with that t.  One elimination
+    of [C | I] inverts the columns C = th^(t) k over the kernel bases k."""
     wb = weight_basis(datum, nu)
-    columns = []
-    labels = []
-    for t in range(nu[idx] + 1):
+    columns, labels = [], []
+    for t in range(nu[datum.index(vertex)] + 1):
         level = sub_vec(nu, scale_vec(t, datum.unit_vec(vertex)))
         power = theta_divided(datum, vertex, t)
         for ker in sub_if_basis(datum, vertex, level, side):
             prod = f_mul(power, ker) if side == "left" else f_mul(ker, power)
             columns.append([prod.terms.get(w, ZERO) for w in wb.basis_words])
             labels.append((t, ker))
-    rows = [list(r) for r in zip(*columns)]
-    rhs = [ONE if w == word else ZERO for w in wb.basis_words]
-    sol = linalg.solve(linalg.QV, rows, rhs)
-    if sol is None or len(columns) != wb.dim:
+    n = len(columns)
+    eye = ([ONE if j == k else ZERO for k in range(n)] for j in range(n))
+    red, pivots = linalg.rref(linalg.QV, [[*r, *e] for r, e in zip(zip(*columns), eye)])
+    if n != wb.dim or pivots != list(range(n)):
         raise RuntimeError(
             "divided-power decomposition failed; the direct-sum invariant is broken"
         )
@@ -324,7 +322,10 @@ def _decompose_word(datum: CartanDatum, vertex: int, word: Word, side: str) -> t
         t, ker = label
         return (((t, w), c) for w, c in ker.terms.items())
 
-    return _share(linear(zip(labels, sol), image).items())
+    return {
+        w: _share(linear(zip(labels, (row[n + k] for row in red)), image).items())
+        for k, w in enumerate(wb.basis_words)
+    }
 
 
 def i_decompose(vertex: int, x: FElement) -> list:
@@ -342,9 +343,12 @@ def _i_decompose_side(vertex: int, x: FElement, side: str) -> list:
     x.datum.index(vertex)  # an unknown vertex fails on every input, zero too
     if len(x.weights()) > 1:
         raise ValueError("decomposition needs a homogeneous element")
-    d = x.datum
-    rows = linear(x.terms.items(), lambda w: _decompose_word(d, vertex, w, side))
     pieces: dict = {}
-    for (t, w), c in rows.items():
-        pieces.setdefault(t, {})[w] = c
+    for nu in x.weights():
+        table = _decomposition(x.datum, vertex, nu, side)
+        off = x.terms.keys() - table.keys()
+        if off:
+            raise ValueError(f"word {min(off)} is not a basis word of f_{nu}")
+        for (t, w), c in linear(x.terms.items(), table.__getitem__).items():
+            pieces.setdefault(t, {})[w] = c
     return [(t, x._like(p)) for t, p in sorted(pieces.items())]

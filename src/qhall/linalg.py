@@ -3,7 +3,7 @@
 A field is an object with `zero`, `one`, `inv`, `mul`, `sub` and `neg`:
 `hall.Fq` is one, and `QV` (Q(v)) adapts the Python operators of
 `RatFunc`.  Matrices are lists of rows.  Pivoting is first-nonzero, so
-echelon forms, kernels and solutions are deterministic.
+echelon forms and kernels are deterministic.
 """
 
 from __future__ import annotations
@@ -67,19 +67,4 @@ def nullspace(F, rows: list, ncols: int) -> list:
             vec[pc] = F.neg(red[r][fc])
         basis.append(vec)
     return basis
-
-
-def solve(F, rows: list, rhs: list):
-    """Solve A x = b; returns None when inconsistent, else the unique
-    solution on pivot columns with free columns set to zero."""
-    if not rows:
-        return None if any(rhs) else []
-    ncols = len(rows[0])
-    red, pivots = rref(F, [[*r, b] for r, b in zip(rows, rhs)])
-    if ncols in pivots:
-        return None
-    x = [F.zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
 

@@ -1,6 +1,6 @@
 """Helpers that only the tests use: a scalar parser, the field Q with a
-matrix inverse over any field of qhall.linalg, and strategies that draw
-Laurent polynomials and Q(v) values."""
+matrix inverse and a linear solve over any field of qhall.linalg, and
+strategies that draw Laurent polynomials and Q(v) values."""
 
 from fractions import Fraction
 
@@ -45,3 +45,18 @@ def inverse(F, rows: list) -> list:
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
     return [row[n:] for row in red]
+
+
+def solve(F, rows: list, rhs: list):
+    """Solve A x = b; returns None when inconsistent, else the unique
+    solution on pivot columns with free columns set to zero."""
+    if not rows:
+        return None if any(rhs) else []
+    ncols = len(rows[0])
+    red, pivots = rref(F, [[*r, b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [F.zero] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x

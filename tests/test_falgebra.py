@@ -38,8 +38,11 @@ from qhall.freealg import (
     word_form,
     words_of_weight,
 )
-from qhall.linalg import QV, rref, solve
+from qhall.linalg import QV, rref
 from qhall.ratfunc import ONE, ZERO, RatFunc, qfact, v_pow
+from qhall.verify import Session, run_suite
+
+from helpers import solve
 
 
 def free_word(d, *letters):
@@ -164,6 +167,67 @@ def test_i_decompose_examples():
     assert pieces == [(0, expected_t0), (1, felt(A2, 2).scale(v_pow(-1)))]
     x = normal_form(free_word(A2, 1, 2) - free_word(A2, 2, 1).scale(v_pow(1)))
     assert i_decompose(1, x) == [(0, x)]
+
+
+def test_decompositions_reject_a_word_off_the_basis():
+    # th2 th1 th1 is not a basis word of f_(2,1), and its normal form is
+    # not zero, so no coordinates are read from its letters
+    assert felt(A2, 2, 1, 1) != FElement(A2)
+    x = FElement(A2, {(2, 1, 1): ONE})
+    for decompose in (i_decompose, i_decompose_right):
+        with pytest.raises(ValueError, match=r"word \(2, 1, 1\) .* f_\(2, 1\)"):
+            decompose(1, x)
+
+
+def _reference_rows(d, i, word, side):
+    """The rows of a basis word by one solve of its unit vector against
+    the columns th^(t) k (or k th^(t)) over the kernel bases k."""
+    nu = d.weight_of_word(word)
+    basis = weight_basis(d, nu).basis_words
+    columns = []
+    for t in range(nu[d.index(i)] + 1):
+        level = sub_vec(nu, scale_vec(t, d.unit_vec(i)))
+        power = theta_divided(d, i, t)
+        for ker in sub_if_basis(d, i, level, side):
+            prod = f_mul(power, ker) if side == "left" else f_mul(ker, power)
+            columns.append((t, ker, prod))
+    assert len(columns) == len(basis)
+    rows = [[prod.terms.get(w, ZERO) for _t, _k, prod in columns] for w in basis]
+    sol = solve(QV, rows, [ONE if w == word else ZERO for w in basis])
+    out: dict = {}
+    for (t, ker, _prod), x in zip(columns, sol):
+        for w, c in ker.terms.items():
+            out[t, w] = out.get((t, w), ZERO) + x * c
+    return {key: c for key, c in out.items() if c}
+
+
+@pytest.mark.parametrize(
+    "spec, rows",
+    [("1->2,2->3", 174), ("2->1,2->3,2->4", 424), ("1->2,1->2", 60)],
+    ids=["A3", "D4", "Kronecker"],
+)
+def test_decomposition_table_matches_a_solve_per_word(spec, rows):
+    # every (vertex, side) at every weight of height <= 3: the table's one
+    # elimination gives each basis word the coordinates of its own solve
+    d = load_datum(load_quiver(spec))
+    words = 0
+    for nu in _weights(d, 3):
+        for i in d.vertices:
+            for side in ("left", "right"):
+                table = falgebra._decomposition(d, i, nu, side)
+                assert list(table) == list(weight_basis(d, nu).basis_words)
+                for w, got in table.items():
+                    assert dict(got) == _reference_rows(d, i, w, side)
+                    words += 1
+    assert words == rows
+
+
+def test_a_cold_f_suite_decomposes_each_weight_once_per_vertex_and_side(cold_memos):
+    session = Session(datum=A3, weight_bound=3)
+    assert all(r.ok for r in run_suite(session, "f"))
+    weights = sum(1 for _ in _weights(A3, 3))
+    assert weights == 20
+    assert falgebra._decomposition.cache_info().misses == 3 * weights * 2
 
 
 def kernel_dims(d, i, nu):
@@ -445,7 +509,7 @@ def test_f_memos_bounded_and_transparent():
         for obj in vars(falgebra).values()
         if hasattr(obj, "cache_info") and obj.__module__ == "qhall.falgebra"
     ]
-    named = {weight_basis, _normal_form_word, sub_if_basis, falgebra._decompose_word}
+    named = {weight_basis, _normal_form_word, sub_if_basis, falgebra._decomposition}
     assert named <= set(memos)
     for memo in memos:
         assert memo.cache_parameters()["maxsize"] is not None

@@ -6,7 +6,7 @@ from qhall.cartan import A2, A3, dims_upto
 from qhall.double import DoubleElement, HalfElement
 from qhall.falgebra import (
     FElement,
-    _decompose_word,
+    _decomposition,
     sub_if_basis,
     weight_basis,
 )
@@ -159,7 +159,7 @@ def test_shared_memo_bounded_and_transparent(
             [n for wb in bases for _den, nums in wb.inv_rows for n in nums],
             [sub_if_basis(d, i, nu, side) for i, side in sides for nu in weights],
             [
-                _decompose_word(d, i, w, side)
+                _decomposition(d, i, wb.weight, side)[w]
                 for i, side in sides
                 for wb in bases
                 for w in wb.basis_words
@@ -173,7 +173,7 @@ def test_shared_memo_bounded_and_transparent(
         _form_words,
         weight_basis,
         sub_if_basis,
-        _decompose_word,
+        _decomposition,
         _delta_words,
         _shared,
     ):
